@@ -14,7 +14,7 @@ check-docs:
 
 # Tier-1 suite, docs validation, metrics sanity check on a tiny bench run,
 # a codec cross-check (one index per wire format, identical answers), a
-# kernel cross-check (block filter == scalar filter on every path), a
+# kernel cross-check (v3 filter == scalar filter on every path), a
 # chaos cross-check (injected faults never produce silently-wrong answers),
 # the perf-regression sentinel (deterministic bench counters vs. committed
 # baselines), the obs-catalog gate (emitted metric/span names == docs), the

@@ -102,9 +102,9 @@ def check_codec_sidecar(snapshot: dict, csv_rows: list) -> list:
 def check_kernel_sidecar(snapshot: dict, csv_rows: list) -> list:
     """Validate the ``kernel-compare`` sweep's emitted artifacts.
 
-    The block runs must have actually exercised the compiled kernel (the
-    compile and block counters incremented), and every CSV row must
-    report answers identical to the scalar filter — a block kernel that
+    The v3 runs must have actually exercised the compiled kernel (the
+    compile, block and segment counters incremented), and every CSV row
+    must report answers identical to the scalar filter — a v3 kernel that
     diverges is a correctness bug the smoke gate has to catch.
     """
     problems = check_snapshot(snapshot)
@@ -258,7 +258,7 @@ def main() -> int:
         f"metrics OK: {counters} counters, {gauges} gauges, "
         f"{histograms} histograms, all finite; codec-compare sidecar OK "
         f"({len(codec_rows)} codecs, answers identical); kernel-compare "
-        f"sidecar OK ({len(kernel_rows)} runs, block/v3 == scalar); "
+        f"sidecar OK ({len(kernel_rows)} runs, v3 == scalar); "
         f"fault-sweep sidecar OK ({len(fault_rows)} cells, none silently wrong)"
     )
     return 0

@@ -1,14 +1,14 @@
 #!/usr/bin/env python
-"""Smoke-check the filter kernels: scalar, block and v3 answers match.
+"""Smoke-check the filter kernels: scalar and v3 answers match.
 
 Builds a small synthetic table, indexes it once per registered codec
-family, and cross-checks that the block and v3 kernels' top-k answers
-are bit-identical to the scalar filter's on every path the kernels are
-wired through:
+family, and cross-checks that the v3 kernel's top-k answers are
+bit-identical to the scalar filter's on every path the kernel is wired
+through:
 
-* the sequential engine at 1 worker;
+* the sequential engine at 1 worker (page-batched refine);
 * the parallel executor at 4 workers (compiled kernel shared across the
-  shard threads; the v3 run also exercises the page-batched refiner);
+  shard threads; page-batched refiner);
 * the batch engine (one compiled artifact shared across the batch).
 
 The kernels' lookup tables are built from the exact scalar bound
@@ -25,7 +25,7 @@ import sys
 WORKERS = 4
 QUERIES = 12
 K = 10
-KERNELS = ("block", "v3")
+KERNELS = ("v3",)
 
 
 def main() -> int:

@@ -121,7 +121,7 @@ class Environment:
 
         Pass an :class:`~repro.parallel.ExecutorConfig` as *executor* to
         get the parallel filter/refine path (``bench parallel-scaling``),
-        and ``kernel="block"`` for the compiled block filter kernel
+        and ``kernel="v3"`` for the compiled v3 filter kernel
         (``bench kernel-compare``).
         """
         return IVAEngine(

@@ -1,13 +1,13 @@
-"""The ``kernel-compare`` sweep: scalar vs. block vs. v3 filter kernels.
+"""The ``kernel-compare`` sweep: scalar vs. v3 filter kernels.
 
 Races the default query set through the iVA engine with every filter
 kernel (:mod:`repro.core.kernel`) over every codec family and the
 requested worker counts, and reports two things:
 
-* **filter-phase latency** — measured wall-clock p50/p95 per query, the
-  scalar/block speedup, and the block/v3 speedup (the kernels change CPU
-  work only, so the modeled index I/O is identical by construction and
-  the measured wall time is the honest comparison);
+* **filter-phase latency** — measured wall-clock p50/p95 per query and
+  the scalar/v3 speedup (the kernels change CPU work only, so the modeled
+  index I/O is identical by construction and the measured wall time is
+  the honest comparison);
 * **answer identity** — every (codec, workers, kernel) combination must
   return *bit-identical* ``(tid, distance)`` lists for every query.  The
   kernel's lookup tables are built from the exact scalar routines
@@ -41,7 +41,6 @@ class KernelRun:
     codec: str
     workers: int
     scalar: QuerySetStats
-    block: QuerySetStats
     v3: QuerySetStats
     #: True when every kernel returned the sweep-wide baseline's exact
     #: (tid, distance) lists for every query.
@@ -65,17 +64,10 @@ class KernelRun:
 
     @property
     def filter_speedup(self) -> float:
-        """Mean scalar filter wall time over mean block filter wall time."""
+        """Mean scalar filter wall time over mean v3 filter wall time."""
         scalar = sum(self._filter_wall_ms(self.scalar))
-        block = sum(self._filter_wall_ms(self.block))
-        return scalar / block if block else 0.0
-
-    @property
-    def v3_filter_speedup(self) -> float:
-        """Mean block filter wall time over mean v3 filter wall time."""
-        block = sum(self._filter_wall_ms(self.block))
         v3 = sum(self._filter_wall_ms(self.v3))
-        return block / v3 if v3 else 0.0
+        return scalar / v3 if v3 else 0.0
 
 
 def _answers(stats: QuerySetStats) -> List[List[Tuple[int, float]]]:
@@ -89,7 +81,7 @@ def kernel_compare_sweep(
     values_per_query: int = DEFAULTS.values_per_query,
     k: int = DEFAULTS.k,
 ) -> List[KernelRun]:
-    """Race both kernels across codecs × worker counts; verify answers."""
+    """Race the kernels across codecs × worker counts; verify answers."""
 
     def compute() -> List[KernelRun]:
         names = tuple(codecs) if codecs is not None else CODEC_NAMES
@@ -123,7 +115,6 @@ def kernel_compare_sweep(
                         codec=codec,
                         workers=workers,
                         scalar=stats["scalar"],
-                        block=stats["block"],
                         v3=stats["v3"],
                         answers_identical=identical,
                     )
@@ -147,14 +138,10 @@ def kernel_rows(sweep: Sequence[KernelRun]) -> list:
                 run.workers,
                 round(run.filter_p50_ms("scalar"), 2),
                 round(run.filter_p95_ms("scalar"), 2),
-                round(run.filter_p50_ms("block"), 2),
-                round(run.filter_p95_ms("block"), 2),
                 round(run.filter_p50_ms("v3"), 2),
                 round(run.filter_p95_ms("v3"), 2),
                 round(run.filter_speedup, 2),
-                round(run.v3_filter_speedup, 2),
                 round(run.qps("scalar"), 1),
-                round(run.qps("block"), 1),
                 round(run.qps("v3"), 1),
                 "yes" if run.answers_identical else "NO",
             ]
@@ -167,24 +154,20 @@ KERNEL_HEADERS = [
     "workers",
     "scalar p50 (ms)",
     "scalar p95 (ms)",
-    "block p50 (ms)",
-    "block p95 (ms)",
     "v3 p50 (ms)",
     "v3 p95 (ms)",
     "filter speedup",
-    "v3 speedup",
     "scalar QPS",
-    "block QPS",
     "v3 QPS",
     "answers identical",
 ]
 
 
 def emit_kernel_compare(sweep: Sequence[KernelRun]) -> str:
-    """Print + persist the scalar/block/v3 kernel comparison table."""
+    """Print + persist the scalar/v3 kernel comparison table."""
     return emit_table(
         "kernel_compare",
-        "Kernel comparison — scalar vs. block vs. v3 filter, wall-clock per query",
+        "Kernel comparison — scalar vs. v3 filter, wall-clock per query",
         KERNEL_HEADERS,
         kernel_rows(sweep),
     )

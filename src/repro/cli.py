@@ -25,13 +25,13 @@ shards the filter scan across N worker threads (see docs/parallelism.md);
 ``repro bench parallel-scaling`` sweeps the worker count on the standard
 bench environment and emits a worker-count-vs-latency table.
 
-Filter kernel: ``--kernel block`` on ``query``/``compare``/``workload``
-switches the filter phase to the block-at-a-time kernel with
-query-compiled lookup tables (see docs/architecture.md); ``--kernel v3``
-adds whole-segment columnar decode, zero-copy mmap reads and page-batched
-refinement on top.  Answers are bit-identical to the default scalar path
-in every mode.  ``repro bench kernel-compare`` races all three kernels on
-both codecs and fails on any top-k divergence.
+Filter kernel: ``--kernel v3`` on ``query``/``compare``/``workload``
+switches the filter phase to the v3 kernel: query-compiled lookup tables,
+whole-segment columnar decode, zero-copy mmap reads and page-batched
+refinement (see docs/architecture.md).  Answers are bit-identical to the
+default scalar path.  ``repro serve`` always runs v3.  ``repro bench
+kernel-compare`` races both kernels on both codecs and fails on any top-k
+divergence.
 
 Resilience: ``--fail-mode degrade`` on ``query``/``compare``/``workload``
 lets a query survive shard failures with an explicitly flagged partial
@@ -99,10 +99,9 @@ def _add_kernel_flag(subparser: argparse.ArgumentParser) -> None:
         "--kernel",
         default="scalar",
         choices=list(KERNEL_MODES),
-        help="filter evaluation strategy: scalar (per-tuple), block "
-        "(block-at-a-time with query-compiled lookup tables) or v3 "
-        "(whole-segment columnar decode with page-batched refine); "
-        "answers are identical",
+        help="filter evaluation strategy: scalar (per-tuple) or v3 "
+        "(query-compiled lookup tables over whole-segment columnar decode, "
+        "with page-batched refine); answers are identical",
     )
 
 
@@ -338,8 +337,6 @@ def _build_parser() -> argparse.ArgumentParser:
     obs.add_argument("--ring", type=int, default=512,
                      help="span ring-buffer capacity behind /traces/recent")
 
-    from repro.core.kernel import KERNEL_MODES
-
     serve = sub.add_parser(
         "serve", help="run the always-on query daemon over a snapshot"
     )
@@ -350,9 +347,6 @@ def _build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--name", default="iva", help="index name inside the snapshot")
     serve.add_argument("--metric", default="L2", choices=["L1", "L2", "Linf"])
     serve.add_argument("--ndf-penalty", type=float, default=20.0)
-    serve.add_argument("--kernel", choices=list(KERNEL_MODES), default="block",
-                       help="filter kernel for served queries (default: block, "
-                       "so the per-generation kernel cache is effective)")
     serve.add_argument("--workers", type=int, default=0,
                        help="shard served scans across N worker threads "
                        "(0/1 = sequential)")
@@ -711,7 +705,7 @@ def _cmd_compare(args: argparse.Namespace) -> int:
             fail_mode=getattr(args, "fail_mode", "raise"),
         ),
         # Baselines accept the knob for parity; their filters are not
-        # sharded (and have no block kernel), so they run the plain
+        # sharded (and have no v3 kernel), so they run the plain
         # sequential path either way.
         SIIEngine(table, sii, executor=executor),
         DirectScanEngine(table),
@@ -821,7 +815,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         ]
         if broken:
             raise ReproError(
-                f"block/v3 kernels diverged from scalar answers on: {broken}"
+                f"v3 kernel diverged from scalar answers on: {broken}"
             )
         return 0
 
@@ -1015,7 +1009,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
                 manager,
                 host=args.host,
                 port=args.port,
-                kernel=args.kernel,
                 metric=args.metric,
                 ndf_penalty=args.ndf_penalty,
                 workers=args.workers,

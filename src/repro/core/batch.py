@@ -78,7 +78,7 @@ class BatchIVAEngine:
         #: When True every report in the batch carries an EXPLAIN ANALYZE
         #: artifact (``SearchReport.profile``); see :mod:`repro.obs.profile`.
         self.profile = profile
-        #: Filter strategy: ``"scalar"`` or ``"block"`` (see
+        #: Filter strategy: ``"scalar"`` or ``"v3"`` (see
         #: :mod:`repro.core.kernel`); answers are bit-identical.
         self.kernel = validate_kernel_mode(kernel)
         #: Scan-failure policy (see :class:`FilterAndRefineEngine`): the
@@ -184,7 +184,7 @@ class BatchIVAEngine:
         kernels: Optional[List[QueryKernel]] = None
         encoders = {}
         quantizers = {}
-        if self.kernel in ("block", "v3"):
+        if self.kernel == "v3":
             # One shared compiled artifact for the whole batch: queries
             # naming the same term reuse one set of gram masks and lookup
             # tables (and the per-block column cache keys on that identity).
@@ -220,6 +220,7 @@ class BatchIVAEngine:
         wall_start = time.perf_counter()
         refine_io = 0.0
         refine_wall = 0.0
+        segments_total = 0
 
         last_tid = -1
         try:
@@ -233,24 +234,15 @@ class BatchIVAEngine:
                         )
                     count = len(tids)
                     block_cache: dict = {}
-                    if self.kernel == "v3":
-                        segments = scan.segment_blocks(tids)
-                        if collectors is not None:
-                            for collector in collectors:
-                                collector.on_segments(segments, count)
-                        evaluated = [
-                            kern.evaluate_segments(segments, count, block_cache)
-                            for kern in kernels
-                        ]
-                    else:
-                        columns = scan.payload_blocks(tids)
-                        if collectors is not None:
-                            for collector in collectors:
-                                collector.on_block(columns, count)
-                        evaluated = [
-                            kern.evaluate_block(columns, count, block_cache)
-                            for kern in kernels
-                        ]
+                    segments = scan.segment_blocks(tids)
+                    segments_total += len(segments)
+                    if collectors is not None:
+                        for collector in collectors:
+                            collector.on_segments(segments, count)
+                    evaluated = [
+                        kern.evaluate_segments(segments, count, block_cache)
+                        for kern in kernels
+                    ]
                     for i in range(count):
                         if ptrs[i] == DELETED_PTR:
                             continue
@@ -292,7 +284,7 @@ class BatchIVAEngine:
                         )
                     payloads = scan.payloads(tid)
                     # Like the single-query scalar filter: probe before the
-                    # tombstone check so entry counts match the block path.
+                    # tombstone check so entry counts match the v3 path.
                     if collectors is not None:
                         for collector in collectors:
                             collector.on_payloads(payloads)
@@ -369,6 +361,12 @@ class BatchIVAEngine:
                 exc,
             )
 
+        if segments_total:
+            self._registry().counter(
+                "repro_kernel_segments_total",
+                labels={"engine": self.name},
+                help="Vector-list segments decoded columnar by the v3 kernel.",
+            ).inc(segments_total)
         total_io = disk.stats.io_time_ms - io_start
         total_wall = time.perf_counter() - wall_start
         # Shared batch costs are attributed to the first report (the batch

@@ -354,10 +354,11 @@ class FilterAndRefineEngine(ABC):
         #: query with what survived and flags ``SearchReport.degraded``.
         self.fail_mode = validate_fail_mode(fail_mode)
         #: Filter evaluation strategy: ``"scalar"`` (per-tuple ``move_to``
-        #: plus per-term arithmetic) or ``"block"`` (block-at-a-time decode
-        #: through a compiled :class:`~repro.core.kernel.QueryKernel`).
-        #: Both return bit-identical answers; engines without a block
-        #: filter implementation run the scalar path regardless.
+        #: plus per-term arithmetic) or ``"v3"`` (whole-segment columnar
+        #: decode through a compiled :class:`~repro.core.kernel.QueryKernel`,
+        #: plus page-batched refine).  Both return bit-identical answers;
+        #: engines without a kernel filter implementation run the scalar
+        #: path regardless.
         self.kernel = validate_kernel_mode(kernel)
         #: When the filter's bounds are exact (all queried attributes ndf),
         #: insert the distance directly instead of fetching the tuple.  The
@@ -389,8 +390,8 @@ class FilterAndRefineEngine(ABC):
         """Yield (tid, combined distance estimate, exact) per live tuple.
 
         The default is the scalar path — per-term bounds from
-        :meth:`_filter` combined tuple-by-tuple.  Engines with a block
-        filter kernel override this to decode and evaluate whole blocks
+        :meth:`_filter` combined tuple-by-tuple.  Engines with a kernel
+        filter override this to decode and evaluate whole blocks
         while yielding the exact same estimates in the exact same order.
         """
         for tid, diffs, exact in self._filter(query, distance):
@@ -652,8 +653,8 @@ class IVAEngine(FilterAndRefineEngine):
             payloads = scan.payloads(tid)
             # Probed before the tombstone check on purpose: the scan
             # decodes the payload row either way, and the per-attribute
-            # entry counts then agree with the block path, which decodes
-            # whole columns tombstones included.
+            # entry counts then agree with the v3 path, which decodes
+            # whole segments tombstones included.
             if collector is not None:
                 collector.on_payloads(payloads)
             if ptr == DELETED_PTR:
@@ -664,18 +665,18 @@ class IVAEngine(FilterAndRefineEngine):
     def _filter_estimates(
         self, query: Query, distance: DistanceFunction
     ) -> Iterator[Tuple[int, float, bool]]:
-        """Scalar or block filtering, per the engine's ``kernel`` mode.
+        """Scalar or v3 filtering, per the engine's ``kernel`` mode.
 
-        The block path compiles the query once (``kernel.compile`` span),
-        then per tuple-list block drives every scanner's ``move_block`` and
-        evaluates the decoded columns through the kernel's lookup tables
-        (accumulated into one ``kernel.block`` span).  Estimates are
-        bit-identical to the scalar path and arrive in the same tid order.
+        The v3 path compiles the query once (``kernel.compile`` span),
+        then per tuple-list block drives every scanner's ``decode_segment``
+        and evaluates the decoded segments through the kernel's lookup
+        tables (accumulated into one ``kernel.block`` span).  Estimates
+        are bit-identical to the scalar path and arrive in the same tid
+        order.
         """
-        if self.kernel not in ("block", "v3"):
+        if self.kernel != "v3":
             yield from super()._filter_estimates(query, distance)
             return
-        use_v3 = self.kernel == "v3"
         attr_ids = query.attribute_ids()
         scan = self.index.open_scan(attr_ids, end_element=self.scan_end_element)
         tracer = self._tracer()
@@ -693,7 +694,7 @@ class IVAEngine(FilterAndRefineEngine):
         registry.counter(
             "repro_kernel_compiles_total",
             labels={"engine": self.name},
-            help="Query kernels compiled for block-at-a-time filtering.",
+            help="Query kernels compiled for v3 filtering.",
         ).inc()
         blocks = 0
         tuples = 0
@@ -702,20 +703,13 @@ class IVAEngine(FilterAndRefineEngine):
         collector = self._collector
         for tids, ptrs in scan.blocks(BLOCK_TUPLES):
             block_start = time.perf_counter()
-            if use_v3:
-                segments = scan.segment_blocks(tids)
-                estimates, exacts = compiled.evaluate_segments(segments, len(tids))
-            else:
-                columns = scan.payload_blocks(tids)
-                estimates, exacts = compiled.evaluate_block(columns, len(tids))
+            segments = scan.segment_blocks(tids)
+            estimates, exacts = compiled.evaluate_segments(segments, len(tids))
             block_wall += time.perf_counter() - block_start
             blocks += 1
-            if use_v3:
-                segments_total += len(segments)
-                if collector is not None:
-                    collector.on_segments(segments, len(tids))
-            elif collector is not None:
-                collector.on_block(columns, len(tids))
+            segments_total += len(segments)
+            if collector is not None:
+                collector.on_segments(segments, len(tids))
             for i, tid in enumerate(tids):
                 if ptrs[i] == DELETED_PTR:
                     continue
@@ -725,11 +719,10 @@ class IVAEngine(FilterAndRefineEngine):
         registry.counter(
             "repro_kernel_blocks_total",
             labels={"engine": self.name},
-            help="Tuple-list blocks decoded and evaluated by the block kernel.",
+            help="Tuple-list blocks decoded and evaluated by the v3 kernel.",
         ).inc(blocks)
-        if use_v3:
-            registry.counter(
-                "repro_kernel_segments_total",
-                labels={"engine": self.name},
-                help="Vector-list segments decoded columnar by the v3 kernel.",
-            ).inc(segments_total)
+        registry.counter(
+            "repro_kernel_segments_total",
+            labels={"engine": self.name},
+            help="Vector-list segments decoded columnar by the v3 kernel.",
+        ).inc(segments_total)

@@ -914,11 +914,6 @@ class IVAScan:
             0, self.end_element, block_elements
         )
 
-    def payload_blocks(self, tids: Sequence[int]) -> List[List[object]]:
-        """Drive every scanner through one block; one payload column per
-        attribute, aligned with ``attr_ids``."""
-        return [scanner.move_block(tids) for scanner in self.scanners]
-
     def segment_blocks(self, tids: Sequence[int]) -> List[object]:
         """Drive every scanner through one block, columnar (v3 kernel).
 

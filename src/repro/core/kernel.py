@@ -54,9 +54,10 @@ from repro.query import Query
 BLOCK_TUPLES = 256
 
 #: Valid filter-kernel modes on engines and the CLI's ``--kernel`` flag:
-#: ``scalar`` (per-tuple), ``block`` (per-block columns, PR 4) and ``v3``
-#: (whole-segment columnar decode + array-wide evaluation).
-KERNEL_MODES = ("scalar", "block", "v3")
+#: ``scalar`` (per-tuple; the identity oracle) and ``v3`` (whole-segment
+#: columnar decode + array-wide evaluation, falling back to per-block
+#: columns through :meth:`QueryKernel.evaluate_block` without numpy).
+KERNEL_MODES = ("scalar", "v3")
 
 
 def _metric_kind(metric) -> Optional[str]:
@@ -362,7 +363,7 @@ class QueryKernel:
     the pre-resolved importance weights, and the metric — everything the
     per-block loop needs without touching the query again.
 
-    :meth:`evaluate_block` returns the same ``(estimated, exact)`` the
+    :meth:`evaluate_segments` returns the same ``(estimated, exact)`` the
     scalar path derives per tuple: bounds from the tables (bit-identical
     entries), weights from :meth:`DistanceFunction.weight` (same cached
     floats), combined through the same ``metric.combine``.
@@ -444,7 +445,8 @@ class QueryKernel:
     ) -> Tuple[List[float], List[bool]]:
         """``(estimated, exact)`` for every element of one decoded block.
 
-        *columns* holds one payload column per scan slot (the
+        The numpy-absent fallback of :meth:`evaluate_segments`.  *columns*
+        holds one payload column per scan slot (the
         ``move_block`` output of each scanner); *cache*, when given, is a
         per-block memo keyed on compiled-term identity so batched queries
         sharing a term fill the bound column once (the block counterpart

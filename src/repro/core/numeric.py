@@ -117,7 +117,7 @@ class NumericQuantizer:
     def lower_bound_table(self, query_value: float) -> Tuple[float, ...]:
         """``code → lower_bound(query_value, code)`` for every data slice.
 
-        The query-compiled numeric LUT of the block filter kernel: one
+        The query-compiled numeric LUT of the filter kernel: one
         entry per slice id, each computed by :meth:`lower_bound` itself, so
         a table lookup is bit-identical to the scalar arithmetic —
         open-ended boundary slices and clamped out-of-domain codes

@@ -180,7 +180,8 @@ class VectorListScanner:
     def move_block(self, tids: List[int]) -> List[object]:
         """Advance through one block of tids, returning a payload column.
 
-        The block filter kernel's decode API: one call per tuple-list block
+        The v3 kernel's numpy-absent decode API (the default
+        :meth:`decode_segment` wraps it): one call per tuple-list block
         instead of one per tuple, with payloads in the kernel's flat form —
         text payloads are lists of bare ``(stored_length, bits)`` pairs
         (no :class:`Signature` objects), numeric payloads are slice codes,

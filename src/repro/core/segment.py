@@ -1,8 +1,8 @@
 """Columnar vector-list segments for the v3 filter kernel.
 
-The block kernel (PR 4) already evaluates tuples a block at a time, but it
-still receives each vector list as a *per-element* Python column — one
-list entry (or ``None``) per tuple.  Kernel v3 goes one step further: a
+A scanner's ``move_block`` hands the kernel each vector list as a
+*per-element* Python column — one list entry (or ``None``) per tuple.
+Kernel v3 goes one step further: a
 scanner's :meth:`~repro.core.scan.VectorListScanner.decode_segment`
 materialises the whole block of one vector list into a **segment** — a
 columnar batch the kernel can evaluate with array-wide gathers instead of

@@ -204,7 +204,7 @@ class SignatureScheme:
     def read_raw(self, reader: BufferedReader) -> Tuple[int, int]:
         """Deserialise one signature as a bare ``(stored_length, bits)`` pair.
 
-        The block filter kernel's decode path: skips both the
+        The filter kernel's ``move_block`` decode path: skips both the
         :class:`Signature` object construction and the ``optimal_t`` lookup
         per vector — the kernel re-derives ``(l_bits, t)`` once per distinct
         stored length instead of once per signature.
@@ -257,7 +257,7 @@ class QueryStringEncoder:
         """The query's ``(mask, count)`` pairs for one signature geometry.
 
         Most-selective (highest popcount) mask first; cached per
-        ``(l_bits, t)``.  Shared with the block filter kernel so both paths
+        ``(l_bits, t)``.  Shared with the filter kernel so both paths
         test exactly the same masks in the same order.
         """
         return self._masks(l_bits, t)

@@ -162,7 +162,7 @@ class TupleList:
         """Yield ``(tids, ptrs)`` column pairs over ``[start, end)``.
 
         The block counterpart of :meth:`scan_range`, used by parallel shard
-        workers running the block kernel.
+        workers running the v3 kernel.
         """
         if not 0 <= start_element <= end_element <= self._count:
             raise IndexError_(

@@ -15,7 +15,7 @@ show that funnel summed over a whole run; this module reproduces it for
   were ndf, with each attribute's list layout and codec;
 * lower-bound tightness — mean bound vs. mean true distance over the
   refined tuples, the quality measure behind the pruning rate;
-* per-block prune counts when the block kernel ran;
+* per-block prune counts when the v3 kernel ran;
 * phase/shard time attribution and degradation annotations.
 
 A :class:`ProfileCollector` rides along with one scan; engines allocate it
@@ -116,7 +116,7 @@ class QueryProfile:
     actual_sum: float = 0.0
     slack_max: float = 0.0
 
-    # ---- block kernel
+    # ---- v3 kernel
     blocks: int = 0
     block_pruned: List[int] = field(default_factory=list)
 
@@ -213,7 +213,7 @@ class QueryProfile:
                 "query_time_ms": self.query_time_ms,
             },
         }
-        if self.kernel in ("block", "v3"):
+        if self.kernel == "v3":
             out["blocks"] = {
                 "count": self.blocks,
                 "pruned_per_block": list(self.block_pruned),
@@ -294,10 +294,10 @@ class QueryProfile:
                 f"max slack {self.slack_max:.3f}  tightness {self.tightness:.3f}"
             )
 
-        if self.kernel in ("block", "v3") and self.blocks:
+        if self.kernel == "v3" and self.blocks:
             pruned = self.block_pruned or [0]
             lines.append(
-                f"block kernel: {self.blocks} blocks, pruned/block "
+                f"v3 kernel: {self.blocks} blocks, pruned/block "
                 f"min {min(pruned)}  mean {sum(pruned) / len(pruned):.1f}  "
                 f"max {max(pruned)}"
             )
@@ -344,7 +344,7 @@ class ProfileCollector:
     state on the hot path) and :meth:`absorb`\\ s them into a per-query
     master on the refiner thread.
 
-    Every hook is O(1) (``on_payloads``/``on_block`` are O(terms)) and the
+    Every hook is O(1) (``on_payloads``/``on_segments`` are O(terms)) and the
     engines call them only when profiling is on.
     """
 
@@ -412,25 +412,12 @@ class ProfileCollector:
             else:
                 defined[i] += 1
 
-    def on_block(self, columns: Sequence[Sequence[object]], count: int) -> None:
-        """One block of *count* payload columns was decoded (block path)."""
-        self.blocks += 1
-        self.block_pruned.append(0)
-        for i, slot in enumerate(self.slots):
-            column = columns[slot]
-            defined = 0
-            for j in range(count):
-                if column[j] is not None:
-                    defined += 1
-            self.defined[i] += defined
-            self.ndf[i] += count - defined
-
     def on_segments(self, segments: Sequence[object], count: int) -> None:
         """One block of *count* columnar segments was decoded (v3 path).
 
-        Mirrors :meth:`on_block`: each segment knows how many of its
-        *count* tuples store a defined value, so the per-attribute
-        defined/ndf tallies match the scalar probe exactly.
+        Each segment knows how many of its *count* tuples store a defined
+        value, so the per-attribute defined/ndf tallies match the scalar
+        probe exactly.
         """
         self.blocks += 1
         self.block_pruned.append(0)

@@ -193,8 +193,8 @@ class _QueryCtx:
     query: Query
     evaluator: BoundEvaluator
     shared: SharedBound
-    #: Compiled block-filter kernel, set when the run uses the block
-    #: kernel; one compiled artifact per query, shared by ALL shard
+    #: Compiled filter kernel, set when the run uses the v3 kernel; one
+    #: compiled artifact per query, shared by ALL shard
     #: workers (the lazily-growing lookup tables are filled with values
     #: from pure functions, so concurrent memoisation is benign — two
     #: threads can only ever write the same entry).
@@ -293,16 +293,16 @@ class ParallelScanExecutor:
         ``"raise"`` mode an expired deadline raises
         :class:`~repro.errors.DeadlineExceeded` instead.  *end_element*
         bounds the scan to a snapshot watermark; *kernel_cache* supplies a
-        shared compiled-term cache for the block kernel.
+        shared compiled-term cache for the v3 kernel.
 
-        *kernel* selects the filter strategy: ``"block"`` compiles one
-        :class:`QueryKernel` per query up front — sharing gram sets, masks
-        and lookup tables through one :class:`KernelCache` across every
-        query *and* every shard worker — and shard workers then scan
-        block-at-a-time.  ``"v3"`` additionally decodes whole segments
-        columnar (``decode_segment``/``evaluate_segments``) and batches the
-        refiner's table reads by page.  Answers are bit-identical in every
-        mode.
+        *kernel* selects the filter strategy: ``"scalar"`` walks every
+        scanner tuple by tuple; ``"v3"`` compiles one :class:`QueryKernel`
+        per query up front — sharing gram sets, masks and lookup tables
+        through one :class:`KernelCache` across every query *and* every
+        shard worker — then shard workers decode whole segments columnar
+        (``decode_segment``/``evaluate_segments``) block-at-a-time and the
+        refiner batches its table reads by page.  Answers are bit-identical
+        in both modes.
 
         *fail_mode* picks the shard-failure policy: ``"raise"`` aborts
         the run on the first dead shard (sequential-fallback semantics);
@@ -368,7 +368,7 @@ class ParallelScanExecutor:
             )
             for query in queries
         ]
-        if kernel in ("block", "v3"):
+        if kernel == "v3":
             compile_cpu0 = time.thread_time()
             shared_terms = kernel_cache if kernel_cache is not None else KernelCache()
             for ctx in contexts:
@@ -606,7 +606,7 @@ class ParallelScanExecutor:
         local_pools: List[ResultPool],
         collectors: Optional[List[ProfileCollector]],
     ) -> None:
-        """The metered scan loop of one shard (scalar or block kernel)."""
+        """The metered scan loop of one shard (scalar or v3 kernel)."""
         disk = self.table.disk
         batch = len(contexts) > 1
         block = contexts[0].kernel is not None if contexts else False
@@ -680,14 +680,13 @@ class ParallelScanExecutor:
         local_pools: List[ResultPool],
         collectors: Optional[List[ProfileCollector]] = None,
     ) -> None:
-        """Block-kernel shard scan: same decisions, block-at-a-time decode.
+        """v3-kernel shard scan: same decisions, block-at-a-time decode.
 
         Per-tuple decisions run in the scalar path's exact order (tid
         outer, query inner), so the candidate stream and pool evolution
         match; only the decode/evaluate granularity differs.
         """
         batch = len(contexts) > 1
-        use_v3 = self._run_kernel == "v3"
         for tids, ptrs in self.index.tuples.scan_range_blocks(
             shard.start_element, shard.end_element, BLOCK_TUPLES
         ):
@@ -696,25 +695,15 @@ class ParallelScanExecutor:
                 break
             count = len(tids)
             block_cache: Optional[dict] = {} if batch else None
-            if use_v3:
-                segments = [scanner.decode_segment(tids) for scanner in scanners]
-                stats.segments += len(segments)
-                if collectors is not None:
-                    for collector in collectors:
-                        collector.on_segments(segments, count)
-                evaluated = [
-                    ctx.kernel.evaluate_segments(segments, count, block_cache)
-                    for ctx in contexts
-                ]
-            else:
-                columns = [scanner.move_block(tids) for scanner in scanners]
-                if collectors is not None:
-                    for collector in collectors:
-                        collector.on_block(columns, count)
-                evaluated = [
-                    ctx.kernel.evaluate_block(columns, count, block_cache)
-                    for ctx in contexts
-                ]
+            segments = [scanner.decode_segment(tids) for scanner in scanners]
+            stats.segments += len(segments)
+            if collectors is not None:
+                for collector in collectors:
+                    collector.on_segments(segments, count)
+            evaluated = [
+                ctx.kernel.evaluate_segments(segments, count, block_cache)
+                for ctx in contexts
+            ]
             for i in range(count):
                 if ptrs[i] == DELETED_PTR:
                     continue

@@ -6,7 +6,7 @@ daemon exploits that at two layers:
 
 * **kernel artifacts** — each generation owns a shared
   :class:`~repro.core.kernel.KernelCache`, so the per-term lower-bound
-  tables compiled for the block kernel are reused across requests (the
+  tables compiled for the v3 kernel are reused across requests (the
   engine layer already meters hits/misses on the cache object);
 * **full results** — this module: an LRU keyed on everything that could
   change the answer, holding the final JSON-able payload.
@@ -47,7 +47,6 @@ def result_key(
     terms: Any,
     k: int,
     metric: str,
-    kernel: str,
 ) -> Tuple:
     """The canonical cache key for one query against one snapshot.
 
@@ -55,7 +54,7 @@ def result_key(
     requests hash equally regardless of attribute order on the wire.
     """
     canonical = json.dumps(terms, sort_keys=True, separators=(",", ":"))
-    return (gen_id, visible_version, canonical, k, metric, kernel)
+    return (gen_id, visible_version, canonical, k, metric)
 
 
 class ResultCache:

@@ -31,7 +31,8 @@ header keys a token bucket checked before global admission; exceeding it
 is a 429 with ``reason="quota"`` and a ``Retry-After`` header.
 
 Every request runs on its own engine instance (``engine.search`` is not
-re-entrant: per-search state lives on the engine), but all requests
+re-entrant: per-search state lives on the engine) with the v3 filter
+kernel (:mod:`repro.core.kernel`), but all requests
 against one generation share that generation's
 :class:`~repro.core.kernel.KernelCache` and
 :class:`~repro.parallel.shards.ShardPlanner`, so repeated query terms
@@ -88,7 +89,6 @@ class QueryDaemon(ObsServer):
         host: str = "127.0.0.1",
         port: int = 0,
         *,
-        kernel: str = "block",
         metric: str = "L2",
         ndf_penalty: float = 20.0,
         workers: int = 0,
@@ -103,7 +103,6 @@ class QueryDaemon(ObsServer):
     ) -> None:
         super().__init__(host, port, registry=registry, ring=ring)
         self.manager = manager
-        self.kernel = kernel
         self.metric = metric
         self.ndf_penalty = ndf_penalty
         self.default_k = default_k
@@ -245,9 +244,7 @@ class QueryDaemon(ObsServer):
             snapshot = self.manager.pin()
             try:
                 gen = snapshot.generation
-                key = result_key(
-                    gen.gen_id, snapshot.version, terms, k, metric, self.kernel
-                )
+                key = result_key(gen.gen_id, snapshot.version, terms, k, metric)
                 cached = self.result_cache.get(key)
                 if cached is not None:
                     return dict(cached, cached=True)
@@ -294,9 +291,10 @@ class QueryDaemon(ObsServer):
                     gen.table,
                     gen.index,
                     DistanceFunction(metric=metric, ndf_penalty=self.ndf_penalty),
+                    registry=self.metrics_registry(),
                     tracer=self.tracer,
                     executor=self.executor,
-                    kernel=self.kernel,
+                    kernel="v3",
                     fail_mode="degrade",
                     kernel_cache=gen.kernel_cache,
                     scan_end_element=snapshot.end_element,
@@ -337,9 +335,10 @@ class QueryDaemon(ObsServer):
             gen.table,
             gen.index,
             DistanceFunction(metric=metric, ndf_penalty=self.ndf_penalty),
+            registry=self.metrics_registry(),
             tracer=self.tracer,
             executor=self.executor,
-            kernel=self.kernel,
+            kernel="v3",
             fail_mode="degrade",
             kernel_cache=gen.kernel_cache,
             scan_end_element=snapshot.end_element,

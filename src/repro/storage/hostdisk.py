@@ -239,15 +239,17 @@ class HostDisk:
             fh.truncate(size)
 
     def rename(self, old: str, new: str) -> None:
-        """Rename a file, replacing the target if present."""
+        """Rename a file, atomically replacing the target if present.
+
+        One ``os.replace``: a failure leaves both names as they were, and
+        a crash leaves either the old target or the new file under *new*,
+        never neither.
+        """
         path = self._path(old)
         self._invalidate_map(old)
         self._invalidate_map(new)
         new_host = _host_name(new)
-        if new in self._names:
-            (self.root / self._names[new]).unlink()
-            del self._names[new]
-        path.rename(self.root / new_host)
+        os.replace(path, self.root / new_host)
         del self._names[old]
         self._names[new] = new_host
 

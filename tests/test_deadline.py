@@ -55,7 +55,7 @@ def _true_distance(table, query, tid, distance=None):
 # ------------------------------------------------------------- degrade mode
 
 
-@pytest.mark.parametrize("kernel", ["scalar", "block"])
+@pytest.mark.parametrize("kernel", ["scalar", "v3"])
 def test_sequential_expired_deadline_degrades(indexed, queries, kernel):
     table, index = indexed
     registry = MetricsRegistry()

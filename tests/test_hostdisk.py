@@ -1,5 +1,8 @@
 """Tests for the real-filesystem disk backend."""
 
+import os
+from pathlib import Path
+
 import pytest
 
 from repro import IVAConfig, IVAEngine, IVAFile, SparseWideTable
@@ -95,6 +98,25 @@ class TestHostDiskFiles:
         disk.rename("a", "b")
         assert not disk.exists("a")
         assert disk.read("b", 0, 1) == b"A"
+
+    def test_failed_rename_keeps_the_old_target(self, disk, monkeypatch):
+        disk.create("a")
+        disk.append("a", b"A")
+        disk.create("b")
+        disk.append("b", b"BB")
+
+        def boom(*args, **kwargs):
+            raise OSError("injected rename failure")
+
+        monkeypatch.setattr(os, "replace", boom)
+        monkeypatch.setattr(os, "rename", boom)
+        monkeypatch.setattr(Path, "rename", boom)
+        monkeypatch.setattr(Path, "replace", boom)
+        with pytest.raises(OSError):
+            disk.rename("a", "b")
+        monkeypatch.undo()
+        assert disk.read("b", 0, 2) == b"BB"
+        assert disk.read("a", 0, 1) == b"A"
 
     def test_delete(self, disk):
         disk.create("f")

@@ -1,4 +1,4 @@
-"""The block filter kernel: compiled bounds must be bit-identical to scalar.
+"""The filter kernel: compiled bounds must be bit-identical to scalar.
 
 Two layers of checks:
 
@@ -9,8 +9,9 @@ Two layers of checks:
   Prop. 3.3.  Equality is ``==``, not approx: the kernel's contract is
   bit identity, not tolerance;
 * **engine tests** assert full top-k answer identity between
-  ``kernel="scalar"`` and ``kernel="block"`` across codecs, worker
-  counts, and the batch engine.
+  ``kernel="scalar"`` and ``kernel="v3"`` across codecs, worker counts,
+  and the batch engine — both with numpy and through v3's numpy-absent
+  block fallback (``move_block`` columns into ``evaluate_block``).
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ from hypothesis import strategies as st
 
 from repro import IVAConfig, IVAEngine, IVAFile
 from repro.codec import CODEC_NAMES
+from repro.core import fastpath
 from repro.core.batch import BatchIVAEngine
 from repro.core.kernel import (
     BLOCK_TUPLES,
@@ -255,46 +257,75 @@ class TestAnswerIdentity:
             for q in queries
         ]
 
-    @pytest.mark.parametrize("codec", CODEC_NAMES)
-    def test_sequential_block_matches_scalar(self, setups, small_dataset, codec):
-        indexes, queries = setups
-        scalar = self._answers(
-            IVAEngine(small_dataset, indexes[codec], kernel="scalar"), queries
-        )
-        block = self._answers(
-            IVAEngine(small_dataset, indexes[codec], kernel="block"), queries
-        )
-        assert block == scalar
+    @pytest.fixture
+    def no_numpy(self, monkeypatch):
+        """Route v3 through its numpy-absent block fallback: every
+        ``decode_segment`` wraps ``move_block`` and ``evaluate_segments``
+        hands the columns to ``evaluate_block``."""
+        monkeypatch.setattr(fastpath, "_np", None)
 
-    @pytest.mark.parametrize("codec", CODEC_NAMES)
-    @pytest.mark.parametrize("workers", [2, 4])
-    def test_parallel_block_matches_scalar(
-        self, setups, small_dataset, codec, workers
-    ):
+    def _sequential_matches(self, setups, table, codec):
         indexes, queries = setups
         scalar = self._answers(
-            IVAEngine(small_dataset, indexes[codec], kernel="scalar"), queries
+            IVAEngine(table, indexes[codec], kernel="scalar"), queries
         )
-        block = self._answers(
+        v3 = self._answers(IVAEngine(table, indexes[codec], kernel="v3"), queries)
+        assert v3 == scalar
+
+    def _parallel_matches(self, setups, table, codec, workers):
+        indexes, queries = setups
+        scalar = self._answers(
+            IVAEngine(table, indexes[codec], kernel="scalar"), queries
+        )
+        v3 = self._answers(
             IVAEngine(
-                small_dataset,
+                table,
                 indexes[codec],
-                kernel="block",
+                kernel="v3",
                 executor=ExecutorConfig(workers=workers),
             ),
             queries,
         )
-        assert block == scalar
+        assert v3 == scalar
+
+    def _batch_matches(self, setups, table, codec):
+        indexes, queries = setups
+        scalar = BatchIVAEngine(table, indexes[codec], kernel="scalar").search_batch(
+            queries, k=8
+        )
+        v3 = BatchIVAEngine(table, indexes[codec], kernel="v3").search_batch(
+            queries, k=8
+        )
+        assert [[(r.tid, r.distance) for r in report.results] for report in v3] == [
+            [(r.tid, r.distance) for r in report.results] for report in scalar
+        ]
 
     @pytest.mark.parametrize("codec", CODEC_NAMES)
-    def test_batch_block_matches_scalar(self, setups, small_dataset, codec):
-        indexes, queries = setups
-        scalar = BatchIVAEngine(
-            small_dataset, indexes[codec], kernel="scalar"
-        ).search_batch(queries, k=8)
-        block = BatchIVAEngine(
-            small_dataset, indexes[codec], kernel="block"
-        ).search_batch(queries, k=8)
-        assert [
-            [(r.tid, r.distance) for r in report.results] for report in block
-        ] == [[(r.tid, r.distance) for r in report.results] for report in scalar]
+    def test_sequential_v3_matches_scalar(self, setups, small_dataset, codec):
+        self._sequential_matches(setups, small_dataset, codec)
+
+    @pytest.mark.parametrize("codec", CODEC_NAMES)
+    def test_sequential_block_matches_scalar(
+        self, setups, small_dataset, codec, no_numpy
+    ):
+        self._sequential_matches(setups, small_dataset, codec)
+
+    @pytest.mark.parametrize("codec", CODEC_NAMES)
+    @pytest.mark.parametrize("workers", [2, 4])
+    def test_parallel_v3_matches_scalar(self, setups, small_dataset, codec, workers):
+        self._parallel_matches(setups, small_dataset, codec, workers)
+
+    @pytest.mark.parametrize("codec", CODEC_NAMES)
+    @pytest.mark.parametrize("workers", [2, 4])
+    def test_parallel_block_matches_scalar(
+        self, setups, small_dataset, codec, workers, no_numpy
+    ):
+        self._parallel_matches(setups, small_dataset, codec, workers)
+
+    @pytest.mark.parametrize("codec", CODEC_NAMES)
+    def test_batch_v3_matches_scalar(self, setups, small_dataset, codec):
+        self._batch_matches(setups, small_dataset, codec)
+
+    @pytest.mark.parametrize("codec", CODEC_NAMES)
+    def test_batch_block_matches_scalar(self, setups, small_dataset, codec, no_numpy):
+        self._batch_matches(setups, small_dataset, codec)

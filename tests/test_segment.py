@@ -90,7 +90,7 @@ class TestDecodeSegmentIdentity:
             attr_ids = _attr_ids(table)
             legacy_scan = index.open_scan(attr_ids)
             legacy = [
-                legacy_scan.payload_blocks(list(tids))
+                [scanner.move_block(list(tids)) for scanner in legacy_scan.scanners]
                 for tids, _ in legacy_scan.blocks(block)
             ]
             seg_scan = index.open_scan(attr_ids)

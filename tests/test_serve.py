@@ -163,9 +163,9 @@ def test_admission_queue_admits_when_slot_frees():
 def test_result_cache_lru_eviction_and_metrics():
     registry = MetricsRegistry()
     cache = ResultCache(capacity=2, registry=registry)
-    k1 = result_key(0, 1, {"a": 1}, 10, "L2", "block")
-    k2 = result_key(0, 1, {"b": 2}, 10, "L2", "block")
-    k3 = result_key(0, 1, {"c": 3}, 10, "L2", "block")
+    k1 = result_key(0, 1, {"a": 1}, 10, "L2")
+    k2 = result_key(0, 1, {"b": 2}, 10, "L2")
+    k3 = result_key(0, 1, {"c": 3}, 10, "L2")
     cache.put(k1, {"r": 1})
     cache.put(k2, {"r": 2})
     assert cache.get(k1) == {"r": 1}  # refreshes k1's recency
@@ -187,11 +187,11 @@ def test_result_cache_lru_eviction_and_metrics():
 
 
 def test_result_cache_key_is_order_insensitive():
-    assert result_key(0, 1, {"a": 1, "b": 2}, 10, "L2", "block") == result_key(
-        0, 1, {"b": 2, "a": 1}, 10, "L2", "block"
+    assert result_key(0, 1, {"a": 1, "b": 2}, 10, "L2") == result_key(
+        0, 1, {"b": 2, "a": 1}, 10, "L2"
     )
-    assert result_key(0, 1, {"a": 1}, 10, "L2", "block") != result_key(
-        0, 2, {"a": 1}, 10, "L2", "block"
+    assert result_key(0, 1, {"a": 1}, 10, "L2") != result_key(
+        0, 2, {"a": 1}, 10, "L2"
     )
 
 
@@ -363,6 +363,47 @@ def test_kernel_cache_hits_are_observable(daemon, manager):
     ]
     assert hits, body
     assert float(hits[0].rsplit(" ", 1)[1]) > 0
+
+
+def _segments_total(daemon) -> float:
+    code, body = _get(daemon.url + "/metrics")
+    assert code == 200
+    return sum(
+        float(line.rsplit(" ", 1)[1])
+        for line in body.splitlines()
+        if line.startswith("repro_kernel_segments_total")
+    )
+
+
+def _scalar_answer(manager, terms: dict, k: int) -> list:
+    gen = manager.current
+    engine = IVAEngine(gen.table, gen.index, kernel="scalar")
+    return [
+        {"tid": r.tid, "distance": round(r.distance, 6)}
+        for r in engine.search(terms, k=k).results
+    ]
+
+
+def test_served_reads_run_kernel_v3(daemon, manager):
+    """/query and /query/batch both run v3 and answer like scalar."""
+    terms = _some_terms(manager, tid=4)
+    before = _segments_total(daemon)
+    code, _, single = _post(daemon.url + "/query", {"terms": terms, "k": 5})
+    assert code == 200
+    after_single = _segments_total(daemon)
+    assert after_single > before
+    assert single["results"] == _scalar_answer(manager, terms, 5)
+
+    batch = [_some_terms(manager, tid) for tid in (6, 9)]
+    code, _, payload = _post(
+        daemon.url + "/query/batch",
+        {"queries": [{"terms": t} for t in batch], "k": 5},
+    )
+    assert code == 200
+    assert _segments_total(daemon) > after_single
+    assert [report["results"] for report in payload["reports"]] == [
+        _scalar_answer(manager, t, 5) for t in batch
+    ]
 
 
 def test_batch_round_trip(daemon, manager):
@@ -537,14 +578,14 @@ def test_doorkeeper_admits_only_repeated_keys():
         capacity=4, probation_s=10.0, registry=MetricsRegistry(),
         clock=lambda: now[0],
     )
-    k1 = result_key(0, 1, {"a": 1}, 10, "L2", "block")
+    k1 = result_key(0, 1, {"a": 1}, 10, "L2")
     cache.put(k1, {"r": 1})
     assert len(cache) == 0  # one-hit wonder: skipped
     assert cache.doorkeeper_skips == 1
     cache.put(k1, {"r": 1})  # second sighting within the window: admitted
     assert cache.get(k1) == {"r": 1}
     # A sighting outside the probation window does not count.
-    k2 = result_key(0, 1, {"b": 2}, 10, "L2", "block")
+    k2 = result_key(0, 1, {"b": 2}, 10, "L2")
     cache.put(k2, {"r": 2})
     now[0] = 20.0
     cache.put(k2, {"r": 2})  # stale first sighting: restamped, still skipped
