@@ -27,7 +27,7 @@ from repro.core.kernel import (
     QueryKernel,
     validate_kernel_mode,
 )
-from repro.core.pool import ResultPool
+from repro.core.pool import BlockCandidacy, ResultPool, block_candidates
 from repro.core.signature import QueryStringEncoder
 from repro.errors import DeadlineExceeded, QueryError, ReproError
 from repro.metrics.distance import DistanceFunction
@@ -214,6 +214,12 @@ class BatchIVAEngine:
             if self.profile
             else None
         )
+        candidacies = [
+            BlockCandidacy(
+                pool, collector=collectors[qi] if collectors is not None else None
+            )
+            for qi, pool in enumerate(pools)
+        ]
         ndf_penalty = dist.ndf_penalty
         disk = self.table.disk
         io_start = disk.stats.io_time_ms
@@ -221,6 +227,26 @@ class BatchIVAEngine:
         refine_io = 0.0
         refine_wall = 0.0
         segments_total = 0
+
+        record_tid = None
+        record = None
+
+        def refine(tid: int, qi: int, estimated: float) -> None:
+            """Refine one candidate; consecutive queries share one fetch."""
+            nonlocal refine_io, refine_wall, record_tid, record
+            if tid != record_tid:
+                io_before = disk.stats.io_time_ms
+                wall_before = time.perf_counter()
+                record = self.table.read(tid)
+                refine_io += disk.stats.io_time_ms - io_before
+                refine_wall += time.perf_counter() - wall_before
+                record_tid = tid
+            reports[qi].table_accesses += 1
+            actual = dist.actual(bound[qi], record)
+            pools[qi].insert(tid, actual)
+            if collectors is not None:
+                collectors[qi].on_candidate()
+                collectors[qi].on_refined(estimated, actual)
 
         last_tid = -1
         try:
@@ -243,39 +269,12 @@ class BatchIVAEngine:
                         kern.evaluate_segments(segments, count, block_cache)
                         for kern in kernels
                     ]
-                    for i in range(count):
-                        if ptrs[i] == DELETED_PTR:
-                            continue
-                        tid = tids[i]
+                    for tid, qi, estimated in block_candidates(
+                        candidacies, tids, ptrs, evaluated
+                    ):
                         last_tid = tid
-                        record = None
-                        for qi, query in enumerate(bound):
-                            reports[qi].tuples_scanned += 1
-                            estimated = evaluated[qi][0][i]
-                            exact = evaluated[qi][1][i]
-                            pool = pools[qi]
-                            if exact:
-                                pool.insert(tid, estimated)
-                                reports[qi].exact_shortcuts += 1
-                                if collectors is not None:
-                                    collectors[qi].on_exact()
-                                continue
-                            if not pool.is_candidate(estimated, tid):
-                                if collectors is not None:
-                                    collectors[qi].on_pruned()
-                                continue
-                            if record is None:
-                                io_before = disk.stats.io_time_ms
-                                wall_before = time.perf_counter()
-                                record = self.table.read(tid)
-                                refine_io += disk.stats.io_time_ms - io_before
-                                refine_wall += time.perf_counter() - wall_before
-                            reports[qi].table_accesses += 1
-                            actual = dist.actual(query, record)
-                            pool.insert(tid, actual)
-                            if collectors is not None:
-                                collectors[qi].on_candidate()
-                                collectors[qi].on_refined(estimated, actual)
+                        refine(tid, qi, estimated)
+                    last_tid = tids[-1]
             else:
                 for tid, ptr in scan:
                     if deadline is not None and time.perf_counter() > deadline:
@@ -291,10 +290,8 @@ class BatchIVAEngine:
                     if ptr == DELETED_PTR:
                         continue
                     last_tid = tid
-                    record = None
                     text_bound_cache = {}
                     for qi, query in enumerate(bound):
-                        reports[qi].tuples_scanned += 1
                         diffs: List[float] = []
                         exact = True
                         for term in query.terms:
@@ -320,30 +317,9 @@ class BatchIVAEngine:
                                         float(term.value), payload
                                     )
                                 )
-                        pool = pools[qi]
                         estimated = dist.combine_bounds(query, diffs)
-                        if exact:
-                            pool.insert(tid, estimated)
-                            reports[qi].exact_shortcuts += 1
-                            if collectors is not None:
-                                collectors[qi].on_exact()
-                            continue
-                        if not pool.is_candidate(estimated, tid):
-                            if collectors is not None:
-                                collectors[qi].on_pruned()
-                            continue
-                        if record is None:
-                            io_before = disk.stats.io_time_ms
-                            wall_before = time.perf_counter()
-                            record = self.table.read(tid)
-                            refine_io += disk.stats.io_time_ms - io_before
-                            refine_wall += time.perf_counter() - wall_before
-                        reports[qi].table_accesses += 1
-                        actual = dist.actual(query, record)
-                        pool.insert(tid, actual)
-                        if collectors is not None:
-                            collectors[qi].on_candidate()
-                            collectors[qi].on_refined(estimated, actual)
+                        if candidacies[qi].admit(tid, estimated, exact):
+                            refine(tid, qi, estimated)
         except ReproError as exc:
             if self.fail_mode != "degrade":
                 raise
@@ -361,6 +337,9 @@ class BatchIVAEngine:
                 exc,
             )
 
+        for report, candidacy in zip(reports, candidacies):
+            report.tuples_scanned = candidacy.scanned
+            report.exact_shortcuts = candidacy.exact_shortcuts
         if segments_total:
             self._registry().counter(
                 "repro_kernel_segments_total",

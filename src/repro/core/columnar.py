@@ -28,6 +28,7 @@ from typing import Dict, List, Mapping, Optional, Tuple, Union
 
 from repro.core.engine import QueryResult, SearchReport
 from repro.core.iva_file import IVAFile
+from repro.core.numeric import VECTORISED_MAX_BYTES
 from repro.core.pool import ResultPool
 from repro.core.signature import QueryStringEncoder
 from repro.core.tuple_list import DELETED_PTR
@@ -196,7 +197,7 @@ class InMemoryIVAEngine:
         if column is None or entry is None:
             return self._full(penalty, count), self._full(False, count, bool_=True)
         quantizer = entry.quantizer
-        if _np is None:
+        if _np is None or quantizer.vector_bytes > VECTORISED_MAX_BYTES:
             bounds = []
             defined = []
             for code in column.codes:
@@ -209,25 +210,7 @@ class InMemoryIVAEngine:
             return bounds, defined
         codes = column.codes_arr
         defined = codes >= 0
-        safe = _np.where(defined, codes, 0)
-        if quantizer.hi == quantizer.lo:
-            lo = _np.full(len(codes), quantizer.lo)
-            hi = _np.full(len(codes), quantizer.hi)
-        else:
-            width = quantizer.slice_width
-            lo = quantizer.lo + safe * width
-            hi = lo + width
-        open_low = safe == 0
-        open_high = safe == quantizer.num_slices - 1
-        below = _np.where(open_low, -_np.inf, lo)
-        above = _np.where(open_high, _np.inf, hi)
-        inside = (query_value >= below) & (query_value <= above)
-        bound = _np.where(
-            inside,
-            0.0,
-            _np.where(query_value < lo, lo - query_value, query_value - above),
-        )
-        bound = _np.clip(bound, 0.0, None)
+        bound = quantizer.lower_bound_array(query_value, _np.where(defined, codes, 0))
         return _np.where(defined, bound, penalty), defined
 
     @staticmethod

@@ -30,7 +30,7 @@ from typing import TYPE_CHECKING, Iterator, List, Mapping, Optional, Sequence, T
 
 from repro.core.iva_file import DELETED_PTR, IVAFile
 from repro.core.kernel import BLOCK_TUPLES, QueryKernel, validate_kernel_mode
-from repro.core.pool import ResultPool
+from repro.core.pool import BlockCandidacy, ResultPool, block_candidates
 from repro.core.signature import QueryStringEncoder
 from repro.errors import DeadlineExceeded, QueryError, ReproError
 from repro.metrics.distance import DistanceFunction
@@ -48,6 +48,13 @@ logger = logging.getLogger(__name__)
 #: ``exact`` is True when every bound is the exact difference (e.g. the
 #: tuple is ndf on every queried attribute), so refinement is unnecessary.
 FilterItem = Tuple[int, List[float], bool]
+
+#: What :meth:`FilterAndRefineEngine._filter_blocks` yields per block:
+#: ``(tids, ptrs, estimates, exact)``.  ``ptrs`` holds the tuple-list
+#: pointers (tombstones are ``DELETED_PTR``) or is None when every tuple
+#: is live; ``estimates``/``exact`` are float64/bool arrays from the v3
+#: kernel, or sequences.
+FilterBlock = Tuple[Sequence[int], Optional[Sequence[int]], object, object]
 
 #: Accepted values of the engines' ``fail_mode`` knob.
 FAIL_MODES = ("raise", "degrade")
@@ -389,13 +396,25 @@ class FilterAndRefineEngine(ABC):
     ) -> Iterator[Tuple[int, float, bool]]:
         """Yield (tid, combined distance estimate, exact) per live tuple.
 
-        The default is the scalar path — per-term bounds from
-        :meth:`_filter` combined tuple-by-tuple.  Engines with a kernel
-        filter override this to decode and evaluate whole blocks
-        while yielding the exact same estimates in the exact same order.
+        The scalar path — per-term bounds from :meth:`_filter` combined
+        tuple-by-tuple.
         """
         for tid, diffs, exact in self._filter(query, distance):
             yield tid, distance.combine_bounds(query, diffs), exact
+
+    def _filter_blocks(
+        self, query: Query, distance: DistanceFunction
+    ) -> Iterator[FilterBlock]:
+        """Yield the filter's output as :data:`FilterBlock`\\ s.
+
+        Drives the v3 loop of :meth:`_sequential_search`.  The default
+        wraps each :meth:`_filter_estimates` tuple in a block of one;
+        engines with a kernel filter override this to decode and evaluate
+        whole tuple-list blocks, with the exact same estimates in the exact
+        same order.
+        """
+        for tid, estimated, exact in self._filter_estimates(query, distance):
+            yield (tid,), None, (estimated,), (exact,)
 
     def prepare_query(self, query: Union[Query, Mapping[str, object]]) -> Query:
         """Coerce a mapping into a validated :class:`Query`."""
@@ -465,8 +484,9 @@ class FilterAndRefineEngine(ABC):
     ) -> SearchReport:
         """The inline (single-threaded) Algorithm 1 loop.
 
-        *deadline* is an absolute ``time.perf_counter()`` instant; the
-        deadline check is per tuple and only paid when a deadline is set.
+        *deadline* is an absolute ``time.perf_counter()`` instant, checked
+        once per filter block under v3 and per tuple on the scalar path,
+        and only paid when a deadline is set.
         """
         dist = distance or self.distance
         pool = ResultPool(k)
@@ -475,6 +495,9 @@ class FilterAndRefineEngine(ABC):
         tracer = self._tracer()
         collector = ProfileCollector.for_query(query) if self.profile else None
         self._collector = collector
+        candidacy = BlockCandidacy(
+            pool, skip_exact=self.skip_exact, collector=collector
+        )
 
         with tracer.span(
             "query",
@@ -487,6 +510,20 @@ class FilterAndRefineEngine(ABC):
             refine_io = 0.0
             refine_wall = 0.0
 
+            def refine(tid: int, estimated: float) -> None:
+                nonlocal refine_io, refine_wall
+                refine_io_before = disk.stats.io_time_ms
+                refine_wall_before = time.perf_counter()
+                record = self.table.read(tid)
+                actual = dist.actual(query, record)
+                pool.insert(tid, actual)
+                refine_io += disk.stats.io_time_ms - refine_io_before
+                refine_wall += time.perf_counter() - refine_wall_before
+                report.table_accesses += 1
+                if collector is not None:
+                    collector.on_candidate()
+                    collector.on_refined(estimated, actual)
+
             # Page-batched refine (v3): buffer surviving candidates and
             # issue their table reads sorted by file offset.  Deferred
             # tuples are re-checked against the pool at flush; losing the
@@ -498,64 +535,42 @@ class FilterAndRefineEngine(ABC):
             locate = self.table.locate
 
             def flush_refines() -> None:
-                nonlocal refine_io, refine_wall
                 if not refine_batch:
                     return
                 pending = sorted(refine_batch, key=lambda item: locate(item[0])[0])
                 refine_batch.clear()
                 for tid, estimated in pending:
-                    if not pool.is_candidate(estimated, tid):
-                        if collector is not None:
-                            collector.on_pruned()
-                        continue
-                    refine_io_before = disk.stats.io_time_ms
-                    refine_wall_before = time.perf_counter()
-                    record = self.table.read(tid)
-                    actual = dist.actual(query, record)
-                    pool.insert(tid, actual)
-                    refine_io += disk.stats.io_time_ms - refine_io_before
-                    refine_wall += time.perf_counter() - refine_wall_before
-                    report.table_accesses += 1
-                    if collector is not None:
-                        collector.on_candidate()
-                        collector.on_refined(estimated, actual)
+                    if pool.is_candidate(estimated, tid):
+                        refine(tid, estimated)
+                    elif collector is not None:
+                        collector.on_pruned()
 
             last_tid = -1
+
+            def check_deadline() -> None:
+                if deadline is not None and time.perf_counter() > deadline:
+                    raise DeadlineExceeded(f"deadline expired after tid {last_tid}")
+
             try:
-                for tid, estimated, exact in self._filter_estimates(query, dist):
-                    if deadline is not None and time.perf_counter() > deadline:
-                        raise DeadlineExceeded(
-                            f"deadline expired after tid {last_tid}"
-                        )
-                    last_tid = tid
-                    report.tuples_scanned += 1
-                    if exact and self.skip_exact:
-                        pool.insert(tid, estimated)
-                        report.exact_shortcuts += 1
-                        if collector is not None:
-                            collector.on_exact()
-                        continue
-                    if not pool.is_candidate(estimated, tid):
-                        if collector is not None:
-                            collector.on_pruned()
-                        continue
-                    if batched:
-                        refine_batch.append((tid, estimated))
-                        if len(refine_batch) >= REFINE_BATCH:
-                            flush_refines()
-                        continue
-                    refine_io_before = disk.stats.io_time_ms
-                    refine_wall_before = time.perf_counter()
-                    record = self.table.read(tid)
-                    actual = dist.actual(query, record)
-                    pool.insert(tid, actual)
-                    refine_io += disk.stats.io_time_ms - refine_io_before
-                    refine_wall += time.perf_counter() - refine_wall_before
-                    report.table_accesses += 1
-                    if collector is not None:
-                        collector.on_candidate()
-                        collector.on_refined(estimated, actual)
-                flush_refines()
+                if batched:
+                    blocks = self._filter_blocks(query, dist)
+                    for tids, ptrs, estimates, exact in blocks:
+                        check_deadline()
+                        for tid, _, estimated in block_candidates(
+                            (candidacy,), tids, ptrs, ((estimates, exact),)
+                        ):
+                            last_tid = tid
+                            refine_batch.append((tid, estimated))
+                            if len(refine_batch) >= REFINE_BATCH:
+                                flush_refines()
+                        last_tid = tids[-1]
+                    flush_refines()
+                else:
+                    for tid, estimated, exact in self._filter_estimates(query, dist):
+                        check_deadline()
+                        last_tid = tid
+                        if candidacy.admit(tid, estimated, exact):
+                            refine(tid, estimated)
             except ReproError as exc:
                 if self.fail_mode != "degrade":
                     raise
@@ -578,6 +593,8 @@ class FilterAndRefineEngine(ABC):
             finally:
                 self._collector = None
 
+            report.tuples_scanned = candidacy.scanned
+            report.exact_shortcuts = candidacy.exact_shortcuts
             total_io = disk.stats.io_time_ms - start_io
             total_wall = time.perf_counter() - start_wall
             report.refine_io_ms = refine_io
@@ -662,21 +679,18 @@ class IVAEngine(FilterAndRefineEngine):
             diffs, exact = evaluator.evaluate(payloads)
             yield tid, diffs, exact
 
-    def _filter_estimates(
+    def _filter_blocks(
         self, query: Query, distance: DistanceFunction
-    ) -> Iterator[Tuple[int, float, bool]]:
-        """Scalar or v3 filtering, per the engine's ``kernel`` mode.
+    ) -> Iterator[FilterBlock]:
+        """The v3 filter: whole tuple-list blocks through the query kernel.
 
-        The v3 path compiles the query once (``kernel.compile`` span),
-        then per tuple-list block drives every scanner's ``decode_segment``
-        and evaluates the decoded segments through the kernel's lookup
-        tables (accumulated into one ``kernel.block`` span).  Estimates
-        are bit-identical to the scalar path and arrive in the same tid
-        order.
+        Compiles the query once (``kernel.compile`` span), then per
+        tuple-list block drives every scanner's ``decode_segment`` and
+        evaluates the decoded segments through the kernel (accumulated
+        into one ``kernel.block`` span), yielding whole blocks — tombstones
+        included, flagged by their ``ptrs``.  Estimates are bit-identical
+        to the scalar path and arrive in the same tid order.
         """
-        if self.kernel != "v3":
-            yield from super()._filter_estimates(query, distance)
-            return
         attr_ids = query.attribute_ids()
         scan = self.index.open_scan(attr_ids, end_element=self.scan_end_element)
         tracer = self._tracer()
@@ -704,17 +718,14 @@ class IVAEngine(FilterAndRefineEngine):
         for tids, ptrs in scan.blocks(BLOCK_TUPLES):
             block_start = time.perf_counter()
             segments = scan.segment_blocks(tids)
-            estimates, exacts = compiled.evaluate_segments(segments, len(tids))
+            estimates, exact = compiled.evaluate_segments(segments, len(tids))
             block_wall += time.perf_counter() - block_start
             blocks += 1
             segments_total += len(segments)
+            tuples += len(tids) - ptrs.count(DELETED_PTR)
             if collector is not None:
                 collector.on_segments(segments, len(tids))
-            for i, tid in enumerate(tids):
-                if ptrs[i] == DELETED_PTR:
-                    continue
-                tuples += 1
-                yield tid, estimates[i], exacts[i]
+            yield tids, ptrs, estimates, exact
         tracer.record("kernel.block", block_wall * 1000.0, blocks=blocks, tuples=tuples)
         registry.counter(
             "repro_kernel_blocks_total",

@@ -8,12 +8,13 @@ vectorise without changing any on-disk byte.  When numpy is importable,
 otherwise both fall back to the scalar path.  Tests pin byte-for-byte
 equality between the two paths.
 
-The block filter kernel (:mod:`repro.core.kernel`) plugs in through
-:func:`lut_array` / :func:`gather_bounds`: a numeric term's eager
-``code → lower_bound`` table becomes a float64 array and a fully-defined
-decoded column is bounded with one vectorised gather.  The array holds the
-exact doubles of the scalar table, so gathered bounds stay bit-identical;
-columns with ndf gaps fall back to the scalar loop.
+The v3 filter kernel (:mod:`repro.core.kernel`) plugs in through
+:func:`text_min_scatter` (the per-tuple minimum over a text segment's
+signature bounds) and :func:`combine_columns` (the distance combine over
+per-term bound columns); numeric bounds come from
+:meth:`~repro.core.numeric.NumericQuantizer.lower_bound_array`.  Each
+mirrors its scalar counterpart's float operations, so results stay
+bit-identical.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from __future__ import annotations
 import logging
 from typing import List, Optional, Sequence
 
-from repro.core.numeric import NumericQuantizer
+from repro.core.numeric import VECTORISED_MAX_BYTES, NumericQuantizer
 
 try:  # pragma: no cover - exercised implicitly by both branches' tests
     import numpy as _np
@@ -52,7 +53,7 @@ def encode_numeric_batch(
     # Wide codes (> 4 bytes: up to 2^64 slices) overflow int64 and exceed
     # float64 integer precision; the scalar path handles them with Python
     # bigints.
-    if quantizer.vector_bytes > 4:
+    if quantizer.vector_bytes > VECTORISED_MAX_BYTES:
         global _wide_code_logged
         if not _wide_code_logged:
             _wide_code_logged = True
@@ -95,34 +96,6 @@ def encode_numeric_column(
     return pack_codes(encode_numeric_batch(quantizer, values), quantizer.vector_bytes)
 
 
-def lut_array(table: Sequence[float]):
-    """A float64 numpy mirror of an eager lookup table, or None.
-
-    Compiled once per numeric query term; ``float64`` round-trips every
-    Python float exactly, so gathering from the array yields the same
-    bounds as indexing the scalar table.
-    """
-    if _np is None:
-        return None
-    return _np.asarray(table, dtype=_np.float64)
-
-
-def gather_bounds(lut, column: Sequence[object], out: List[float], exact: List[bool]) -> bool:
-    """Vectorised ``out[i] = lut[column[i]]`` for a fully-defined column.
-
-    Returns False — leaving ``out``/``exact`` untouched — when numpy is
-    unavailable, the column is too small to pay for the round-trip, or any
-    element is ndf (``None``); the caller then runs its scalar loop.  On
-    success every element was defined, so all ``exact`` flags clear.
-    """
-    if lut is None or len(column) < _BATCH_THRESHOLD or None in column:
-        return False
-    codes = _np.asarray(column, dtype=_np.intp)
-    out[:] = lut[codes].tolist()
-    exact[:] = [False] * len(column)
-    return True
-
-
 def dtype_for_width(vector_bytes: int) -> Optional[str]:
     """The little-endian unsigned dtype code for a vector width, or None.
 
@@ -131,24 +104,6 @@ def dtype_for_width(vector_bytes: int) -> Optional[str]:
     them, which keeps correctness while the common widths vectorise.
     """
     return _DTYPES.get(vector_bytes)
-
-
-def gather_bounds_array(lut, codes, defined, ndf_penalty: float):
-    """Array-wide LUT gather over a whole decoded segment.
-
-    The v3 counterpart of :func:`gather_bounds`: *codes*/*defined* are the
-    parallel arrays of a :class:`~repro.core.segment.NumericSegment` and
-    the result is a float64 bound column with ``ndf_penalty`` at every
-    undefined slot.  ``lut`` holds the scalar table's exact doubles, so
-    each gathered bound is bit-identical to ``table[code]``.  Returns
-    ``None`` when numpy is unavailable.
-    """
-    if _np is None or lut is None:
-        return None
-    safe = _np.where(defined, codes, 0)
-    out = lut[safe]
-    out[~defined] = ndf_penalty
-    return out
 
 
 def text_min_scatter(count: int, slots, values, defined, ndf_penalty: float):

@@ -1,16 +1,18 @@
-"""The block-at-a-time filter kernel: query-compiled lower-bound tables.
+"""The v3 filter kernel: queries compiled once, bounded a block at a time.
 
 The paper's premise (Sec. IV-A) is that the filter phase is a cheap
 sequential scan; a per-tuple Python loop re-deriving every bound from
 scratch makes interpreter overhead — not I/O — the dominant cost.  The
-kernel removes the repeated arithmetic by compiling each query **once**
-into lookup tables and then evaluating whole blocks of decoded tuples per
-call:
+kernel compiles each query **once** and then evaluates whole decoded
+segments (one block of the tuple list) per call:
 
-* **numeric terms** become a ``code → lower_bound`` array over the
-  quantizer's code space (eager for one-byte vectors, lazily memoised for
-  wider codes), each entry produced by
-  :meth:`~repro.core.numeric.NumericQuantizer.lower_bound` itself;
+* **numeric terms** bound a whole code column with one
+  :meth:`~repro.core.numeric.NumericQuantizer.lower_bound_array` call —
+  the numpy mirror of :meth:`~repro.core.numeric.NumericQuantizer.lower_bound`,
+  the same float operations in the same order — and keep no per-code
+  state; the scalar fallback (no numpy, or codes wider than four bytes)
+  looks codes up in a table built from ``lower_bound`` itself (eager for
+  one-byte vectors, memoised per code above);
 * **text terms** become per-stored-length tables: the query's gram masks
   for that signature geometry (most-selective first) plus a
   ``hit_count → bound`` array — :func:`~repro.core.ngram.estimate_from_hits`
@@ -18,16 +20,18 @@ call:
   popcount-style mask test and a table index;
 * **ndf** stays the distance function's constant penalty.
 
-Every table entry is computed by the same scalar routine the
-:class:`~repro.core.engine.BoundEvaluator` path calls per tuple, so kernel
-bounds are **bit-identical** to scalar bounds — the no-false-negative
-contract (Prop. 3.3, open-ended boundary slices) holds by construction,
-and the engines assert answer identity in tests, ``make smoke`` and
-``repro bench kernel-compare``.
+Every bound is bit-identical to the one the
+:class:`~repro.core.engine.BoundEvaluator` path computes per tuple, so the
+no-false-negative contract (Prop. 3.3, open-ended boundary slices) holds
+by construction, and the engines assert answer identity in tests,
+``make smoke`` and ``repro bench kernel-compare``.
+:meth:`QueryKernel.evaluate_segments` returns float64/bool arrays, which
+the engines' block-level candidacy (:class:`~repro.core.pool.BlockCandidacy`)
+prefilters without a per-tuple Python step.
 
 Compiled terms are shared: :class:`KernelCache` deduplicates per
 ``(attribute, value)`` so parallel shard workers and batched queries reuse
-one artifact (gram sets, masks, LUTs) instead of rebuilding
+one artifact (gram sets and masks) instead of rebuilding
 :class:`~repro.core.signature.QueryStringEncoder` state per context.
 """
 
@@ -37,7 +41,11 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core import fastpath
 from repro.core.ngram import estimate_from_hits
-from repro.core.numeric import EAGER_LUT_MAX_CODES, NumericQuantizer
+from repro.core.numeric import (
+    EAGER_LUT_MAX_CODES,
+    VECTORISED_MAX_BYTES,
+    NumericQuantizer,
+)
 from repro.core.signature import QueryStringEncoder
 from repro.errors import QueryError
 from repro.metrics.distance import (
@@ -200,37 +208,37 @@ class CompiledTextTerm:
 
 
 class CompiledNumericTerm:
-    """One numeric term compiled to a ``code → lower_bound`` table.
+    """One numeric term compiled for array-wide and scalar bounding.
 
-    For one-byte vectors (≤ :data:`~repro.core.numeric.EAGER_LUT_MAX_CODES`
-    codes) the whole array is materialised at compile time; wider code
-    spaces are memoised lazily per observed code.  Either way every entry
-    comes from :meth:`NumericQuantizer.lower_bound`, so a hit is
-    bit-identical to the scalar call.
+    With numpy, :meth:`bound_segment` bounds a whole decoded segment
+    through :meth:`NumericQuantizer.lower_bound_array` and keeps no
+    per-code state.  The scalar :meth:`bound_column` (the numpy-absent
+    fallback and :class:`~repro.core.segment.ColumnSegment` blocks) looks
+    codes up in a table: materialised at compile time for one-byte vectors
+    (≤ :data:`~repro.core.numeric.EAGER_LUT_MAX_CODES` codes), memoised
+    per observed code above that.  Every path produces the exact double
+    :meth:`NumericQuantizer.lower_bound` returns.
     """
 
-    __slots__ = ("quantizer", "query_value", "_table", "_memo", "_lut_np")
+    __slots__ = ("quantizer", "query_value", "_table", "_memo")
 
     def __init__(
         self, quantizer: Optional[NumericQuantizer], query_value: float
     ) -> None:
         self.quantizer = quantizer
         self.query_value = query_value
-        self._lut_np = None
-        if quantizer is None:
-            # Attribute absent from the index: every payload is None (the
-            # null scanner), so no table is ever consulted.
-            self._table = None
-            self._memo = {}
-        elif quantizer.num_slices <= EAGER_LUT_MAX_CODES:
-            self._table: Optional[Tuple[float, ...]] = quantizer.lower_bound_table(
-                query_value
-            )
-            self._memo: Optional[Dict[int, float]] = None
-            self._lut_np = fastpath.lut_array(self._table)
-        else:
-            self._table = None
-            self._memo = {}
+        # Attribute absent from the index: every payload is None (the null
+        # scanner), so no table is ever consulted.
+        self._table: Optional[Tuple[float, ...]] = None
+        self._memo: Dict[int, float] = {}
+        if quantizer is not None and quantizer.num_slices <= EAGER_LUT_MAX_CODES:
+            self._table = quantizer.lower_bound_table(query_value)
+
+    @property
+    def vectorised(self) -> bool:
+        """True when :meth:`bound_segment` can bound this term's codes."""
+        quantizer = self.quantizer
+        return quantizer is not None and quantizer.vector_bytes <= VECTORISED_MAX_BYTES
 
     def bound_column(
         self,
@@ -242,10 +250,6 @@ class CompiledNumericTerm:
         """Fill ``out`` with this term's lower bound per block element."""
         table = self._table
         if table is not None:
-            if self._lut_np is not None and fastpath.gather_bounds(
-                self._lut_np, column, out, exact
-            ):
-                return
             for i, code in enumerate(column):
                 if code is None:
                     out[i] = ndf_penalty
@@ -267,43 +271,22 @@ class CompiledNumericTerm:
                 memo[code] = bound
             out[i] = bound
 
-    def bound_segment(self, segment, count: int, ndf_penalty: float):
+    def bound_segment(self, segment, ndf_penalty: float):
         """``(bounds, defined)`` arrays for one decoded numeric segment.
 
-        Eager tables gather array-wide; wide code spaces dedupe the block's
-        codes first (``np.unique``) and bound each distinct code once via
-        the shared memo — both paths fill every entry with the exact double
-        the scalar ``bound_column`` would have produced.
+        One :meth:`NumericQuantizer.lower_bound_array` call over the whole
+        code column (undefined slots hold arbitrary codes and are then
+        overwritten with ``ndf_penalty``); only for :attr:`vectorised`
+        terms.
         """
-        np = fastpath._np
         defined = segment.defined
-        table = self._table
-        if table is not None:
-            if self._lut_np is None:
-                self._lut_np = fastpath.lut_array(table)
-            out = fastpath.gather_bounds_array(
-                self._lut_np, segment.codes, defined, ndf_penalty
-            )
-            return out, defined
-        out = np.full(count, ndf_penalty, dtype=np.float64)
-        if defined.any():
-            memo = self._memo
-            quantizer = self.quantizer
-            value = self.query_value
-            uniq, inverse = np.unique(segment.codes[defined], return_inverse=True)
-            uniq_bounds = np.empty(len(uniq), dtype=np.float64)
-            for j, code in enumerate(uniq.tolist()):
-                bound = memo.get(code)
-                if bound is None:
-                    bound = quantizer.lower_bound(value, code)
-                    memo[code] = bound
-                uniq_bounds[j] = bound
-            out[defined] = uniq_bounds[inverse]
+        out = self.quantizer.lower_bound_array(self.query_value, segment.codes)
+        out[~defined] = ndf_penalty
         return out, defined
 
     @property
     def table_codes(self) -> int:
-        """LUT entries materialised so far (observability)."""
+        """Scalar-fallback table entries materialised so far (observability)."""
         return len(self._table) if self._table is not None else len(self._memo)
 
 
@@ -506,8 +489,12 @@ class QueryKernel:
         kind = segment.kind
         if kind == "text" and isinstance(term, CompiledTextTerm):
             return term.bound_segment(segment, scheme, count, ndf_penalty)
-        if kind == "numeric" and isinstance(term, CompiledNumericTerm):
-            return term.bound_segment(segment, count, ndf_penalty)
+        if (
+            kind == "numeric"
+            and isinstance(term, CompiledNumericTerm)
+            and term.vectorised
+        ):
+            return term.bound_segment(segment, ndf_penalty)
         column = segment.column()
         out = [0.0] * count
         exact = [True] * count
@@ -523,7 +510,7 @@ class QueryKernel:
         segments: Sequence[object],
         count: int,
         cache: Optional[dict] = None,
-    ) -> Tuple[List[float], List[bool]]:
+    ):
         """``(estimated, exact)`` for one block of decoded segments.
 
         The v3 counterpart of :meth:`evaluate_block`: *segments* holds one
@@ -533,8 +520,10 @@ class QueryKernel:
         collapses to :func:`repro.core.fastpath.combine_columns` for the
         built-in metrics — both proven bit-identical to the scalar chain —
         while custom metrics fall back to the per-element ``combine``.
+        Returns a float64 and a bool array, so block-level candidacy
+        (:class:`~repro.core.pool.BlockCandidacy`) stays array-wide.
         Without numpy the segments are rebuilt into legacy columns and
-        handed to :meth:`evaluate_block` unchanged.
+        handed to :meth:`evaluate_block`, which returns lists.
         """
         if fastpath._np is None:
             columns = [segment.column() for segment in segments]
@@ -551,14 +540,14 @@ class QueryKernel:
                 if cache is not None:
                     cache[(id(term), slot)] = pair
             out, defined = pair
-            any_defined = any_defined | defined
+            any_defined |= defined
             bound_columns.append(out)
+        exact = ~any_defined
         estimates = fastpath.combine_columns(
             _metric_kind(self.metric), self.weights, bound_columns, count
         )
-        exact = [not flag for flag in any_defined.tolist()]
         if estimates is not None:
-            return estimates.tolist(), exact
+            return estimates, exact
         combine = self.metric.combine
         pairs = [
             (weight, column.tolist())
@@ -568,11 +557,16 @@ class QueryKernel:
             combine([weight * column[i] for weight, column in pairs])
             for i in range(count)
         ]
-        return scalar_estimates, exact
+        return np.asarray(scalar_estimates, dtype=np.float64), exact
 
     @property
     def table_entries(self) -> int:
-        """Total LUT entries materialised across this kernel's terms."""
+        """Table entries materialised across this kernel's terms.
+
+        Text terms count compiled stored lengths; numeric terms count their
+        scalar-fallback table (eager one-byte tables, memoised wider codes),
+        which the numpy path never fills.
+        """
         total = 0
         for term in self.terms:
             if isinstance(term, CompiledTextTerm):

@@ -23,13 +23,23 @@ from typing import Optional, Tuple
 
 from repro.errors import EncodingError
 
+try:  # pragma: no cover - exercised implicitly by both branches' tests
+    import numpy as _np
+except ImportError:  # pragma: no cover
+    _np = None
+
 #: Byte width of a stored numeric value (float64 in the interpreted format).
 NUMERIC_VALUE_BYTES = 8
 
-#: Largest code space the filter kernel materialises eagerly as a full
-#: ``code → lower_bound`` array (one-byte vectors); wider quantizers are
-#: memoised lazily per observed code instead.
+#: Largest code space the scalar kernel fallback materialises eagerly as a
+#: full ``code → lower_bound`` table (one-byte vectors); wider quantizers
+#: are memoised lazily per observed code instead.
 EAGER_LUT_MAX_CODES = 256
+
+#: Widest code the numpy paths handle (bulk encode, array-wide bounds):
+#: up to 4 bytes every code fits int64 and converts to float64 exactly.
+#: Wider codes stay on the scalar path with Python ints.
+VECTORISED_MAX_BYTES = 4
 
 
 def vector_bytes_for_alpha(alpha: float, value_bytes: int = NUMERIC_VALUE_BYTES) -> int:
@@ -114,15 +124,47 @@ class NumericQuantizer:
             return lo - query_value
         return query_value - hi
 
+    def lower_bound_array(self, query_value: float, codes):
+        """:meth:`lower_bound` for a whole array of codes, as float64.
+
+        The numpy mirror of the scalar routine: the same float operations
+        in the same order — ``lo + code * width`` and
+        ``lo + (code + 1) * width``, the open-ended boundary slices, the
+        ``hi == lo`` domain — so every element is bit-identical to
+        ``lower_bound(query_value, code)``.  Codes are taken as int64, whose
+        conversion to float64 rounds exactly like Python's ``int * float``;
+        callers keep to :data:`VECTORISED_MAX_BYTES`.  Requires numpy.
+        """
+        codes = _np.asarray(codes, dtype=_np.int64)
+        if self.hi == self.lo:
+            lo, hi = self.lo, self.hi
+        else:
+            width = self.slice_width
+            lo = self.lo + codes * width
+            hi = self.lo + (codes + 1) * width
+        open_low = codes == 0
+        open_high = codes == self.num_slices - 1
+        # Python float arithmetic overflows to inf and yields nan silently.
+        with _np.errstate(over="ignore", invalid="ignore"):
+            inside = (open_low | (query_value >= lo)) & (
+                open_high | (query_value <= hi)
+            )
+            below = ~open_low & (query_value < lo)
+            return _np.where(
+                inside,
+                0.0,
+                _np.where(below, lo - query_value, query_value - hi),
+            )
+
     def lower_bound_table(self, query_value: float) -> Tuple[float, ...]:
         """``code → lower_bound(query_value, code)`` for every data slice.
 
-        The query-compiled numeric LUT of the filter kernel: one
-        entry per slice id, each computed by :meth:`lower_bound` itself, so
-        a table lookup is bit-identical to the scalar arithmetic —
-        open-ended boundary slices and clamped out-of-domain codes
-        included.  Only sensible for small code spaces; the kernel
-        memoises lazily above :data:`EAGER_LUT_MAX_CODES`.
+        The scalar kernel fallback's numeric LUT: one entry per slice id,
+        each computed by :meth:`lower_bound` itself, so a table lookup is
+        bit-identical to the scalar arithmetic — open-ended boundary slices
+        and clamped out-of-domain codes included.  Only sensible for small
+        code spaces; the kernel memoises lazily above
+        :data:`EAGER_LUT_MAX_CODES`.
         """
         return tuple(
             self.lower_bound(query_value, code) for code in range(self.num_slices)

@@ -11,13 +11,21 @@ independent of insertion order.  The sequential engine inserts in tid
 order, shard workers and the merge step insert in whatever order the
 scheduler produces; both converge on identical results because ties at the
 boundary are broken by tid, never by arrival time.
+
+:class:`BlockCandidacy` and :func:`block_candidates` are the one
+per-tuple decision of Algorithm 1 (exact shortcut → shared bound → pool
+candidacy → profiler) that every engine loop calls, fed one evaluated
+block at a time.
 """
 
 from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import Iterator, List, Optional, Sequence, Tuple
+
+from repro.core import fastpath
+from repro.core.tuple_list import DELETED_PTR
 
 
 @dataclass(frozen=True)
@@ -104,3 +112,161 @@ class ResultPool:
         """Pool contents sorted by (distance, tid) ascending."""
         ordered = sorted((-neg_d, -neg_t) for neg_d, neg_t in self._heap)
         return [PoolEntry(tid=tid, distance=dist) for dist, tid in ordered]
+
+
+def _beats(estimates, tids: Sequence[int], bound: Tuple[float, int]):
+    """Mask of block slots whose ``(estimate, tid)`` sorts before *bound*."""
+    distance, tid = bound
+    mask = estimates < distance
+    for slot in fastpath._np.flatnonzero(estimates == distance).tolist():
+        mask[slot] = tids[slot] < tid
+    return mask
+
+
+class BlockCandidacy:
+    """Algorithm 1's per-tuple decision for one pool, one block at a time.
+
+    An exact tuple (every queried attribute ndf) enters the pool with its
+    estimate; any other tuple is a candidate for refinement iff its
+    ``(estimate, tid)`` beats the pool's worst member and, in a shard
+    scan, the run-wide *shared* bound (any object with a ``get()``
+    returning ``(distance, tid)`` or None).
+
+    :meth:`survivors` prefilters a whole block against the pool's worst
+    member (and the shared bound) as they stand when the block starts.
+    Both only tighten, so a tuple that fails there would fail at its own
+    turn too: a non-exact one is pruned and an exact one is a no-op
+    ``insert``.  Those are tallied in bulk; the survivors then take
+    :meth:`admit` one by one in tid order, so every decision and counter
+    matches the per-tuple walk.  ``scanned`` and ``exact_shortcuts``
+    count live tuples and exact inserts across both steps.
+    """
+
+    __slots__ = (
+        "pool",
+        "skip_exact",
+        "shared",
+        "collector",
+        "scanned",
+        "exact_shortcuts",
+    )
+
+    def __init__(
+        self,
+        pool: ResultPool,
+        *,
+        skip_exact: bool = True,
+        shared=None,
+        collector=None,
+    ) -> None:
+        self.pool = pool
+        self.skip_exact = skip_exact
+        self.shared = shared
+        self.collector = collector
+        self.scanned = 0
+        self.exact_shortcuts = 0
+
+    def survivors(
+        self, tids: Sequence[int], ptrs: Optional[Sequence[int]], estimates, exact
+    ) -> Iterator[Tuple[int, float, bool]]:
+        """``(slot, estimated, exact)`` of the live slots that may change the pool.
+
+        *ptrs* holds the block's tuple-list pointers (None: all live);
+        tombstones carry ``DELETED_PTR = 2**64 - 1``, compared as uint64.
+        Only numpy arrays (the v3 kernel's output) are prefiltered; list
+        blocks pass every live slot through.
+        """
+        np = fastpath._np
+        count = len(tids)
+        tombstones = ptrs is not None and DELETED_PTR in ptrs
+        if np is None or not isinstance(estimates, np.ndarray):
+            slots = range(count)
+            if tombstones:
+                slots = [i for i in slots if ptrs[i] != DELETED_PTR]
+            return ((i, estimates[i], exact[i]) for i in slots)
+        if tombstones:
+            keep = np.asarray(ptrs, dtype=np.uint64) != DELETED_PTR
+        else:
+            keep = np.ones(count, dtype=bool)
+        pool = self.pool
+        worst = bound = pool.worst() if pool.is_full() else None
+        if self.shared is not None:
+            shared = self.shared.get()
+            if shared is not None and (bound is None or shared < bound):
+                bound = shared
+        if bound is not None:
+            beats = _beats(estimates, tids, bound)
+            shortcut = exact if self.skip_exact else None
+            if shortcut is not None and bound is not worst:
+                # Exact tuples answer to the pool alone, not the shared bound.
+                pool_beats = True if worst is None else _beats(estimates, tids, worst)
+                beats = np.where(shortcut, pool_beats, beats)
+            dropped = keep & ~beats
+            n_dropped = int(np.count_nonzero(dropped))
+            if n_dropped:
+                n_exact = 0
+                if shortcut is not None:
+                    n_exact = int(np.count_nonzero(dropped & shortcut))
+                self.scanned += n_dropped
+                self.exact_shortcuts += n_exact
+                collector = self.collector
+                if collector is not None:
+                    collector.on_exact(n_exact)
+                    collector.on_pruned(n_dropped - n_exact)
+                keep &= beats
+        slots = np.flatnonzero(keep)
+        return zip(slots.tolist(), estimates[slots].tolist(), exact[slots].tolist())
+
+    def admit(self, tid: int, estimated: float, exact: bool) -> bool:
+        """One live tuple's decision; True when it is a refine candidate."""
+        self.scanned += 1
+        collector = self.collector
+        if exact and self.skip_exact:
+            self.pool.insert(tid, estimated)
+            self.exact_shortcuts += 1
+            if collector is not None:
+                collector.on_exact()
+            return False
+        shared = self.shared.get() if self.shared is not None else None
+        if (
+            shared is not None and not (estimated, tid) < shared
+        ) or not self.pool.is_candidate(estimated, tid):
+            if collector is not None:
+                collector.on_pruned()
+            return False
+        return True
+
+
+def block_candidates(
+    candidacies: Sequence[BlockCandidacy],
+    tids: Sequence[int],
+    ptrs: Optional[Sequence[int]],
+    evaluated: Sequence[Tuple[object, object]],
+) -> Iterator[Tuple[int, int, float]]:
+    """Run one evaluated block through every query's decision.
+
+    *evaluated* holds one ``(estimates, exact)`` pair per candidacy.
+    Yields ``(tid, query index, estimated)`` for each refine candidate in
+    ``(tid, query)`` order — the per-tuple walk's order — and lazily, so
+    whatever the caller does with a candidate (refine, enqueue) happens
+    before the next decision.
+    """
+    if len(candidacies) == 1:
+        candidacy = candidacies[0]
+        estimates, exact = evaluated[0]
+        survivors = candidacy.survivors(tids, ptrs, estimates, exact)
+        for slot, estimated, is_exact in survivors:
+            tid = tids[slot]
+            if candidacy.admit(tid, estimated, is_exact):
+                yield tid, 0, estimated
+        return
+    merged: dict = {}
+    for qi, (candidacy, (estimates, exact)) in enumerate(zip(candidacies, evaluated)):
+        survivors = candidacy.survivors(tids, ptrs, estimates, exact)
+        for slot, estimated, is_exact in survivors:
+            merged.setdefault(slot, []).append((qi, estimated, is_exact))
+    for slot in sorted(merged):
+        tid = tids[slot]
+        for qi, estimated, is_exact in merged[slot]:
+            if candidacies[qi].admit(tid, estimated, is_exact):
+                yield tid, qi, estimated

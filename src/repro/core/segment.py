@@ -12,8 +12,8 @@ Three segment shapes cover every layout:
 
 * :class:`NumericSegment` — parallel ``codes``/``defined`` numpy arrays,
   one slot per tuple in the block (``codes`` is only meaningful where
-  ``defined`` is True).  Feeds the LUT gather in
-  :func:`repro.core.fastpath.gather_bounds_array`.
+  ``defined`` is True).  Bounded array-wide by
+  :meth:`repro.core.numeric.NumericQuantizer.lower_bound_array`.
 * :class:`TextSegment` — a flat run of signatures as three parallel
   Python lists (``slots``/``lengths``/``bits``; ``slots`` is
   non-decreasing, repeating when one tuple stores several strings).  The

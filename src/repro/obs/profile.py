@@ -428,13 +428,13 @@ class ProfileCollector:
 
     # -------------------------------------------------------- decision side
 
-    def on_exact(self) -> None:
-        self.exact += 1
+    def on_exact(self, count: int = 1) -> None:
+        self.exact += count
 
-    def on_pruned(self) -> None:
-        self.pruned += 1
+    def on_pruned(self, count: int = 1) -> None:
+        self.pruned += count
         if self.block_pruned:
-            self.block_pruned[-1] += 1
+            self.block_pruned[-1] += count
 
     def on_candidate(self) -> None:
         self.candidates += 1

@@ -73,7 +73,7 @@ from repro.core.engine import (
 )
 from repro.core.iva_file import DELETED_PTR, IVAFile
 from repro.core.kernel import BLOCK_TUPLES, KernelCache, QueryKernel
-from repro.core.pool import ResultPool
+from repro.core.pool import BlockCandidacy, ResultPool, block_candidates
 from repro.errors import DeadlineExceeded, ParallelError
 from repro.metrics.distance import DistanceFunction
 from repro.obs.metrics import MetricsRegistry, get_registry
@@ -606,10 +606,31 @@ class ParallelScanExecutor:
         local_pools: List[ResultPool],
         collectors: Optional[List[ProfileCollector]],
     ) -> None:
-        """The metered scan loop of one shard (scalar or v3 kernel)."""
+        """The metered scan loop of one shard (scalar or v3 kernel).
+
+        Each query decides through one
+        :class:`~repro.core.pool.BlockCandidacy`, pruning against the
+        tighter of the shard-local pool and the run's shared bound: per
+        tuple on the scalar walk, per block on the v3 walk.
+        """
         disk = self.table.disk
         batch = len(contexts) > 1
         block = contexts[0].kernel is not None if contexts else False
+        candidacies = [
+            BlockCandidacy(
+                local_pools[qi],
+                skip_exact=skip_exact,
+                shared=ctx.shared,
+                collector=collectors[qi] if collectors is not None else None,
+            )
+            for qi, ctx in enumerate(contexts)
+        ]
+
+        def enqueue(qi: int, tid: int, estimated: float) -> None:
+            if collectors is not None:
+                collectors[qi].on_candidate()
+            out_queue.put((qi, tid, estimated))
+
         with disk.io_channel(f"parallel-{worker}"), disk.metered() as meter:
             cpu0 = time.thread_time()
             scanners = [
@@ -621,11 +642,10 @@ class ParallelScanExecutor:
                     shard,
                     scanners,
                     contexts,
-                    skip_exact,
-                    out_queue,
+                    candidacies,
+                    enqueue,
                     abort,
                     stats,
-                    local_pools,
                     collectors,
                 )
             else:
@@ -641,30 +661,15 @@ class ParallelScanExecutor:
                             collector.on_payloads(payloads)
                     if ptr == DELETED_PTR:
                         continue
-                    stats.tuples += 1
                     cache: Optional[dict] = {} if batch else None
                     for qi, ctx in enumerate(contexts):
                         diffs, exact = ctx.evaluator.evaluate(payloads, cache)
                         estimated = dist.combine_bounds(ctx.query, diffs)
-                        if exact and skip_exact:
-                            local_pools[qi].insert(tid, estimated)
-                            stats.exact_shortcuts[qi] += 1
-                            if collectors is not None:
-                                collectors[qi].on_exact()
-                            continue
-                        bound = ctx.shared.get()
-                        if bound is not None and not (estimated, tid) < bound:
-                            if collectors is not None:
-                                collectors[qi].on_pruned()
-                            continue
-                        if not local_pools[qi].is_candidate(estimated, tid):
-                            if collectors is not None:
-                                collectors[qi].on_pruned()
-                            continue
-                        if collectors is not None:
-                            collectors[qi].on_candidate()
-                        out_queue.put((qi, tid, estimated))
+                        if candidacies[qi].admit(tid, estimated, exact):
+                            enqueue(qi, tid, estimated)
             stats.cpu_s = time.thread_time() - cpu0
+        stats.tuples = candidacies[0].scanned if candidacies else 0
+        stats.exact_shortcuts = [c.exact_shortcuts for c in candidacies]
         stats.io_ms = meter.io_ms
         stats.pages = meter.pages
 
@@ -673,18 +678,18 @@ class ParallelScanExecutor:
         shard: ShardRange,
         scanners: List,
         contexts: List[_QueryCtx],
-        skip_exact: bool,
-        out_queue: "queue_module.Queue",
+        candidacies: List[BlockCandidacy],
+        enqueue,
         abort: threading.Event,
         stats: _ShardStats,
-        local_pools: List[ResultPool],
         collectors: Optional[List[ProfileCollector]] = None,
     ) -> None:
         """v3-kernel shard scan: same decisions, block-at-a-time decode.
 
-        Per-tuple decisions run in the scalar path's exact order (tid
-        outer, query inner), so the candidate stream and pool evolution
-        match; only the decode/evaluate granularity differs.
+        Each evaluated block runs through
+        :func:`~repro.core.pool.block_candidates` in the scalar path's
+        exact order (tid outer, query inner), so the candidate stream and
+        pool evolution match; only the decode/evaluate granularity differs.
         """
         batch = len(contexts) > 1
         for tids, ptrs in self.index.tuples.scan_range_blocks(
@@ -704,32 +709,10 @@ class ParallelScanExecutor:
                 ctx.kernel.evaluate_segments(segments, count, block_cache)
                 for ctx in contexts
             ]
-            for i in range(count):
-                if ptrs[i] == DELETED_PTR:
-                    continue
-                tid = tids[i]
-                stats.tuples += 1
-                for qi, ctx in enumerate(contexts):
-                    estimated = evaluated[qi][0][i]
-                    exact = evaluated[qi][1][i]
-                    if exact and skip_exact:
-                        local_pools[qi].insert(tid, estimated)
-                        stats.exact_shortcuts[qi] += 1
-                        if collectors is not None:
-                            collectors[qi].on_exact()
-                        continue
-                    bound = ctx.shared.get()
-                    if bound is not None and not (estimated, tid) < bound:
-                        if collectors is not None:
-                            collectors[qi].on_pruned()
-                        continue
-                    if not local_pools[qi].is_candidate(estimated, tid):
-                        if collectors is not None:
-                            collectors[qi].on_pruned()
-                        continue
-                    if collectors is not None:
-                        collectors[qi].on_candidate()
-                    out_queue.put((qi, tid, estimated))
+            for tid, qi, estimated in block_candidates(
+                candidacies, tids, ptrs, evaluated
+            ):
+                enqueue(qi, tid, estimated)
 
     # -------------------------------------------------------------- refiner
 

@@ -83,6 +83,31 @@ class TestCorrectness:
         assert report.results[0].tid != 1
 
 
+class TestNumericBounds:
+    def test_bounds_bit_identical_to_scalar(self, table):
+        """Every numeric bound equals ``NumericQuantizer.lower_bound``.
+
+        The upper slice edge must be ``lo + (code + 1) * width`` exactly as
+        the scalar routine computes it; ``lo + code * width + width`` is
+        one ulp off for some codes, and the query values below sit on and
+        around those edges.
+        """
+        for i in range(400):
+            table.insert({"Weight": 0.1 + i * 0.7331, "Tag": f"t{i % 7}"})
+        index = IVAFile.build(table)
+        engine = InMemoryIVAEngine(table, index)
+        attr = table.catalog.get("Weight")
+        quantizer = index.entry(attr.attr_id).quantizer
+        codes = engine._numeric[attr.attr_id].codes
+        edges = [quantizer.slice_bounds(code)[1] for code in codes[::9]]
+        queries = [-3.0, 0.1, 150.25, 400.0] + edges + [e + 1e-9 for e in edges]
+        for query_value in queries:
+            bounds, defined = engine._numeric_bounds(attr.attr_id, query_value, 1.0)
+            expected = [quantizer.lower_bound(query_value, code) for code in codes]
+            assert list(defined) == [True] * len(codes)
+            assert [float(b) for b in bounds] == expected
+
+
 class TestBestFirstRefinement:
     def test_never_more_accesses_than_scan_order(self, small_dataset, engines):
         """Best-first access order is optimal for the same bounds."""

@@ -36,6 +36,7 @@ from repro.core.kernel import (
     validate_kernel_mode,
 )
 from repro.core.numeric import EAGER_LUT_MAX_CODES, NumericQuantizer
+from repro.core.segment import NumericSegment
 from repro.core.signature import Signature, QueryStringEncoder, SignatureScheme
 from repro.data.workload import WorkloadGenerator
 from repro.errors import QueryError
@@ -193,6 +194,28 @@ class TestCompiledNumericTerm:
         term.bound_column(codes, out, NDF_PENALTY, exact)
         assert out == [quantizer.lower_bound(311.5, c) for c in codes]
         assert exact == [False] * len(codes)
+
+    def test_segment_bounds_keep_no_per_code_state(self):
+        """The numpy path bounds a two-byte segment array-wide: bit-identical
+        to the scalar call, and nothing is memoised per code (a long-lived
+        kernel cache would otherwise grow with every code it sees)."""
+        np = pytest.importorskip("numpy")
+        quantizer = NumericQuantizer(
+            lo=-500.0, hi=500.0, vector_bytes=2, reserve_ndf=True
+        )
+        term = CompiledNumericTerm(quantizer, 12.5)
+        assert term.vectorised
+        codes = np.arange(0, quantizer.num_slices, 97, dtype=np.int64)
+        defined = codes % 5 != 0
+        out, got_defined = term.bound_segment(
+            NumericSegment(codes, defined), NDF_PENALTY
+        )
+        assert term.table_codes == 0
+        assert got_defined is defined
+        assert out.tolist() == [
+            quantizer.lower_bound(12.5, code) if flag else NDF_PENALTY
+            for code, flag in zip(codes.tolist(), defined.tolist())
+        ]
 
     def test_absent_attribute_compiles_without_a_table(self):
         term = CompiledNumericTerm(None, 1.0)

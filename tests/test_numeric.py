@@ -1,6 +1,10 @@
 """Unit tests for relative-domain numeric approximation vectors."""
 
+import math
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.numeric import (
     NumericQuantizer,
@@ -139,3 +143,52 @@ class TestFromDomain:
         assert (q.lo, q.hi) == (0.0, 0.0)
         # Degenerate but safe: bounds are conservative.
         assert q.lower_bound(5.0, q.encode(7.0)) <= 2.0 + 1e-9
+
+
+FINITE = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False, allow_infinity=False)
+SPANS = st.one_of(
+    st.just(0.0),
+    st.floats(min_value=1e-9, max_value=1e-3),
+    st.floats(min_value=0.0, max_value=1e6, allow_nan=False),
+)
+
+
+class TestLowerBoundArray:
+    """``lower_bound_array`` is ``lower_bound``, bit for bit."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        lo=FINITE,
+        span=SPANS,
+        vector_bytes=st.sampled_from([1, 2, 4]),
+        reserve_ndf=st.booleans(),
+        data=st.data(),
+    )
+    def test_matches_scalar_bit_for_bit(self, lo, span, vector_bytes, reserve_ndf, data):
+        np = pytest.importorskip("numpy")
+        q = NumericQuantizer(
+            lo=lo, hi=lo + span, vector_bytes=vector_bytes, reserve_ndf=reserve_ndf
+        )
+        top = q.num_slices - 1
+        codes = data.draw(st.lists(st.integers(0, top), min_size=1, max_size=40))
+        # The open-ended boundary slices and their neighbours, always.
+        codes += [0, min(1, top), max(top - 1, 0), top]
+        edges = [edge for code in codes[:6] for edge in q.slice_bounds(code)]
+        outside = [q.lo - 1.0 - span, q.hi + 1.0 + span, math.inf, -math.inf, math.nan]
+        query_value = data.draw(
+            st.one_of(FINITE, st.sampled_from(edges), st.sampled_from(outside))
+        )
+        got = q.lower_bound_array(query_value, np.asarray(codes, dtype=np.int64))
+        expected = np.asarray(
+            [q.lower_bound(query_value, code) for code in codes], dtype=np.float64
+        )
+        assert got.dtype == np.float64
+        assert got.view(np.uint64).tolist() == expected.view(np.uint64).tolist()
+
+    def test_degenerate_domain(self):
+        np = pytest.importorskip("numpy")
+        q = NumericQuantizer(lo=5.0, hi=5.0, vector_bytes=2)
+        codes = [0, 1, 300, q.num_slices - 1]
+        for query_value in (4.0, 5.0, 6.5):
+            got = q.lower_bound_array(query_value, np.asarray(codes))
+            assert got.tolist() == [q.lower_bound(query_value, c) for c in codes]
