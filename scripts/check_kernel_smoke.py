@@ -2,9 +2,11 @@
 """Smoke-check the filter kernels: scalar and v3 answers match.
 
 Builds a small synthetic table, indexes it once per registered codec
-family, and cross-checks that the v3 kernel's top-k answers are
-bit-identical to the scalar filter's on every path the kernel is wired
-through:
+family at the default α and once at α = 1.0 (8-byte numeric codes, too
+wide for the columnar decoders: v3 decodes them through the scanners'
+``move_to`` walk), and cross-checks that the v3 kernel's top-k answers
+are bit-identical to the scalar filter's on every path the kernel is
+wired through:
 
 * the sequential engine at 1 worker (page-batched refine);
 * the parallel executor at 4 workers (compiled kernel shared across the
@@ -26,6 +28,8 @@ WORKERS = 4
 QUERIES = 12
 K = 10
 KERNELS = ("v3",)
+#: Relative numeric vector length of the second index per codec: 8-byte codes.
+WIDE_ALPHA = 1.0
 
 
 def main() -> int:
@@ -57,10 +61,13 @@ def main() -> int:
 
     problems = []
     checked = 0
-    for codec in CODEC_NAMES:
-        index = IVAFile.build(
-            table, IVAConfig(name=f"kernel_smoke_{codec}", codec=codec)
+    alphas = (IVAConfig.alpha, WIDE_ALPHA)
+    for codec, alpha in [(c, a) for c in CODEC_NAMES for a in alphas]:
+        label_index = f"{codec} α={alpha}"
+        config = IVAConfig(
+            name=f"kernel_smoke_{codec}_{alpha}", codec=codec, alpha=alpha
         )
+        index = IVAFile.build(table, config)
         baseline = answers(IVAEngine(table, index, kernel="scalar"))
         for kernel in KERNELS:
             paths = {
@@ -76,7 +83,7 @@ def main() -> int:
                 checked += 1
                 if answers(engine) != baseline:
                     problems.append(
-                        f"{codec}: {kernel} {label} answers differ from scalar"
+                        f"{label_index}: {kernel} {label} answers differ from scalar"
                     )
             batch = BatchIVAEngine(table, index, kernel=kernel)
             batch_answers = [
@@ -86,7 +93,7 @@ def main() -> int:
             checked += 1
             if batch_answers != baseline:
                 problems.append(
-                    f"{codec}: {kernel} batch answers differ from scalar"
+                    f"{label_index}: {kernel} batch answers differ from scalar"
                 )
 
     if problems:
@@ -94,7 +101,8 @@ def main() -> int:
             print(f"FAIL: {problem}", file=sys.stderr)
         return 1
     print(
-        f"kernel smoke OK: {len(CODEC_NAMES)} codecs x {len(queries)} queries, "
+        f"kernel smoke OK: {len(CODEC_NAMES)} codecs x {len(alphas)} alphas x "
+        f"{len(queries)} queries, "
         f"{' and '.join(KERNELS)} == scalar on {checked} engine paths "
         f"(sequential, x{WORKERS} parallel, batch)"
     )

@@ -45,14 +45,14 @@ from repro.codec.base import (
     uvarint_len,
 )
 from repro.core import fastpath
-from repro.core.numeric import NumericQuantizer
+from repro.core.numeric import VECTORISED_MAX_BYTES, NumericQuantizer
 from repro.core.scan import (
     NumericTypeIVScanner,
     ResumePoint,
     SkipTable,
     VectorListScanner,
 )
-from repro.core.segment import ColumnSegment, NumericSegment, TextSegment
+from repro.core.segment import NumericSegment, TextSegment
 from repro.core.signature import Signature, SignatureScheme
 from repro.core.vector_lists import (
     ListType,
@@ -124,28 +124,8 @@ class CompressedTextTypeIScanner(_DeltaTidScanner):
             self._load_next()
         return out or None
 
-    def move_block(self, tids: List[int]) -> List[object]:
-        """Block decode: same pointer walk, bare ``(length, bits)`` pairs."""
-        read_raw = self._scheme.read_raw
-        reader = self._reader
-        column: List[object] = []
-        for tid in tids:
-            pairs = None
-            while self._pending is not None and self._pending <= tid:
-                pair = read_raw(reader)
-                if self._pending == tid:
-                    if pairs is None:
-                        pairs = [pair]
-                    else:
-                        pairs.append(pair)
-                self._load_next()
-            column.append(pairs)
-        return column
-
     def decode_segment(self, tids: List[int]):
         """Columnar decode: one flat signature run for the whole block."""
-        if fastpath._np is None:
-            return ColumnSegment(self.move_block(tids))
         read_raw = self._scheme.read_raw
         reader = self._reader
         slots: List[int] = []
@@ -185,29 +165,8 @@ class CompressedTextTypeIIScanner(_DeltaTidScanner):
             self._load_next()
         return out or None
 
-    def move_block(self, tids: List[int]) -> List[object]:
-        """Block decode: same pointer walk, bare ``(length, bits)`` pairs."""
-        read_raw = self._scheme.read_raw
-        reader = self._reader
-        column: List[object] = []
-        for tid in tids:
-            pairs = None
-            while self._pending is not None and self._pending <= tid:
-                count = read_uvarint(reader)
-                decoded = [read_raw(reader) for _ in range(count)]
-                if self._pending == tid:
-                    if pairs is None:
-                        pairs = decoded
-                    else:
-                        pairs.extend(decoded)
-                self._load_next()
-            column.append(pairs or None)
-        return column
-
     def decode_segment(self, tids: List[int]):
         """Columnar decode: one flat signature run for the whole block."""
-        if fastpath._np is None:
-            return ColumnSegment(self.move_block(tids))
         read_raw = self._scheme.read_raw
         reader = self._reader
         slots: List[int] = []
@@ -252,28 +211,12 @@ class CompressedNumericTypeIScanner(_DeltaTidScanner):
             self._load_next()
         return out
 
-    def move_block(self, tids: List[int]) -> List[object]:
-        """Block decode: same pointer walk, one code (or None) per tid."""
-        width = self._quantizer.vector_bytes
-        decode = self._quantizer.decode_bytes
-        reader = self._reader
-        column: List[object] = []
-        for tid in tids:
-            out = None
-            while self._pending is not None and self._pending <= tid:
-                code = decode(reader.read(width))
-                if self._pending == tid:
-                    out = code
-                self._load_next()
-            column.append(out)
-        return column
-
     def decode_segment(self, tids: List[int]):
         """Columnar decode: same varint walk, codes scattered into arrays."""
-        np = fastpath._np
-        if np is None:
-            return ColumnSegment(self.move_block(tids))
         width = self._quantizer.vector_bytes
+        np = fastpath._np
+        if np is None or width > VECTORISED_MAX_BYTES:
+            return super().decode_segment(tids)
         decode = self._quantizer.decode_bytes
         reader = self._reader
         count = len(tids)
@@ -335,32 +278,8 @@ class CompressedTextTypeIIIScanner(VectorListScanner):
         self._load_next()
         return signatures or None
 
-    def move_block(self, tids: List[int]) -> List[object]:
-        """Block decode: sparse positional walk, bare pairs per element."""
-        read_raw = self._scheme.read_raw
-        reader = self._reader
-        column: List[object] = []
-        for _tid in tids:
-            position = self._position
-            self._position += 1
-            if self._pending is None or self._pending > position:
-                column.append(None)
-                continue
-            if self._pending < position:
-                raise IndexError_(
-                    "compressed Type III list fell behind the tuple list — "
-                    "the index is inconsistent with its table"
-                )
-            count = read_uvarint(reader)
-            decoded = [read_raw(reader) for _ in range(count)]
-            self._load_next()
-            column.append(decoded or None)
-        return column
-
     def decode_segment(self, tids: List[int]):
         """Columnar decode: sparse positional walk into one flat run."""
-        if fastpath._np is None:
-            return ColumnSegment(self.move_block(tids))
         read_raw = self._scheme.read_raw
         reader = self._reader
         slots: List[int] = []

@@ -8,9 +8,9 @@ scanning delegate to :mod:`repro.core.vector_lists` and
 attach and scan unchanged (``raw`` is wire id 0, the attach default).
 
 The scanners this codec hands out support both the element-at-a-time
-``move_to`` contract and the block filter kernel's ``move_block`` API
-(one call decodes a whole tuple-list block into a flat payload column);
-see :class:`~repro.core.scan.VectorListScanner`.
+``move_to`` contract and the v3 kernel's ``decode_segment`` API (one call
+decodes a whole tuple-list block into a columnar segment); see
+:class:`~repro.core.scan.VectorListScanner`.
 """
 
 from __future__ import annotations

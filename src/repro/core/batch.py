@@ -19,7 +19,12 @@ import logging
 import time
 from typing import TYPE_CHECKING, List, Mapping, Optional, Sequence, Union
 
-from repro.core.engine import QueryResult, SearchReport, validate_fail_mode
+from repro.core.engine import (
+    BoundEvaluator,
+    QueryResult,
+    SearchReport,
+    validate_fail_mode,
+)
 from repro.core.iva_file import DELETED_PTR, IVAFile
 from repro.core.kernel import (
     BLOCK_TUPLES,
@@ -28,7 +33,6 @@ from repro.core.kernel import (
     validate_kernel_mode,
 )
 from repro.core.pool import BlockCandidacy, ResultPool, block_candidates
-from repro.core.signature import QueryStringEncoder
 from repro.errors import DeadlineExceeded, QueryError, ReproError
 from repro.metrics.distance import DistanceFunction
 from repro.obs.metrics import MetricsRegistry, get_registry
@@ -179,11 +183,9 @@ class BatchIVAEngine:
         attr_ids = sorted({t.attr.attr_id for q in bound for t in q.terms})
         position = {attr_id: i for i, attr_id in enumerate(attr_ids)}
         scan = self.index.open_scan(attr_ids, end_element=self.scan_end_element)
-        n = self.index.config.n
 
         kernels: Optional[List[QueryKernel]] = None
-        encoders = {}
-        quantizers = {}
+        evaluators: List[BoundEvaluator] = []
         if self.kernel == "v3":
             # One shared compiled artifact for the whole batch: queries
             # naming the same term reuse one set of gram masks and lookup
@@ -196,16 +198,9 @@ class BatchIVAEngine:
                 for q in bound
             ]
         else:
-            for query in bound:
-                for term in query.terms:
-                    attr_id = term.attr.attr_id
-                    if term.attr.is_text:
-                        key = (attr_id, str(term.value))
-                        if key not in encoders:
-                            encoders[key] = QueryStringEncoder(str(term.value), n)
-                    else:
-                        entry = self.index.entry(attr_id)
-                        quantizers[attr_id] = entry.quantizer if entry else None
+            evaluators = [
+                BoundEvaluator(self.index, q, dist, position) for q in bound
+            ]
 
         pools = [ResultPool(k) for _ in bound]
         reports = [SearchReport() for _ in bound]
@@ -220,7 +215,6 @@ class BatchIVAEngine:
             )
             for qi, pool in enumerate(pools)
         ]
-        ndf_penalty = dist.ndf_penalty
         disk = self.table.disk
         io_start = disk.stats.io_time_ms
         wall_start = time.perf_counter()
@@ -290,33 +284,11 @@ class BatchIVAEngine:
                     if ptr == DELETED_PTR:
                         continue
                     last_tid = tid
-                    text_bound_cache = {}
+                    text_bound_cache: dict = {}
                     for qi, query in enumerate(bound):
-                        diffs: List[float] = []
-                        exact = True
-                        for term in query.terms:
-                            attr_id = term.attr.attr_id
-                            payload = payloads[position[attr_id]]
-                            if payload is None:
-                                diffs.append(ndf_penalty)
-                                continue
-                            exact = False
-                            if term.attr.is_text:
-                                key = (attr_id, str(term.value))
-                                cached = text_bound_cache.get(key)
-                                if cached is None:
-                                    encoder = encoders[key]
-                                    cached = min(
-                                        encoder.lower_bound(s) for s in payload
-                                    )
-                                    text_bound_cache[key] = cached
-                                diffs.append(cached)
-                            else:
-                                diffs.append(
-                                    quantizers[attr_id].lower_bound(
-                                        float(term.value), payload
-                                    )
-                                )
+                        diffs, exact = evaluators[qi].evaluate(
+                            payloads, text_bound_cache
+                        )
                         estimated = dist.combine_bounds(query, diffs)
                         if candidacies[qi].admit(tid, estimated, exact):
                             refine(tid, qi, estimated)

@@ -96,13 +96,16 @@ def encode_numeric_column(
     return pack_codes(encode_numeric_batch(quantizer, values), quantizer.vector_bytes)
 
 
-def dtype_for_width(vector_bytes: int) -> Optional[str]:
-    """The little-endian unsigned dtype code for a vector width, or None.
+def segment_dtype(vector_bytes: int) -> Optional[str]:
+    """The dtype code segment decoders crack *vector_bytes* codes with, or None.
 
-    Odd widths (3, 5, 6, 7 bytes — legal quantizer geometries) have no
-    numpy scalar type; segment decoders fall back to the scalar walk for
-    them, which keeps correctness while the common widths vectorise.
+    None means "decode through the scalar walk": numpy is absent, the
+    width has no numpy scalar type (3, 5, 6, 7 bytes — legal quantizer
+    geometries), or the codes are wider than :data:`VECTORISED_MAX_BYTES`
+    and may not fit the kernel's int64 code arrays.
     """
+    if _np is None or vector_bytes > VECTORISED_MAX_BYTES:
+        return None
     return _DTYPES.get(vector_bytes)
 
 

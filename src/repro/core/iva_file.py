@@ -195,10 +195,6 @@ class _NullScanner(VectorListScanner):
         """Advance the pointer to *tid*; see the class docstring."""
         return None
 
-    def move_block(self, tids) -> list:
-        """Every element is ndf."""
-        return [None] * len(tids)
-
     def checkpoint_offset(self) -> int:
         """No backing list: every resume point is offset 0."""
         return 0

@@ -63,7 +63,7 @@ BLOCK_TUPLES = 256
 
 #: Valid filter-kernel modes on engines and the CLI's ``--kernel`` flag:
 #: ``scalar`` (per-tuple; the identity oracle) and ``v3`` (whole-segment
-#: columnar decode + array-wide evaluation, falling back to per-block
+#: columnar decode + array-wide evaluation, falling back to per-element
 #: columns through :meth:`QueryKernel.evaluate_block` without numpy).
 KERNEL_MODES = ("scalar", "v3")
 
@@ -213,7 +213,9 @@ class CompiledNumericTerm:
     With numpy, :meth:`bound_segment` bounds a whole decoded segment
     through :meth:`NumericQuantizer.lower_bound_array` and keeps no
     per-code state.  The scalar :meth:`bound_column` (the numpy-absent
-    fallback and :class:`~repro.core.segment.ColumnSegment` blocks) looks
+    fallback and the :class:`~repro.core.segment.ColumnSegment` blocks
+    ``decode_segment`` adapts from ``move_to`` for codes wider than
+    :data:`~repro.core.numeric.VECTORISED_MAX_BYTES`) looks
     codes up in a table: materialised at compile time for one-byte vectors
     (≤ :data:`~repro.core.numeric.EAGER_LUT_MAX_CODES` codes), memoised
     per observed code above that.  Every path produces the exact double
@@ -429,8 +431,9 @@ class QueryKernel:
         """``(estimated, exact)`` for every element of one decoded block.
 
         The numpy-absent fallback of :meth:`evaluate_segments`.  *columns*
-        holds one payload column per scan slot (the
-        ``move_block`` output of each scanner); *cache*, when given, is a
+        holds one payload column per scan slot (each decoded segment's
+        ``column()``: ``None`` for ndf, a slice code, or a list of
+        ``(stored_length, bits)`` pairs); *cache*, when given, is a
         per-block memo keyed on compiled-term identity so batched queries
         sharing a term fill the bound column once (the block counterpart
         of the batch engine's per-tuple text-bound cache).
@@ -479,8 +482,9 @@ class QueryKernel:
         """``(bounds, defined)`` arrays for one term over one segment.
 
         Columnar segments route to the term's vectorised ``bound_segment``;
-        a :class:`~repro.core.segment.ColumnSegment` (the fallback decode,
-        including the engine's null scanner) runs the scalar
+        a :class:`~repro.core.segment.ColumnSegment` (the base
+        ``decode_segment``'s ``move_to`` adapter: the engine's null scanner,
+        third-party codecs, codes wider than four bytes) runs the scalar
         ``bound_column`` and wraps its output — so mixed-shape blocks stay
         bit-identical to the scalar walk term by term.
         """
@@ -522,8 +526,8 @@ class QueryKernel:
         while custom metrics fall back to the per-element ``combine``.
         Returns a float64 and a bool array, so block-level candidacy
         (:class:`~repro.core.pool.BlockCandidacy`) stays array-wide.
-        Without numpy the segments are rebuilt into legacy columns and
-        handed to :meth:`evaluate_block`, which returns lists.
+        Without numpy the segments are rebuilt into per-element columns
+        and handed to :meth:`evaluate_block`, which returns lists.
         """
         if fastpath._np is None:
             columns = [segment.column() for segment in segments]

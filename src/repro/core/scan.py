@@ -49,13 +49,13 @@ _SEG_READ_ENTRIES = 1024
 class _ByteRun:
     """Scanner-local parse cursor over bulk reader chunks.
 
-    The text segment decoders' fastpath: instead of two
-    :class:`BufferedReader` calls per signature (length byte, then bits),
-    slurp large chunks into a local ``bytes`` object and crack fields
-    with plain indexing.  Chunks may overshoot the current block — the
-    overshoot parks here between ``decode_segment`` calls, which is one
-    of the reasons the scalar and columnar entry points must not be
-    mixed on a single scanner instance.
+    What the raw text ``decode_segment``s parse through, with or without
+    numpy: instead of two :class:`BufferedReader` calls per signature
+    (length byte, then bits), slurp large chunks into a local ``bytes``
+    object and crack fields with plain indexing.  Chunks may overshoot
+    the current block — the overshoot parks here between
+    ``decode_segment`` calls, which is one of the reasons ``move_to`` and
+    ``decode_segment`` must not be mixed on a single scanner instance.
     """
 
     __slots__ = ("_reader", "buf", "pos")
@@ -177,20 +177,24 @@ class VectorListScanner:
         """Advance the pointer to *tid*; see the class docstring."""
         raise NotImplementedError
 
-    def move_block(self, tids: List[int]) -> List[object]:
-        """Advance through one block of tids, returning a payload column.
+    def decode_segment(self, tids: List[int]):
+        """Advance through one block of tids, returning a decoded segment.
 
-        The v3 kernel's numpy-absent decode API (the default
-        :meth:`decode_segment` wraps it): one call per tuple-list block
-        instead of one per tuple, with payloads in the kernel's flat form —
-        text payloads are lists of bare ``(stored_length, bits)`` pairs
-        (no :class:`Signature` objects), numeric payloads are slice codes,
-        ndf stays ``None``.  The returned column aligns 1:1 with *tids*.
+        The v3 kernel's decode API: one call per tuple-list block instead
+        of one :meth:`move_to` per tuple, returning a
+        :mod:`repro.core.segment` object the kernel evaluates array-wide.
+        This default adapts :meth:`move_to` into a
+        :class:`~repro.core.segment.ColumnSegment` — one payload per tid,
+        text signatures flattened to bare ``(stored_length, bits)`` pairs,
+        ndf as ``None`` — so any scanner (third-party codecs included)
+        participates in the v3 path with scalar-identical results.  The
+        built-in layouts override it with columnar decoders and call back
+        here only for what those cannot vectorise.
 
-        This default adapts any :meth:`move_to` implementation (third-party
-        codec scanners inherit block support for free); the built-in
-        layouts override it with loops that skip per-element method
-        dispatch and ``Signature`` construction.
+        A scanner instance must be driven through *either* ``move_to``
+        *or* ``decode_segment``, never a mix: columnar decoders may read
+        ahead of the logical pointer and park the overshoot in
+        segment-local state ``move_to`` does not consult.
         """
         column: List[object] = []
         for tid in tids:
@@ -198,26 +202,7 @@ class VectorListScanner:
             if type(payload) is list:
                 payload = [(sig.length, sig.bits) for sig in payload]
             column.append(payload)
-        return column
-
-    def decode_segment(self, tids: List[int]):
-        """Advance through one block of tids, returning a columnar segment.
-
-        The v3 kernel's decode API: like :meth:`move_block` but the result
-        is a :mod:`repro.core.segment` object the kernel can evaluate with
-        array-wide gathers.  This default wraps :meth:`move_block` in a
-        :class:`~repro.core.segment.ColumnSegment`, so any scanner —
-        third-party codecs included — participates in the v3 path with
-        scalar-identical results; the built-in layouts override it with
-        columnar decoders when numpy is importable.
-
-        A scanner instance must be driven through *either* the
-        ``move_to``/``move_block`` API *or* ``decode_segment``, never a
-        mix: columnar decoders may read ahead of the logical pointer and
-        park the overshoot in segment-local state the scalar entry points
-        do not consult.
-        """
-        return ColumnSegment(self.move_block(tids))
+        return ColumnSegment(column)
 
     def checkpoint_offset(self) -> int:
         """Byte offset at which a fresh scanner resumes this pointer's state.
@@ -266,11 +251,11 @@ class _TidBasedScanner(VectorListScanner):
     def _maybe_skip(self, target_tid: int) -> None:
         """Jump over whole segments that cannot intersect the scan cursor.
 
-        Called at the head of :meth:`move_block`/``decode_segment`` with
-        the block's first tid.  Every skipped element's tid is strictly
-        below *target_tid*, so the scalar walk would have consumed it
-        without producing a payload — the jump is free of semantics, it
-        only spares the decode.
+        Called at the head of the numeric ``decode_segment`` (columnar and
+        ``move_to`` fallback alike) with the block's first tid.  Every
+        skipped element's tid is strictly below *target_tid*, so the scalar
+        walk would have consumed it without producing a payload — the jump
+        is free of semantics, it only spares the decode.
         """
         skip = self._skip
         if skip is None or self._pending is None or self._pending >= target_tid:
@@ -350,25 +335,6 @@ class TextTypeIScanner(_TidBasedScanner):
             self._load_next()
         return out or None
 
-    def move_block(self, tids: List[int]) -> List[object]:
-        """Block decode: same pointer walk, bare ``(length, bits)`` pairs."""
-        self._maybe_skip(tids[0])
-        read_raw = self._scheme.read_raw
-        reader = self._reader
-        column: List[object] = []
-        for tid in tids:
-            pairs = None
-            while self._pending is not None and self._pending <= tid:
-                pair = read_raw(reader)
-                if self._pending == tid:
-                    if pairs is None:
-                        pairs = [pair]
-                    else:
-                        pairs.append(pair)
-                self._load_next()
-            column.append(pairs)
-        return column
-
     def decode_segment(self, tids: List[int]):
         """Columnar decode: one flat signature run, bulk-parsed.
 
@@ -376,8 +342,6 @@ class TextTypeIScanner(_TidBasedScanner):
         indexing — no per-field reader calls — so the dominant cost is
         the Python loop itself, not buffered-read bookkeeping.
         """
-        if fastpath._np is None:
-            return ColumnSegment(self.move_block(tids))
         run, pending = self._segment_run(tids[0])
         table = self._scheme.higher_table
         slots: List[int] = []
@@ -437,30 +401,8 @@ class TextTypeIIScanner(_TidBasedScanner):
             self._load_next()
         return out or None
 
-    def move_block(self, tids: List[int]) -> List[object]:
-        """Block decode: same pointer walk, bare ``(length, bits)`` pairs."""
-        self._maybe_skip(tids[0])
-        read_raw = self._scheme.read_raw
-        reader = self._reader
-        column: List[object] = []
-        for tid in tids:
-            pairs = None
-            while self._pending is not None and self._pending <= tid:
-                count = reader.read(NUM_BYTES)[0]
-                decoded = [read_raw(reader) for _ in range(count)]
-                if self._pending == tid:
-                    if pairs is None:
-                        pairs = decoded
-                    else:
-                        pairs.extend(decoded)
-                self._load_next()
-            column.append(pairs or None)
-        return column
-
     def decode_segment(self, tids: List[int]):
         """Columnar decode: one flat signature run, bulk-parsed."""
-        if fastpath._np is None:
-            return ColumnSegment(self.move_block(tids))
         run, pending = self._segment_run(tids[0])
         table = self._scheme.higher_table
         slots: List[int] = []
@@ -526,28 +468,8 @@ class TextTypeIIIScanner(VectorListScanner):
             return None
         return [self._scheme.read(self._reader) for _ in range(count)]
 
-    def move_block(self, tids: List[int]) -> List[object]:
-        """Block decode: one positional element per tid, bare pairs."""
-        read_raw = self._scheme.read_raw
-        reader = self._reader
-        column: List[object] = []
-        for _tid in tids:
-            if reader.exhausted():
-                raise IndexError_(
-                    "Type III vector list ran out of elements before the "
-                    "tuple list did — the index is inconsistent with its table"
-                )
-            count = reader.read(NUM_BYTES)[0]
-            if count == 0:
-                column.append(None)
-            else:
-                column.append([read_raw(reader) for _ in range(count)])
-        return column
-
     def decode_segment(self, tids: List[int]):
         """Columnar decode: one flat signature run, bulk-parsed."""
-        if fastpath._np is None:
-            return ColumnSegment(self.move_block(tids))
         run = self._run
         if run is None:
             run = self._run = _ByteRun(self._reader)
@@ -607,23 +529,6 @@ class NumericTypeIScanner(_TidBasedScanner):
             self._load_next()
         return out
 
-    def move_block(self, tids: List[int]) -> List[object]:
-        """Block decode: same pointer walk, one code (or None) per tid."""
-        self._maybe_skip(tids[0])
-        width = self._quantizer.vector_bytes
-        decode = self._quantizer.decode_bytes
-        reader = self._reader
-        column: List[object] = []
-        for tid in tids:
-            out = None
-            while self._pending is not None and self._pending <= tid:
-                code = decode(reader.read(width))
-                if self._pending == tid:
-                    out = code
-                self._load_next()
-            column.append(out)
-        return column
-
     def decode_segment(self, tids: List[int]):
         """Columnar decode: bulk ``<tid, code>`` record reads + searchsorted.
 
@@ -634,13 +539,13 @@ class NumericTypeIScanner(_TidBasedScanner):
         the next block — which is why ``decode_segment`` must not be mixed
         with the scalar entry points on one scanner instance.
         """
-        np = fastpath._np
-        width = self._quantizer.vector_bytes
-        dtype_code = fastpath.dtype_for_width(width)
-        if np is None or dtype_code is None:
-            return ColumnSegment(self.move_block(tids))
         if not self._seg_tids:
             self._maybe_skip(tids[0])
+        width = self._quantizer.vector_bytes
+        dtype_code = fastpath.segment_dtype(width)
+        if dtype_code is None:
+            return super().decode_segment(tids)
+        np = fastpath._np
         reader = self._reader
         carry_tids = self._seg_tids
         carry_codes = self._seg_codes
@@ -714,40 +619,18 @@ class NumericTypeIVScanner(VectorListScanner):
             return None
         return code
 
-    def move_block(self, tids: List[int]) -> List[object]:
-        """Block decode: one positional code per tid, ndf mapped to None."""
-        quantizer = self._quantizer
-        width = quantizer.vector_bytes
-        decode = quantizer.decode_bytes
-        ndf_code = quantizer.ndf_code
-        reader = self._reader
-        column: List[object] = []
-        for _tid in tids:
-            if reader.exhausted():
-                raise IndexError_(
-                    "Type IV vector list ran out of elements before the "
-                    "tuple list did — the index is inconsistent with its table"
-                )
-            code = decode(reader.read(width))
-            column.append(None if code == ndf_code else code)
-        return column
-
     def decode_segment(self, tids: List[int]):
         """Columnar decode: the whole block in one read + one frombuffer."""
-        np = fastpath._np
         quantizer = self._quantizer
         width = quantizer.vector_bytes
-        dtype_code = fastpath.dtype_for_width(width)
+        dtype_code = fastpath.segment_dtype(width)
         count = len(tids)
         reader = self._reader
-        if (
-            np is None
-            or dtype_code is None
-            or reader.remaining() < count * width
-        ):
+        if dtype_code is None or reader.remaining() < count * width:
             # The short-list case falls back so a truncated final segment
             # fails element-by-element exactly like the scalar walk.
-            return ColumnSegment(self.move_block(tids))
+            return super().decode_segment(tids)
+        np = fastpath._np
         raw = reader.read_view(count * width)
         codes = np.frombuffer(raw, dtype=dtype_code).astype(np.int64)
         defined = codes != quantizer.ndf_code

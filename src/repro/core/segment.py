@@ -1,12 +1,11 @@
 """Columnar vector-list segments for the v3 filter kernel.
 
-A scanner's ``move_block`` hands the kernel each vector list as a
-*per-element* Python column — one list entry (or ``None``) per tuple.
-Kernel v3 goes one step further: a
-scanner's :meth:`~repro.core.scan.VectorListScanner.decode_segment`
-materialises the whole block of one vector list into a **segment** — a
-columnar batch the kernel can evaluate with array-wide gathers instead of
-per-entry Python calls.
+The paper's scanning pointer hands over one payload per ``MoveTo`` call.
+Kernel v3 decodes a whole tuple-list block at a time instead: a scanner's
+:meth:`~repro.core.scan.VectorListScanner.decode_segment` materialises
+the block of one vector list into a **segment** — a columnar batch the
+kernel can evaluate with array-wide gathers instead of per-entry Python
+calls.
 
 Three segment shapes cover every layout:
 
@@ -19,14 +18,17 @@ Three segment shapes cover every layout:
   non-decreasing, repeating when one tuple stores several strings).  The
   kernel computes hit counts in one flat loop and min-reduces per slot
   with a single vectorized scatter.
-* :class:`ColumnSegment` — an adapter wrapping a legacy ``move_block``
-  column verbatim.  The default ``decode_segment`` produces it, so every
-  scanner (including third-party codecs and the engine's null scanner)
-  participates in the v3 path; the kernel evaluates it with the exact
-  scalar ``bound_column`` routines, which keeps bit-identity trivially.
+* :class:`ColumnSegment` — a per-element payload column (``None`` for
+  ndf, a slice code, or a list of ``(stored_length, bits)`` pairs).  The
+  default ``decode_segment`` builds it from ``move_to``, so every scanner
+  (third-party codecs, the engine's null scanner, numeric lists without
+  numpy or with codes wider than four bytes) participates in the v3
+  path; the kernel evaluates it with the exact scalar ``bound_column``
+  routines, which keeps bit-identity trivially.
 
-Every segment can rebuild the legacy column via :meth:`column`, which is
-how the numpy-absent fallback re-enters ``evaluate_block`` unchanged.
+Every segment can rebuild that per-element column via :meth:`column`,
+which is how the numpy-absent kernel evaluates it through
+``evaluate_block``.
 """
 
 from __future__ import annotations
@@ -37,7 +39,7 @@ from repro.core import fastpath
 
 
 class ColumnSegment:
-    """A legacy ``move_block`` column wrapped as a segment (fallback)."""
+    """A per-element payload column adapted from ``move_to`` (fallback)."""
 
     kind = "column"
 

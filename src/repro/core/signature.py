@@ -204,7 +204,7 @@ class SignatureScheme:
     def read_raw(self, reader: BufferedReader) -> Tuple[int, int]:
         """Deserialise one signature as a bare ``(stored_length, bits)`` pair.
 
-        The filter kernel's ``move_block`` decode path: skips both the
+        The compressed codec's ``decode_segment`` path: skips both the
         :class:`Signature` object construction and the ``optimal_t`` lookup
         per vector — the kernel re-derives ``(l_bits, t)`` once per distinct
         stored length instead of once per signature.

@@ -3,8 +3,8 @@
 The iVA-file's no-false-negative guarantees (paper §III-B/III-C) only
 hold over *uncorrupted* vectors — a flipped bit in a signature silently
 widens or narrows a lower bound and the top-k answer is wrong with no
-error anywhere.  This module closes that hole at the layer both the
-scalar and block (``move_block``) scan paths already share: every decode
+error anywhere.  This module closes that hole at the layer the scalar
+(``move_to``) and v3 (``decode_segment``) scan paths share: every decode
 funnels through ``BufferedReader`` → ``backend.read``, so verifying
 frames inside ``read()`` covers the vector lists, the tuple list, and
 the attribute list for *both* codec families without touching any wire

@@ -11,7 +11,9 @@ Two layers of checks:
 * **engine tests** assert full top-k answer identity between
   ``kernel="scalar"`` and ``kernel="v3"`` across codecs, worker counts,
   and the batch engine — both with numpy and through v3's numpy-absent
-  block fallback (``move_block`` columns into ``evaluate_block``).
+  fallback (segments rebuilt into per-element columns for
+  ``evaluate_block``) — and on numeric codes too wide to vectorise
+  (3-, 5- and 8-byte vectors), where ``decode_segment`` adapts ``move_to``.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro import IVAConfig, IVAEngine, IVAFile
+from repro import IVAConfig, IVAEngine, IVAFile, SimulatedDisk, SparseWideTable
 from repro.codec import CODEC_NAMES
 from repro.core import fastpath
 from repro.core.batch import BatchIVAEngine
@@ -38,6 +40,7 @@ from repro.core.kernel import (
 from repro.core.numeric import EAGER_LUT_MAX_CODES, NumericQuantizer
 from repro.core.segment import NumericSegment
 from repro.core.signature import Signature, QueryStringEncoder, SignatureScheme
+from repro.core.vector_lists import ListType
 from repro.data.workload import WorkloadGenerator
 from repro.errors import QueryError
 from repro.metrics.distance import DistanceFunction
@@ -282,9 +285,9 @@ class TestAnswerIdentity:
 
     @pytest.fixture
     def no_numpy(self, monkeypatch):
-        """Route v3 through its numpy-absent block fallback: every
-        ``decode_segment`` wraps ``move_block`` and ``evaluate_segments``
-        hands the columns to ``evaluate_block``."""
+        """Route v3 through its numpy-absent fallback: numeric
+        ``decode_segment`` adapts ``move_to`` and ``evaluate_segments``
+        hands per-element columns to ``evaluate_block``."""
         monkeypatch.setattr(fastpath, "_np", None)
 
     def _sequential_matches(self, setups, table, codec):
@@ -352,3 +355,69 @@ class TestAnswerIdentity:
     @pytest.mark.parametrize("codec", CODEC_NAMES)
     def test_batch_block_matches_scalar(self, setups, small_dataset, codec, no_numpy):
         self._batch_matches(setups, small_dataset, codec)
+
+
+class TestWideNumericCodes:
+    """v3 on numeric codes too wide for the columnar int64 decoders.
+
+    α = 0.3 / 0.6 / 1.0 give 3-, 5- and 8-byte vectors, which the numeric
+    ``decode_segment``s hand to the base ``move_to`` adapter.  8-byte
+    codes reach 2^63 and above (Type IV reserves 2^64 - 1 as ndf), which
+    int64 code arrays cannot hold.
+    """
+
+    QUERIES = [
+        {"SN": 900.0},
+        {"SN": 12.0},
+        {"DN": 990.0},
+        {"DN": 3.5},
+        {"SN": 640.0, "DN": 700.0},
+        {"SN": 999.0, "DN": 996.0, "T": "item7"},
+    ]
+
+    @pytest.fixture(scope="class")
+    def wide_table(self):
+        """Sparse ``SN`` (Type I), dense ``DN`` (Type IV) and a text column."""
+        table = SparseWideTable(SimulatedDisk())
+        for i in range(240):
+            cells = {"T": f"item{i % 13}"}
+            if i % 5 == 0:
+                cells["SN"] = float((i * 37) % 1000)
+            if i % 17:
+                cells["DN"] = float((i * 61) % 997) + 0.25
+            table.insert(cells)
+        return table
+
+    @staticmethod
+    def _rows(reports):
+        return [[(r.tid, r.distance) for r in report.results] for report in reports]
+
+    @pytest.mark.parametrize("codec", CODEC_NAMES)
+    @pytest.mark.parametrize("alpha, width", [(0.3, 3), (0.6, 5), (1.0, 8)])
+    def test_v3_matches_scalar(self, wide_table, codec, alpha, width):
+        index = IVAFile.build(
+            wide_table,
+            IVAConfig(name=f"wide_{codec}_{width}", codec=codec, alpha=alpha),
+        )
+        catalog = wide_table.catalog
+        sparse = index.entry(catalog.require("SN").attr_id)
+        dense = index.entry(catalog.require("DN").attr_id)
+        assert sparse.list_type is ListType.TYPE_I
+        assert dense.list_type is ListType.TYPE_IV
+        assert sparse.quantizer.vector_bytes == width
+
+        def search(engine):
+            return self._rows(engine.search(q, k=8) for q in self.QUERIES)
+
+        scalar = search(IVAEngine(wide_table, index, kernel="scalar"))
+        assert all(scalar)
+        assert search(IVAEngine(wide_table, index, kernel="v3")) == scalar
+        parallel = IVAEngine(
+            wide_table, index, kernel="v3", executor=ExecutorConfig(workers=2)
+        )
+        assert search(parallel) == scalar
+        for executor in (None, ExecutorConfig(workers=2)):
+            batch = BatchIVAEngine(
+                wide_table, index, kernel="v3", executor=executor
+            ).search_batch(self.QUERIES, k=8)
+            assert self._rows(batch) == scalar

@@ -2,16 +2,18 @@
 
 Three layers of checks:
 
-* **property tests** (hypothesis) pin ``decode_segment()`` to
-  ``move_block()`` value-identity across both codec families and every
-  vector-list layout the chooser emits — including ndf-gap columns,
-  multi-string text values, and a truncated final block;
+* **property tests** (hypothesis) pin ``decode_segment()`` to the scalar
+  ``move_to`` walk (the identity oracle), value for value, across both
+  codec families and every vector-list layout the chooser emits —
+  including ndf-gap columns, multi-string text values, and a truncated
+  final block;
 * **skip-table tests** cover ``SkipTable.seek_offset`` arithmetic and
   verify a tail-block decode actually jumps over whole segments (and
-  still returns the right payloads);
-* **fallback tests** monkeypatch numpy away and assert every
-  ``decode_segment`` degrades to a :class:`ColumnSegment` wrapping the
-  legacy walk, with v3 engine answers still bit-identical to scalar.
+  still returns the right payloads), columnar and scalar-fallback alike;
+* **fallback tests** monkeypatch numpy away and assert text layouts keep
+  their (pure Python) :class:`TextSegment` decoders while numeric ones
+  degrade to a :class:`ColumnSegment` adapted from ``move_to``, with v3
+  engine answers still bit-identical to scalar.
 
 The wide-code (``vector_bytes > 4``) fastpath fallback rides along: one
 explicit 8-byte bit-identity check plus the one-time debug log contract.
@@ -30,8 +32,8 @@ from repro import IVAConfig, IVAEngine, IVAFile, SimulatedDisk, SparseWideTable
 from repro.codec import CODEC_NAMES
 from repro.core import fastpath
 from repro.core.numeric import NumericQuantizer
-from repro.core.scan import SKIP_SEGMENT_ELEMENTS, SkipTable
-from repro.core.segment import ColumnSegment
+from repro.core.scan import SKIP_SEGMENT_ELEMENTS, SkipTable, VectorListScanner
+from repro.core.segment import ColumnSegment, TextSegment
 from repro.data.workload import WorkloadGenerator
 
 TEXT = st.text(alphabet=string.ascii_lowercase, min_size=1, max_size=8)
@@ -72,11 +74,18 @@ def _attr_ids(table):
     ]
 
 
+def _as_column(payload):
+    """A ``move_to`` payload in segment-column form (signatures as pairs)."""
+    if type(payload) is list:
+        return [(sig.length, sig.bits) for sig in payload]
+    return payload
+
+
 class TestDecodeSegmentIdentity:
     @settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.too_slow])
     @given(rows=ROWS, block=st.integers(1, 9))
-    def test_segments_match_move_block(self, rows, block):
-        """decode_segment ≡ move_block on every layout, both codecs.
+    def test_segments_match_move_to(self, rows, block):
+        """decode_segment ≡ the scalar move_to walk on every layout, both codecs.
 
         A non-divisor block size leaves a truncated final block, and the
         optional cells leave ndf gaps — both decode paths must agree on
@@ -88,20 +97,51 @@ class TestDecodeSegmentIdentity:
                 table, IVAConfig(name=f"seg_{codec}", codec=codec)
             )
             attr_ids = _attr_ids(table)
-            legacy_scan = index.open_scan(attr_ids)
-            legacy = [
-                [scanner.move_block(list(tids)) for scanner in legacy_scan.scanners]
-                for tids, _ in legacy_scan.blocks(block)
+            oracle_scan = index.open_scan(attr_ids)
+            oracle = [
+                [
+                    [_as_column(payload) for payload in column]
+                    for column in zip(
+                        *(oracle_scan.payloads(tid) for tid in tids)
+                    )
+                ]
+                for tids, _ in oracle_scan.blocks(block)
             ]
             seg_scan = index.open_scan(attr_ids)
             decoded = [
                 seg_scan.segment_blocks(list(tids))
                 for tids, _ in seg_scan.blocks(block)
             ]
-            assert len(legacy) == len(decoded)
-            for columns, segments in zip(legacy, decoded):
+            assert len(oracle) == len(decoded)
+            for columns, segments in zip(oracle, decoded):
+                assert len(columns) == len(segments)
                 for column, segment in zip(columns, segments):
                     assert segment.column() == column
+
+    def test_base_adapter_matches_layout_decoders(self):
+        """The base move_to adapter (what a codec without its own
+        decode_segment runs) yields the layout decoders' columns."""
+        table = _build(
+            [(("ab", "cd") if i % 3 else None, f"w{i % 4}", float(i), i / 2.0)
+             for i in range(30)]
+        )
+        for codec in CODEC_NAMES:
+            index = IVAFile.build(
+                table, IVAConfig(name=f"seg_base_{codec}", codec=codec)
+            )
+            attr_ids = _attr_ids(table)
+            adapted_scan = index.open_scan(attr_ids)
+            native_scan = index.open_scan(attr_ids)
+            for (tids, _), _ in zip(adapted_scan.blocks(7), native_scan.blocks(7)):
+                tids = list(tids)
+                adapted = [
+                    VectorListScanner.decode_segment(scanner, tids)
+                    for scanner in adapted_scan.scanners
+                ]
+                native = native_scan.segment_blocks(tids)
+                for a, b in zip(adapted, native):
+                    assert isinstance(a, ColumnSegment)
+                    assert a.column() == b.column()
 
     @settings(max_examples=10, deadline=None, suppress_health_check=[HealthCheck.too_slow])
     @given(rows=ROWS)
@@ -125,15 +165,21 @@ class TestNumpyAbsentFallback:
         monkeypatch.setattr(fastpath, "_np", None)
 
     def test_decode_segment_degrades_to_column_segment(self, no_numpy):
+        """Text layouts keep their TextSegment decoders; numeric ones adapt move_to."""
         table = _build([("a", "x", 1.0, 2.0), (None, "y", None, 3.0)] * 5)
         for codec in CODEC_NAMES:
             index = IVAFile.build(
                 table, IVAConfig(name=f"seg_np_{codec}", codec=codec)
             )
-            scan = index.open_scan(_attr_ids(table))
+            attr_ids = _attr_ids(table)
+            text = [table.catalog.by_id(a).is_text for a in attr_ids]
+            assert set(text) == {True, False}
+            scan = index.open_scan(attr_ids)
             for tids, _ in scan.blocks(4):
-                for segment in scan.segment_blocks(list(tids)):
-                    assert isinstance(segment, ColumnSegment)
+                segments = scan.segment_blocks(list(tids))
+                for is_text, segment in zip(text, segments):
+                    expected = TextSegment if is_text else ColumnSegment
+                    assert type(segment) is expected
 
     def test_v3_engine_answers_without_numpy(self, no_numpy):
         table = _build(
@@ -233,7 +279,9 @@ class TestSkipTable:
         scalar = index.make_scanner(attr_id)
         assert segment.column() == [scalar.move_to(last_tid)]
 
-    def test_move_block_jumps_too(self, long_table):
+    def test_fallback_decode_jumps_too(self, long_table, monkeypatch):
+        """The numpy-absent numeric decode (adapted move_to) still skips."""
+        monkeypatch.setattr(fastpath, "_np", None)
         index = IVAFile.build(long_table, IVAConfig(name="skip_mb", codec="raw"))
         attr_id = long_table.catalog.require("V").attr_id
         if index._skip_tables.get(attr_id) is None:
@@ -245,11 +293,12 @@ class TestSkipTable:
         jumps = []
         original_skip = reader.skip
         reader.skip = lambda n: (jumps.append(n), original_skip(n))[1]
-        column = scanner.move_block([last_tid])
-        assert jumps, "move_block never engaged the skip table"
+        segment = scanner.decode_segment([last_tid])
+        assert isinstance(segment, ColumnSegment)
+        assert jumps, "the fallback decode never engaged the skip table"
 
         scalar = index.make_scanner(attr_id)
-        assert column == [scalar.move_to(last_tid)]
+        assert segment.column() == [scalar.move_to(last_tid)]
 
     def test_skip_table_survives_append(self, long_table):
         """Appends keep the fences valid: jumps never overshoot new bytes."""
