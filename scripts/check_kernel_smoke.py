@@ -17,6 +17,11 @@ The kernels' lookup tables are built from the exact scalar bound
 routines, so any divergence — including on ndf tuples and clamped
 out-of-domain numeric values — is a correctness bug, not a tolerance.
 
+It also guards the refine kernel: every returned distance is recomputed
+from the tuple's full row with the DP ``edit_distance`` (the reference
+the bit-parallel refine distance and the projected row decode must
+reproduce) and must match exactly.
+
 Exit status 0 on success, 1 on any problem, so it can gate `make smoke`.
 """
 
@@ -39,6 +44,9 @@ def main() -> int:
     from repro.core.iva_file import IVAConfig, IVAFile
     from repro.data.generator import DatasetConfig, DatasetGenerator
     from repro.data.workload import WorkloadGenerator
+    from repro.metrics.distance import DistanceFunction, numeric_difference
+    from repro.metrics.edit_distance import edit_distance
+    from repro.model.values import is_ndf
     from repro.parallel import ExecutorConfig
     from repro.storage import SparseWideTable, simulated_backend
 
@@ -59,8 +67,38 @@ def main() -> int:
             for q in queries
         ]
 
+    dist = DistanceFunction()
+
+    def reference_distance(query, tid) -> float:
+        """D(T, Q) from the full row, text terms by the DP edit distance."""
+        record = table.read(tid)
+        weighted = []
+        for term in query.terms:
+            value = record.value(term.attr.attr_id)
+            if not term.attr.is_text:
+                diff = numeric_difference(float(term.value), value, dist.ndf_penalty)
+            elif is_ndf(value):
+                diff = dist.ndf_penalty
+            else:
+                diff = float(min(edit_distance(str(term.value), s) for s in value))
+            weighted.append(dist.weight(term.attr.attr_id, query) * diff)
+        return dist.metric.combine(weighted)
+
     problems = []
     checked = 0
+    distances_checked = 0
+
+    def check_distances(label, got) -> None:
+        nonlocal distances_checked
+        for query, results in zip(queries, got):
+            for tid, distance in results:
+                distances_checked += 1
+                expected = reference_distance(query, tid)
+                if distance != expected:
+                    problems.append(
+                        f"{label}: tid {tid} distance {distance!r} != DP "
+                        f"full-row distance {expected!r}"
+                    )
     alphas = (IVAConfig.alpha, WIDE_ALPHA)
     for codec, alpha in [(c, a) for c in CODEC_NAMES for a in alphas]:
         label_index = f"{codec} α={alpha}"
@@ -81,7 +119,9 @@ def main() -> int:
             }
             for label, engine in paths.items():
                 checked += 1
-                if answers(engine) != baseline:
+                got = answers(engine)
+                check_distances(f"{label_index}: {kernel} {label}", got)
+                if got != baseline:
                     problems.append(
                         f"{label_index}: {kernel} {label} answers differ from scalar"
                     )
@@ -91,6 +131,7 @@ def main() -> int:
                 for report in batch.search_batch(queries, k=K)
             ]
             checked += 1
+            check_distances(f"{label_index}: {kernel} batch", batch_answers)
             if batch_answers != baseline:
                 problems.append(
                     f"{label_index}: {kernel} batch answers differ from scalar"
@@ -104,7 +145,8 @@ def main() -> int:
         f"kernel smoke OK: {len(CODEC_NAMES)} codecs x {len(alphas)} alphas x "
         f"{len(queries)} queries, "
         f"{' and '.join(KERNELS)} == scalar on {checked} engine paths "
-        f"(sequential, x{WORKERS} parallel, batch)"
+        f"(sequential, x{WORKERS} parallel, batch); {distances_checked} "
+        f"returned distances == DP edit distance over the full row"
     )
     return 0
 

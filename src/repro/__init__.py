@@ -75,7 +75,6 @@ from repro.codec import CODEC_NAMES, VectorListCodec, codec_for_code, get_codec
 from repro.core.sequential import SequentialPlanEngine
 from repro.core.batch import BatchIVAEngine
 from repro.core.columnar import InMemoryIVAEngine
-from repro.concurrency import ConcurrentSystem, ReadWriteLock
 from repro.storage.fsck import (
     Finding,
     check_all,
@@ -187,8 +186,6 @@ __all__ = [
     "SequentialPlanEngine",
     "BatchIVAEngine",
     "InMemoryIVAEngine",
-    "ConcurrentSystem",
-    "ReadWriteLock",
     "Finding",
     "check_all",
     "check_checksums",

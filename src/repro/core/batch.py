@@ -181,6 +181,9 @@ class BatchIVAEngine:
         """
         dist = distance or self.distance
         attr_ids = sorted({t.attr.attr_id for q in bound for t in q.terms})
+        # Consecutive queries share one fetch, so rows are projected onto
+        # the union of the batch's attributes.
+        refine_attrs = frozenset(attr_ids)
         position = {attr_id: i for i, attr_id in enumerate(attr_ids)}
         scan = self.index.open_scan(attr_ids, end_element=self.scan_end_element)
 
@@ -231,7 +234,7 @@ class BatchIVAEngine:
             if tid != record_tid:
                 io_before = disk.stats.io_time_ms
                 wall_before = time.perf_counter()
-                record = self.table.read(tid)
+                record = self.table.read(tid, refine_attrs)
                 refine_io += disk.stats.io_time_ms - io_before
                 refine_wall += time.perf_counter() - wall_before
                 record_tid = tid

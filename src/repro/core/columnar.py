@@ -270,6 +270,7 @@ class InMemoryIVAEngine:
 
         report.filter_wall_s = time.perf_counter() - wall_start
         pool = ResultPool(k)
+        refine_attrs = frozenset(query.attribute_ids())
         refine_wall_start = time.perf_counter()
         refine_io_start = disk.stats.io_time_ms
         for position in order:
@@ -288,7 +289,7 @@ class InMemoryIVAEngine:
                 # but all-ndf tuples after this point still belong in the
                 # pool race, so only stop refining, keep scanning exacts.
                 continue
-            record = self.table.read(tid)
+            record = self.table.read(tid, refine_attrs)
             pool.insert(tid, dist.actual(query, record))
             report.table_accesses += 1
         report.refine_io_ms = disk.stats.io_time_ms - refine_io_start

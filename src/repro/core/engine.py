@@ -509,12 +509,13 @@ class FilterAndRefineEngine(ABC):
             start_wall = time.perf_counter()
             refine_io = 0.0
             refine_wall = 0.0
+            refine_attrs = frozenset(query.attribute_ids())
 
             def refine(tid: int, estimated: float) -> None:
                 nonlocal refine_io, refine_wall
                 refine_io_before = disk.stats.io_time_ms
                 refine_wall_before = time.perf_counter()
-                record = self.table.read(tid)
+                record = self.table.read(tid, refine_attrs)
                 actual = dist.actual(query, record)
                 pool.insert(tid, actual)
                 refine_io += disk.stats.io_time_ms - refine_io_before

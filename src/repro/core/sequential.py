@@ -141,8 +141,9 @@ class SequentialPlanEngine(FilterAndRefineEngine):
             io_before = disk.stats.io_time_ms
             wall_before = time.perf_counter()
             pool = ResultPool(k)
+            refine_attrs = frozenset(query.attribute_ids())
             for tid in candidates:
-                record = self.table.read(tid)
+                record = self.table.read(tid, refine_attrs)
                 pool.insert(tid, dist.actual(query, record))
                 report.table_accesses += 1
             report.refine_io_ms = disk.stats.io_time_ms - io_before

@@ -9,7 +9,12 @@ plan; we ship the paper's L1, L2 (Euclidean) and L∞ metrics and the EQU/ITF
 weighting schemes of Sec. V-B.3.
 """
 
-from repro.metrics.edit_distance import edit_distance, edit_distance_within
+from repro.metrics.edit_distance import (
+    EditPattern,
+    compile_pattern,
+    edit_distance,
+    edit_distance_within,
+)
 from repro.metrics.distance import (
     DistanceFunction,
     L1Metric,
@@ -23,6 +28,8 @@ from repro.metrics.distance import (
 from repro.metrics.weights import WeightScheme, equal_weights, itf_weights
 
 __all__ = [
+    "EditPattern",
+    "compile_pattern",
     "edit_distance",
     "edit_distance_within",
     "DistanceFunction",

@@ -19,7 +19,7 @@ from abc import ABC, abstractmethod
 from typing import Dict, Sequence, Union
 
 from repro.errors import QueryError
-from repro.metrics.edit_distance import edit_distance
+from repro.metrics.edit_distance import compile_pattern
 from repro.metrics.weights import WeightScheme, equal_weights
 from repro.model.record import Record
 from repro.model.values import CellValue, is_ndf, is_numeric_value, is_text_value
@@ -31,12 +31,17 @@ DEFAULT_NDF_PENALTY = 20.0
 
 
 def text_difference(query_string: str, value: CellValue, ndf_penalty: float) -> float:
-    """``d[A](T, Q)`` for a text attribute: min edit distance over strings."""
+    """``d[A](T, Q)`` for a text attribute: min edit distance over strings.
+
+    The query string is compiled once (and cached) into an
+    :class:`~repro.metrics.edit_distance.EditPattern`, so each data string
+    costs one bit-parallel pass instead of a quadratic DP.
+    """
     if is_ndf(value):
         return ndf_penalty
     if not is_text_value(value):
         raise QueryError(f"expected a text value, got {value!r}")
-    return float(min(edit_distance(query_string, s) for s in value))
+    return float(min(map(compile_pattern(query_string).distance, value)))
 
 
 def numeric_difference(query_value: float, value: CellValue, ndf_penalty: float) -> float:

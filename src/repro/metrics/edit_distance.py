@@ -4,15 +4,27 @@
 substitutions) of single characters needed to transform the first string
 into the second" (paper Sec. III-A, after Gravano et al.).
 
-Two entry points: the plain distance, and a banded variant used by the
-refine step which gives up early once the distance provably exceeds a
-threshold — the common optimisation for top-k search where only distances
-below the current pool maximum matter.
+Three entry points:
+
+* :func:`edit_distance`, the classic two-row dynamic program — the
+  reference every faster routine is tested against;
+* :class:`EditPattern` (built through :func:`compile_pattern`), which
+  compiles one string once and then computes its exact distance to any
+  other string with Myers' bit-parallel algorithm (Myers 1999, in
+  Hyyrö's 2001 formulation) — the refine step's kernel;
+* :func:`edit_distance_within`, a banded variant which gives up early once
+  the distance provably exceeds a threshold (range search).
 """
 
 from __future__ import annotations
 
-from typing import Optional
+import functools
+from typing import Dict, Optional
+
+#: Compiled patterns kept by :func:`compile_pattern`.  Bounded, because a
+#: long-lived process (the daemon, a library user) sees an open-ended
+#: stream of query strings.
+PATTERN_CACHE_SIZE = 4096
 
 
 def edit_distance(s1: str, s2: str) -> int:
@@ -42,6 +54,62 @@ def edit_distance(s1: str, s2: str) -> int:
                 append(best + 1)
         previous = current
     return previous[-1]
+
+
+class EditPattern:
+    """One string compiled for bit-parallel Levenshtein distance.
+
+    Compilation maps each character of the pattern to the bitmask of the
+    positions it occupies.  :meth:`distance` then keeps one DP column as
+    two bit-vectors of vertical deltas (+1 / −1) and advances it by one
+    text character in a constant number of integer operations, tracking
+    the bottom cell — the edit distance — as it goes.  Python integers
+    are unbounded, so a pattern of any length is one "word".
+    """
+
+    __slots__ = ("pattern", "_peq", "_mask", "_high")
+
+    def __init__(self, pattern: str) -> None:
+        self.pattern = pattern
+        peq: Dict[str, int] = {}
+        for i, ch in enumerate(pattern):
+            peq[ch] = peq.get(ch, 0) | (1 << i)
+        self._peq = peq
+        self._mask = (1 << len(pattern)) - 1
+        self._high = 1 << (len(pattern) - 1) if pattern else 0
+
+    def distance(self, text: str) -> int:
+        """Exact Levenshtein distance between the pattern and *text*."""
+        if not self._high:
+            return len(text)
+        peq = self._peq
+        mask = self._mask
+        high = self._high
+        pv = mask  # vertical +1 deltas: column 0 is 0, 1, ..., m
+        mv = 0  # vertical -1 deltas
+        score = len(self.pattern)
+        get = peq.get
+        for ch in text:
+            eq = get(ch, 0)
+            xv = eq | mv
+            xh = (((eq & pv) + pv) ^ pv) | eq
+            ph = mv | ~(xh | pv)
+            mh = pv & xh
+            if ph & high:
+                score += 1
+            elif mh & high:
+                score -= 1
+            # Row 0 is the empty pattern prefix: its horizontal delta is +1.
+            ph = (ph << 1) | 1
+            pv = ((mh << 1) | ~(xv | ph)) & mask
+            mv = ph & xv
+        return score
+
+
+@functools.lru_cache(maxsize=PATTERN_CACHE_SIZE)
+def compile_pattern(pattern: str) -> EditPattern:
+    """The (cached) :class:`EditPattern` of *pattern*."""
+    return EditPattern(pattern)
 
 
 def edit_distance_within(s1: str, s2: str, threshold: int) -> Optional[int]:

@@ -1,7 +1,7 @@
 """Observability: metrics registry, span tracing, exporters.
 
 The measurement substrate behind the paper's figures, generalised for
-production: every layer (engine, storage, maintenance, concurrency,
+production: every layer (engine, storage, maintenance, serving,
 distributed, bench) feeds counters/gauges/histograms into a process-global
 :class:`MetricsRegistry`, query execution is traced as nested
 ``query -> filter/refine`` spans, and the whole state exports as

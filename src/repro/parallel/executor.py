@@ -60,7 +60,7 @@ import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from repro.core.engine import (
     FAIL_MODES,
@@ -264,6 +264,7 @@ class ParallelScanExecutor:
         self._run_position: Optional[Dict[int, int]] = None
         self._run_profiles: Optional[List[ProfileCollector]] = None
         self._run_kernel: str = "scalar"
+        self._run_attrs: Optional[FrozenSet[int]] = None
 
     # ------------------------------------------------------------------ run
 
@@ -338,6 +339,9 @@ class ParallelScanExecutor:
             else None
         )
         self._run_kernel = kernel
+        # The refiner's record cache is shared by tid across the run's
+        # queries, so rows are projected onto the union of their attributes.
+        self._run_attrs = frozenset(attr_ids)
 
         result = _RunResult(pools=[ResultPool(k) for _ in queries])
         result.exact_shortcuts = [0] * len(queries)
@@ -855,7 +859,7 @@ class ParallelScanExecutor:
         record = records.get(tid)
         if record is None:
             with self.table.disk.metered() as meter:
-                record = self.table.read(tid)
+                record = self.table.read(tid, self._run_attrs)
             records[tid] = record
             result.refine_io_ms += meter.io_ms
         actual = dist.actual(contexts[qi].query, record)

@@ -23,7 +23,7 @@ All integers little-endian.
 from __future__ import annotations
 
 import struct
-from typing import Iterator, Tuple
+from typing import AbstractSet, Iterator, Optional, Tuple
 
 from repro.errors import StorageError
 from repro.model.record import Record
@@ -38,6 +38,7 @@ _U16 = struct.Struct("<H")
 TAG_NUMERIC = 0
 TAG_TEXT = 1
 
+MAX_ENTRIES_PER_ROW = 65535
 MAX_STRINGS_PER_VALUE = 255
 MAX_STRING_BYTES = 65535
 
@@ -46,6 +47,11 @@ def encode_record(record: Record) -> bytes:
     """Serialise a record into the interpreted row format."""
     body = bytearray()
     entries = sorted(record.cells.items())
+    if len(entries) > MAX_ENTRIES_PER_ROW:
+        raise StorageError(
+            f"record {record.tid} defines {len(entries)} cells; max is "
+            f"{MAX_ENTRIES_PER_ROW}"
+        )
     for attr_id, value in entries:
         if is_numeric_value(value):
             body += _ENTRY_HEAD.pack(attr_id, TAG_NUMERIC)
@@ -76,8 +82,19 @@ def encode_record(record: Record) -> bytes:
     return _HEADER.pack(total, record.tid, len(entries)) + bytes(body)
 
 
-def decode_record(buffer: bytes, offset: int = 0) -> Tuple[Record, int]:
-    """Parse one row at *offset*; returns (record, offset_after_row)."""
+def decode_record(
+    buffer: bytes,
+    offset: int = 0,
+    attr_ids: Optional[AbstractSet[int]] = None,
+) -> Tuple[Record, int]:
+    """Parse one row at *offset*; returns (record, offset_after_row).
+
+    *attr_ids* projects the row: only entries for those attributes become
+    cells, the others are skipped by their tag and length fields (no UTF-8
+    decode, no value built).  Every bounds, tag and length check runs on
+    every entry either way, so a corrupt row fails the same with or
+    without a projection.
+    """
     if offset + _HEADER.size > len(buffer):
         raise StorageError("truncated row header")
     total, tid, num_entries = _HEADER.unpack_from(buffer, offset)
@@ -86,21 +103,23 @@ def decode_record(buffer: bytes, offset: int = 0) -> Tuple[Record, int]:
         raise StorageError(f"corrupt row length {total} at offset {offset}")
     pos = offset + _HEADER.size
     record = Record(tid=tid)
+    cells = record.cells
     for _ in range(num_entries):
         if pos + _ENTRY_HEAD.size > end:
             raise StorageError("truncated row entry")
         attr_id, tag = _ENTRY_HEAD.unpack_from(buffer, pos)
         pos += _ENTRY_HEAD.size
+        keep = attr_ids is None or attr_id in attr_ids
         if tag == TAG_NUMERIC:
             if pos + _F64.size > end:
                 raise StorageError("truncated numeric payload")
-            (value,) = _F64.unpack_from(buffer, pos)
+            if keep:
+                (cells[attr_id],) = _F64.unpack_from(buffer, pos)
             pos += _F64.size
-            record.cells[attr_id] = value
         elif tag == TAG_TEXT:
             if pos + 1 > end:
                 raise StorageError("truncated text payload")
-            (count,) = _U8.unpack_from(buffer, pos)
+            count = buffer[pos]
             pos += 1
             strings = []
             for _ in range(count):
@@ -110,9 +129,11 @@ def decode_record(buffer: bytes, offset: int = 0) -> Tuple[Record, int]:
                 pos += 2
                 if pos + byte_len > end:
                     raise StorageError("truncated string bytes")
-                strings.append(buffer[pos : pos + byte_len].decode("utf-8"))
+                if keep:
+                    strings.append(buffer[pos : pos + byte_len].decode("utf-8"))
                 pos += byte_len
-            record.cells[attr_id] = tuple(strings)
+            if keep:
+                cells[attr_id] = tuple(strings)
         else:
             raise StorageError(f"unknown entry type tag {tag}")
     if pos != end:

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Mapping, Optional, Set, Tuple
+from typing import AbstractSet, Dict, Iterator, List, Mapping, Optional, Set, Tuple
 
 from repro.errors import SchemaError, StorageError
 from repro.model.record import Record
@@ -174,14 +174,21 @@ class SparseWideTable:
 
     # ----------------------------------------------------------------- reads
 
-    def read(self, tid: int) -> Record:
-        """Random-access read of one tuple (the refine step's table access)."""
+    def read(
+        self, tid: int, attr_ids: Optional[AbstractSet[int]] = None
+    ) -> Record:
+        """Random-access read of one tuple (the refine step's table access).
+
+        *attr_ids* projects the returned record onto those attributes
+        (see :func:`~repro.storage.interpreted.decode_record`); the I/O is
+        the whole row either way.
+        """
         location = self._directory.get(tid)
         if location is None or tid in self._tombstones:
             raise StorageError(f"no live tuple with tid {tid}")
         offset, length = location
         payload = self.disk.read(self.file_name, offset, length)
-        record, _ = decode_record(payload)
+        record, _ = decode_record(payload, attr_ids=attr_ids)
         return record
 
     def locate(self, tid: int) -> Tuple[int, int]:

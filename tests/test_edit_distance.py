@@ -1,8 +1,24 @@
 """Unit tests for Levenshtein edit distance."""
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from repro.metrics.edit_distance import edit_distance, edit_distance_within
+from repro.metrics.distance import text_difference
+from repro.metrics.edit_distance import (
+    EditPattern,
+    compile_pattern,
+    edit_distance,
+    edit_distance_within,
+)
+
+#: Any Unicode text, astral planes included (code points, not UTF-16 units).
+ANY_TEXT = st.text(max_size=40)
+#: Tiny alphabets force repeated characters and long match runs.
+REPEATS = st.text(alphabet="ab", max_size=40)
+#: Past one 64-bit machine word.
+LONG_TEXT = st.text(alphabet="abcdé\U0001F600", min_size=65, max_size=150)
+STRINGS = st.one_of(ANY_TEXT, REPEATS, LONG_TEXT)
 
 
 class TestEditDistance:
@@ -77,3 +93,35 @@ class TestBandedEditDistance:
                         assert banded == exact
                     else:
                         assert banded is None
+
+
+class TestEditPattern:
+    """The bit-parallel kernel is pinned to the DP reference."""
+
+    @pytest.mark.parametrize(
+        "strings", [STRINGS, REPEATS, LONG_TEXT], ids=["mixed", "repeats", "long"]
+    )
+    @given(data=st.data())
+    def test_matches_dp(self, strings, data):
+        q, s = data.draw(strings), data.draw(strings)
+        assert EditPattern(q).distance(s) == edit_distance(q, s)
+
+    @given(s=STRINGS)
+    def test_empty_and_equal_strings(self, s):
+        assert EditPattern("").distance(s) == len(s)
+        assert EditPattern(s).distance("") == len(s)
+        assert EditPattern(s).distance(s) == 0
+
+    def test_astral_characters_count_once(self):
+        assert EditPattern("\U0001F600a").distance("a") == 1
+        assert EditPattern("x\U0001F600").distance("x\U0001F601") == 1
+
+    @given(q=STRINGS, values=st.lists(STRINGS, min_size=1, max_size=4))
+    def test_text_difference_is_dp_minimum(self, q, values):
+        expected = float(min(edit_distance(q, s) for s in values))
+        assert text_difference(q, tuple(values), 20.0) == expected
+
+    def test_pattern_cache_is_bounded(self):
+        maxsize = compile_pattern.cache_info().maxsize
+        assert maxsize is not None and 0 < maxsize < 1 << 20
+        assert compile_pattern("Canon") is compile_pattern("Canon")

@@ -1,15 +1,45 @@
 """Unit tests for the interpreted row codec."""
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.errors import StorageError
 from repro.model.record import Record
 from repro.storage.interpreted import (
+    MAX_ENTRIES_PER_ROW,
+    TAG_NUMERIC,
     decode_record,
     encode_record,
     iter_rows,
     row_length,
 )
+
+ATTR_IDS = st.integers(min_value=0, max_value=40)
+CELL = st.one_of(
+    st.floats(allow_nan=False),
+    st.lists(st.text(max_size=12), min_size=1, max_size=3).map(tuple),
+)
+RECORDS = st.builds(
+    Record,
+    tid=st.integers(min_value=0, max_value=2**32 - 1),
+    cells=st.dictionaries(ATTR_IDS, CELL, max_size=12),
+)
+PROJECTIONS = st.frozensets(ATTR_IDS, max_size=8)
+
+
+def _tag_offsets(record: Record):
+    """Byte offset of every entry's type tag in ``encode_record(record)``."""
+    offsets = []
+    pos = 10  # u32 total + u32 tid + u16 num_entries
+    for _, value in sorted(record.cells.items()):
+        offsets.append(pos + 4)
+        pos += 5
+        if isinstance(value, float):
+            pos += 8
+        else:
+            pos += 1 + sum(2 + len(s.encode("utf-8")) for s in value)
+    return offsets
 
 
 class TestRoundtrip:
@@ -93,7 +123,68 @@ class TestValidation:
         with pytest.raises(StorageError):
             encode_record(record)
 
+    def test_too_many_entries_rejected(self):
+        record = Record(tid=1, cells={i: 1.0 for i in range(MAX_ENTRIES_PER_ROW + 1)})
+        with pytest.raises(StorageError, match=str(MAX_ENTRIES_PER_ROW)):
+            encode_record(record)
+
+    def test_entry_limit_itself_roundtrips(self):
+        record = Record(tid=1, cells={i: 1.0 for i in range(MAX_ENTRIES_PER_ROW)})
+        decoded, _ = decode_record(encode_record(record))
+        assert len(decoded.cells) == MAX_ENTRIES_PER_ROW
+
     def test_oversized_string_rejected(self):
         record = Record(tid=1, cells={0: ("x" * 70000,)})
         with pytest.raises(StorageError):
             encode_record(record)
+
+
+class TestProjectedDecode:
+    def test_projection_keeps_only_requested_cells(self):
+        record = Record(tid=3, cells={0: ("Canon", "EOS"), 2: 230.0, 5: ("x",)})
+        payload = encode_record(record)
+        projected, end = decode_record(payload, attr_ids={2, 5, 9})
+        assert projected.tid == 3
+        assert projected.cells == {2: 230.0, 5: ("x",)}
+        assert end == len(payload)
+
+    def test_projected_row_skips_utf8_decode(self):
+        payload = bytearray(encode_record(Record(tid=1, cells={0: ("ab",), 1: 2.0})))
+        payload[18:20] = b"\xff\xff"  # attribute 0's string bytes: invalid UTF-8
+        projected, _ = decode_record(bytes(payload), attr_ids={1})
+        assert projected.cells == {1: 2.0}
+
+    @given(record=RECORDS, attr_ids=PROJECTIONS)
+    def test_projection_equals_restricted_full_decode(self, record, attr_ids):
+        payload = encode_record(record)
+        full, full_end = decode_record(payload)
+        projected, end = decode_record(payload, attr_ids=attr_ids)
+        assert end == full_end
+        assert projected.tid == full.tid
+        assert projected.cells == {
+            a: v for a, v in full.cells.items() if a in attr_ids
+        }
+
+    @given(record=RECORDS, attr_ids=PROJECTIONS)
+    def test_every_truncation_fails_under_both_decodes(self, record, attr_ids):
+        payload = encode_record(record)
+        for cut in range(len(payload)):
+            short = payload[:cut]
+            # Re-declare the row length too, so the entry-level checks (not
+            # just the header's) have to catch the missing bytes.
+            relabelled = cut.to_bytes(4, "little") + short[4:] if cut >= 4 else short
+            for buffer in (short, relabelled):
+                for projection in (None, attr_ids):
+                    with pytest.raises(StorageError):
+                        decode_record(buffer, attr_ids=projection)
+
+    @given(record=RECORDS, attr_ids=PROJECTIONS, tag=st.integers(2, 255))
+    def test_every_bad_tag_fails_under_both_decodes(self, record, attr_ids, tag):
+        payload = encode_record(record)
+        for offset in _tag_offsets(record):
+            corrupt = bytearray(payload)
+            assert corrupt[offset] in (TAG_NUMERIC, TAG_NUMERIC + 1)
+            corrupt[offset] = tag
+            for projection in (None, attr_ids):
+                with pytest.raises(StorageError, match="unknown entry type tag"):
+                    decode_record(bytes(corrupt), attr_ids=projection)

@@ -145,34 +145,6 @@ class TestMaintenanceTelemetry:
         assert clean[0]["attrs"]["dead_tuples"] == 1
 
 
-class TestConcurrencyTelemetry:
-    def test_lock_wait_metrics(self, camera_table):
-        from repro.concurrency import ConcurrentSystem
-
-        registry = MetricsRegistry()
-        index = IVAFile.build(camera_table)
-        engine = IVAEngine(camera_table, index, registry=registry)
-        system = ConcurrentSystem(
-            MaintainedSystem(camera_table, [index], registry=registry),
-            engine,
-            registry=registry,
-        )
-        system.search({"Type": "Digital Camera"}, k=2)
-        system.insert({"Type": "Phone", "Price": 99.0})
-        reads = registry.counter(
-            "repro_lock_acquisitions_total", labels={"mode": "read"}
-        )
-        writes = registry.counter(
-            "repro_lock_acquisitions_total", labels={"mode": "write"}
-        )
-        assert reads.value == 1
-        assert writes.value == 1
-        assert (
-            registry.histogram("repro_lock_wait_ms", labels={"mode": "read"}).count
-            == 1
-        )
-
-
 class TestPartitionedTelemetry:
     def test_per_partition_rollups(self):
         from repro.distributed import PartitionedSystem

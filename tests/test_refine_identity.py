@@ -1,0 +1,173 @@
+"""Refine-phase identity: the fast paths change no answer and no access.
+
+Refine computes each candidate's exact distance with the compiled
+bit-parallel edit distance over a projected row decode.  Every engine path
+that refines must return the same ``(tid, distance)`` lists — compared as
+floats, not rounded — and the same ``table_accesses`` as a reference run in
+which :class:`DistanceFunction` falls back to the DP ``edit_distance`` and
+every table read decodes the full row.
+
+The threaded executor's ``table_accesses`` depend on when its refiner
+tightens the workers' shared bound, so a threaded 2-worker run is compared
+on answers only; the same 2-worker plan is also run on an inline pool (each
+shard scanned at submit time, in order), where the accesses are
+deterministic and compared too.
+"""
+
+import random
+from concurrent.futures import Future
+
+import pytest
+
+from repro.core.batch import BatchIVAEngine
+from repro.core.columnar import InMemoryIVAEngine
+from repro.core.engine import IVAEngine
+from repro.core.iva_file import IVAFile
+from repro.maintenance import MaintainedSystem
+from repro.metrics.distance import DistanceFunction, numeric_difference
+from repro.metrics.edit_distance import edit_distance
+from repro.model.values import is_ndf
+from repro.parallel import ExecutorConfig
+from repro.parallel import executor as executor_module
+from repro.query import Query
+from repro.storage import SparseWideTable, simulated_backend
+
+K = 8
+METRICS = ("L1", "L2", "Linf")
+WORDS = [
+    "canon", "cannon", "nikon", "sony", "digital camera", "camera",
+    "ünïcode", "日本語", "smile\U0001F600", "powershot sx", "eos", "lumix",
+]
+
+
+def _mutate(rng: random.Random, word: str) -> str:
+    chars = list(word)
+    for _ in range(rng.randint(0, 2)):
+        i = rng.randrange(len(chars) + 1)
+        op = rng.randrange(3)
+        if op == 0 or not chars:
+            chars.insert(i, rng.choice("aeioxz"))
+        elif op == 1 and i < len(chars):
+            del chars[i]
+        elif i < len(chars):
+            chars[i] = rng.choice("aeioxz")
+    return "".join(chars) or word
+
+
+@pytest.fixture(scope="module")
+def world():
+    """A table with multi-string text values and tombstones, plus queries."""
+    rng = random.Random(16)
+    table = SparseWideTable(simulated_backend())
+    text_attrs = [f"Text{i}" for i in range(5)]
+    numeric_attrs = [f"Num{i}" for i in range(5)]
+    for _ in range(360):
+        values = {}
+        for name in rng.sample(text_attrs + numeric_attrs, rng.randint(2, 7)):
+            if name.startswith("Text"):
+                values[name] = [
+                    _mutate(rng, rng.choice(WORDS)) for _ in range(rng.randint(1, 3))
+                ]
+            else:
+                values[name] = round(rng.uniform(0, 500), 2)
+        table.insert(values)
+    index = IVAFile.build(table)
+    system = MaintainedSystem(table, [index])
+    for tid in rng.sample(table.live_tids(), 40):
+        system.delete(tid)
+    queries = []
+    for arity in (1, 2, 3, 4):
+        for _ in range(4):
+            terms = {}
+            for name in rng.sample(text_attrs + numeric_attrs, arity):
+                if name.startswith("Text"):
+                    terms[name] = _mutate(rng, rng.choice(WORDS))
+                else:
+                    terms[name] = round(rng.uniform(0, 500), 2)
+            queries.append(Query.from_dict(table.catalog, terms))
+    return table, index, queries
+
+
+def _dp_term_difference(self, term_index, query, value):
+    term = query.terms[term_index]
+    if term.attr.is_text:
+        if is_ndf(value):
+            return self.ndf_penalty
+        return float(min(edit_distance(str(term.value), s) for s in value))
+    return numeric_difference(float(term.value), value, self.ndf_penalty)
+
+
+class _InlinePool:
+    """A ``ThreadPoolExecutor`` stand-in that runs each job on submit."""
+
+    def __init__(self, *args, **kwargs):
+        pass
+
+    def submit(self, fn, *args):
+        future = Future()
+        future.set_result(fn(*args))
+        return future
+
+    def shutdown(self, wait=True):
+        pass
+
+
+def _runs(table, index, queries, metric, monkeypatch):
+    """{engine path: (per-query answers, per-query table accesses)}."""
+    dist = DistanceFunction(metric)
+
+    def collect(reports):
+        return (
+            [[(r.tid, r.distance) for r in rep.results] for rep in reports],
+            [rep.table_accesses for rep in reports],
+        )
+
+    sequential = IVAEngine(table, index, dist, kernel="v3")
+    parallel = IVAEngine(
+        table,
+        index,
+        dist,
+        kernel="v3",
+        executor=ExecutorConfig(workers=2, min_shard_elements=16),
+    )
+    batch = BatchIVAEngine(table, index, dist, kernel="v3")
+    memory = InMemoryIVAEngine(table, index, dist)
+    runs = {
+        "sequential": collect([sequential.search(q, k=K) for q in queries]),
+        "parallel x2": collect([parallel.search(q, k=K) for q in queries]),
+        "batch": collect(batch.search_batch(queries, k=K)),
+        "in-memory": collect([memory.search(q, k=K) for q in queries]),
+    }
+    inline = IVAEngine(
+        table,
+        index,
+        dist,
+        kernel="v3",
+        executor=ExecutorConfig(
+            workers=2, min_shard_elements=16, queue_depth=1 << 20, fallback=False
+        ),
+    )
+    with monkeypatch.context() as patch:
+        patch.setattr(executor_module, "ThreadPoolExecutor", _InlinePool)
+        runs["parallel x2 inline"] = collect([inline.search(q, k=K) for q in queries])
+    return runs
+
+
+@pytest.mark.parametrize("metric", METRICS)
+def test_refine_matches_dp_and_full_rows(world, metric, monkeypatch):
+    table, index, queries = world
+    fast = _runs(table, index, queries, metric, monkeypatch)
+
+    full_read = SparseWideTable.read
+    monkeypatch.setattr(DistanceFunction, "term_difference", _dp_term_difference)
+    monkeypatch.setattr(
+        SparseWideTable, "read", lambda self, tid, attr_ids=None: full_read(self, tid)
+    )
+    reference = _runs(table, index, queries, metric, monkeypatch)
+
+    for path, (answers, accesses) in fast.items():
+        ref_answers, ref_accesses = reference[path]
+        assert answers == ref_answers, path
+        if path != "parallel x2":
+            assert accesses == ref_accesses, path
+    assert any(any(answers) for answers, _ in fast.values())
