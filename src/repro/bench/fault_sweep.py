@@ -3,8 +3,9 @@
 Builds a full stack per codec — simulated disk, deterministic fault
 injection, CRC32C frame verification, bounded retries (see
 :mod:`repro.resilience`) — and sweeps seeded fault-injection rates over
-the same query set, both filter kernels, with ``fail_mode="degrade"``.
-Every query's outcome is classified:
+the same query set with ``fail_mode="degrade"``: the v3 kernel through the
+degrading parallel executor, the scalar oracle sequentially.  Every
+query's outcome is classified:
 
 * **matched** — the ``(tid, distance)`` list equals the fault-free
   baseline exactly (transient faults absorbed by retries);
@@ -56,7 +57,7 @@ CHAOS_DATASET = DatasetConfig(
     seed=42,
 )
 
-#: Workers for the degrading parallel executor.
+#: Workers for the degrading parallel executor (v3 rows).
 CHAOS_WORKERS = 2
 
 #: Queries per (codec, kernel) combination.
@@ -141,12 +142,12 @@ def fault_sweep(
             for _ in range(queries_per_combo)
         ]
         for kernel in tuple(kernels) if kernels is not None else KERNEL_MODES:
+            # The scalar oracle does not shard: its rows run sequentially.
+            executor = (
+                None if kernel == "scalar" else ExecutorConfig(workers=CHAOS_WORKERS)
+            )
             engine = IVAEngine(
-                table,
-                index,
-                executor=ExecutorConfig(workers=CHAOS_WORKERS),
-                kernel=kernel,
-                fail_mode="degrade",
+                table, index, executor=executor, kernel=kernel, fail_mode="degrade"
             )
             plan.disarm()
             baseline = [answer for answer, _ in _answers(engine, queries, k)]

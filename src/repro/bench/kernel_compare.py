@@ -1,18 +1,22 @@
 """The ``kernel-compare`` sweep: scalar vs. v3 filter kernels.
 
-Races the default query set through the iVA engine with every filter
-kernel (:mod:`repro.core.kernel`) over every codec family and the
-requested worker counts, and reports two things:
+Races the default query set through the iVA engine with both filter
+kernels (:mod:`repro.core.kernel`) over every codec family, and reports
+two things.  The scalar kernel is the sequential identity oracle, so it
+runs once per codec and its columns repeat on that codec's rows; v3 runs
+at every requested worker count.
 
 * **filter-phase latency** — measured wall-clock p50/p95 per query and
-  the scalar/v3 speedup (the kernels change CPU work only, so the modeled
-  index I/O is identical by construction and the measured wall time is
-  the honest comparison);
-* **answer identity** — every (codec, workers, kernel) combination must
-  return *bit-identical* ``(tid, distance)`` lists for every query.  The
-  kernel's lookup tables are built from the exact scalar routines
-  (Prop. 3.3's no-false-negative bounds included), so any divergence is
-  a bug, not a tolerance; the CLI turns it into a hard failure.
+  the speedup of v3 at the row's worker count over the sequential
+  scalar oracle (the kernels change CPU work only, so the modeled index
+  I/O is identical by construction and the measured wall time is the
+  honest comparison);
+* **answer identity** — every (codec, workers) v3 run and every codec's
+  scalar run must return *bit-identical* ``(tid, distance)`` lists for
+  every query.  The kernel's lookup tables are built from the exact
+  scalar routines (Prop. 3.3's no-false-negative bounds included), so
+  any divergence is a bug, not a tolerance; the CLI turns it into a
+  hard failure.
 
 Exposed as ``repro bench kernel-compare`` and as
 :func:`kernel_compare_sweep` for the suite/tests.
@@ -27,7 +31,6 @@ from repro.analysis.stats import percentile
 from repro.bench.harness import DEFAULTS, Environment, QuerySetStats, run_query_set
 from repro.bench.reporting import emit_table
 from repro.codec import CODEC_NAMES
-from repro.core.kernel import KERNEL_MODES
 from repro.parallel import ExecutorConfig
 
 #: Default worker counts for the sweep (1 = sequential engine).
@@ -40,9 +43,10 @@ class KernelRun:
 
     codec: str
     workers: int
+    #: The codec's sequential scalar oracle run (shared by its rows).
     scalar: QuerySetStats
     v3: QuerySetStats
-    #: True when every kernel returned the sweep-wide baseline's exact
+    #: True when both kernels returned the sweep-wide baseline's exact
     #: (tid, distance) lists for every query.
     answers_identical: bool
 
@@ -90,33 +94,33 @@ def kernel_compare_sweep(
         baseline: Optional[List[List[Tuple[int, float]]]] = None
         for codec in names:
             index = env.iva_variant(DEFAULTS.alpha, DEFAULTS.n, codec=codec)
+            scalar = run_query_set(
+                env.iva_engine(index=index, kernel="scalar"),
+                query_set,
+                k=k,
+                label=f"iVA {codec} scalar",
+            )
+            scalar_answers = _answers(scalar)
+            if baseline is None:
+                baseline = scalar_answers
             for workers in worker_counts:
                 executor = (
                     ExecutorConfig(workers=workers) if workers > 1 else None
                 )
-                stats = {}
-                for kernel in KERNEL_MODES:
-                    stats[kernel] = run_query_set(
-                        env.iva_engine(index=index, executor=executor, kernel=kernel),
-                        query_set,
-                        k=k,
-                        label=f"iVA {codec} x{workers} {kernel}",
-                    )
-                scalar_answers = _answers(stats["scalar"])
-                if baseline is None:
-                    baseline = scalar_answers
-                identical = scalar_answers == baseline and all(
-                    _answers(stats[kernel]) == baseline
-                    for kernel in KERNEL_MODES
-                    if kernel != "scalar"
+                v3 = run_query_set(
+                    env.iva_engine(index=index, executor=executor, kernel="v3"),
+                    query_set,
+                    k=k,
+                    label=f"iVA {codec} x{workers} v3",
                 )
                 runs.append(
                     KernelRun(
                         codec=codec,
                         workers=workers,
-                        scalar=stats["scalar"],
-                        v3=stats["v3"],
-                        answers_identical=identical,
+                        scalar=scalar,
+                        v3=v3,
+                        answers_identical=scalar_answers == baseline
+                        and _answers(v3) == baseline,
                     )
                 )
         return runs

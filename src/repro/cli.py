@@ -25,13 +25,14 @@ shards the filter scan across N worker threads (see docs/parallelism.md);
 ``repro bench parallel-scaling`` sweeps the worker count on the standard
 bench environment and emits a worker-count-vs-latency table.
 
-Filter kernel: ``--kernel v3`` on ``query``/``compare``/``workload``
-switches the filter phase to the v3 kernel: query-compiled lookup tables,
-whole-segment columnar decode, zero-copy mmap reads and page-batched
-refinement (see docs/architecture.md).  Answers are bit-identical to the
-default scalar path.  ``repro serve`` always runs v3.  ``repro bench
-kernel-compare`` races both kernels on both codecs and fails on any top-k
-divergence.
+Filter kernel: ``query``/``compare``/``workload`` run the v3 kernel by
+default: query-compiled lookup tables, whole-segment columnar decode,
+zero-copy mmap reads and page-batched refinement (see
+docs/architecture.md).  ``--kernel scalar`` runs the published per-tuple
+Algorithm 1 instead, the sequential identity oracle (it does not combine
+with ``--workers``); answers are bit-identical.  ``repro serve`` always
+runs v3.  ``repro bench kernel-compare`` races both kernels on both codecs
+and fails on any top-k divergence.
 
 Resilience: ``--fail-mode degrade`` on ``query``/``compare``/``workload``
 lets a query survive shard failures with an explicitly flagged partial
@@ -97,11 +98,12 @@ def _add_kernel_flag(subparser: argparse.ArgumentParser) -> None:
 
     subparser.add_argument(
         "--kernel",
-        default="scalar",
+        default="v3",
         choices=list(KERNEL_MODES),
-        help="filter evaluation strategy: scalar (per-tuple) or v3 "
-        "(query-compiled lookup tables over whole-segment columnar decode, "
-        "with page-batched refine); answers are identical",
+        help="filter evaluation strategy: v3 (query-compiled lookup tables "
+        "over whole-segment columnar decode, with page-batched refine) or "
+        "scalar (the per-tuple oracle; sequential only); answers are "
+        "identical",
     )
 
 
@@ -479,7 +481,7 @@ def _cmd_query(args: argparse.Namespace) -> int:
         DistanceFunction(metric=args.metric, ndf_penalty=args.ndf_penalty),
         tracer=tracer,
         executor=_executor_from(args),
-        kernel=getattr(args, "kernel", "scalar"),
+        kernel=getattr(args, "kernel", "v3"),
         fail_mode=getattr(args, "fail_mode", "raise"),
         profile=getattr(args, "explain_analyze", False),
     )
@@ -631,7 +633,7 @@ def _cmd_workload(args: argparse.Namespace) -> int:
                 index,
                 tracer=tracer,
                 executor=_executor_from(args),
-                kernel=getattr(args, "kernel", "scalar"),
+                kernel=getattr(args, "kernel", "v3"),
                 fail_mode=getattr(args, "fail_mode", "raise"),
                 profile=getattr(args, "explain_analyze", False),
             )
@@ -701,7 +703,7 @@ def _cmd_compare(args: argparse.Namespace) -> int:
             table,
             index,
             executor=executor,
-            kernel=getattr(args, "kernel", "scalar"),
+            kernel=getattr(args, "kernel", "v3"),
             fail_mode=getattr(args, "fail_mode", "raise"),
         ),
         # Baselines accept the knob for parity; their filters are not

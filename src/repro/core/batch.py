@@ -10,7 +10,8 @@ table file once.
 Answers are identical to running the queries one by one (each pool runs
 the same Algorithm 1 decision); only the cost changes: index-scan I/O is
 paid once per batch instead of once per query, and overlapping candidate
-sets share their random accesses.
+sets share their random accesses.  The filter is the v3 kernel; the
+scalar oracle is the per-query :class:`~repro.core.engine.IVAEngine`.
 """
 
 from __future__ import annotations
@@ -20,19 +21,15 @@ import time
 from typing import TYPE_CHECKING, List, Mapping, Optional, Sequence, Union
 
 from repro.core.engine import (
-    BoundEvaluator,
     QueryResult,
     SearchReport,
+    check_deadline,
     validate_fail_mode,
 )
-from repro.core.iva_file import DELETED_PTR, IVAFile
-from repro.core.kernel import (
-    BLOCK_TUPLES,
-    KernelCache,
-    QueryKernel,
-    validate_kernel_mode,
-)
+from repro.core.iva_file import IVAFile
+from repro.core.kernel import BLOCK_TUPLES, KernelCache, QueryKernel
 from repro.core.pool import BlockCandidacy, ResultPool, block_candidates
+from repro.core.refine import Refiner
 from repro.errors import DeadlineExceeded, QueryError, ReproError
 from repro.metrics.distance import DistanceFunction
 from repro.obs.metrics import MetricsRegistry, get_registry
@@ -62,7 +59,6 @@ class BatchIVAEngine:
         tracer: Optional[Tracer] = None,
         parallelism: Optional[int] = None,
         executor: Optional["ExecutorConfig"] = None,
-        kernel: str = "scalar",
         fail_mode: str = "raise",
         profile: bool = False,
         kernel_cache: Optional[KernelCache] = None,
@@ -82,9 +78,6 @@ class BatchIVAEngine:
         #: When True every report in the batch carries an EXPLAIN ANALYZE
         #: artifact (``SearchReport.profile``); see :mod:`repro.obs.profile`.
         self.profile = profile
-        #: Filter strategy: ``"scalar"`` or ``"v3"`` (see
-        #: :mod:`repro.core.kernel`); answers are bit-identical.
-        self.kernel = validate_kernel_mode(kernel)
         #: Scan-failure policy (see :class:`FilterAndRefineEngine`): the
         #: parallel path walks the shard-recovery ladder and flags every
         #: report in the batch ``degraded`` when a shard stays lost.
@@ -181,29 +174,18 @@ class BatchIVAEngine:
         """
         dist = distance or self.distance
         attr_ids = sorted({t.attr.attr_id for q in bound for t in q.terms})
-        # Consecutive queries share one fetch, so rows are projected onto
-        # the union of the batch's attributes.
-        refine_attrs = frozenset(attr_ids)
         position = {attr_id: i for i, attr_id in enumerate(attr_ids)}
         scan = self.index.open_scan(attr_ids, end_element=self.scan_end_element)
-
-        kernels: Optional[List[QueryKernel]] = None
-        evaluators: List[BoundEvaluator] = []
-        if self.kernel == "v3":
-            # One shared compiled artifact for the whole batch: queries
-            # naming the same term reuse one set of gram masks and lookup
-            # tables (and the per-block column cache keys on that identity).
-            shared_terms = (
-                self.kernel_cache if self.kernel_cache is not None else KernelCache()
-            )
-            kernels = [
-                QueryKernel.compile(self.index, q, dist, position, cache=shared_terms)
-                for q in bound
-            ]
-        else:
-            evaluators = [
-                BoundEvaluator(self.index, q, dist, position) for q in bound
-            ]
+        # One shared compiled artifact for the whole batch: queries naming
+        # the same term reuse one set of gram masks and lookup tables (and
+        # the per-block column cache keys on that identity).
+        shared_terms = (
+            self.kernel_cache if self.kernel_cache is not None else KernelCache()
+        )
+        kernels = [
+            QueryKernel.compile(self.index, q, dist, position, cache=shared_terms)
+            for q in bound
+        ]
 
         pools = [ResultPool(k) for _ in bound]
         reports = [SearchReport() for _ in bound]
@@ -218,43 +200,17 @@ class BatchIVAEngine:
             )
             for qi, pool in enumerate(pools)
         ]
-        disk = self.table.disk
-        io_start = disk.stats.io_time_ms
-        wall_start = time.perf_counter()
-        refine_io = 0.0
-        refine_wall = 0.0
+        refiner = Refiner(self.table, bound, dist, pools, collectors=collectors)
         segments_total = 0
 
-        record_tid = None
-        record = None
-
-        def refine(tid: int, qi: int, estimated: float) -> None:
-            """Refine one candidate; consecutive queries share one fetch."""
-            nonlocal refine_io, refine_wall, record_tid, record
-            if tid != record_tid:
-                io_before = disk.stats.io_time_ms
-                wall_before = time.perf_counter()
-                record = self.table.read(tid, refine_attrs)
-                refine_io += disk.stats.io_time_ms - io_before
-                refine_wall += time.perf_counter() - wall_before
-                record_tid = tid
-            reports[qi].table_accesses += 1
-            actual = dist.actual(bound[qi], record)
-            pools[qi].insert(tid, actual)
-            if collectors is not None:
-                collectors[qi].on_candidate()
-                collectors[qi].on_refined(estimated, actual)
-
         last_tid = -1
-        try:
-            if kernels is not None:
+        with self.table.disk.metered() as meter:
+            wall_start = time.perf_counter()
+            try:
                 for tids, ptrs in scan.blocks(BLOCK_TUPLES):
                     # One deadline check per block: the block is the unit
                     # of decode work, so a finer check buys nothing.
-                    if deadline is not None and time.perf_counter() > deadline:
-                        raise DeadlineExceeded(
-                            f"batch deadline expired after tid {last_tid}"
-                        )
+                    check_deadline(deadline, last_tid)
                     count = len(tids)
                     block_cache: dict = {}
                     segments = scan.segment_blocks(tids)
@@ -270,65 +226,47 @@ class BatchIVAEngine:
                         candidacies, tids, ptrs, evaluated
                     ):
                         last_tid = tid
-                        refine(tid, qi, estimated)
+                        refiner.add(qi, tid, estimated)
                     last_tid = tids[-1]
-            else:
-                for tid, ptr in scan:
-                    if deadline is not None and time.perf_counter() > deadline:
-                        raise DeadlineExceeded(
-                            f"batch deadline expired after tid {last_tid}"
-                        )
-                    payloads = scan.payloads(tid)
-                    # Like the single-query scalar filter: probe before the
-                    # tombstone check so entry counts match the v3 path.
-                    if collectors is not None:
-                        for collector in collectors:
-                            collector.on_payloads(payloads)
-                    if ptr == DELETED_PTR:
-                        continue
-                    last_tid = tid
-                    text_bound_cache: dict = {}
-                    for qi, query in enumerate(bound):
-                        diffs, exact = evaluators[qi].evaluate(
-                            payloads, text_bound_cache
-                        )
-                        estimated = dist.combine_bounds(query, diffs)
-                        if candidacies[qi].admit(tid, estimated, exact):
-                            refine(tid, qi, estimated)
-        except ReproError as exc:
-            if self.fail_mode != "degrade":
-                raise
-            # Degrade-don't-die, batch-wide: the shared scan was cut for
-            # every query, so every report carries the degradation flags
-            # and the uncovered tail (-1 = through end of scan).
-            hit = isinstance(exc, DeadlineExceeded)
-            for report in reports:
-                report.degraded = True
-                report.deadline_hit = hit
-                report.lost_tid_ranges.append((last_tid + 1, -1))
-            logger.warning(
-                "batch scan failed after tid %d; returning degraded results: %s",
-                last_tid,
-                exc,
-            )
+                refiner.flush()
+            except ReproError as exc:
+                if self.fail_mode != "degrade":
+                    raise
+                # Degrade-don't-die, batch-wide: the shared scan was cut for
+                # every query, so every report carries the degradation flags
+                # and the uncovered tail (-1 = through end of scan).
+                hit = isinstance(exc, DeadlineExceeded)
+                for report in reports:
+                    report.degraded = True
+                    report.deadline_hit = hit
+                    report.lost_tid_ranges.append((last_tid + 1, -1))
+                logger.warning(
+                    "batch scan failed after tid %d; returning degraded results: %s",
+                    last_tid,
+                    exc,
+                )
+                try:
+                    refiner.flush()
+                except ReproError:
+                    logger.warning("degraded refine flush failed; dropping batch")
+            total_wall = time.perf_counter() - wall_start
 
-        for report, candidacy in zip(reports, candidacies):
+        for qi, (report, candidacy) in enumerate(zip(reports, candidacies)):
             report.tuples_scanned = candidacy.scanned
             report.exact_shortcuts = candidacy.exact_shortcuts
+            report.table_accesses = refiner.table_accesses[qi]
         if segments_total:
             self._registry().counter(
                 "repro_kernel_segments_total",
                 labels={"engine": self.name},
                 help="Vector-list segments decoded columnar by the v3 kernel.",
             ).inc(segments_total)
-        total_io = disk.stats.io_time_ms - io_start
-        total_wall = time.perf_counter() - wall_start
         # Shared batch costs are attributed to the first report (the batch
         # ran once); per-query counters above stay exact.
-        reports[0].refine_io_ms = refine_io
-        reports[0].refine_wall_s = refine_wall
-        reports[0].filter_io_ms = total_io - refine_io
-        reports[0].filter_wall_s = total_wall - refine_wall
+        reports[0].refine_io_ms = refiner.io_ms
+        reports[0].refine_wall_s = refiner.seconds
+        reports[0].filter_io_ms = meter.io_ms - refiner.io_ms
+        reports[0].filter_wall_s = total_wall - refiner.seconds
         for qi, pool in enumerate(pools):
             reports[qi].results = [
                 QueryResult(tid=e.tid, distance=e.distance) for e in pool.results()
@@ -341,7 +279,7 @@ class BatchIVAEngine:
                     query=bound[qi],
                     index=self.index,
                     engine=self.name,
-                    kernel=self.kernel,
+                    kernel="v3",
                     fail_mode=self.fail_mode,
                     metric=metric,
                     k=k,

@@ -31,6 +31,7 @@ from typing import TYPE_CHECKING, Iterator, List, Mapping, Optional, Sequence, T
 from repro.core.iva_file import DELETED_PTR, IVAFile
 from repro.core.kernel import BLOCK_TUPLES, QueryKernel, validate_kernel_mode
 from repro.core.pool import BlockCandidacy, ResultPool, block_candidates
+from repro.core.refine import REFINE_BATCH, Refiner
 from repro.core.signature import QueryStringEncoder
 from repro.errors import DeadlineExceeded, QueryError, ReproError
 from repro.metrics.distance import DistanceFunction
@@ -49,21 +50,14 @@ logger = logging.getLogger(__name__)
 #: tuple is ndf on every queried attribute), so refinement is unnecessary.
 FilterItem = Tuple[int, List[float], bool]
 
-#: What :meth:`FilterAndRefineEngine._filter_blocks` yields per block:
+#: What :meth:`IVAEngine._filter_blocks` yields per block:
 #: ``(tids, ptrs, estimates, exact)``.  ``ptrs`` holds the tuple-list
-#: pointers (tombstones are ``DELETED_PTR``) or is None when every tuple
-#: is live; ``estimates``/``exact`` are float64/bool arrays from the v3
-#: kernel, or sequences.
+#: pointers (tombstones are ``DELETED_PTR``); ``estimates``/``exact`` are
+#: float64/bool arrays from the v3 kernel, or sequences without numpy.
 FilterBlock = Tuple[Sequence[int], Optional[Sequence[int]], object, object]
 
 #: Accepted values of the engines' ``fail_mode`` knob.
 FAIL_MODES = ("raise", "degrade")
-
-#: Candidates buffered between page-ordered refine flushes (v3 kernel).
-#: Candidacy is re-checked at flush against the then-current pool, so
-#: deferral never admits a tuple the inline path would have pruned — it
-#: only sorts the surviving table reads by page before issuing them.
-REFINE_BATCH = 64
 
 
 def validate_fail_mode(mode: str) -> str:
@@ -71,6 +65,12 @@ def validate_fail_mode(mode: str) -> str:
     if mode not in FAIL_MODES:
         raise QueryError(f"fail_mode must be one of {FAIL_MODES}, got {mode!r}")
     return mode
+
+
+def check_deadline(deadline: Optional[float], last_tid: int) -> None:
+    """Raise :class:`DeadlineExceeded` once the absolute *deadline* passed."""
+    if deadline is not None and time.perf_counter() > deadline:
+        raise DeadlineExceeded(f"deadline expired after tid {last_tid}")
 
 
 class BoundEvaluator:
@@ -317,6 +317,11 @@ class FilterAndRefineEngine(ABC):
     #: knob and degrade gracefully to the sequential path.
     supports_parallel = False
 
+    #: Filter evaluation strategy.  Template engines walk their filter
+    #: tuple by tuple and refine inline; :class:`IVAEngine` also runs the
+    #: v3 kernel (see its ``kernel`` argument).
+    kernel = "scalar"
+
     def __init__(
         self,
         table,
@@ -326,7 +331,6 @@ class FilterAndRefineEngine(ABC):
         tracer: Optional[Tracer] = None,
         parallelism: Optional[int] = None,
         executor: Optional["ExecutorConfig"] = None,
-        kernel: str = "scalar",
         fail_mode: str = "raise",
         profile: bool = False,
         kernel_cache=None,
@@ -360,13 +364,6 @@ class FilterAndRefineEngine(ABC):
         #: (after any sequential fallback); ``"degrade"`` completes the
         #: query with what survived and flags ``SearchReport.degraded``.
         self.fail_mode = validate_fail_mode(fail_mode)
-        #: Filter evaluation strategy: ``"scalar"`` (per-tuple ``move_to``
-        #: plus per-term arithmetic) or ``"v3"`` (whole-segment columnar
-        #: decode through a compiled :class:`~repro.core.kernel.QueryKernel`,
-        #: plus page-batched refine).  Both return bit-identical answers;
-        #: engines without a kernel filter implementation run the scalar
-        #: path regardless.
-        self.kernel = validate_kernel_mode(kernel)
         #: When the filter's bounds are exact (all queried attributes ndf),
         #: insert the distance directly instead of fetching the tuple.  The
         #: answer set is identical; only the access count changes.
@@ -402,19 +399,25 @@ class FilterAndRefineEngine(ABC):
         for tid, diffs, exact in self._filter(query, distance):
             yield tid, distance.combine_bounds(query, diffs), exact
 
-    def _filter_blocks(
-        self, query: Query, distance: DistanceFunction
-    ) -> Iterator[FilterBlock]:
-        """Yield the filter's output as :data:`FilterBlock`\\ s.
+    def _candidates(
+        self,
+        query: Query,
+        distance: DistanceFunction,
+        candidacy: BlockCandidacy,
+        deadline: Optional[float],
+        progress: List[int],
+    ) -> Iterator[Tuple[int, float]]:
+        """Yield ``(tid, estimated)`` per refine candidate, in tid order.
 
-        Drives the v3 loop of :meth:`_sequential_search`.  The default
-        wraps each :meth:`_filter_estimates` tuple in a block of one;
-        engines with a kernel filter override this to decode and evaluate
-        whole tuple-list blocks, with the exact same estimates in the exact
-        same order.
+        Decides every live tuple through *candidacy*, one at a time,
+        checking *deadline* before each.  ``progress[0]`` is kept at the
+        last tid the scan got past, for the degraded report.
         """
         for tid, estimated, exact in self._filter_estimates(query, distance):
-            yield (tid,), None, (estimated,), (exact,)
+            check_deadline(deadline, progress[0])
+            progress[0] = tid
+            if candidacy.admit(tid, estimated, exact):
+                yield tid, estimated
 
     def prepare_query(self, query: Union[Query, Mapping[str, object]]) -> Query:
         """Coerce a mapping into a validated :class:`Query`."""
@@ -484,9 +487,12 @@ class FilterAndRefineEngine(ABC):
     ) -> SearchReport:
         """The inline (single-threaded) Algorithm 1 loop.
 
-        *deadline* is an absolute ``time.perf_counter()`` instant, checked
-        once per filter block under v3 and per tuple on the scalar path,
-        and only paid when a deadline is set.
+        Candidates go to a :class:`~repro.core.refine.Refiner`: inline on
+        the scalar path, page-batched under the v3 kernel.  *deadline* is
+        an absolute ``time.perf_counter()`` instant, checked once per
+        filter block under v3 and per tuple on the scalar path, and only
+        paid when a deadline is set.  I/O is metered on this thread, so
+        other threads' disk traffic never lands in the report.
         """
         dist = distance or self.distance
         pool = ResultPool(k)
@@ -498,83 +504,33 @@ class FilterAndRefineEngine(ABC):
         candidacy = BlockCandidacy(
             pool, skip_exact=self.skip_exact, collector=collector
         )
+        refiner = Refiner(
+            self.table,
+            [query],
+            dist,
+            [pool],
+            batch=REFINE_BATCH if self.kernel == "v3" else 1,
+            collectors=[collector] if collector is not None else None,
+        )
 
         with tracer.span(
             "query",
             engine=self.name,
             k=k,
             attr_ids=list(query.attribute_ids()),
-        ) as span:
-            start_io = disk.stats.io_time_ms
+        ) as span, disk.metered() as meter:
             start_wall = time.perf_counter()
-            refine_io = 0.0
-            refine_wall = 0.0
-            refine_attrs = frozenset(query.attribute_ids())
-
-            def refine(tid: int, estimated: float) -> None:
-                nonlocal refine_io, refine_wall
-                refine_io_before = disk.stats.io_time_ms
-                refine_wall_before = time.perf_counter()
-                record = self.table.read(tid, refine_attrs)
-                actual = dist.actual(query, record)
-                pool.insert(tid, actual)
-                refine_io += disk.stats.io_time_ms - refine_io_before
-                refine_wall += time.perf_counter() - refine_wall_before
-                report.table_accesses += 1
-                if collector is not None:
-                    collector.on_candidate()
-                    collector.on_refined(estimated, actual)
-
-            # Page-batched refine (v3): buffer surviving candidates and
-            # issue their table reads sorted by file offset.  Deferred
-            # tuples are re-checked against the pool at flush; losing the
-            # re-check implies the tuple cannot be in the final top-k
-            # (actual >= estimate >= pool worst under the (distance, tid)
-            # tie order), so the answer set is identical to inline refine.
-            batched = self.kernel == "v3"
-            refine_batch: List[Tuple[int, float]] = []
-            locate = self.table.locate
-
-            def flush_refines() -> None:
-                if not refine_batch:
-                    return
-                pending = sorted(refine_batch, key=lambda item: locate(item[0])[0])
-                refine_batch.clear()
-                for tid, estimated in pending:
-                    if pool.is_candidate(estimated, tid):
-                        refine(tid, estimated)
-                    elif collector is not None:
-                        collector.on_pruned()
-
-            last_tid = -1
-
-            def check_deadline() -> None:
-                if deadline is not None and time.perf_counter() > deadline:
-                    raise DeadlineExceeded(f"deadline expired after tid {last_tid}")
-
+            progress = [-1]
             try:
-                if batched:
-                    blocks = self._filter_blocks(query, dist)
-                    for tids, ptrs, estimates, exact in blocks:
-                        check_deadline()
-                        for tid, _, estimated in block_candidates(
-                            (candidacy,), tids, ptrs, ((estimates, exact),)
-                        ):
-                            last_tid = tid
-                            refine_batch.append((tid, estimated))
-                            if len(refine_batch) >= REFINE_BATCH:
-                                flush_refines()
-                        last_tid = tids[-1]
-                    flush_refines()
-                else:
-                    for tid, estimated, exact in self._filter_estimates(query, dist):
-                        check_deadline()
-                        last_tid = tid
-                        if candidacy.admit(tid, estimated, exact):
-                            refine(tid, estimated)
+                for tid, estimated in self._candidates(
+                    query, dist, candidacy, deadline, progress
+                ):
+                    refiner.add(0, tid, estimated)
+                refiner.flush()
             except ReproError as exc:
                 if self.fail_mode != "degrade":
                     raise
+                last_tid = progress[0]
                 # Degrade-don't-die: keep what the scan delivered and
                 # account the uncovered tail (-1 = through end of scan).
                 report.degraded = True
@@ -588,7 +544,7 @@ class FilterAndRefineEngine(ABC):
                 try:
                     # Best effort: candidates found before the failure are
                     # still refined (the docstring's degraded-answer promise).
-                    flush_refines()
+                    refiner.flush()
                 except ReproError:
                     logger.warning("degraded refine flush failed; dropping batch")
             finally:
@@ -596,12 +552,11 @@ class FilterAndRefineEngine(ABC):
 
             report.tuples_scanned = candidacy.scanned
             report.exact_shortcuts = candidacy.exact_shortcuts
-            total_io = disk.stats.io_time_ms - start_io
-            total_wall = time.perf_counter() - start_wall
-            report.refine_io_ms = refine_io
-            report.refine_wall_s = refine_wall
-            report.filter_io_ms = total_io - refine_io
-            report.filter_wall_s = total_wall - refine_wall
+            report.table_accesses = refiner.table_accesses[0]
+            report.refine_io_ms = refiner.io_ms
+            report.refine_wall_s = refiner.seconds
+            report.filter_io_ms = meter.io_ms - refiner.io_ms
+            report.filter_wall_s = time.perf_counter() - start_wall - refiner.seconds
             report.results = [
                 QueryResult(tid=entry.tid, distance=entry.distance)
                 for entry in pool.results()
@@ -623,7 +578,16 @@ class FilterAndRefineEngine(ABC):
 
 
 class IVAEngine(FilterAndRefineEngine):
-    """Algorithm 1 over the iVA-file: content-conscious filtering."""
+    """Algorithm 1 over the iVA-file: content-conscious filtering.
+
+    *kernel* picks the filter: ``"v3"`` (the default) decodes whole
+    segments columnar through a compiled
+    :class:`~repro.core.kernel.QueryKernel`, refines page-batched, and is
+    the only kernel the parallel executor runs.  ``"scalar"`` walks every
+    scanner tuple by tuple and refines inline: the published Algorithm 1,
+    kept as the sequential identity oracle the other paths are checked
+    against.  Both return bit-identical answers.
+    """
 
     name = "iVA"
     supports_parallel = True
@@ -638,7 +602,7 @@ class IVAEngine(FilterAndRefineEngine):
         tracer: Optional[Tracer] = None,
         parallelism: Optional[int] = None,
         executor: Optional["ExecutorConfig"] = None,
-        kernel: str = "scalar",
+        kernel: str = "v3",
         fail_mode: str = "raise",
         profile: bool = False,
         kernel_cache=None,
@@ -652,13 +616,18 @@ class IVAEngine(FilterAndRefineEngine):
             tracer=tracer,
             parallelism=parallelism,
             executor=executor,
-            kernel=kernel,
             fail_mode=fail_mode,
             profile=profile,
             kernel_cache=kernel_cache,
             scan_end_element=scan_end_element,
             shard_planner=shard_planner,
         )
+        self.kernel = validate_kernel_mode(kernel)
+        if self.kernel == "scalar" and self.executor is not None:
+            raise QueryError(
+                "the scalar kernel is the sequential oracle and does not "
+                "shard; drop executor=/parallelism= or use kernel='v3'"
+            )
         self.index = index
 
     def _filter(self, query: Query, distance: DistanceFunction) -> Iterator[FilterItem]:
@@ -679,6 +648,30 @@ class IVAEngine(FilterAndRefineEngine):
                 continue
             diffs, exact = evaluator.evaluate(payloads)
             yield tid, diffs, exact
+
+    def _candidates(
+        self,
+        query: Query,
+        distance: DistanceFunction,
+        candidacy: BlockCandidacy,
+        deadline: Optional[float],
+        progress: List[int],
+    ) -> Iterator[Tuple[int, float]]:
+        """Under v3, decide a whole block at a time, checking *deadline*
+        before each block."""
+        if self.kernel != "v3":
+            yield from super()._candidates(
+                query, distance, candidacy, deadline, progress
+            )
+            return
+        for tids, ptrs, estimates, exact in self._filter_blocks(query, distance):
+            check_deadline(deadline, progress[0])
+            for tid, _, estimated in block_candidates(
+                (candidacy,), tids, ptrs, ((estimates, exact),)
+            ):
+                progress[0] = tid
+                yield tid, estimated
+            progress[0] = tids[-1]
 
     def _filter_blocks(
         self, query: Query, distance: DistanceFunction

@@ -218,7 +218,11 @@ class BlockCandidacy:
         return zip(slots.tolist(), estimates[slots].tolist(), exact[slots].tolist())
 
     def admit(self, tid: int, estimated: float, exact: bool) -> bool:
-        """One live tuple's decision; True when it is a refine candidate."""
+        """One live tuple's decision; True when it is a refine candidate.
+
+        Every call lands the tuple in exactly one funnel bucket of the
+        collector: exact shortcut, pruned, or candidate.
+        """
         self.scanned += 1
         collector = self.collector
         if exact and self.skip_exact:
@@ -234,6 +238,8 @@ class BlockCandidacy:
             if collector is not None:
                 collector.on_pruned()
             return False
+        if collector is not None:
+            collector.on_candidate()
         return True
 
 

@@ -10,7 +10,8 @@ without any lock traffic, prunes against both its local pool and a shared
 monotonically-tightening global bound, and pushes surviving candidates
 onto a bounded queue.  The calling thread is the single refiner: it drains
 the queue — overlapping table-file random reads with the ongoing scan —
-re-checks candidacy against the global pool, fetches and inserts.  When a
+into a :class:`~repro.core.refine.Refiner`, which re-checks candidacy
+against the global pool, fetches in page order and inserts.  When a
 shard finishes, its local pool is merged into the global pool and the
 shared bound tightens, so late shards inherit every earlier shard's
 pruning power (the bound-tightening feedback hook).
@@ -60,11 +61,10 @@ import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core.engine import (
     FAIL_MODES,
-    REFINE_BATCH,
     BoundEvaluator,
     QueryResult,
     SearchReport,
@@ -74,6 +74,7 @@ from repro.core.engine import (
 from repro.core.iva_file import DELETED_PTR, IVAFile
 from repro.core.kernel import BLOCK_TUPLES, KernelCache, QueryKernel
 from repro.core.pool import BlockCandidacy, ResultPool, block_candidates
+from repro.core.refine import REFINE_BATCH, Refiner
 from repro.errors import DeadlineExceeded, ParallelError
 from repro.metrics.distance import DistanceFunction
 from repro.obs.metrics import MetricsRegistry, get_registry
@@ -167,7 +168,7 @@ class _ShardStats:
     pages: int = 0
     cpu_s: float = 0.0
     error: Optional[BaseException] = None
-    #: Vector-list segments decoded columnar (v3 kernel shards only).
+    #: Vector-list segments decoded columnar.
     segments: int = 0
     #: The scan loop saw the abort flag and stopped early.  In degrade
     #: mode nothing but a deadline cut sets abort, so ``aborted`` there
@@ -191,14 +192,12 @@ class _QueryCtx:
     """Per-query state shared between the refiner and the workers."""
 
     query: Query
-    evaluator: BoundEvaluator
-    shared: SharedBound
-    #: Compiled filter kernel, set when the run uses the v3 kernel; one
-    #: compiled artifact per query, shared by ALL shard
+    #: Compiled filter kernel: one artifact per query, shared by ALL shard
     #: workers (the lazily-growing lookup tables are filled with values
     #: from pure functions, so concurrent memoisation is benign — two
     #: threads can only ever write the same entry).
-    kernel: Optional[QueryKernel] = None
+    kernel: QueryKernel
+    shared: SharedBound
 
 
 @dataclass
@@ -219,7 +218,7 @@ class _RunResult:
     setup_cpu_s: float = 0.0
     merged_candidates: int = 0
     max_queue_depth: int = 0
-    #: Vector-list segments decoded columnar across all shards (v3 only).
+    #: Vector-list segments decoded columnar across all shards.
     segments_total: int = 0
     #: Degradation account (``fail_mode="degrade"`` only): shards whose
     #: scan could not be recovered, and the tid ranges they covered.
@@ -263,8 +262,6 @@ class ParallelScanExecutor:
         self._run_profile: bool = False
         self._run_position: Optional[Dict[int, int]] = None
         self._run_profiles: Optional[List[ProfileCollector]] = None
-        self._run_kernel: str = "scalar"
-        self._run_attrs: Optional[FrozenSet[int]] = None
 
     # ------------------------------------------------------------------ run
 
@@ -275,7 +272,6 @@ class ParallelScanExecutor:
         dist: DistanceFunction,
         *,
         skip_exact: bool = True,
-        kernel: str = "scalar",
         fail_mode: str = "raise",
         tracer: Optional[Tracer] = None,
         parent_span: Optional[Span] = None,
@@ -288,22 +284,20 @@ class ParallelScanExecutor:
         when the pool cannot start or a worker dies.
 
         *deadline* (absolute ``time.perf_counter()``) cuts the run short:
-        workers abort at the next tuple/block boundary, candidates already
+        workers abort at the next block boundary, candidates already
         enqueued are still refined (never a silently-wrong full answer),
         and aborted shards are accounted as lost tid ranges.  In
         ``"raise"`` mode an expired deadline raises
         :class:`~repro.errors.DeadlineExceeded` instead.  *end_element*
         bounds the scan to a snapshot watermark; *kernel_cache* supplies a
-        shared compiled-term cache for the v3 kernel.
+        shared compiled-term cache.
 
-        *kernel* selects the filter strategy: ``"scalar"`` walks every
-        scanner tuple by tuple; ``"v3"`` compiles one :class:`QueryKernel`
-        per query up front — sharing gram sets, masks and lookup tables
+        The filter is the v3 kernel: one :class:`QueryKernel` per query is
+        compiled up front — sharing gram sets, masks and lookup tables
         through one :class:`KernelCache` across every query *and* every
         shard worker — then shard workers decode whole segments columnar
         (``decode_segment``/``evaluate_segments``) block-at-a-time and the
-        refiner batches its table reads by page.  Answers are bit-identical
-        in both modes.
+        refiner batches its table reads by page.
 
         *fail_mode* picks the shard-failure policy: ``"raise"`` aborts
         the run on the first dead shard (sequential-fallback semantics);
@@ -338,14 +332,9 @@ class ParallelScanExecutor:
             if profile
             else None
         )
-        self._run_kernel = kernel
-        # The refiner's record cache is shared by tid across the run's
-        # queries, so rows are projected onto the union of their attributes.
-        self._run_attrs = frozenset(attr_ids)
 
         result = _RunResult(pools=[ResultPool(k) for _ in queries])
         result.exact_shortcuts = [0] * len(queries)
-        result.table_accesses = [0] * len(queries)
         disk = self.table.disk
 
         # Per-query setup: Algorithm 1's attribute-list reads plus the
@@ -364,24 +353,21 @@ class ParallelScanExecutor:
         workers = min(self.config.effective_workers(), len(shards))
         result.workers = workers
 
+        # Compilation happens once on the caller, before any worker
+        # starts; charge it to the query's setup cost.
+        compile_cpu0 = time.thread_time()
+        shared_terms = kernel_cache if kernel_cache is not None else KernelCache()
         contexts = [
             _QueryCtx(
                 query=query,
-                evaluator=BoundEvaluator(self.index, query, dist, position_map),
+                kernel=QueryKernel.compile(
+                    self.index, query, dist, position_map, cache=shared_terms
+                ),
                 shared=SharedBound(),
             )
             for query in queries
         ]
-        if kernel == "v3":
-            compile_cpu0 = time.thread_time()
-            shared_terms = kernel_cache if kernel_cache is not None else KernelCache()
-            for ctx in contexts:
-                ctx.kernel = QueryKernel.compile(
-                    self.index, ctx.query, dist, position_map, cache=shared_terms
-                )
-            # Compilation happens once on the caller, before any worker
-            # starts; charge it to the query's setup cost.
-            result.setup_cpu_s += time.thread_time() - compile_cpu0
+        result.setup_cpu_s += time.thread_time() - compile_cpu0
         out_queue: "queue_module.Queue" = queue_module.Queue(
             maxsize=self.config.queue_depth
         )
@@ -404,14 +390,19 @@ class ParallelScanExecutor:
             chunks.append(shards[cursor : cursor + size])
             cursor += size
 
-        # Tids already refined per query — maintained only in degrade
-        # mode, where a recovered shard's re-scan may re-emit candidates
-        # the failed scan already delivered (a duplicate insert would
-        # corrupt the top-k multiset).
-        seen: Optional[List[set]] = (
-            [set() for _ in queries] if fail_mode == "degrade" else None
+        # Degrade mode deduplicates refines: a recovered shard's re-scan
+        # may re-emit candidates the failed scan already delivered (a
+        # duplicate insert would corrupt the top-k multiset).
+        refiner = Refiner(
+            self.table,
+            queries,
+            dist,
+            result.pools,
+            collectors=self._run_profiles,
+            shared=[ctx.shared for ctx in contexts],
+            clock=time.thread_time,
+            dedup=fail_mode == "degrade",
         )
-        records: Dict[int, object] = {}
         try:
             try:
                 for w, chunk in enumerate(chunks):
@@ -422,7 +413,6 @@ class ParallelScanExecutor:
                         attr_ids,
                         contexts,
                         k,
-                        dist,
                         skip_exact,
                         out_queue,
                         abort,
@@ -433,16 +423,7 @@ class ParallelScanExecutor:
                     f"worker pool rejected shard submission: {exc}"
                 ) from exc
             failures = self._refine_loop(
-                contexts,
-                dist,
-                skip_exact,
-                out_queue,
-                abort,
-                result,
-                records,
-                seen,
-                fail_mode,
-                deadline,
+                contexts, refiner, out_queue, abort, result, fail_mode, deadline
             )
         finally:
             abort.set()
@@ -499,9 +480,11 @@ class ParallelScanExecutor:
                 dist,
                 skip_exact,
                 result,
-                records,
-                seen,
+                refiner,
             )
+        result.table_accesses = refiner.table_accesses
+        result.refine_io_ms = refiner.io_ms
+        result.refine_cpu_s = refiner.seconds
         result.profiles = self._run_profiles
         return result
 
@@ -514,7 +497,6 @@ class ParallelScanExecutor:
         attr_ids: Tuple[int, ...],
         contexts: List[_QueryCtx],
         k: int,
-        dist: DistanceFunction,
         skip_exact: bool,
         out_queue: "queue_module.Queue",
         abort: threading.Event,
@@ -528,7 +510,7 @@ class ParallelScanExecutor:
         label = f"w{worker_idx}"
         for shard in shard_chunk:
             self._scan_shard(
-                shard, label, attr_ids, contexts, k, dist, skip_exact, out_queue, abort
+                shard, label, attr_ids, contexts, k, skip_exact, out_queue, abort
             )
 
     def _scan_shard(
@@ -538,7 +520,6 @@ class ParallelScanExecutor:
         attr_ids: Tuple[int, ...],
         contexts: List[_QueryCtx],
         k: int,
-        dist: DistanceFunction,
         skip_exact: bool,
         out_queue: "queue_module.Queue",
         abort: threading.Event,
@@ -578,7 +559,6 @@ class ParallelScanExecutor:
                         worker,
                         attr_ids,
                         contexts,
-                        dist,
                         skip_exact,
                         out_queue,
                         abort,
@@ -602,7 +582,6 @@ class ParallelScanExecutor:
         worker: str,
         attr_ids: Tuple[int, ...],
         contexts: List[_QueryCtx],
-        dist: DistanceFunction,
         skip_exact: bool,
         out_queue: "queue_module.Queue",
         abort: threading.Event,
@@ -610,16 +589,18 @@ class ParallelScanExecutor:
         local_pools: List[ResultPool],
         collectors: Optional[List[ProfileCollector]],
     ) -> None:
-        """The metered scan loop of one shard (scalar or v3 kernel).
+        """The metered, block-at-a-time scan loop of one shard.
 
         Each query decides through one
         :class:`~repro.core.pool.BlockCandidacy`, pruning against the
-        tighter of the shard-local pool and the run's shared bound: per
-        tuple on the scalar walk, per block on the v3 walk.
+        tighter of the shard-local pool and the run's shared bound.  Each
+        evaluated block runs through
+        :func:`~repro.core.pool.block_candidates` in the per-tuple walk's
+        order (tid outer, query inner), so the candidate stream and pool
+        evolution match the sequential engine's.
         """
         disk = self.table.disk
         batch = len(contexts) > 1
-        block = contexts[0].kernel is not None if contexts else False
         candidacies = [
             BlockCandidacy(
                 local_pools[qi],
@@ -629,107 +610,48 @@ class ParallelScanExecutor:
             )
             for qi, ctx in enumerate(contexts)
         ]
-
-        def enqueue(qi: int, tid: int, estimated: float) -> None:
-            if collectors is not None:
-                collectors[qi].on_candidate()
-            out_queue.put((qi, tid, estimated))
-
         with disk.io_channel(f"parallel-{worker}"), disk.metered() as meter:
             cpu0 = time.thread_time()
             scanners = [
                 self.index.make_scanner(attr_id, start=shard.checkpoints[attr_id])
                 for attr_id in attr_ids
             ]
-            if block:
-                self._scan_shard_blocks(
-                    shard,
-                    scanners,
-                    contexts,
-                    candidacies,
-                    enqueue,
-                    abort,
-                    stats,
-                    collectors,
-                )
-            else:
-                for tid, ptr in self.index.tuples.scan_range(
-                    shard.start_element, shard.end_element
+            for tids, ptrs in self.index.tuples.scan_range_blocks(
+                shard.start_element, shard.end_element, BLOCK_TUPLES
+            ):
+                if abort.is_set():
+                    stats.aborted = True
+                    break
+                count = len(tids)
+                block_cache: Optional[dict] = {} if batch else None
+                segments = [scanner.decode_segment(tids) for scanner in scanners]
+                stats.segments += len(segments)
+                if collectors is not None:
+                    for collector in collectors:
+                        collector.on_segments(segments, count)
+                evaluated = [
+                    ctx.kernel.evaluate_segments(segments, count, block_cache)
+                    for ctx in contexts
+                ]
+                for tid, qi, estimated in block_candidates(
+                    candidacies, tids, ptrs, evaluated
                 ):
-                    if abort.is_set():
-                        stats.aborted = True
-                        break
-                    payloads = [scanner.move_to(tid) for scanner in scanners]
-                    if collectors is not None:
-                        for collector in collectors:
-                            collector.on_payloads(payloads)
-                    if ptr == DELETED_PTR:
-                        continue
-                    cache: Optional[dict] = {} if batch else None
-                    for qi, ctx in enumerate(contexts):
-                        diffs, exact = ctx.evaluator.evaluate(payloads, cache)
-                        estimated = dist.combine_bounds(ctx.query, diffs)
-                        if candidacies[qi].admit(tid, estimated, exact):
-                            enqueue(qi, tid, estimated)
+                    out_queue.put((qi, tid, estimated))
             stats.cpu_s = time.thread_time() - cpu0
         stats.tuples = candidacies[0].scanned if candidacies else 0
         stats.exact_shortcuts = [c.exact_shortcuts for c in candidacies]
         stats.io_ms = meter.io_ms
         stats.pages = meter.pages
 
-    def _scan_shard_blocks(
-        self,
-        shard: ShardRange,
-        scanners: List,
-        contexts: List[_QueryCtx],
-        candidacies: List[BlockCandidacy],
-        enqueue,
-        abort: threading.Event,
-        stats: _ShardStats,
-        collectors: Optional[List[ProfileCollector]] = None,
-    ) -> None:
-        """v3-kernel shard scan: same decisions, block-at-a-time decode.
-
-        Each evaluated block runs through
-        :func:`~repro.core.pool.block_candidates` in the scalar path's
-        exact order (tid outer, query inner), so the candidate stream and
-        pool evolution match; only the decode/evaluate granularity differs.
-        """
-        batch = len(contexts) > 1
-        for tids, ptrs in self.index.tuples.scan_range_blocks(
-            shard.start_element, shard.end_element, BLOCK_TUPLES
-        ):
-            if abort.is_set():
-                stats.aborted = True
-                break
-            count = len(tids)
-            block_cache: Optional[dict] = {} if batch else None
-            segments = [scanner.decode_segment(tids) for scanner in scanners]
-            stats.segments += len(segments)
-            if collectors is not None:
-                for collector in collectors:
-                    collector.on_segments(segments, count)
-            evaluated = [
-                ctx.kernel.evaluate_segments(segments, count, block_cache)
-                for ctx in contexts
-            ]
-            for tid, qi, estimated in block_candidates(
-                candidacies, tids, ptrs, evaluated
-            ):
-                enqueue(qi, tid, estimated)
-
     # -------------------------------------------------------------- refiner
 
     def _refine_loop(
         self,
         contexts: List[_QueryCtx],
-        dist: DistanceFunction,
-        skip_exact: bool,
+        refiner: Refiner,
         out_queue: "queue_module.Queue",
         abort: threading.Event,
         result: _RunResult,
-        records: Dict[int, object],
-        seen: Optional[List[set]],
         fail_mode: str,
         deadline: Optional[float] = None,
     ) -> List[_ShardStats]:
@@ -746,10 +668,9 @@ class ParallelScanExecutor:
         refined — they came from scanned ranges, so refining them can only
         improve the partial answer.
 
-        Under the v3 kernel the refiner drains candidates greedily into
-        batches of up to :data:`~repro.core.engine.REFINE_BATCH` and sorts
-        each batch by the candidates' base-table file offsets before
-        fetching, so random table reads issue in page order.  Sentinels met
+        Candidates are drained greedily, up to
+        :data:`~repro.core.refine.REFINE_BATCH` without blocking, into the
+        *refiner*, which is flushed after each drain.  Sentinels met
         mid-drain merge immediately — tightening the bound *earlier* than
         strict FIFO order would only prunes more, and every fetch re-checks
         candidacy, so the answer multiset is unchanged.
@@ -757,8 +678,6 @@ class ParallelScanExecutor:
         pools = result.pools
         pending = result.shards
         failures: List[_ShardStats] = []
-        batched = self._run_kernel == "v3"
-        locate = self.table.locate
 
         def handle_done(item: _ShardDone) -> None:
             nonlocal pending
@@ -805,15 +724,9 @@ class ParallelScanExecutor:
                 continue
             if failures and fail_mode == "raise":
                 continue
-            if not batched:
-                qi, tid, estimated = item
-                self._refine_candidate(
-                    qi, tid, estimated, contexts, dist, result, records, seen
-                )
-                continue
-            # v3: drain greedily without blocking, then fetch page-ordered.
-            batch_items: List[Tuple[int, int, float]] = [item]
-            while len(batch_items) < REFINE_BATCH:
+            refiner.add(*item)
+            drained = 1
+            while drained < REFINE_BATCH:
                 try:
                     extra = out_queue.get_nowait()
                 except queue_module.Empty:
@@ -823,54 +736,12 @@ class ParallelScanExecutor:
                     continue
                 if failures and fail_mode == "raise":
                     continue
-                batch_items.append(extra)
-            batch_items.sort(key=lambda entry: locate(entry[1])[0])
-            for qi, tid, estimated in batch_items:
-                self._refine_candidate(
-                    qi, tid, estimated, contexts, dist, result, records, seen
-                )
+                refiner.add(*extra)
+                drained += 1
+            refiner.flush()
         result.shard_stats.sort(key=lambda s: s.shard)
         failures.sort(key=lambda s: s.shard)
         return failures
-
-    def _refine_candidate(
-        self,
-        qi: int,
-        tid: int,
-        estimated: float,
-        contexts: List[_QueryCtx],
-        dist: DistanceFunction,
-        result: _RunResult,
-        records: Dict[int, object],
-        seen: Optional[List[set]],
-    ) -> None:
-        """Re-check candidacy, fetch the tuple (cached), insert, tighten."""
-        pool = result.pools[qi]
-        profiles = self._run_profiles
-        if seen is not None and tid in seen[qi]:
-            if profiles is not None:
-                profiles[qi].on_dedup_skipped()
-            return
-        if not pool.is_candidate(estimated, tid):
-            if profiles is not None:
-                profiles[qi].on_late_pruned()
-            return
-        cpu0 = time.thread_time()
-        record = records.get(tid)
-        if record is None:
-            with self.table.disk.metered() as meter:
-                record = self.table.read(tid, self._run_attrs)
-            records[tid] = record
-            result.refine_io_ms += meter.io_ms
-        actual = dist.actual(contexts[qi].query, record)
-        pool.insert(tid, actual)
-        self._tighten(contexts[qi], pool)
-        result.refine_cpu_s += time.thread_time() - cpu0
-        result.table_accesses[qi] += 1
-        if profiles is not None:
-            profiles[qi].on_refined(estimated, actual)
-        if seen is not None:
-            seen[qi].add(tid)
 
     @staticmethod
     def _tighten(ctx: _QueryCtx, pool: ResultPool) -> None:
@@ -891,8 +762,7 @@ class ParallelScanExecutor:
         dist: DistanceFunction,
         skip_exact: bool,
         result: _RunResult,
-        records: Dict[int, object],
-        seen: Optional[List[set]],
+        refiner: Refiner,
     ) -> None:
         """The degrade-mode ladder: retry → sequential re-scan → lost.
 
@@ -905,12 +775,12 @@ class ParallelScanExecutor:
             wall0 = time.perf_counter()
             outcome = "retried"
             ok = shard is not None and self._retry_shard(
-                shard, attr_ids, contexts, k, dist, skip_exact, result, records, seen
+                shard, attr_ids, contexts, k, skip_exact, result, refiner
             )
             if not ok and shard is not None:
                 outcome = "sequential"
                 ok = self._rescan_shard_sequential(
-                    shard, attr_ids, contexts, dist, skip_exact, result, records, seen
+                    shard, attr_ids, contexts, dist, skip_exact, result, refiner
                 )
             if ok:
                 result.recovered_shards += 1
@@ -934,13 +804,11 @@ class ParallelScanExecutor:
         attr_ids: Tuple[int, ...],
         contexts: List[_QueryCtx],
         k: int,
-        dist: DistanceFunction,
         skip_exact: bool,
         result: _RunResult,
-        records: Dict[int, object],
-        seen: Optional[List[set]],
+        refiner: Refiner,
     ) -> bool:
-        """Re-run the shard's normal scan once (same kernel), inline.
+        """Re-run the shard's normal scan once, inline.
 
         Uses an unbounded private queue — there is no concurrent refiner
         to drain it — and applies candidates only if the scan finished
@@ -953,7 +821,6 @@ class ParallelScanExecutor:
             attr_ids,
             contexts,
             k,
-            dist,
             skip_exact,
             retry_queue,
             threading.Event(),
@@ -971,10 +838,9 @@ class ParallelScanExecutor:
         if self._run_profiles is not None and done.profiles is not None:
             for qi, shard_profile in enumerate(done.profiles):
                 self._run_profiles[qi].absorb(shard_profile)
-        for qi, tid, estimated in items:
-            self._refine_candidate(
-                qi, tid, estimated, contexts, dist, result, records, seen
-            )
+        for item in items:
+            refiner.add(*item)
+        refiner.flush()
         result.shard_stats.append(done.stats)
         result.shard_stats.sort(key=lambda s: s.shard)
         result.tuples_scanned += done.stats.tuples
@@ -993,17 +859,29 @@ class ParallelScanExecutor:
         dist: DistanceFunction,
         skip_exact: bool,
         result: _RunResult,
-        records: Dict[int, object],
-        seen: Optional[List[set]],
+        refiner: Refiner,
     ) -> bool:
         """Last resort before declaring the shard lost: a plain scalar
-        re-scan with fresh scanners and inline refinement — a different
-        code path than the failed one (no kernel, no queue, no worker
-        thread), in case those were implicated.
+        re-scan with fresh scanners — a different code path than the
+        failed one (no kernel, no queue, no worker thread), in case those
+        were implicated.  Each query decides against its global pool and
+        refines through the run's refiner.
         """
         batch = len(contexts) > 1
         profiles = self._run_profiles
+        candidacies = [
+            BlockCandidacy(
+                result.pools[qi],
+                skip_exact=skip_exact,
+                collector=profiles[qi] if profiles is not None else None,
+            )
+            for qi in range(len(contexts))
+        ]
         try:
+            evaluators = [
+                BoundEvaluator(self.index, ctx.query, dist, self._run_position)
+                for ctx in contexts
+            ]
             scanners = [
                 self.index.make_scanner(attr_id, start=shard.checkpoints[attr_id])
                 for attr_id in attr_ids
@@ -1017,29 +895,26 @@ class ParallelScanExecutor:
                         profile.on_payloads(payloads)
                 if ptr == DELETED_PTR:
                     continue
-                result.tuples_scanned += 1
                 cache: Optional[dict] = {} if batch else None
                 for qi, ctx in enumerate(contexts):
-                    diffs, exact = ctx.evaluator.evaluate(payloads, cache)
+                    diffs, exact = evaluators[qi].evaluate(payloads, cache)
                     estimated = dist.combine_bounds(ctx.query, diffs)
-                    if exact and skip_exact:
-                        result.pools[qi].insert(tid, estimated)
-                        result.exact_shortcuts[qi] += 1
-                        self._tighten(ctx, result.pools[qi])
-                        if profiles is not None:
-                            profiles[qi].on_exact()
-                        continue
-                    # The re-scan has no local pool to prune against;
-                    # every non-exact tuple goes straight to the refiner,
-                    # which late-prunes or deduplicates it.
-                    if profiles is not None:
-                        profiles[qi].on_candidate()
-                    self._refine_candidate(
-                        qi, tid, estimated, contexts, dist, result, records, seen
-                    )
+                    if candidacies[qi].admit(tid, estimated, exact):
+                        refiner.add(qi, tid, estimated)
+            refiner.flush()
             return True
         except Exception:
+            try:
+                # Candidates found before the failure still improve the
+                # partial answer.
+                refiner.flush()
+            except Exception:
+                pass
             return False
+        finally:
+            result.tuples_scanned += candidacies[0].scanned if candidacies else 0
+            for qi, candidacy in enumerate(candidacies):
+                result.exact_shortcuts[qi] += candidacy.exact_shortcuts
 
     def _shard_tid_range(self, shard: Optional[ShardRange]) -> Tuple[int, int]:
         """Inclusive (first, last) tids a shard covered; (-1, -1) unknown."""
@@ -1207,7 +1082,6 @@ def parallel_search(
             k,
             dist,
             skip_exact=engine.skip_exact,
-            kernel=getattr(engine, "kernel", "scalar"),
             fail_mode=getattr(engine, "fail_mode", "raise"),
             tracer=tracer,
             parent_span=span,
@@ -1230,7 +1104,7 @@ def parallel_search(
                 query=query,
                 index=engine.index,
                 engine=engine.name,
-                kernel=getattr(engine, "kernel", "scalar"),
+                kernel="v3",
                 fail_mode=getattr(engine, "fail_mode", "raise"),
                 metric=getattr(dist.metric, "name", ""),
                 k=k,
@@ -1283,7 +1157,6 @@ def parallel_search_batch(
             k,
             dist,
             skip_exact=True,
-            kernel=getattr(batch_engine, "kernel", "scalar"),
             fail_mode=getattr(batch_engine, "fail_mode", "raise"),
             tracer=tracer,
             parent_span=span,
@@ -1318,7 +1191,7 @@ def parallel_search_batch(
                     query=queries[qi],
                     index=batch_engine.index,
                     engine=batch_engine.name,
-                    kernel=getattr(batch_engine, "kernel", "scalar"),
+                    kernel="v3",
                     fail_mode=getattr(batch_engine, "fail_mode", "raise"),
                     metric=getattr(dist.metric, "name", ""),
                     k=k,

@@ -111,6 +111,9 @@ class DelegatingBackend:
     def accounting_scope(self, stats=None):
         return self.inner.accounting_scope(stats)
 
+    def charge_latency(self, ms: float) -> None:
+        self.inner.charge_latency(ms)
+
     def publish_metrics(self, registry=None, label: str = "disk0") -> None:
         self.inner.publish_metrics(registry, label=label)
 

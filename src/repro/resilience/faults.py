@@ -24,8 +24,9 @@ Fault kinds:
     payload — the classic power-cut tear the checksum layer exists to
     catch.
 ``latency``
-    The modeled I/O clock (``stats.io_time_ms``) is charged an extra
-    ``latency_ms`` spike.
+    The read is charged an extra ``latency_ms`` of modeled I/O time
+    through the inner backend's accounting path, so the active stats and
+    every open meter of the reading thread see the spike.
 
 Beyond per-operation faults, a plan can carry :class:`KillPoint`\\ s —
 named code sites at which the *whole process* "dies" on the Nth hit
@@ -301,7 +302,7 @@ class FaultInjectingBackend(DelegatingBackend):
             return self.inner.read(name, offset, length)
         for _, rule in self._matching("latency", name, offset, length):
             self._count("latency")
-            self.inner.stats.io_time_ms += rule.latency_ms
+            self.inner.charge_latency(rule.latency_ms)
         for _, rule in self._matching("read_error", name, offset, length):
             self._count("read_error")
             detail = f"injected read fault on {name!r} at offset {offset}"

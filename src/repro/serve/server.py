@@ -294,7 +294,6 @@ class QueryDaemon(ObsServer):
                     registry=self.metrics_registry(),
                     tracer=self.tracer,
                     executor=self.executor,
-                    kernel="v3",
                     fail_mode="degrade",
                     kernel_cache=gen.kernel_cache,
                     scan_end_element=snapshot.end_element,
@@ -338,7 +337,6 @@ class QueryDaemon(ObsServer):
             registry=self.metrics_registry(),
             tracer=self.tracer,
             executor=self.executor,
-            kernel="v3",
             fail_mode="degrade",
             kernel_cache=gen.kernel_cache,
             scan_end_element=snapshot.end_element,

@@ -135,6 +135,10 @@ class StorageBackend(Protocol):
         """Route this thread's counters into a side :class:`DiskStats`."""
         ...
 
+    def charge_latency(self, ms: float) -> None:
+        """Charge extra modeled I/O time to this thread's accounts."""
+        ...
+
     def publish_metrics(self, registry=None, label: str = "disk0") -> None:
         """Mirror the backend's counters into a metrics registry."""
         ...

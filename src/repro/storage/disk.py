@@ -124,12 +124,23 @@ class IoMeter:
     thread* while the meter is on that thread's stack — the attribution
     primitive behind per-shard I/O numbers in ``repro.parallel`` (the global
     :class:`DiskStats` cannot split concurrent charges by worker).
+
+    Modeled time is kept as a running total that starts at the thread's
+    active stats value and takes the same additions in the same order, so
+    ``io_ms`` equals that stats' delta bit for bit when no other thread
+    charged meanwhile, and leaves other threads' charges out when one did.
     """
 
-    io_ms: float = 0.0
     pages: int = 0
     seeks: int = 0
     cache_hits: int = 0
+    start_ms: float = 0.0
+    total_ms: float = 0.0
+
+    @property
+    def io_ms(self) -> float:
+        """Modeled I/O milliseconds this thread charged while the meter was open."""
+        return self.total_ms - self.start_ms
 
 
 class SimulatedDisk:
@@ -198,7 +209,8 @@ class SimulatedDisk:
         each charge, so an outer whole-phase meter and an inner per-call
         meter can run simultaneously.
         """
-        meter = IoMeter()
+        start = self._active_stats().io_time_ms
+        meter = IoMeter(start_ms=start, total_ms=start)
         meters = self._meters()
         meters.append(meter)
         try:
@@ -230,6 +242,17 @@ class SimulatedDisk:
             yield scoped
         finally:
             self._tls.stats = previous
+
+    def charge_latency(self, ms: float) -> None:
+        """Charge *ms* of modeled I/O time that moves no page (a stall).
+
+        Lands where a page charge would: the active stats of the calling
+        thread and every meter open on its stack.
+        """
+        with self._lock:
+            self._active_stats().io_time_ms += ms
+            for meter in self._meters():
+                meter.total_ms += ms
 
     # ------------------------------------------------------------------ files
 
@@ -462,7 +485,7 @@ class SimulatedDisk:
             else:
                 stats.pages_read += 1
             for meter in meters:
-                meter.io_ms += cost
+                meter.total_ms += cost
                 meter.pages += 1
                 meter.seeks += stats.seeks - seeks_before
             self._heads[channel] = (name, page)

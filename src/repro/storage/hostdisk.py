@@ -314,6 +314,10 @@ class HostDisk:
         finally:
             self._tls.stats = previous
 
+    def charge_latency(self, ms: float) -> None:
+        """Charge modeled time to this thread's active stats (meters stay zero)."""
+        self._active_stats().io_time_ms += ms
+
     def publish_metrics(self, registry=None, label: str = "disk0") -> None:
         """Mirror the logical counters into a metrics registry.
 

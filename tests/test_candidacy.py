@@ -215,12 +215,19 @@ def _assert_funnel(report) -> None:
     assert profile.exact_shortcuts == report.exact_shortcuts
 
 
-def _run(path, table, index, queries, kernel, k):
+def _run(path, table, index, queries, k):
+    """Profiled v3 reports for *queries* on one engine path."""
     if path == "batch":
-        engine = BatchIVAEngine(table, index, kernel=kernel, profile=True)
+        engine = BatchIVAEngine(table, index, profile=True)
         return engine.search_batch(queries, k=k)
     executor = ExecutorConfig(workers=2) if path == "parallel" else None
-    engine = IVAEngine(table, index, kernel=kernel, executor=executor, profile=True)
+    engine = IVAEngine(table, index, executor=executor, profile=True)
+    return [engine.search(query, k=k) for query in queries]
+
+
+def _oracle(table, index, queries, k):
+    """The per-query sequential scalar engine every path must match."""
+    engine = IVAEngine(table, index, kernel="scalar", profile=True)
     return [engine.search(query, k=k) for query in queries]
 
 
@@ -244,8 +251,8 @@ class TestEnginesOnTombstones:
         before the pool is full and fills it mid-block."""
         table, index, queries = churned
         assert table.dead_tuples > 0
-        scalar = _run(path, table, index, queries, "scalar", k)
-        v3 = _run(path, table, index, queries, "v3", k)
+        scalar = _oracle(table, index, queries, k)
+        v3 = _run(path, table, index, queries, k)
         for a, b in zip(scalar, v3):
             assert [(r.tid, r.distance) for r in b.results] == [
                 (r.tid, r.distance) for r in a.results
@@ -262,8 +269,8 @@ class TestEnginesOnTombstones:
         if fastpath._np is None:
             pytest.skip("the prefilter needs numpy")
         table, index, queries = churned
-        blockwise = _run(path, table, index, queries, "v3", k)
+        blockwise = _run(path, table, index, queries, k)
         monkeypatch.setattr(fastpath, "_np", None)
-        per_tuple = _run(path, table, index, queries, "v3", k)
+        per_tuple = _run(path, table, index, queries, k)
         assert [_funnel(r) for r in blockwise] == [_funnel(r) for r in per_tuple]
         assert sum(r.profile.bound_pruned for r in blockwise) > 0

@@ -8,9 +8,10 @@ Two layers of checks:
   clamped out-of-domain values, and the open-ended boundary slices of
   Prop. 3.3.  Equality is ``==``, not approx: the kernel's contract is
   bit identity, not tolerance;
-* **engine tests** assert full top-k answer identity between
-  ``kernel="scalar"`` and ``kernel="v3"`` across codecs, worker counts,
-  and the batch engine — both with numpy and through v3's numpy-absent
+* **engine tests** assert full top-k answer identity between the
+  sequential scalar oracle (``IVAEngine(kernel="scalar")``) and every
+  path v3 runs — sequential, parallel at several worker counts, and the
+  batch engine — both with numpy and through v3's numpy-absent
   fallback (segments rebuilt into per-element columns for
   ``evaluate_block``) — and on numeric codes too wide to vectorise
   (3-, 5- and 8-byte vectors), where ``decode_segment`` adapts ``move_to``.
@@ -242,8 +243,23 @@ class TestKernelMode:
         index = IVAFile.build(small_dataset, IVAConfig(name="kern_mode"))
         with pytest.raises(QueryError):
             IVAEngine(small_dataset, index, kernel="bogus")
-        with pytest.raises(QueryError):
-            BatchIVAEngine(small_dataset, index, kernel="bogus")
+        # ``kernel`` is an IVAEngine argument only: the batch engine is v3.
+        with pytest.raises(TypeError):
+            BatchIVAEngine(small_dataset, index, kernel="v3")
+
+    def test_v3_is_the_default(self, small_dataset):
+        index = IVAFile.build(small_dataset, IVAConfig(name="kern_default"))
+        assert IVAEngine(small_dataset, index).kernel == "v3"
+
+    @pytest.mark.parametrize(
+        "sharding",
+        [{"executor": ExecutorConfig(workers=2)}, {"parallelism": 2}],
+        ids=["executor", "parallelism"],
+    )
+    def test_scalar_oracle_does_not_shard(self, small_dataset, sharding):
+        index = IVAFile.build(small_dataset, IVAConfig(name="kern_oracle"))
+        with pytest.raises(QueryError, match="sequential oracle"):
+            IVAEngine(small_dataset, index, kernel="scalar", **sharding)
 
 
 class TestKernelCacheSharing:
@@ -316,15 +332,13 @@ class TestAnswerIdentity:
 
     def _batch_matches(self, setups, table, codec):
         indexes, queries = setups
-        scalar = BatchIVAEngine(table, indexes[codec], kernel="scalar").search_batch(
-            queries, k=8
+        scalar = self._answers(
+            IVAEngine(table, indexes[codec], kernel="scalar"), queries
         )
-        v3 = BatchIVAEngine(table, indexes[codec], kernel="v3").search_batch(
-            queries, k=8
+        v3 = BatchIVAEngine(table, indexes[codec]).search_batch(queries, k=8)
+        assert [[(r.tid, r.distance) for r in report.results] for report in v3] == (
+            scalar
         )
-        assert [[(r.tid, r.distance) for r in report.results] for report in v3] == [
-            [(r.tid, r.distance) for r in report.results] for report in scalar
-        ]
 
     @pytest.mark.parametrize("codec", CODEC_NAMES)
     def test_sequential_v3_matches_scalar(self, setups, small_dataset, codec):
@@ -418,6 +432,6 @@ class TestWideNumericCodes:
         assert search(parallel) == scalar
         for executor in (None, ExecutorConfig(workers=2)):
             batch = BatchIVAEngine(
-                wide_table, index, kernel="v3", executor=executor
+                wide_table, index, executor=executor
             ).search_batch(self.QUERIES, k=8)
             assert self._rows(batch) == scalar

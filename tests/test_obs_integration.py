@@ -79,7 +79,8 @@ class TestSearchTelemetry:
         span = json.loads(line)
         assert span["name"] == "query"
         children = {c["name"]: c for c in span["children"]}
-        assert set(children) == {"filter", "refine"}
+        # The v3 kernel (the default) adds its compile and block spans.
+        assert set(children) == {"filter", "refine", "kernel.compile", "kernel.block"}
         # Synthetic phase spans carry the report's wall totals exactly.
         assert children["filter"]["duration_ms"] == pytest.approx(
             report.filter_wall_s * 1000.0

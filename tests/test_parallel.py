@@ -179,7 +179,7 @@ class TestFallback:
         original = executor_module.ParallelScanExecutor._scan_shard
 
         def dying_scan(
-            self, shard, worker, attr_ids, contexts, k, dist, skip_exact,
+            self, shard, worker, attr_ids, contexts, k, skip_exact,
             out_queue, abort,
         ):
             if shard.index == 1:
@@ -190,7 +190,7 @@ class TestFallback:
                 )
                 return
             original(
-                self, shard, worker, attr_ids, contexts, k, dist, skip_exact,
+                self, shard, worker, attr_ids, contexts, k, skip_exact,
                 out_queue, abort,
             )
 
@@ -210,7 +210,7 @@ class TestFallback:
         original = executor_module.ParallelScanExecutor._scan_shard
 
         def dying_scan(
-            self, shard, worker, attr_ids, contexts, k, dist, skip_exact,
+            self, shard, worker, attr_ids, contexts, k, skip_exact,
             out_queue, abort,
         ):
             if shard.index == 1:
@@ -221,7 +221,7 @@ class TestFallback:
                 )
                 return
             original(
-                self, shard, worker, attr_ids, contexts, k, dist, skip_exact,
+                self, shard, worker, attr_ids, contexts, k, skip_exact,
                 out_queue, abort,
             )
 

@@ -4,8 +4,8 @@ The artifact's load-bearing property is that its candidate funnel is
 *exact bookkeeping*, not sampling: scanned/pruned/candidate/refined
 counts must reconcile with the access counters the engines already
 report (``SearchReport.tuples_scanned`` / ``table_accesses`` /
-``exact_shortcuts``) on every execution path — sequential and parallel,
-scalar and v3 kernel, single and batched.
+``exact_shortcuts``) on every execution path — the sequential scalar
+oracle, and v3 sequential, parallel and batched.
 """
 
 from __future__ import annotations
@@ -19,6 +19,7 @@ from repro.core.batch import BatchIVAEngine
 from repro.core.engine import IVAEngine
 from repro.core.iva_file import IVAConfig, IVAFile
 from repro.data.workload import WorkloadGenerator
+from repro.errors import QueryError
 from repro.obs.profile import ProfileCollector, QueryProfile
 from repro.parallel import ExecutorConfig
 
@@ -58,13 +59,18 @@ def assert_funnel_matches_report(profile: QueryProfile, report) -> None:
 class TestSequential:
     def test_funnel_equals_report_counters(self, indexed, queries):
         table, index = indexed
-        engine = IVAEngine(table, index, profile=True)
-        for query in queries:
-            report = engine.search(query, k=10)
-            assert_funnel_matches_report(report.profile, report)
-            # Sequential path never late-prunes or dedups.
-            assert report.profile.late_pruned == 0
-            assert report.profile.dedup_skipped == 0
+        for kernel in ("v3", "scalar"):
+            engine = IVAEngine(table, index, kernel=kernel, profile=True)
+            for query in queries:
+                report = engine.search(query, k=10)
+                assert_funnel_matches_report(report.profile, report)
+                # Only recovery re-scans dedup, and the sequential path
+                # has none.  v3 re-checks buffered candidates at flush, so
+                # it may late-prune; the scalar oracle refines inline and
+                # never does.
+                assert report.profile.dedup_skipped == 0
+                if kernel == "scalar":
+                    assert report.profile.late_pruned == 0
 
     def test_profile_off_by_default(self, indexed, queries):
         table, index = indexed
@@ -127,6 +133,11 @@ class TestKernelAndParallel:
     def test_funnel_on_every_path(self, indexed, queries, kernel, workers):
         table, index = indexed
         executor = ExecutorConfig(workers=workers) if workers > 1 else None
+        if kernel == "scalar" and executor is not None:
+            # The scalar oracle does not shard; check it sequentially.
+            with pytest.raises(QueryError):
+                IVAEngine(table, index, executor=executor, kernel=kernel)
+            executor = None
         engine = IVAEngine(
             table, index, executor=executor, kernel=kernel, profile=True
         )
@@ -192,14 +203,22 @@ class TestBatch:
     @pytest.mark.parametrize("workers", [1, 3])
     @pytest.mark.parametrize("kernel", ["scalar", "v3"])
     def test_batch_funnels(self, indexed, queries, workers, kernel):
+        """The batch engine's funnels reconcile, and each report agrees with
+        a per-query sequential engine running *kernel* on every
+        path-independent count."""
         table, index = indexed
         executor = ExecutorConfig(workers=workers) if workers > 1 else None
-        engine = BatchIVAEngine(
-            table, index, executor=executor, kernel=kernel, profile=True
-        )
+        engine = BatchIVAEngine(table, index, executor=executor, profile=True)
         reports = engine.search_batch(queries[:4], k=10)
-        for report in reports:
+        reference = IVAEngine(table, index, kernel=kernel)
+        for query, report in zip(queries[:4], reports):
             assert_funnel_matches_report(report.profile, report)
+            expected = reference.search(query, k=10)
+            assert [(r.tid, r.distance) for r in report.results] == [
+                (r.tid, r.distance) for r in expected.results
+            ]
+            assert report.tuples_scanned == expected.tuples_scanned
+            assert report.exact_shortcuts == expected.exact_shortcuts
 
 
 class TestCollectorUnit:

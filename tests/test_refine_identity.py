@@ -130,7 +130,7 @@ def _runs(table, index, queries, metric, monkeypatch):
         kernel="v3",
         executor=ExecutorConfig(workers=2, min_shard_elements=16),
     )
-    batch = BatchIVAEngine(table, index, dist, kernel="v3")
+    batch = BatchIVAEngine(table, index, dist)
     memory = InMemoryIVAEngine(table, index, dist)
     runs = {
         "sequential": collect([sequential.search(q, k=K) for q in queries]),

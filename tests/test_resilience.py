@@ -210,6 +210,32 @@ class TestFaultPlan:
         )
         assert counter.value == 1
 
+    def test_latency_spike_is_charged_like_a_read(self):
+        """The spike reaches every open meter of the reading thread and
+        follows its accounting scope, as a page charge does."""
+        inner = simulated_backend()
+        inner.create("f.v1")
+        inner.append("f.v1", b"abcd")
+        inner.read("f.v1", 0, 4)  # cached: the read itself costs nothing
+        plan = FaultPlan(
+            seed=1,
+            rules=(
+                FaultRule(kind="latency", rate=1.0, latency_ms=50.0, transient=False),
+            ),
+        )
+        backend = FaultInjectingBackend(inner, plan)
+        plan.arm()
+        before = inner.stats.io_time_ms
+        with backend.metered() as outer, backend.metered() as inner_meter:
+            backend.read("f.v1", 0, 4)
+        assert outer.io_ms == pytest.approx(50.0)
+        assert inner_meter.io_ms == pytest.approx(50.0)
+        assert inner.stats.io_time_ms - before == pytest.approx(50.0)
+        with backend.accounting_scope() as scoped:
+            backend.read("f.v1", 0, 4)
+        assert scoped.io_time_ms == 50.0
+        assert inner.stats.io_time_ms - before == pytest.approx(50.0)
+
 
 # ---------------------------------------------------------------- checksums
 
@@ -515,7 +541,7 @@ class TestDegradedExecution:
         original = executor_module.ParallelScanExecutor._scan_shard
 
         def dying_scan(
-            self, shard, worker, attr_ids, contexts, k, dist, skip_exact,
+            self, shard, worker, attr_ids, contexts, k, skip_exact,
             out_queue, abort,
         ):
             if shard.index == 1 and (die_on_retry or worker != "retry"):
@@ -526,7 +552,7 @@ class TestDegradedExecution:
                 )
                 return
             original(
-                self, shard, worker, attr_ids, contexts, k, dist, skip_exact,
+                self, shard, worker, attr_ids, contexts, k, skip_exact,
                 out_queue, abort,
             )
 
@@ -568,6 +594,34 @@ class TestDegradedExecution:
         sequential = IVAEngine(table, index).search(query, k=10)
         assert _answers(report) == _answers(sequential)
         assert report.degraded is False
+
+    def test_sequential_rescan_keeps_the_funnel(self, indexed, query, monkeypatch):
+        """The re-scan decides through ``BlockCandidacy.admit`` on the global
+        pool and refines through the run's refiner: every scanned tuple and
+        every candidate is still accounted for exactly once."""
+        table, index = indexed
+        self._install_dying_scan(monkeypatch, die_on_retry=True)
+        engine = IVAEngine(
+            table,
+            index,
+            executor=ExecutorConfig(workers=2, fallback=False),
+            fail_mode="degrade",
+            profile=True,
+        )
+        report = engine.search(query, k=10)
+        profile = report.profile
+        assert report.degraded is False
+        assert profile.tuples_scanned == report.tuples_scanned
+        assert profile.tuples_scanned == (
+            profile.exact_shortcuts + profile.bound_pruned + profile.candidates
+        )
+        assert profile.candidates == (
+            profile.refined + profile.late_pruned + profile.dedup_skipped
+        )
+        assert profile.refined == report.table_accesses
+        assert report.exact_shortcuts == (
+            IVAEngine(table, index).search(query, k=10).exact_shortcuts
+        )
 
     def test_degrade_mode_lost_shard_is_flagged(
         self, indexed, query, monkeypatch
@@ -622,7 +676,8 @@ class TestDegradedExecution:
         """A storage error in the single-threaded path reports a partial,
         explicitly degraded answer in degrade mode."""
         table, index = indexed
-        engine = IVAEngine(table, index, fail_mode="degrade")
+        # ``_filter_estimates`` feeds the scalar walk.
+        engine = IVAEngine(table, index, kernel="scalar", fail_mode="degrade")
         original = type(engine)._filter_estimates
         state = {"count": 0}
 
@@ -637,7 +692,7 @@ class TestDegradedExecution:
         report = engine.search(query, k=10)
         assert report.degraded is True
         assert report.lost_tid_ranges  # the unscanned remainder
-        strict = IVAEngine(table, index, fail_mode="raise")
+        strict = IVAEngine(table, index, kernel="scalar", fail_mode="raise")
         monkeypatch.setattr(type(strict), "_filter_estimates", flaky)
         state["count"] = 0
         with pytest.raises(StorageError):
