@@ -144,7 +144,9 @@ class CompressedTextTypeIScanner(_DeltaTidScanner):
                     lengths.append(pair[0])
                     bits.append(pair[1])
                 self._load_next()
-        return TextSegment(len(tids), slots, lengths, bits, unique)
+        return TextSegment.from_pairs(
+            len(tids), slots, lengths, bits, unique, self._scheme
+        )
 
 
 class CompressedTextTypeIIScanner(_DeltaTidScanner):
@@ -190,7 +192,9 @@ class CompressedTextTypeIIScanner(_DeltaTidScanner):
                     for _ in range(count):
                         read_raw(reader)
                 self._load_next()
-        return TextSegment(len(tids), slots, lengths, bits, unique)
+        return TextSegment.from_pairs(
+            len(tids), slots, lengths, bits, unique, self._scheme
+        )
 
 
 class CompressedNumericTypeIScanner(_DeltaTidScanner):
@@ -305,7 +309,9 @@ class CompressedTextTypeIIIScanner(VectorListScanner):
                     lengths.append(pair[0])
                     bits.append(pair[1])
             self._load_next()
-        return TextSegment(len(tids), slots, lengths, bits, unique)
+        return TextSegment.from_pairs(
+            len(tids), slots, lengths, bits, unique, self._scheme
+        )
 
     def checkpoint_offset(self) -> int:
         """Start of the pending element (gap varint re-read on resume)."""

@@ -109,25 +109,30 @@ def segment_dtype(vector_bytes: int) -> Optional[str]:
     return _DTYPES.get(vector_bytes)
 
 
-def text_min_scatter(count: int, slots, values, defined, ndf_penalty: float):
-    """Per-slot minimum of a flat text-bound run, as a float64 column.
+def text_min_scatter(count: int, slots, values, ndf_penalty: float, repeats: bool):
+    """``(bounds, defined)`` columns from a flat run of text bounds.
 
     *slots* is a non-decreasing index array and *values* the matching
     per-signature bounds; the result keeps each slot's minimum bound (the
     scalar walk's multi-string rule) and ``ndf_penalty`` where no
-    signature landed.  Minimum over the same multiset of exact doubles is
-    order-independent, so the column is bit-identical to the scalar
-    ``bound_column``.  Returns ``None`` when numpy is unavailable.
+    signature landed.  Only when *repeats* (some slot holds several
+    signatures) does ``np.minimum.reduceat`` fold each slot's run of
+    values; a minimum over the same doubles is exact, so the column is
+    bit-identical to the scalar ``bound_column``.
     """
-    if _np is None:
-        return None
     out = _np.full(count, ndf_penalty, dtype=_np.float64)
+    defined = _np.zeros(count, dtype=bool)
     if len(values):
-        best = _np.full(count, _np.inf, dtype=_np.float64)
-        vals = _np.asarray(values, dtype=_np.float64)
-        _np.minimum.at(best, slots, vals)
-        out[defined] = best[defined]
-    return out
+        if repeats:
+            heads = _np.empty(len(slots), dtype=bool)
+            heads[0] = True
+            _np.not_equal(slots[1:], slots[:-1], out=heads[1:])
+            starts = _np.flatnonzero(heads)
+            values = _np.minimum.reduceat(values, starts)
+            slots = slots[starts]
+        out[slots] = values
+        defined[slots] = True
+    return out, defined
 
 
 def combine_columns(metric_kind: Optional[str], weights, columns, count: int):

@@ -14,10 +14,11 @@ segments (one block of the tuple list) per call:
   looks codes up in a table built from ``lower_bound`` itself (eager for
   one-byte vectors, memoised per code above);
 * **text terms** become per-stored-length tables: the query's gram masks
-  for that signature geometry (most-selective first) plus a
-  ``hit_count → bound`` array — :func:`~repro.core.ngram.estimate_from_hits`
-  depends only on ``(stored_length, hit_count)``, so the inner loop is a
-  popcount-style mask test and a table index;
+  for that signature geometry plus a ``hit_count → bound`` array —
+  :func:`~repro.core.ngram.estimate_from_hits` depends only on
+  ``(stored_length, hit_count)``, so a whole run of ``uint64`` signature
+  words is bounded by one mask-test expression and a table gather (the
+  scalar fallback tests the masks most-selective first, per signature);
 * **ndf** stays the distance function's constant penalty.
 
 Every bound is bit-identical to the one the
@@ -37,6 +38,8 @@ one artifact (gram sets and masks) instead of rebuilding
 
 from __future__ import annotations
 
+import threading
+from collections import OrderedDict
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core import fastpath
@@ -46,7 +49,8 @@ from repro.core.numeric import (
     VECTORISED_MAX_BYTES,
     NumericQuantizer,
 )
-from repro.core.signature import QueryStringEncoder
+from repro.core.segment import WORD_BYTES
+from repro.core.signature import QueryStringEncoder, gram_mask
 from repro.errors import QueryError
 from repro.metrics.distance import (
     DistanceFunction,
@@ -66,6 +70,12 @@ BLOCK_TUPLES = 256
 #: columnar decode + array-wide evaluation, falling back to per-element
 #: columns through :meth:`QueryKernel.evaluate_block` without numpy).
 KERNEL_MODES = ("scalar", "v3")
+
+#: Serialises the (rare) growth of text terms' row tables across threads.
+_ROW_LOCK = threading.Lock()
+
+#: Signatures bounded per array expression in a text run.
+_BOUND_SLICE = 512
 
 
 def _metric_kind(metric) -> Optional[str]:
@@ -102,9 +112,16 @@ class CompiledTextTerm:
     scalar path) and adds, per distinct stored length seen in the data, a
     ``hit_count → bound`` array so the per-signature work collapses to the
     mask tests plus one table index.
+
+    The array path keeps its own tables as rows: ``_row_of`` maps a
+    stored length to its row, ``_masks[row]`` holds the query's gram masks
+    in gram order (zeros for signatures wider than one word, which keep
+    the scalar loop) and ``_bounds[row]`` the same ``hit_count → bound``
+    array.  Rows exist only for the lengths the term has met, and a length
+    bounded only array-wide never builds the scalar mask list.
     """
 
-    __slots__ = ("encoder", "_per_length")
+    __slots__ = ("encoder", "_per_length", "_row_of", "_counts", "_masks", "_bounds")
 
     def __init__(self, query_string: str, n: int) -> None:
         self.encoder = QueryStringEncoder(query_string, n)
@@ -114,22 +131,41 @@ class CompiledTextTerm:
         self._per_length: Dict[
             int, Tuple[List[Tuple[int, int]], Tuple[float, ...]]
         ] = {}
+        self._row_of = None
+        self._counts = None
+        self._masks = None
+        self._bounds = None
 
-    def _compile_length(
-        self, stored_length: int, scheme
-    ) -> Tuple[List[Tuple[int, int]], Tuple[float, ...]]:
-        """Tables for one signature geometry; cached per stored length."""
-        l_bits, t = scheme.parameters_for(stored_length)
-        masks = self.encoder.masks_for(l_bits, t)
+    def _bound_table(self, stored_length: int) -> Tuple[float, ...]:
+        """``bounds[hits]``: the clamped Eq. 3 estimate for each hit count."""
         query_length = self.encoder.query_length
         n = self.encoder.n
         bounds = []
         for hits in range(self.encoder.total_grams + 1):
             est = estimate_from_hits(query_length, stored_length, hits, n)
             bounds.append(est if est > 0.0 else 0.0)
-        entry = (masks, tuple(bounds))
+        return tuple(bounds)
+
+    def _compile_length(
+        self, stored_length: int, scheme
+    ) -> Tuple[List[Tuple[int, int]], Tuple[float, ...]]:
+        """Scalar tables for one signature geometry; cached per stored length."""
+        entry = self._per_length.get(stored_length)
+        if entry is not None:
+            return entry
+        l_bits, t = scheme.parameters_for(stored_length)
+        entry = (self.encoder.masks_for(l_bits, t), self._bound_table(stored_length))
         self._per_length[stored_length] = entry
         return entry
+
+    def _bound(self, stored_length: int, bits: int, scheme) -> float:
+        """One signature's bound through the scalar mask loop."""
+        masks, bounds = self._compile_length(stored_length, scheme)
+        hits = 0
+        for mask, count in masks:
+            if mask & bits == mask:
+                hits += count
+        return bounds[hits]
 
     def bound_column(
         self,
@@ -147,7 +183,7 @@ class CompiledTextTerm:
         short-circuits at 0.0 — bounds are non-negative, so the min is
         already decided (the scalar ``min(...)`` returns the same value).
         """
-        per_length = self._per_length
+        bound = self._bound
         for i, payload in enumerate(column):
             if payload is None:
                 out[i] = ndf_penalty
@@ -155,56 +191,116 @@ class CompiledTextTerm:
             exact[i] = False
             best: Optional[float] = None
             for stored_length, bits in payload:
-                entry = per_length.get(stored_length)
-                if entry is None:
-                    entry = self._compile_length(stored_length, scheme)
-                masks, bounds = entry
-                hits = 0
-                for mask, count in masks:
-                    if mask & bits == mask:
-                        hits += count
-                bound = bounds[hits]
-                if best is None or bound < best:
-                    best = bound
+                value = bound(stored_length, bits, scheme)
+                if best is None or value < best:
+                    best = value
                     if best <= 0.0:
                         break
             out[i] = best
 
+    def _rows(self, lengths, scheme):
+        """Each signature's table row; compiles rows for unseen lengths.
+
+        A new row is published in ``_row_of`` only after the arrays that
+        hold it are in place, so a thread sharing this term never reads a
+        row past the end of ``_masks``/``_bounds``.
+        """
+        np = fastpath._np
+        row_of = self._row_of
+        if row_of is None:
+            with _ROW_LOCK:
+                if self._row_of is None:
+                    self._counts = np.array(
+                        [count for _, count in self.encoder.grams], dtype=np.int64
+                    )
+                    self._masks = np.empty((0, len(self._counts)), dtype=np.uint64)
+                    self._bounds = np.empty(
+                        (0, self.encoder.total_grams + 1), dtype=np.float64
+                    )
+                    self._row_of = np.full(256, -1, dtype=np.int16)
+            row_of = self._row_of
+        rows = row_of[lengths]
+        if rows.min() >= 0:
+            return rows
+        with _ROW_LOCK:
+            missing = np.unique(lengths[row_of[lengths] < 0]).tolist()
+            mask_rows = self._masks.tolist()
+            bound_rows = self._bounds.tolist()
+            for stored_length in missing:
+                l_bits, t = scheme.parameters_for(stored_length)
+                if l_bits > 8 * WORD_BYTES:
+                    mask_rows.append([0] * len(self._counts))
+                else:
+                    mask_rows.append(
+                        [gram_mask(gram, l_bits, t) for gram, _ in self.encoder.grams]
+                    )
+                bound_rows.append(self._bound_table(stored_length))
+            self._masks = np.array(mask_rows, dtype=np.uint64)
+            self._bounds = np.array(bound_rows, dtype=np.float64)
+            first = len(self._masks) - len(missing)
+            for offset, stored_length in enumerate(missing):
+                row_of[stored_length] = first + offset
+        return row_of[lengths]
+
+    def _run_bounds(self, run, scheme):
+        """This term's bound for every signature of *run*, memoised on it.
+
+        ``((words & M) == M) @ counts`` is each signature's hit count —
+        the same integer sum the scalar loop adds up — so indexing the
+        same ``hits → bound`` rows keeps every value bit-identical.
+        Signatures wider than one word run the scalar loop.
+        """
+        vals = run.bounds.get(self)
+        if vals is not None:
+            return vals
+        np = fastpath._np
+        lengths = run.lengths
+        words = run.words
+        rows = self._rows(lengths, scheme)
+        vals = np.empty(len(rows), dtype=np.float64)
+        # Slices keep the (signatures × grams) temporaries small whatever
+        # the run's length.
+        for lo in range(0, len(rows), _BOUND_SLICE):
+            hi = lo + _BOUND_SLICE
+            row = rows[lo:hi]
+            masks = self._masks[row]
+            hits = ((words[lo:hi, None] & masks) == masks) @ self._counts
+            vals[lo:hi] = self._bounds[row, hits]
+        wide = run.wide_index
+        if len(wide):
+            bound = self._bound
+            vals[wide] = [
+                bound(length, bits, scheme)
+                for length, bits in zip(lengths[wide].tolist(), run.wide_bits)
+            ]
+        run.bounds[self] = vals
+        return vals
+
     def bound_segment(self, segment, scheme, count: int, ndf_penalty: float):
         """``(bounds, defined)`` arrays for one decoded text segment.
 
-        The per-signature mask tests stay a flat Python loop (the tables
-        are exactly the scalar ones, so each value is bit-identical), but
-        the per-tuple min-reduce and ndf fill collapse to one vectorised
-        scatter.  The scalar path's ``best <= 0.0`` short-circuit is safe
-        to drop: bounds are clamped non-negative, so a 0.0 *is* the min.
+        Bounds the segment's whole signature run once (later blocks cut
+        from the same run slice the memo), then min-reduces per tuple.
+        The scalar path's ``best <= 0.0`` short-circuit is safe to drop:
+        bounds are clamped non-negative, so a 0.0 *is* the min.
         """
-        per_length = self._per_length
-        lengths = segment.lengths
-        all_bits = segment.bits
-        vals = [0.0] * len(lengths)
-        for j, stored_length in enumerate(lengths):
-            entry = per_length.get(stored_length)
-            if entry is None:
-                entry = self._compile_length(stored_length, scheme)
-            masks, bounds = entry
-            bits = all_bits[j]
-            hits = 0
-            for mask, gram_count in masks:
-                if mask & bits == mask:
-                    hits += gram_count
-            vals[j] = bounds[hits]
-        np = fastpath._np
-        slots = segment.slots_array()
-        defined = np.zeros(count, dtype=bool)
-        defined[slots] = True
-        out = fastpath.text_min_scatter(count, slots, vals, defined, ndf_penalty)
-        return out, defined
+        lo = segment.lo
+        hi = segment.hi
+        if lo == hi:
+            vals = ()
+        else:
+            vals = self._run_bounds(segment.signatures, scheme)[lo:hi]
+        return fastpath.text_min_scatter(
+            count, segment.slots, vals, ndf_penalty, segment.repeats
+        )
 
     @property
     def table_lengths(self) -> int:
-        """Distinct stored lengths compiled so far (observability)."""
-        return len(self._per_length)
+        """Distinct stored lengths compiled so far, on either path (observability)."""
+        lengths = set(self._per_length)
+        if self._row_of is not None:
+            lengths.update(fastpath._np.flatnonzero(self._row_of >= 0).tolist())
+        return len(lengths)
 
 
 class CompiledNumericTerm:
@@ -301,40 +397,55 @@ class KernelCache:
     term get the *same* compiled object (and the block evaluator's column
     cache can key on object identity).  ``hits``/``misses`` count term
     lookups so long-lived caches can report reuse.
+
+    The cache is an LRU bounded at :attr:`CAPACITY` terms: a read-only
+    daemon would otherwise keep every term it ever compiled until the next
+    rebuild.  An evicted term is simply compiled again on its next lookup
+    (a miss); queries already holding it keep their reference.
     """
 
-    __slots__ = ("_terms", "hits", "misses")
+    #: Terms kept.  Compiled terms hold about 5 KB each (gram multiset,
+    #: row tables, scalar tables for wide signatures; measured over the
+    #: 1,198 distinct terms of 450 benchmark queries), so the cap keeps a
+    #: long-lived cache near 5 MB.
+    CAPACITY = 1024
+
+    __slots__ = ("_terms", "_lock", "hits", "misses")
 
     def __init__(self) -> None:
-        self._terms: Dict[Tuple[int, object], object] = {}
+        self._terms: "OrderedDict[Tuple[int, object], object]" = OrderedDict()
+        self._lock = threading.Lock()
         self.hits = 0
         self.misses = 0
 
+    def _lookup(self, key: Tuple[int, object], compile_term):
+        terms = self._terms
+        with self._lock:
+            term = terms.get(key)
+            if term is not None:
+                terms.move_to_end(key)
+                self.hits += 1
+                return term
+            self.misses += 1
+            term = compile_term()
+            terms[key] = term
+            if len(terms) > self.CAPACITY:
+                terms.popitem(last=False)
+            return term
+
     def text_term(self, attr_id: int, query_string: str, n: int) -> CompiledTextTerm:
         """The shared compiled text term for ``attr = query_string``."""
-        key = (attr_id, query_string)
-        term = self._terms.get(key)
-        if term is None:
-            self.misses += 1
-            term = CompiledTextTerm(query_string, n)
-            self._terms[key] = term
-        else:
-            self.hits += 1
-        return term
+        return self._lookup(
+            (attr_id, query_string), lambda: CompiledTextTerm(query_string, n)
+        )
 
     def numeric_term(
         self, attr_id: int, quantizer: Optional[NumericQuantizer], value: float
     ) -> CompiledNumericTerm:
         """The shared compiled numeric term for ``attr = value``."""
-        key = (attr_id, value)
-        term = self._terms.get(key)
-        if term is None:
-            self.misses += 1
-            term = CompiledNumericTerm(quantizer, value)
-            self._terms[key] = term
-        else:
-            self.hits += 1
-        return term
+        return self._lookup(
+            (attr_id, value), lambda: CompiledNumericTerm(quantizer, value)
+        )
 
     def __len__(self) -> int:
         return len(self._terms)

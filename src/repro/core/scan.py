@@ -28,7 +28,13 @@ from typing import List, Optional, Sequence
 
 from repro.core import fastpath
 from repro.core.numeric import NumericQuantizer
-from repro.core.segment import ColumnSegment, NumericSegment, TextSegment
+from repro.core.segment import (
+    WORD_BYTES,
+    ColumnSegment,
+    NumericSegment,
+    SignatureRun,
+    TextSegment,
+)
 from repro.core.signature import Signature, SignatureScheme
 from repro.errors import IndexError_
 from repro.storage.pager import BufferedReader
@@ -41,6 +47,11 @@ NUM_BYTES = 1
 #: that a jump skips real decode work).
 SKIP_SEGMENT_ELEMENTS = 256
 
+_TYPE_III_SHORT = (
+    "Type III vector list ran out of elements before the tuple list did — "
+    "the index is inconsistent with its table"
+)
+
 #: Entries per bulk read when the raw Type I numeric segment decoder slurps
 #: fixed-width ``<tid, code>`` records ahead of the scan cursor.
 _SEG_READ_ENTRIES = 1024
@@ -49,11 +60,11 @@ _SEG_READ_ENTRIES = 1024
 class _ByteRun:
     """Scanner-local parse cursor over bulk reader chunks.
 
-    What the raw text ``decode_segment``s parse through, with or without
-    numpy: instead of two :class:`BufferedReader` calls per signature
-    (length byte, then bits), slurp large chunks into a local ``bytes``
-    object and crack fields with plain indexing.  Chunks may overshoot
-    the current block — the overshoot parks here between
+    What the raw text ``decode_segment``s parse through: instead of two
+    :class:`BufferedReader` calls per signature (length byte, then bits),
+    slurp large chunks into a local ``bytes`` object, parse every complete
+    element in it at once and crack the fields with numpy gathers.  Chunks
+    may overshoot the current block — the overshoot parks here between
     ``decode_segment`` calls, which is one of the reasons ``move_to`` and
     ``decode_segment`` must not be mixed on a single scanner instance.
     """
@@ -73,6 +84,10 @@ class _ByteRun:
 
     def exhausted(self) -> bool:
         return self.pos >= len(self.buf) and self._reader.exhausted()
+
+    def drained(self) -> bool:
+        """True when the reader holds nothing beyond :attr:`buf`."""
+        return self._reader.exhausted()
 
     def ensure(self, length: int) -> None:
         """Buffer at least *length* unparsed bytes ahead of :attr:`pos`.
@@ -236,10 +251,6 @@ class _TidBasedScanner(VectorListScanner):
         super().__init__(reader)
         self._skip = skip
         self._pending: Optional[int] = None
-        # Columnar-decode carry: the bulk parse cursor plus the tid it
-        # has parsed but not yet consumed (decode_segment only).
-        self._run: Optional[_ByteRun] = None
-        self._seg_pending: Optional[int] = None
         self._load_next()
 
     def _load_next(self) -> None:
@@ -251,8 +262,8 @@ class _TidBasedScanner(VectorListScanner):
     def _maybe_skip(self, target_tid: int) -> None:
         """Jump over whole segments that cannot intersect the scan cursor.
 
-        Called at the head of the numeric ``decode_segment`` (columnar and
-        ``move_to`` fallback alike) with the block's first tid.  Every
+        Called with the block's first tid at the head of the numeric
+        ``decode_segment`` and of every ``move_to`` fallback.  Every
         skipped element's tid is strictly below *target_tid*, so the scalar
         walk would have consumed it without producing a payload — the jump
         is free of semantics, it only spares the decode.
@@ -267,39 +278,6 @@ class _TidBasedScanner(VectorListScanner):
         self._pending = None
         self._load_next()
 
-    def _segment_run(self, target_tid: int):
-        """Bulk parse cursor + pending tid for the columnar text decoders.
-
-        First call folds the scalar ``_pending`` (tid read, payload not)
-        into run-local state; later calls resume from the carry.  A skip
-        table, when present, jumps the cursor over whole segments below
-        *target_tid* before any payload is parsed.
-        """
-        run = self._run
-        if run is None:
-            run = self._run = _ByteRun(self._reader)
-            pending = self._pending
-            self._pending = None
-        else:
-            pending = self._seg_pending
-        skip = self._skip
-        if skip is not None and pending is not None and pending < target_tid:
-            offset = skip.seek_offset(
-                target_tid, run.logical_position() - TID_BYTES
-            )
-            if offset is not None:
-                run.jump_to(offset)
-                if run.exhausted():
-                    pending = None
-                else:
-                    run.ensure(TID_BYTES)
-                    at = run.pos
-                    pending = int.from_bytes(
-                        run.buf[at : at + TID_BYTES], "little"
-                    )
-                    run.pos = at + TID_BYTES
-        return run, pending
-
     @property
     def pending_tid(self) -> Optional[int]:
         """The tid the pointer is frozen at (None at the list tail)."""
@@ -312,9 +290,223 @@ class _TidBasedScanner(VectorListScanner):
         return self._reader.position - TID_BYTES
 
 
-class TextTypeIScanner(_TidBasedScanner):
-    """Type I text layout: ``<tid, vector>`` per string, sorted by tid;
-    consecutive elements may repeat a tid for multi-string values."""
+class _Parsed:
+    """The complete elements one :class:`_ByteRun` buffer held, as columns.
+
+    A raw text scanner parses everything its run has buffered in one pass
+    and hands each tuple-list block a slice.  ``units`` elements were
+    parsed, starting at buffer offsets ``starts`` and ending at ``end``
+    (columns are numpy arrays: a run holds thousands of elements);
+    ``signatures`` holds their signatures in list order.  Tid-based layouts
+    carry ``unit_tids`` (each element's tid) and ``tail`` (the look-ahead
+    tid read after the last element, ``None`` at the list end); layouts
+    that store a count per element carry ``first_sig`` (element *j* owns
+    signatures ``first_sig[j]:first_sig[j + 1]``) and ``sig_unit`` (the
+    element of each signature).  ``repeats`` is True when an element of a
+    Type I run repeats its predecessor's tid or an element stores several
+    strings — only then can a block's slots repeat.
+    """
+
+    __slots__ = (
+        "units",
+        "starts",
+        "end",
+        "signatures",
+        "repeats",
+        "unit_tids",
+        "tail",
+        "first_sig",
+        "sig_unit",
+    )
+
+    def __init__(self, starts, end: int, signatures) -> None:
+        self.units = len(starts)
+        self.starts = starts
+        self.end = end
+        self.signatures = signatures
+        self.repeats = False
+        self.unit_tids = None
+        self.tail: Optional[int] = None
+        self.first_sig = None
+        self.sig_unit = None
+
+
+#: Zero bytes appended to a parsed buffer so word gathers never run off it.
+_PAD = bytes(WORD_BYTES)
+
+#: ``_WORD_MASKS[w]`` keeps the low *w* bytes of a gathered word.
+_WORD_MASKS = (
+    None
+    if fastpath._np is None
+    else fastpath._np.array(
+        [(1 << (8 * width)) - 1 for width in range(WORD_BYTES + 1)],
+        dtype=fastpath._np.uint64,
+    )
+)
+
+
+def _view(data, dtype: str):
+    """Every byte offset of *data* read as one little-endian *dtype* value."""
+    np = fastpath._np
+    itemsize = np.dtype(dtype).itemsize
+    return np.ndarray(
+        (len(data) - itemsize + 1,), dtype=dtype, buffer=data, strides=(1,)
+    )
+
+
+def _signatures(buf: bytes, data, at, scheme) -> SignatureRun:
+    """Signature columns for the length bytes at offsets *at* of *buf*.
+
+    *data* is ``buf`` plus :data:`_PAD` as a uint8 array.  One gather
+    reads the lengths, one reads eight bytes after each as a word, and a
+    per-width mask clears the bytes that belong to the next field.
+    """
+    np = fastpath._np
+    lengths = data[at]
+    widths = scheme.higher_array[lengths]
+    words = _view(data, "<u8")[at + 1]
+    words &= _WORD_MASKS[np.minimum(widths, WORD_BYTES)]
+    wide = np.flatnonzero(widths > WORD_BYTES)
+    wide_bits = [
+        int.from_bytes(buf[start + 1 : start + 1 + width], "little")
+        for start, width in zip(at[wide].tolist(), widths[wide].tolist())
+    ]
+    return SignatureRun(lengths, words, wide, wide_bits)
+
+
+def _counted(parsed: _Parsed, data, unit_at, sig_at) -> None:
+    """Fill ``first_sig``/``sig_unit`` from each element's count byte."""
+    np = fastpath._np
+    counts = data[unit_at]
+    first = np.zeros(parsed.units + 1, dtype=np.intp)
+    np.cumsum(counts, out=first[1:])
+    parsed.first_sig = first
+    parsed.sig_unit = np.repeat(np.arange(parsed.units, dtype=np.intp), counts)
+    parsed.repeats = bool((counts > 1).any())
+
+
+def _tidded(parsed: _Parsed, buf: bytes, data, unit_at, pending, final) -> None:
+    """Fill ``unit_tids``/``tail``: each element's tid precedes its payload."""
+    np = fastpath._np
+    unit_tids = np.empty(parsed.units, dtype=np.int64)
+    if parsed.units:
+        unit_tids[0] = pending
+        unit_tids[1:] = _view(data, "<u4")[unit_at[1:] - TID_BYTES]
+        end = parsed.end
+        if not final:
+            pending = int.from_bytes(buf[end - TID_BYTES : end], "little")
+        else:
+            pending = None
+    parsed.unit_tids = unit_tids
+    parsed.tail = pending
+
+
+def _text_segment(count: int, pieces: list) -> TextSegment:
+    """One block's :class:`TextSegment` from ``(parsed, lo, hi, slots, keep)``.
+
+    A single piece whose signatures all land in the block slices its run;
+    otherwise (the block crossed a refill, or skipped elements whose tid
+    is not in the block) the kept signatures are copied into a run of the
+    block's own.
+    """
+    np = fastpath._np
+    if len(pieces) == 1 and pieces[0][4] is None:
+        parsed, lo, hi, slots, _ = pieces[0]
+        return TextSegment(count, slots, parsed.signatures, lo, hi, parsed.repeats)
+    lengths = [np.empty(0, dtype=np.uint8)]
+    words = [np.empty(0, dtype=np.uint64)]
+    slot_parts = [np.empty(0, dtype=np.intp)]
+    wide_index = [np.empty(0, dtype=np.intp)]
+    wide_bits: List[int] = []
+    offset = 0
+    for parsed, lo, hi, slots, keep in pieces:
+        run = parsed.signatures
+        index = np.arange(lo, hi)
+        if keep is not None:
+            index = index[keep]
+            slots = slots[keep]
+        lengths.append(run.lengths[index])
+        words.append(run.words[index])
+        slot_parts.append(slots)
+        if len(run.wide_index):
+            local = np.flatnonzero(np.isin(index, run.wide_index))
+            wide_index.append(local + offset)
+            for i in run.wide_index.searchsorted(index[local]).tolist():
+                wide_bits.append(run.wide_bits[i])
+        offset += len(index)
+    run = SignatureRun(
+        np.concatenate(lengths),
+        np.concatenate(words),
+        np.concatenate(wide_index),
+        wide_bits,
+    )
+    return TextSegment(count, np.concatenate(slot_parts), run, 0, offset, True)
+
+
+def _top_up_signatures(run: _ByteRun, table, size: int, count: int) -> int:
+    """Issue the scalar walk's reads for *count* signatures at ``pos + size``.
+
+    Returns the element size so far.  Each ``ensure`` asks for exactly the
+    bytes the field-by-field walk asks for at that field, so a refill
+    happens at the same field and fetches the same size.
+    """
+    for _ in range(count):
+        run.ensure(size + 1)
+        size += 1 + table[run.buf[run.pos + size]]
+        run.ensure(size)
+    return size
+
+
+def _walk_counted(run: _ByteRun, table, tail: int):
+    """Offsets of every complete ``<num, vectors…>`` element the run holds.
+
+    Each element is followed by *tail* look-ahead bytes (the next tid of
+    Type II; none for Type III) that must be buffered too, except after
+    the list's last element.  Returns ``(starts, sig_starts, end, final)``:
+    element and signature offsets, where parsing stopped, and whether the
+    last element ends the list.
+    """
+    buf = run.buf
+    end = len(buf)
+    s = run.pos
+    starts: List[int] = []
+    sig_starts: List[int] = []
+    append = starts.append
+    append_sig = sig_starts.append
+    final = False
+    while s < end:
+        left = buf[s]
+        q = s + NUM_BYTES
+        while left and q < end:
+            append_sig(q)
+            q += 1 + table[buf[q]]
+            left -= 1
+        if left or q + tail > end:
+            if tail and not left and q == end and run.drained():
+                append(s)
+                s = q
+                final = True
+            else:
+                taken = buf[s] - left
+                if taken:
+                    del sig_starts[-taken:]
+            break
+        append(s)
+        s = q + tail
+    return starts, sig_starts, s, final
+
+
+class _TidTextScanner(_TidBasedScanner):
+    """Run parsing shared by the tid-based raw text layouts (Types I, II).
+
+    Without numpy, ``decode_segment`` is the base ``move_to`` adapter.
+    With it, the scanner parses every complete element its
+    :class:`_ByteRun` holds in one pass (:meth:`_parse`) and each block
+    takes the elements whose tid it covers.  When a block needs the
+    element that straddles the buffered bytes, :meth:`_top_up` issues the
+    same reads the scalar walk would at that element — the refill happens
+    in the same block, for the same size — and the new buffer is parsed.
+    """
 
     def __init__(
         self,
@@ -323,7 +515,117 @@ class TextTypeIScanner(_TidBasedScanner):
         skip: Optional[SkipTable] = None,
     ) -> None:
         self._scheme = scheme
+        self._run: Optional[_ByteRun] = None
+        self._parsed: Optional[_Parsed] = None
+        self._cursor = 0
         super().__init__(reader, skip)
+
+    def _parse(self, pending: Optional[int]) -> _Parsed:  # pragma: no cover
+        """Parse the run from its position; *pending* is the tid just read.
+
+        ``None`` means the list is done; the run then holds no byte past
+        its position, so the parse finds no element.
+        """
+        raise NotImplementedError
+
+    def _top_up(self) -> None:  # pragma: no cover
+        """Buffer the element at the run's position, as the scalar walk reads it."""
+        raise NotImplementedError
+
+    def _signature_tids(self, parsed: _Parsed, a: int, b: int):
+        """``(lo, hi, tids)``: the signatures of elements ``a:b`` and their tids."""
+        raise NotImplementedError  # pragma: no cover
+
+    def _reparse(self, pending: Optional[int]) -> _Parsed:
+        parsed = self._parsed = self._parse(pending)
+        self._cursor = 0
+        return parsed
+
+    def _parsed_for(self, target_tid: int) -> _Parsed:
+        """The parsed run at the block head, after any skip-table jump.
+
+        The first call folds the scalar ``_pending`` (tid read, payload
+        not) into the run.  A skip table jumps the cursor over whole
+        segments below *target_tid* exactly where the scalar walk would,
+        before any payload byte is fetched.
+        """
+        parsed = self._parsed
+        if parsed is None:
+            self._run = _ByteRun(self._reader)
+            pending = self._pending
+            self._pending = None
+            parsed = self._reparse(pending)
+        skip = self._skip
+        if skip is None:
+            return parsed
+        k = self._cursor
+        pending = int(parsed.unit_tids[k]) if k < parsed.units else parsed.tail
+        if pending is None or pending >= target_tid:
+            return parsed
+        run = self._run
+        # Stand where the scalar walk stands: just past the pending tid.
+        run.pos = int(parsed.starts[k]) if k < parsed.units else parsed.end
+        offset = skip.seek_offset(target_tid, run.logical_position() - TID_BYTES)
+        if offset is None:
+            run.pos = parsed.end
+            return parsed
+        run.jump_to(offset)
+        if run.exhausted():
+            pending = None
+        else:
+            run.ensure(TID_BYTES)
+            at = run.pos
+            pending = int.from_bytes(run.buf[at : at + TID_BYTES], "little")
+            run.pos = at + TID_BYTES
+        return self._reparse(pending)
+
+    def decode_segment(self, tids: List[int]):
+        """Columnar decode: the block's slice of the parsed run."""
+        np = fastpath._np
+        if np is None:
+            self._maybe_skip(tids[0])
+            return super().decode_segment(tids)
+        parsed = self._parsed_for(tids[0])
+        last = tids[-1]
+        parts = []
+        while True:
+            k = self._cursor
+            if k < parsed.units:
+                stop = int(parsed.unit_tids.searchsorted(last, "right"))
+                if stop > k:
+                    parts.append((parsed, k, stop))
+                    self._cursor = stop
+                if stop < parsed.units:
+                    break
+            if parsed.tail is None or parsed.tail > last:
+                break
+            self._top_up()
+            parsed = self._reparse(parsed.tail)
+        count = len(tids)
+        first = tids[0]
+        block = None
+        if tids[-1] - first != count - 1:
+            block = np.array(tids, dtype=np.int64)
+        pieces = []
+        for parsed, a, b in parts:
+            lo, hi, sig_tids = self._signature_tids(parsed, a, b)
+            keep = None
+            if block is None:
+                slots = sig_tids - first
+                if lo < hi and sig_tids[0] < first:
+                    keep = slots >= 0
+            else:
+                slots = block.searchsorted(sig_tids)
+                found = block[np.minimum(slots, count - 1)] == sig_tids
+                if not found.all():
+                    keep = found
+            pieces.append((parsed, lo, hi, slots, keep))
+        return _text_segment(count, pieces)
+
+
+class TextTypeIScanner(_TidTextScanner):
+    """Type I text layout: ``<tid, vector>`` per string, sorted by tid;
+    consecutive elements may repeat a tid for multi-string values."""
 
     def move_to(self, tid: int) -> Optional[List[Signature]]:
         """Advance the pointer to *tid*; see the class docstring."""
@@ -335,60 +637,48 @@ class TextTypeIScanner(_TidBasedScanner):
             self._load_next()
         return out or None
 
-    def decode_segment(self, tids: List[int]):
-        """Columnar decode: one flat signature run, bulk-parsed.
-
-        Signatures are cracked out of :class:`_ByteRun` chunks with plain
-        indexing — no per-field reader calls — so the dominant cost is
-        the Python loop itself, not buffered-read bookkeeping.
-        """
-        run, pending = self._segment_run(tids[0])
+    def _parse(self, pending: Optional[int]) -> _Parsed:
+        """Parse every complete ``<vector, next tid>`` the run holds."""
+        run = self._run
+        buf = run.buf
+        end = len(buf)
+        s = run.pos
         table = self._scheme.higher_table
-        slots: List[int] = []
-        lengths: List[int] = []
-        bits: List[int] = []
-        unique = 0
-        for i, tid in enumerate(tids):
-            first = True
-            while pending is not None and pending <= tid:
-                run.ensure(1)
-                nbytes = table[run.buf[run.pos]]
-                run.ensure(1 + nbytes)
-                buf = run.buf
-                at = run.pos
-                if pending == tid:
-                    if first:
-                        unique += 1
-                        first = False
-                    slots.append(i)
-                    lengths.append(buf[at])
-                    bits.append(
-                        int.from_bytes(buf[at + 1 : at + 1 + nbytes], "little")
-                    )
-                run.pos = at + 1 + nbytes
-                if run.exhausted():
-                    pending = None
-                else:
-                    run.ensure(TID_BYTES)
-                    buf = run.buf
-                    at = run.pos
-                    pending = int.from_bytes(buf[at : at + TID_BYTES], "little")
-                    run.pos = at + TID_BYTES
-        self._seg_pending = pending
-        return TextSegment(len(tids), slots, lengths, bits, unique)
+        starts: List[int] = []
+        append = starts.append
+        final = False
+        while s < end:
+            p = s + 1 + table[buf[s]]
+            if p + TID_BYTES > end:
+                if p == end and run.drained():
+                    append(s)
+                    s = p
+                    final = True
+                break
+            append(s)
+            s = p + TID_BYTES
+        run.pos = s
+        np = fastpath._np
+        data = np.frombuffer(buf + _PAD, dtype=np.uint8)
+        at = np.array(starts, dtype=np.intp)
+        parsed = _Parsed(at, s, _signatures(buf, data, at, self._scheme))
+        _tidded(parsed, buf, data, at, pending, final)
+        tids = parsed.unit_tids
+        parsed.repeats = bool((tids[1:] == tids[:-1]).any())
+        return parsed
+
+    def _top_up(self) -> None:
+        run = self._run
+        size = _top_up_signatures(run, self._scheme.higher_table, 0, 1)
+        if run.pos + size < len(run.buf) or not run.drained():
+            run.ensure(size + TID_BYTES)
+
+    def _signature_tids(self, parsed: _Parsed, a: int, b: int):
+        return a, b, parsed.unit_tids[a:b]
 
 
-class TextTypeIIScanner(_TidBasedScanner):
+class TextTypeIIScanner(_TidTextScanner):
     """Type II text layout: ``<tid, num, vector1, vector2, …>``."""
-
-    def __init__(
-        self,
-        reader: BufferedReader,
-        scheme: SignatureScheme,
-        skip: Optional[SkipTable] = None,
-    ) -> None:
-        self._scheme = scheme
-        super().__init__(reader, skip)
 
     def move_to(self, tid: int) -> Optional[List[Signature]]:
         """Advance the pointer to *tid*; see the class docstring."""
@@ -401,107 +691,115 @@ class TextTypeIIScanner(_TidBasedScanner):
             self._load_next()
         return out or None
 
-    def decode_segment(self, tids: List[int]):
-        """Columnar decode: one flat signature run, bulk-parsed."""
-        run, pending = self._segment_run(tids[0])
-        table = self._scheme.higher_table
-        slots: List[int] = []
-        lengths: List[int] = []
-        bits: List[int] = []
-        unique = 0
-        for i, tid in enumerate(tids):
-            first = True
-            while pending is not None and pending <= tid:
-                run.ensure(NUM_BYTES)
-                count = run.buf[run.pos]
-                run.pos += NUM_BYTES
-                take = pending == tid
-                # ``<tid, 0>`` elements are never written, but guard
-                # anyway: an empty element must not count as defined.
-                if take and first and count:
-                    unique += 1
-                    first = False
-                for _ in range(count):
-                    run.ensure(1)
-                    nbytes = table[run.buf[run.pos]]
-                    run.ensure(1 + nbytes)
-                    buf = run.buf
-                    at = run.pos
-                    if take:
-                        slots.append(i)
-                        lengths.append(buf[at])
-                        bits.append(
-                            int.from_bytes(
-                                buf[at + 1 : at + 1 + nbytes], "little"
-                            )
-                        )
-                    run.pos = at + 1 + nbytes
-                if run.exhausted():
-                    pending = None
-                else:
-                    run.ensure(TID_BYTES)
-                    buf = run.buf
-                    at = run.pos
-                    pending = int.from_bytes(buf[at : at + TID_BYTES], "little")
-                    run.pos = at + TID_BYTES
-        self._seg_pending = pending
-        return TextSegment(len(tids), slots, lengths, bits, unique)
+    def _parse(self, pending: Optional[int]) -> _Parsed:
+        """Parse every complete ``<num, vectors…, next tid>`` the run holds.
+
+        ``<tid, 0>`` elements are never written, but one would parse as an
+        element without signatures, so it never counts as defined.
+        """
+        run = self._run
+        buf = run.buf
+        starts, sig_starts, s, final = _walk_counted(
+            run, self._scheme.higher_table, TID_BYTES
+        )
+        run.pos = s
+        np = fastpath._np
+        data = np.frombuffer(buf + _PAD, dtype=np.uint8)
+        at = np.array(starts, dtype=np.intp)
+        sig_at = np.array(sig_starts, dtype=np.intp)
+        parsed = _Parsed(at, s, _signatures(buf, data, sig_at, self._scheme))
+        _counted(parsed, data, at, sig_at)
+        _tidded(parsed, buf, data, at, pending, final)
+        return parsed
+
+    def _top_up(self) -> None:
+        run = self._run
+        run.ensure(NUM_BYTES)
+        size = _top_up_signatures(
+            run, self._scheme.higher_table, NUM_BYTES, run.buf[run.pos]
+        )
+        if run.pos + size < len(run.buf) or not run.drained():
+            run.ensure(size + TID_BYTES)
+
+    def _signature_tids(self, parsed: _Parsed, a: int, b: int):
+        lo = parsed.first_sig[a]
+        hi = parsed.first_sig[b]
+        return lo, hi, parsed.unit_tids[parsed.sig_unit[lo:hi]]
 
 
 class TextTypeIIIScanner(VectorListScanner):
-    """Type III text layout: positional ``<num, vectors…>`` for every tuple."""
+    """Type III text layout: positional ``<num, vectors…>`` for every tuple.
+
+    With numpy, ``decode_segment`` parses a run at a time like the
+    tid-based layouts (see :class:`_TidTextScanner`); each block takes
+    the next ``len(tids)`` elements.
+    """
 
     def __init__(self, reader: BufferedReader, scheme: SignatureScheme) -> None:
         super().__init__(reader)
         self._scheme = scheme
         self._run: Optional[_ByteRun] = None
+        self._parsed: Optional[_Parsed] = None
+        self._cursor = 0
 
     def move_to(self, tid: int) -> Optional[List[Signature]]:
         """Advance the pointer to *tid*; see the class docstring."""
         if self._reader.exhausted():
-            raise IndexError_(
-                "Type III vector list ran out of elements before the tuple "
-                "list did — the index is inconsistent with its table"
-            )
+            raise IndexError_(_TYPE_III_SHORT)
         count = self._reader.read(NUM_BYTES)[0]
         if count == 0:
             return None
         return [self._scheme.read(self._reader) for _ in range(count)]
 
-    def decode_segment(self, tids: List[int]):
-        """Columnar decode: one flat signature run, bulk-parsed."""
+    def _parse(self) -> _Parsed:
+        """Parse every complete ``<num, vectors…>`` the run holds."""
         run = self._run
-        if run is None:
-            run = self._run = _ByteRun(self._reader)
-        table = self._scheme.higher_table
-        slots: List[int] = []
-        lengths: List[int] = []
-        bits: List[int] = []
-        unique = 0
-        for i in range(len(tids)):
-            if run.exhausted():
-                raise IndexError_(
-                    "Type III vector list ran out of elements before the "
-                    "tuple list did — the index is inconsistent with its table"
-                )
-            run.ensure(NUM_BYTES)
-            count = run.buf[run.pos]
-            run.pos += NUM_BYTES
-            if count:
-                unique += 1
-                for _ in range(count):
-                    run.ensure(1)
-                    nbytes = table[run.buf[run.pos]]
-                    run.ensure(1 + nbytes)
-                    buf = run.buf
-                    at = run.pos
-                    slots.append(i)
-                    lengths.append(buf[at])
-                    bits.append(
-                        int.from_bytes(buf[at + 1 : at + 1 + nbytes], "little")
-                    )
-                    run.pos = at + 1 + nbytes
-        return TextSegment(len(tids), slots, lengths, bits, unique)
+        buf = run.buf
+        starts, sig_starts, s, _ = _walk_counted(run, self._scheme.higher_table, 0)
+        run.pos = s
+        np = fastpath._np
+        data = np.frombuffer(buf + _PAD, dtype=np.uint8)
+        at = np.array(starts, dtype=np.intp)
+        sig_at = np.array(sig_starts, dtype=np.intp)
+        parsed = _Parsed(at, s, _signatures(buf, data, sig_at, self._scheme))
+        _counted(parsed, data, at, sig_at)
+        self._parsed = parsed
+        self._cursor = 0
+        return parsed
+
+    def _top_up(self) -> None:
+        run = self._run
+        if run.exhausted():
+            raise IndexError_(_TYPE_III_SHORT)
+        run.ensure(NUM_BYTES)
+        _top_up_signatures(run, self._scheme.higher_table, NUM_BYTES, run.buf[run.pos])
+
+    def decode_segment(self, tids: List[int]):
+        """Columnar decode: the next ``len(tids)`` elements of the parsed run."""
+        if fastpath._np is None:
+            return super().decode_segment(tids)
+        parsed = self._parsed
+        if parsed is None:
+            self._run = _ByteRun(self._reader)
+            parsed = self._parse()
+        count = len(tids)
+        pieces = []
+        done = 0
+        while True:
+            k = self._cursor
+            take = min(count - done, parsed.units - k)
+            if take:
+                lo = parsed.first_sig[k]
+                hi = parsed.first_sig[k + take]
+                slots = parsed.sig_unit[lo:hi] - (k - done)
+                pieces.append((parsed, lo, hi, slots, None))
+                self._cursor = k + take
+                done += take
+            if done == count:
+                break
+            self._top_up()
+            parsed = self._parse()
+        return _text_segment(count, pieces)
 
 
 class NumericTypeIScanner(_TidBasedScanner):

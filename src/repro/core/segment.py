@@ -13,16 +13,18 @@ Three segment shapes cover every layout:
   one slot per tuple in the block (``codes`` is only meaningful where
   ``defined`` is True).  Bounded array-wide by
   :meth:`repro.core.numeric.NumericQuantizer.lower_bound_array`.
-* :class:`TextSegment` — a flat run of signatures as three parallel
-  Python lists (``slots``/``lengths``/``bits``; ``slots`` is
-  non-decreasing, repeating when one tuple stores several strings).  The
-  kernel computes hit counts in one flat loop and min-reduces per slot
-  with a single vectorized scatter.
+* :class:`TextSegment` — a flat run of signatures: a ``slots`` column
+  (non-decreasing, repeating when one tuple stores several strings) over
+  a slice of a :class:`SignatureRun` (``lengths``/``words`` columns).
+  Each signature's higher bits sit in one ``uint64`` word; the rare
+  signature wider than eight bytes keeps its full bits beside the
+  columns.  The kernel bounds a run with one array expression per term
+  and min-reduces per slot.
 * :class:`ColumnSegment` — a per-element payload column (``None`` for
   ndf, a slice code, or a list of ``(stored_length, bits)`` pairs).  The
   default ``decode_segment`` builds it from ``move_to``, so every scanner
-  (third-party codecs, the engine's null scanner, numeric lists without
-  numpy or with codes wider than four bytes) participates in the v3
+  (third-party codecs, the engine's null scanner, raw lists without
+  numpy, numeric codes wider than four bytes) participates in the v3
   path; the kernel evaluates it with the exact scalar ``bound_column``
   routines, which keeps bit-identity trivially.
 
@@ -36,6 +38,9 @@ from __future__ import annotations
 from typing import List, Optional
 
 from repro.core import fastpath
+
+#: Signatures at most this many bytes wide fit one ``uint64`` word.
+WORD_BYTES = 8
 
 
 class ColumnSegment:
@@ -77,52 +82,130 @@ class NumericSegment:
         return int(self.defined.sum())
 
 
+class SignatureRun:
+    """Signature columns, shared by every block cut from one parsed run.
+
+    ``lengths[j]`` is the stored-length byte and ``words[j]`` the higher
+    bits as a ``uint64`` — the whole signature when it is at most
+    :data:`WORD_BYTES` wide.  A wider signature (α = 1.0, long strings)
+    has its full bits in ``wide_bits[i]`` for ``wide_index[i] == j``, and
+    its word is not used.  With numpy every column is an array (``wide_index``
+    intp); without it they are plain lists.  ``bounds`` is the kernel's
+    memo: per compiled term, that term's bound for every signature, so a
+    run is bounded once however many blocks slice it.
+    """
+
+    __slots__ = ("lengths", "words", "wide_index", "wide_bits", "bounds")
+
+    def __init__(self, lengths, words, wide_index, wide_bits: List[int]) -> None:
+        self.lengths = lengths
+        self.words = words
+        self.wide_index = wide_index
+        self.wide_bits = wide_bits
+        self.bounds: dict = {}
+
+    def bits(self, lo: int, hi: int) -> List[int]:
+        """Full higher bits of signatures ``lo:hi`` as Python ints."""
+        bits = _as_list(self.words[lo:hi])
+        for i, j in enumerate(_as_list(self.wide_index)):
+            if lo <= j < hi:
+                bits[j - lo] = self.wide_bits[i]
+        return bits
+
+
 class TextSegment:
     """One block of a text vector list as a flat run of signatures.
 
-    ``slots[j]`` is the block-local tuple index of the j-th signature;
-    slots are non-decreasing (a Type II tuple storing several strings
-    repeats its slot).  ``lengths``/``bits`` carry the bare
-    ``(stored_length, higher_bits)`` pairs :meth:`SignatureScheme.read_raw`
-    produces, so the kernel's per-length mask tables apply unchanged.
+    The block's signatures are ``signatures[lo:hi]`` — a slice of a run
+    the scanner parsed for several blocks at once, or a run of the
+    block's own.  ``slots[j]`` is the block-local tuple index of the j-th
+    of them; slots are non-decreasing, and repeat (``repeats``) only where
+    one tuple stores several strings.
     """
 
     kind = "text"
 
-    __slots__ = ("count", "slots", "lengths", "bits", "unique_slots", "_slots_np")
+    __slots__ = ("count", "slots", "signatures", "lo", "hi", "repeats", "unique_slots")
 
     def __init__(
         self,
+        count: int,
+        slots,
+        signatures: SignatureRun,
+        lo: int,
+        hi: int,
+        repeats: bool,
+        unique_slots: Optional[int] = None,
+    ) -> None:
+        self.count = count
+        self.slots = slots
+        self.signatures = signatures
+        self.lo = lo
+        self.hi = hi
+        self.repeats = repeats
+        #: Distinct tuples that store at least one string (lazy).
+        self.unique_slots = unique_slots
+
+    @classmethod
+    def from_pairs(
+        cls,
         count: int,
         slots: List[int],
         lengths: List[int],
         bits: List[int],
         unique_slots: int,
-    ) -> None:
-        self.count = count
-        self.slots = slots
-        self.lengths = lengths
-        self.bits = bits
-        #: Number of distinct tuples that store at least one string.
-        self.unique_slots = unique_slots
-        self._slots_np = None
+        scheme,
+    ) -> "TextSegment":
+        """Build from per-signature lists of full ``bits`` (the varint walks).
 
-    def slots_array(self):
-        """The slots as an index array (cached; numpy must be present)."""
-        if self._slots_np is None:
-            np = fastpath._np
-            self._slots_np = np.asarray(self.slots, dtype=np.intp)
-        return self._slots_np
+        *scheme*'s higher-bit widths decide which signatures fit a word.
+        """
+        np = fastpath._np
+        if np is None:
+            table = scheme.higher_table
+            wide_index = [
+                j for j, length in enumerate(lengths) if table[length] > WORD_BYTES
+            ]
+        else:
+            lengths = np.array(lengths, dtype=np.intp)
+            wide = np.flatnonzero(scheme.higher_array[lengths] > WORD_BYTES)
+            wide_index = wide.tolist()
+        wide_bits = [bits[j] for j in wide_index]
+        if wide_index:
+            bits = list(bits)
+            for j in wide_index:
+                bits[j] = 0
+        if np is not None:
+            slots = np.array(slots, dtype=np.intp)
+            bits = np.array(bits, dtype=np.uint64)
+            wide_index = wide
+        run = SignatureRun(lengths, bits, wide_index, wide_bits)
+        repeats = unique_slots != len(slots)
+        return cls(count, slots, run, 0, len(slots), repeats, unique_slots)
 
     def column(self) -> list:
         column: list = [None] * self.count
-        for j, slot in enumerate(self.slots):
+        lengths = _as_list(self.signatures.lengths[self.lo : self.hi])
+        bits = self.signatures.bits(self.lo, self.hi)
+        for j, slot in enumerate(_as_list(self.slots)):
             pairs = column[slot]
             if pairs is None:
                 pairs = []
                 column[slot] = pairs
-            pairs.append((self.lengths[j], self.bits[j]))
+            pairs.append((lengths[j], bits[j]))
         return column
 
     def defined_count(self, count: int) -> int:
-        return self.unique_slots
+        unique = self.unique_slots
+        if unique is None:
+            slots = self.slots
+            unique = len(slots)
+            if self.repeats and unique:
+                unique = 1 + int((slots[1:] != slots[:-1]).sum())
+            self.unique_slots = unique
+        return unique
+
+
+def _as_list(values) -> list:
+    """A column as a list of Python ints (numpy arrays via ``tolist``)."""
+    return values if type(values) is list else values.tolist()

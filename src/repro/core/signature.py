@@ -22,6 +22,7 @@ import math
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
+from repro.core import fastpath
 from repro.core.ngram import estimate_from_hits, gram_multiset
 from repro.core.params import optimal_t
 from repro.errors import EncodingError
@@ -138,6 +139,7 @@ class SignatureScheme:
         self.alpha = alpha
         self.n = n
         self._higher_table: Optional[List[int]] = None
+        self._higher_array = None
 
     @property
     def higher_table(self) -> List[int]:
@@ -152,6 +154,16 @@ class SignatureScheme:
                 self.higher_bytes(length) for length in range(256)
             ]
         return table
+
+    @property
+    def higher_array(self):
+        """:attr:`higher_table` as a numpy index array (numpy must be present)."""
+        array = self._higher_array
+        if array is None:
+            array = self._higher_array = fastpath._np.array(
+                self.higher_table, dtype=fastpath._np.intp
+            )
+        return array
 
     def stored_length(self, s: str) -> int:
         """The (saturating) length recorded in cL."""
@@ -231,6 +243,11 @@ class QueryStringEncoder:
         self.query_length = len(query_string)
         self._grams = list(gram_multiset(query_string, n).items())
         self._mask_cache: Dict[Tuple[int, int], List[Tuple[int, int]]] = {}
+
+    @property
+    def grams(self) -> List[Tuple[str, int]]:
+        """The query's ``(gram, count)`` multiset in one fixed order."""
+        return self._grams
 
     def _masks(self, l_bits: int, t: int) -> List[Tuple[int, int]]:
         key = (l_bits, t)

@@ -20,6 +20,8 @@ Two layers of checks:
 from __future__ import annotations
 
 import string
+import sys
+import threading
 
 import pytest
 from hypothesis import given, settings
@@ -39,7 +41,7 @@ from repro.core.kernel import (
     validate_kernel_mode,
 )
 from repro.core.numeric import EAGER_LUT_MAX_CODES, NumericQuantizer
-from repro.core.segment import NumericSegment
+from repro.core.segment import NumericSegment, TextSegment
 from repro.core.signature import Signature, QueryStringEncoder, SignatureScheme
 from repro.core.vector_lists import ListType
 from repro.data.workload import WorkloadGenerator
@@ -274,6 +276,86 @@ class TestKernelCacheSharing:
         assert len(shared) == len(query.terms)
         for a, b in zip(first.terms, second.terms):
             assert a is b
+
+
+    def test_cache_is_a_bounded_lru(self):
+        """A long-lived cache keeps at most CAPACITY terms, evicting the oldest.
+
+        A re-requested evicted term is compiled again and counts as a miss;
+        a recently used one survives and counts as a hit.
+        """
+        cache = KernelCache()
+        cap = KernelCache.CAPACITY
+        first = cache.text_term(0, "q0", 2)
+        for i in range(1, cap + 50):
+            cache.text_term(0, f"q{i}", 2)
+            cache.numeric_term(1, None, float(i))
+        assert len(cache) <= cap
+        assert cache.misses == 2 * (cap + 49) + 1
+        hot = cache.numeric_term(1, None, float(cap + 49))
+        assert cache.hits == 1
+        misses = cache.misses
+        again = cache.text_term(0, "q0", 2)
+        assert again is not first
+        assert cache.misses == misses + 1
+        assert cache.numeric_term(1, None, float(cap + 49)) is hot
+        assert len(cache) <= cap
+
+
+    def test_shared_terms_under_threads(self, monkeypatch):
+        """Threads sharing one cache and its terms lose no update.
+
+        More threads than cores, a tiny switch interval, and more distinct
+        terms than the cap: lookups must count exactly once each, and
+        every array bound — while several threads grow the same term's row
+        tables — must equal the scalar mask loop.
+        """
+        pytest.importorskip("numpy")
+        monkeypatch.setattr(KernelCache, "CAPACITY", 32)
+        scheme = SignatureScheme(0.2, 2)
+        strings = ["ab" * (1 + i % 30) + "c" * (i % 7) for i in range(40)]
+        encoded = [scheme.encode(text) for text in strings]
+        cache = KernelCache()
+        threads_n, rounds = 6, 60
+        errors = []
+
+        def worker(seed: int) -> None:
+            for i in range(rounds):
+                term = cache.text_term(0, f"abc{(seed * 7 + i) % 48}", 2)
+                chosen = encoded[(seed + i) % 7 :: 3]
+                segment = TextSegment.from_pairs(
+                    len(chosen),
+                    list(range(len(chosen))),
+                    [sig.length for sig in chosen],
+                    [sig.bits for sig in chosen],
+                    len(chosen),
+                    scheme,
+                )
+                bounds, _ = term.bound_segment(segment, scheme, len(chosen), 1.0)
+                expected = [0.0] * len(chosen)
+                term.bound_column(
+                    segment.column(), scheme, expected, 1.0, [True] * len(chosen)
+                )
+                if bounds.tolist() != expected:
+                    errors.append((seed, i))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [
+                threading.Thread(target=worker, args=(seed,))
+                for seed in range(threads_n)
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        assert cache.hits + cache.misses == threads_n * rounds
+        assert len(cache) <= KernelCache.CAPACITY
 
 
 class TestAnswerIdentity:

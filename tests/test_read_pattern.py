@@ -1,0 +1,137 @@
+"""Pin the simulated-disk read pattern of sequential v3 reads.
+
+The raw text scanners parse ahead through whatever their byte run has
+buffered, but they must fetch exactly where the field-by-field walk
+would: at the same field, for the same size, interleaved with the refine
+step's table reads in the same order.  Anything else moves pages, seeks
+and the modeled filter time — the paper's cost figures — without
+changing a single answer.
+
+The expected figures below were recorded from the field-by-field walk on
+this fixed table.  Its lists are large enough that several buffered-reader
+chunks and byte-run refills land mid-scan (Dense ≈ 190 KB, Multi ≈ 63 KB,
+Sparse ≈ 37 KB), the raw codec stores them as Types III, II and I, and the
+page cache is smaller than the data, so warm runs still read.  The refine
+step flushes between blocks, so a fetch that moves to another block moves
+the seeks between the vector lists and the table file.
+"""
+
+from __future__ import annotations
+
+import pytest
+
+from repro import IVAConfig, IVAEngine, IVAFile, SimulatedDisk, SparseWideTable
+from repro.query import Query, QueryTerm
+from repro.storage.disk import DiskParameters
+
+WORDS = [
+    "amber", "basalt", "cobalt", "dune", "ember", "fjord", "garnet",
+    "harbor", "indigo", "jasper", "kelp", "lagoon", "marble",
+]
+
+QUERIES = [
+    (("Dense", "amber cobalt amber cobalt lot 7"),),
+    (("Sparse", "dune ember series 12"), ("Price", 410.0)),
+    (("Multi", "garnet mk3"),),
+    (("Dense", "fjord harbor batch 4"), ("Price", 410.0)),
+    (("Dense", "lagoon marble lot 8"), ("Label", "basalt-3 tag kelp")),
+    (
+        ("Dense", "kelp lagoon lot 3"),
+        ("Sparse", "indigo jasper series 5"),
+        ("Multi", "marble rev 9"),
+    ),
+]
+
+#: Per query, cold then warm:
+#: (filter_io_ms, refine_io_ms, pages_read, seeks, table_accesses).
+EXPECTED = {
+    "raw": [
+        (35.90625000000114, 49.13020833334065, 446, 7, 4000),
+        (43.90624999999784, 49.130208333318706, 446, 8, 4000),
+        (33.62760416666572, 32.86979166666731, 66, 5, 69),
+        (33.62760416666572, 32.86979166666731, 66, 5, 69),
+        (25.888020833332234, 0.0, 29, 3, 0),
+        (0.0, 0.0, 0, 0, 0),
+        (52.036458333330984, 48.86979166666879, 262, 9, 574),
+        (52.036458333330984, 48.86979166666879, 262, 9, 574),
+        (52.36197916666583, 49.13020833334042, 453, 9, 4000),
+        (52.361979166671745, 49.13020833336259, 453, 9, 4000),
+        (61.59895833333985, 49.13020833336259, 472, 10, 3189),
+        (61.59895833333985, 49.13020833336259, 472, 10, 3189),
+    ],
+    "compressed": [
+        (35.97135416666782, 49.13020833334065, 447, 7, 4000),
+        (43.97135416666441, 49.130208333318706, 447, 8, 4000),
+        (33.56249999999909, 32.86979166666731, 65, 5, 69),
+        (33.56249999999909, 32.86979166666731, 65, 5, 69),
+        (25.888020833332234, 0.0, 29, 3, 0),
+        (0.0, 0.0, 0, 0, 0),
+        (52.10156249999761, 48.86979166666879, 263, 9, 574),
+        (52.10156249999761, 48.86979166666879, 263, 9, 574),
+        (52.427083333332575, 49.13020833334065, 454, 9, 4000),
+        (52.42708333333849, 49.13020833336259, 454, 9, 4000),
+        (61.59895833333985, 49.13020833336259, 472, 10, 3189),
+        (61.59895833333985, 49.13020833336259, 472, 10, 3189),
+    ],
+}
+
+
+def _build():
+    disk = SimulatedDisk(DiskParameters(cache_bytes=48 * 4096))
+    table = SparseWideTable(disk)
+    for i in range(4000):
+        w = WORDS[i % 13]
+        v = WORDS[(i * 7) % 11]
+        cells = {
+            "Dense": (f"{w} {v} " * 8 + f"lot {i % 89}", f"{v} {w} batch {i % 31} " * 5),
+            "Price": float((i * 37) % 1000),
+            "Label": f"{v}-{i % 7} tag {w}" if i % 9 else (f"{w} {v}", f"{v} {i % 5}"),
+        }
+        if i % 6 == 0:
+            cells["Sparse"] = f"{v} {w} series {i % 53} " * 12
+        if i % 5 == 1:
+            cells["Multi"] = tuple(
+                f"{WORDS[(i + j) % 13]} rev {i % 23} " * 9 for j in range(3)
+            )
+        table.insert(cells)
+    return disk, table
+
+
+@pytest.mark.parametrize("codec", sorted(EXPECTED))
+def test_sequential_v3_read_pattern_is_pinned(codec):
+    disk, table = _build()
+    index = IVAFile.build(table, IVAConfig(name=f"pin_{codec}", codec=codec))
+    if codec == "raw":
+        layouts = {a.name: index.entry(a.attr_id).list_type.name for a in table.catalog}
+        assert layouts == {
+            "Dense": "TYPE_III",
+            "Label": "TYPE_III",
+            "Multi": "TYPE_II",
+            "Sparse": "TYPE_I",
+            "Price": "TYPE_IV",
+        }
+    engine = IVAEngine(table, index)
+    observed = []
+    for terms in QUERIES:
+        query = Query(
+            terms=tuple(
+                QueryTerm(attr=table.catalog.require(name), value=value)
+                for name, value in terms
+            )
+        )
+        for cold in (True, False):
+            if cold:
+                disk.drop_cache()
+            before = disk.stats.snapshot()
+            report = engine.search(query, k=10)
+            delta = disk.stats - before
+            observed.append(
+                (
+                    report.filter_io_ms,
+                    report.refine_io_ms,
+                    delta.pages_read,
+                    delta.seeks,
+                    report.table_accesses,
+                )
+            )
+    assert observed == EXPECTED[codec]

@@ -30,11 +30,20 @@ from hypothesis import strategies as st
 
 from repro import IVAConfig, IVAEngine, IVAFile, SimulatedDisk, SparseWideTable
 from repro.codec import CODEC_NAMES
-from repro.core import fastpath
+from repro.core import fastpath, scan
+from repro.core.kernel import CompiledTextTerm
 from repro.core.numeric import NumericQuantizer
-from repro.core.scan import SKIP_SEGMENT_ELEMENTS, SkipTable, VectorListScanner
+from repro.core.scan import (
+    SKIP_SEGMENT_ELEMENTS,
+    START,
+    SkipTable,
+    VectorListScanner,
+)
 from repro.core.segment import ColumnSegment, TextSegment
+from repro.core.signature import SignatureScheme
 from repro.data.workload import WorkloadGenerator
+from repro.errors import IndexError_, StorageError
+from repro.storage.pager import BufferedReader
 
 TEXT = st.text(alphabet=string.ascii_lowercase, min_size=1, max_size=8)
 
@@ -79,6 +88,69 @@ def _as_column(payload):
     if type(payload) is list:
         return [(sig.length, sig.bits) for sig in payload]
     return payload
+
+
+#: Words for the layout table; Dense holds some 60-character values, which
+#: are wider than one word at α = 0.2, as nearly every value is at α = 1.0.
+WORDS = ["amber", "basalt", "cobalt", "dune", "ember", "fjord", "garnet"]
+
+#: ``_ByteRun`` chunk sizes small enough that count bytes, length bytes,
+#: signature bits and tids straddle refills (``None``: the default).
+CHUNKS = [1, 5, 13, None]
+
+
+def _layout_table():
+    """90 rows whose raw text lists are Types III (Dense), II (Multi), I (Sparse)."""
+    table = SparseWideTable(SimulatedDisk())
+    for i in range(90):
+        w = WORDS[i % 7]
+        v = WORDS[(i * 3) % 5]
+        cells = {
+            "Dense": f"{w} {i % 11}" if i % 4 else (f"{v} {w} " * 5 + "x", f"{w}{i}")
+        }
+        if i % 7 == 2:
+            cells["Sparse"] = f"{v} {w} " * (1 + i % 9)
+        if i % 5 == 1:
+            cells["Multi"] = (f"{w}{i % 4}", f"{v} {w} " * (i % 8 + 1), v)
+        table.insert(cells)
+    return table
+
+
+@pytest.fixture(scope="module")
+def layout_table():
+    return _layout_table()
+
+
+@pytest.fixture
+def byte_run_chunk(request, monkeypatch):
+    if request.param is not None:
+        monkeypatch.setattr(scan._ByteRun, "_CHUNK", request.param)
+    return request.param
+
+
+def _list_scanner(index, attr_id, end=None):
+    """A raw scanner over one text list, optionally cut to ``end`` bytes."""
+    entry = index.entry(attr_id)
+    reader = BufferedReader(index.disk, index.vector_file(attr_id), 0, end=end)
+    return entry.codec_impl.text_scanner(entry.list_type, reader, entry.scheme, START)
+
+
+def _walk(index, attr_id, tids, block, end=None):
+    """``(move_to column, decode_segment column)``, or the exception types."""
+    outcomes = []
+    for columnar in (False, True):
+        try:
+            scanner = _list_scanner(index, attr_id, end)
+            if columnar:
+                column = []
+                for at in range(0, len(tids), block):
+                    column.extend(scanner.decode_segment(tids[at : at + block]).column())
+            else:
+                column = [_as_column(scanner.move_to(tid)) for tid in tids]
+            outcomes.append(column)
+        except (StorageError, IndexError_) as exc:
+            outcomes.append(type(exc))
+    return outcomes
 
 
 class TestDecodeSegmentIdentity:
@@ -143,6 +215,116 @@ class TestDecodeSegmentIdentity:
                     assert isinstance(a, ColumnSegment)
                     assert a.column() == b.column()
 
+    @pytest.mark.parametrize("alpha", [0.2, 1.0])
+    @pytest.mark.parametrize("byte_run_chunk", CHUNKS, indirect=True)
+    def test_run_parser_across_refills(self, layout_table, alpha, byte_run_chunk):
+        """Raw Types I–III parse runs that tiny refills cut anywhere.
+
+        Every field straddles a refill somewhere at chunk sizes 1, 5 and
+        13; wide signatures (α = 1.0, 60-character strings) ride along.
+        Columns, defined counts and kernel bounds must equal the scalar
+        walk for every block size.
+        """
+        table = layout_table
+        index = IVAFile.build(table, IVAConfig(name=f"run_{alpha}", alpha=alpha))
+        attrs = {a.name: a.attr_id for a in table.catalog}
+        types = {index.entry(a).list_type.name for a in attrs.values()}
+        assert types == {"TYPE_I", "TYPE_II", "TYPE_III"}
+        tids = list(range(len(table)))
+        term = CompiledTextTerm("amber dune", index.config.n)
+        for attr_id in attrs.values():
+            scheme = index.entry(attr_id).scheme
+            for block in (1, 4, 9, 256):
+                oracle, decoded = _walk(index, attr_id, tids, block)
+                assert decoded == oracle
+                scanner = _list_scanner(index, attr_id)
+                for at in range(0, len(tids), block):
+                    chunk = tids[at : at + block]
+                    segment = scanner.decode_segment(chunk)
+                    column = segment.column()
+                    assert segment.defined_count(len(chunk)) == sum(
+                        1 for payload in column if payload is not None
+                    )
+                    if segment.kind != "text":  # numpy absent: move_to adapter
+                        continue
+                    bounds, defined = term.bound_segment(segment, scheme, len(chunk), 7.0)
+                    expected = [0.0] * len(chunk)
+                    exact = [True] * len(chunk)
+                    term.bound_column(column, scheme, expected, 7.0, exact)
+                    assert bounds.tolist() == expected
+                    assert defined.tolist() == [not flag for flag in exact]
+
+    @pytest.mark.parametrize("byte_run_chunk", [5, None], indirect=True)
+    def test_truncated_lists_fail_like_move_to(self, layout_table, byte_run_chunk):
+        """A list cut at any byte fails (or ends) exactly as the scalar walk.
+
+        A short field raises the reader's ``StorageError``; a Type III list
+        that runs out of elements raises ``IndexError_``; a tid-based list
+        cut at an element boundary just ends early.
+        """
+        table = layout_table
+        index = IVAFile.build(table, IVAConfig(name="run_cut"))
+        tids = list(range(len(table)))
+        seen = set()
+        for attr in table.catalog:
+            size = index.disk.size(index.vector_file(attr.attr_id))
+            for end in range(size):
+                oracle, decoded = _walk(index, attr.attr_id, tids, 7, end=end)
+                assert decoded == oracle, (attr.name, end)
+                seen.add(oracle if isinstance(oracle, type) else list)
+        assert seen == {StorageError, IndexError_, list}
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        alpha=st.sampled_from([0.2, 0.5, 1.0]),
+        n=st.sampled_from([2, 3]),
+        query=st.text(alphabet="abc", min_size=1, max_size=12),
+        values=st.lists(
+            st.lists(st.text(alphabet="abc ", min_size=1, max_size=60), max_size=3),
+            min_size=1,
+            max_size=30,
+        ),
+        cut=st.integers(0, 30),
+    )
+    def test_bound_segment_matches_bound_column(self, alpha, n, query, values, cut):
+        """Array-wide text bounds ≡ the scalar mask loop, bit for bit.
+
+        Covers wide signatures (α = 1.0, strings past 40 characters),
+        multi-string tuples, and a block that slices a longer run (the
+        run is bounded once and memoised, then sliced).
+        """
+        pytest.importorskip("numpy")
+        scheme = SignatureScheme(alpha, n)
+        slots, lengths, bits = [], [], []
+        for slot, strings in enumerate(values):
+            for text in strings:
+                signature = scheme.encode(text)
+                slots.append(slot)
+                lengths.append(signature.length)
+                bits.append(signature.bits)
+        unique = len(set(slots))
+        whole = TextSegment.from_pairs(len(values), slots, lengths, bits, unique, scheme)
+        cut = min(cut, len(values))
+        lo = sum(1 for slot in slots if slot < cut)
+        tail = TextSegment(
+            len(values) - cut,
+            whole.slots[lo:] - cut,
+            whole.signatures,
+            lo,
+            len(slots),
+            True,
+        )
+        term = CompiledTextTerm(query, n)
+        for segment in (tail, whole):
+            count = segment.count
+            column = segment.column()
+            expected = [0.0] * count
+            exact = [True] * count
+            term.bound_column(column, scheme, expected, 3.5, exact)
+            bounds, defined = term.bound_segment(segment, scheme, count, 3.5)
+            assert bounds.tolist() == expected
+            assert defined.tolist() == [not flag for flag in exact]
+
     @settings(max_examples=10, deadline=None, suppress_health_check=[HealthCheck.too_slow])
     @given(rows=ROWS)
     def test_defined_count_matches_gaps(self, rows):
@@ -165,7 +347,12 @@ class TestNumpyAbsentFallback:
         monkeypatch.setattr(fastpath, "_np", None)
 
     def test_decode_segment_degrades_to_column_segment(self, no_numpy):
-        """Text layouts keep their TextSegment decoders; numeric ones adapt move_to."""
+        """Raw lists adapt move_to; compressed text keeps its TextSegment.
+
+        The raw text run parser cracks fields with numpy, so without it
+        raw text degrades to the base adapter like numeric lists do; the
+        compressed varint walks build plain-list segments either way.
+        """
         table = _build([("a", "x", 1.0, 2.0), (None, "y", None, 3.0)] * 5)
         for codec in CODEC_NAMES:
             index = IVAFile.build(
@@ -178,7 +365,8 @@ class TestNumpyAbsentFallback:
             for tids, _ in scan.blocks(4):
                 segments = scan.segment_blocks(list(tids))
                 for is_text, segment in zip(text, segments):
-                    expected = TextSegment if is_text else ColumnSegment
+                    columnar = is_text and codec == "compressed"
+                    expected = TextSegment if columnar else ColumnSegment
                     assert type(segment) is expected
 
     def test_v3_engine_answers_without_numpy(self, no_numpy):
@@ -315,6 +503,47 @@ class TestSkipTable:
         segment = scanner.decode_segment([tid])
         scalar = index.make_scanner(attr_id)
         assert segment.column() == [scalar.move_to(tid)]
+
+
+    @pytest.mark.parametrize("byte_run_chunk", [13, None], indirect=True)
+    def test_text_decode_jumps_between_blocks(self, byte_run_chunk):
+        """Raw text blocks that skip tids jump the run, and still decode right.
+
+        Blocks leave gaps, so each block head finds its pending tid below
+        the block: the scanner rewinds to where the scalar walk stands and
+        jumps whole segments — inside the buffered run, or past it through
+        the reader (a 13-byte chunk keeps the run short).
+        """
+        table = SparseWideTable(SimulatedDisk())
+        rows = (SKIP_SEGMENT_ELEMENTS * 3) * 4
+        for i in range(rows):
+            cells = {"PAD": "x"}
+            if i % 4 == 0:
+                cells["One"] = f"v{i % 13} w{i % 7}"
+            if i % 8 == 2:
+                cells["Two"] = (f"a{i % 5}", f"b{i % 11} c")
+            table.insert(cells)
+        index = IVAFile.build(table, IVAConfig(name="skip_text", codec="raw"))
+        blocks = [list(range(start, start + 9)) for start in range(0, rows - 9, 701)]
+        layouts = set()
+        jumped = False
+        for name in ("One", "Two"):
+            attr_id = table.catalog.require(name).attr_id
+            if index._skip_tables.get(attr_id) is None:
+                continue
+            layouts.add(index.entry(attr_id).list_type.name)
+            scanner = index.make_scanner(attr_id)
+            scalar = index.make_scanner(attr_id)
+            skips = []
+            original_skip = scanner._reader.skip
+            scanner._reader.skip = lambda n: (skips.append(n), original_skip(n))[1]
+            for tids in blocks:
+                segment = scanner.decode_segment(tids)
+                assert segment.column() == [_as_column(scalar.move_to(t)) for t in tids]
+            jumped = jumped or bool(skips)
+        assert layouts == {"TYPE_I", "TYPE_II"}
+        if byte_run_chunk is not None:
+            assert jumped, "no block jumped past the buffered run"
 
 
 class TestWideCodeFallback:
