@@ -5,13 +5,14 @@ Builds a small synthetic table, indexes it once per registered codec
 family at the default α and once at α = 1.0 (8-byte numeric codes, too
 wide for the columnar decoders: v3 decodes them through the scanners'
 ``move_to`` walk), and cross-checks that the v3 kernel's top-k answers
-are bit-identical to the sequential scalar oracle's
-(``IVAEngine(kernel="scalar")``) on every path v3 runs:
+are bit-identical to the scalar oracle's (``IVAEngine(kernel="scalar")``)
+on every path v3 runs:
 
-* the sequential engine at 1 worker (page-batched refine);
-* the parallel executor at 2 and 4 workers (compiled kernel shared across the
-  shard threads; page-batched refiner);
+* the single-query engine (page-batched refine);
 * the batch engine (one compiled artifact shared across the batch).
+
+Run it with and without numpy: without, v3 decodes every list through the
+scanners' ``move_to`` adapter.
 
 The kernels' lookup tables are built from the exact scalar bound
 routines, so any divergence — including on ndf tuples and clamped
@@ -29,7 +30,6 @@ from __future__ import annotations
 
 import sys
 
-WORKER_COUNTS = (2, 4)
 QUERIES = 12
 K = 10
 #: Relative numeric vector length of the second index per codec: 8-byte codes.
@@ -46,7 +46,6 @@ def main() -> int:
     from repro.metrics.distance import DistanceFunction, numeric_difference
     from repro.metrics.edit_distance import edit_distance
     from repro.model.values import is_ndf
-    from repro.parallel import ExecutorConfig
     from repro.storage import SparseWideTable, simulated_backend
 
     table = SparseWideTable(simulated_backend())
@@ -113,10 +112,6 @@ def main() -> int:
                 for report in BatchIVAEngine(table, index).search_batch(queries, k=K)
             ],
         }
-        for workers in WORKER_COUNTS:
-            paths[f"parallel x{workers}"] = answers(
-                IVAEngine(table, index, executor=ExecutorConfig(workers=workers))
-            )
         for label, got in paths.items():
             checked += 1
             check_distances(f"{label_index}: v3 {label}", got)
@@ -132,8 +127,7 @@ def main() -> int:
     print(
         f"kernel smoke OK: {len(CODEC_NAMES)} codecs x {len(alphas)} alphas x "
         f"{len(queries)} queries, "
-        f"v3 == scalar oracle on {checked} engine paths "
-        f"(sequential, batch, parallel x{' and x'.join(map(str, WORKER_COUNTS))}); "
+        f"v3 == scalar oracle on {checked} engine paths (single-query, batch); "
         f"{distances_checked} "
         f"returned distances == DP edit distance over the full row"
     )

@@ -104,13 +104,6 @@ from repro.baselines import (
     VAFileEngine,
 )
 from repro.maintenance import MaintainedSystem, amortized_update_times
-from repro.parallel import (
-    ExecutorConfig,
-    ParallelExecutionError,
-    ParallelSearchReport,
-    parallel_search,
-    parallel_search_batch,
-)
 from repro.obs import (
     JsonlSpanSink,
     MetricsRegistry,
@@ -178,11 +171,6 @@ __all__ = [
     "VAFileEngine",
     "MaintainedSystem",
     "amortized_update_times",
-    "ExecutorConfig",
-    "ParallelExecutionError",
-    "ParallelSearchReport",
-    "parallel_search",
-    "parallel_search_batch",
     "SequentialPlanEngine",
     "BatchIVAEngine",
     "InMemoryIVAEngine",

@@ -240,9 +240,6 @@ class SIIEngine(FilterAndRefineEngine):
         distance: Optional[DistanceFunction] = None,
         **engine_kwargs,
     ) -> None:
-        # ``parallelism``/``executor`` are accepted for CLI/bench parity but
-        # degrade to the sequential scan (supports_parallel stays False —
-        # posting scanners have no shard checkpoints).
         super().__init__(table, distance, **engine_kwargs)
         self.index = index
 

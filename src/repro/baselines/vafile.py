@@ -140,8 +140,6 @@ class VAFileEngine(FilterAndRefineEngine):
         distance: Optional[DistanceFunction] = None,
         **engine_kwargs,
     ) -> None:
-        # ``parallelism``/``executor`` accepted for parity; the VA-file
-        # filter is not sharded, so the knob degrades to sequential.
         super().__init__(table, distance, **engine_kwargs)
         self.index = index
 

@@ -25,15 +25,9 @@ from repro.bench.codec_compare import (
     emit_codec_compare,
 )
 from repro.bench.kernel_compare import (
-    KERNEL_WORKER_COUNTS,
     KernelRun,
     emit_kernel_compare,
     kernel_compare_sweep,
-)
-from repro.bench.parallel_scaling import (
-    WORKER_COUNTS,
-    emit_parallel_scaling,
-    parallel_scaling_sweep,
 )
 from repro.bench.reporting import emit_table, results_dir
 
@@ -52,13 +46,9 @@ __all__ = [
     "CodecRun",
     "codec_compare_sweep",
     "emit_codec_compare",
-    "KERNEL_WORKER_COUNTS",
     "KernelRun",
     "emit_kernel_compare",
     "kernel_compare_sweep",
     "emit_table",
     "results_dir",
-    "WORKER_COUNTS",
-    "emit_parallel_scaling",
-    "parallel_scaling_sweep",
 ]

@@ -1,8 +1,8 @@
 """The ``codec-compare`` sweep: vector-list bytes and filter I/O per codec.
 
 Builds one iVA-file per registered :mod:`repro.codec` family over the
-standard bench environment and races the same query set against each,
-sequentially and in parallel.  Three things are checked/reported:
+standard bench environment and races the same query set against each.
+Three things are checked/reported:
 
 * **compression ratio** — total vector-list bytes per codec, and the
   reduction the delta/gap coding buys over the fixed-width ``raw`` wire
@@ -12,9 +12,9 @@ sequentially and in parallel.  Three things are checked/reported:
   during Algorithm 1's filter scan, so the mean filter I/O per query
   should drop with the list bytes;
 * **answer identity** — every codec must return *bit-identical*
-  ``(tid, distance)`` lists for every query, sequential and parallel
-  (the codecs change addressing, never the signatures, so any divergence
-  is a bug, not a tolerance).
+  ``(tid, distance)`` lists for every query (the codecs change
+  addressing, never the signatures, so any divergence is a bug, not a
+  tolerance).
 
 Exposed as ``repro bench codec-compare`` and as
 :func:`codec_compare_sweep` for the suite/tests.
@@ -28,10 +28,6 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from repro.bench.harness import DEFAULTS, Environment, QuerySetStats, run_query_set
 from repro.bench.reporting import emit_table
 from repro.codec import CODEC_NAMES
-from repro.parallel import ExecutorConfig
-
-#: Worker count for the parallel identity check.
-PARALLEL_WORKERS = 2
 
 
 @dataclass(frozen=True)
@@ -42,9 +38,8 @@ class CodecRun:
     vector_list_bytes: int
     index_bytes: int
     sequential: QuerySetStats
-    parallel: QuerySetStats
     #: True when every query's (tid, distance) list matched the raw
-    #: sequential baseline exactly, on both execution paths.
+    #: baseline exactly.
     answers_identical: bool
 
 
@@ -57,7 +52,6 @@ def codec_compare_sweep(
     codecs: Optional[Sequence[str]] = None,
     values_per_query: int = DEFAULTS.values_per_query,
     k: int = DEFAULTS.k,
-    workers: int = PARALLEL_WORKERS,
 ) -> Dict[str, CodecRun]:
     """Race the query set across codec families; verify identical answers."""
 
@@ -74,27 +68,20 @@ def codec_compare_sweep(
                 k=k,
                 label=f"iVA {codec}",
             )
-            parallel = run_query_set(
-                env.iva_engine(index=index, executor=ExecutorConfig(workers=workers)),
-                query_set,
-                k=k,
-                label=f"iVA {codec} x{workers}",
-            )
             seq_answers = _answers(sequential)
             if baseline is None:
                 baseline = seq_answers
-            identical = seq_answers == baseline and _answers(parallel) == baseline
+            identical = seq_answers == baseline
             out[codec] = CodecRun(
                 codec=codec,
                 vector_list_bytes=sum(e.list_size for e in index.entries()),
                 index_bytes=index.total_bytes(),
                 sequential=sequential,
-                parallel=parallel,
                 answers_identical=identical,
             )
         return out
 
-    key = f"codec_compare_{tuple(codecs or CODEC_NAMES)}_{values_per_query}_{k}_{workers}"
+    key = f"codec_compare_{tuple(codecs or CODEC_NAMES)}_{values_per_query}_{k}"
     return env.cached(key, compute)
 
 
@@ -122,7 +109,6 @@ def codec_rows(sweep: Dict[str, CodecRun]) -> list:
                 run.index_bytes,
                 round(run.sequential.mean_filter_io_ms, 2),
                 f"{io_delta:.1%}",
-                round(run.parallel.mean_filter_io_ms, 2),
                 "yes" if run.answers_identical else "NO",
             ]
         )
@@ -136,7 +122,6 @@ CODEC_HEADERS = [
     "index bytes",
     "filter I/O (ms)",
     "I/O saved",
-    f"filter I/O x{PARALLEL_WORKERS} (ms)",
     "answers identical",
 ]
 

@@ -3,14 +3,13 @@
 Builds a full stack per codec — simulated disk, deterministic fault
 injection, CRC32C frame verification, bounded retries (see
 :mod:`repro.resilience`) — and sweeps seeded fault-injection rates over
-the same query set with ``fail_mode="degrade"``: the v3 kernel through the
-degrading parallel executor, the scalar oracle sequentially.  Every
-query's outcome is classified:
+the same query set with ``fail_mode="degrade"``, once with the v3 kernel
+and once with the scalar oracle.  Every query's outcome is classified:
 
 * **matched** — the ``(tid, distance)`` list equals the fault-free
   baseline exactly (transient faults absorbed by retries);
-* **degraded** — the report says so: shards were lost and the caller was
-  told which tid ranges went missing;
+* **degraded** — the report says so: the scan was cut and the caller was
+  told which tid range went missing;
 * **errored** — the query raised a :class:`~repro.errors.ReproError`
   (persistent damage the stack refused to paper over);
 * **silently wrong** — none of the above and the answer differs.  The
@@ -36,7 +35,6 @@ from repro.core.kernel import KERNEL_MODES
 from repro.data.generator import DatasetConfig, DatasetGenerator
 from repro.data.workload import WorkloadGenerator
 from repro.errors import ReproError
-from repro.parallel import ExecutorConfig
 from repro.query import Query
 from repro.resilience import (
     ChecksummedBackend,
@@ -56,9 +54,6 @@ CHAOS_DATASET = DatasetConfig(
     mean_attrs_per_tuple=8.0,
     seed=42,
 )
-
-#: Workers for the degrading parallel executor (v3 rows).
-CHAOS_WORKERS = 2
 
 #: Queries per (codec, kernel) combination.
 CHAOS_QUERIES = 8
@@ -142,13 +137,7 @@ def fault_sweep(
             for _ in range(queries_per_combo)
         ]
         for kernel in tuple(kernels) if kernels is not None else KERNEL_MODES:
-            # The scalar oracle does not shard: its rows run sequentially.
-            executor = (
-                None if kernel == "scalar" else ExecutorConfig(workers=CHAOS_WORKERS)
-            )
-            engine = IVAEngine(
-                table, index, executor=executor, kernel=kernel, fail_mode="degrade"
-            )
+            engine = IVAEngine(table, index, kernel=kernel, fail_mode="degrade")
             plan.disarm()
             baseline = [answer for answer, _ in _answers(engine, queries, k)]
             for rate in rates:

@@ -113,26 +113,19 @@ class Environment:
     def iva_engine(
         self,
         index: Optional[IVAFile] = None,
-        executor=None,
-        kernel: Optional[str] = None,
+        kernel: str = "scalar",
         **distance_kwargs,
     ) -> IVAEngine:
         """An IVAEngine over this environment's table and index.
 
-        Sequential engines default to ``kernel="scalar"``, the published
-        Algorithm 1, so the paper's figures measure it; pass
-        ``kernel="v3"`` for the compiled v3 filter kernel (``bench
-        kernel-compare``).  Pass an :class:`~repro.parallel.ExecutorConfig`
-        as *executor* to get the parallel filter/refine path (``bench
-        parallel-scaling``), which runs v3.
+        Defaults to ``kernel="scalar"``, the published Algorithm 1, so the
+        paper's figures measure it; pass ``kernel="v3"`` for the compiled
+        v3 filter kernel (``bench kernel-compare``).
         """
-        if kernel is None:
-            kernel = "scalar" if executor is None else "v3"
         return IVAEngine(
             self.table,
             index or self.iva,
             self.distance(**distance_kwargs),
-            executor=executor,
             kernel=kernel,
         )
 

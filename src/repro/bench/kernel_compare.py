@@ -1,22 +1,18 @@
 """The ``kernel-compare`` sweep: scalar vs. v3 filter kernels.
 
 Races the default query set through the iVA engine with both filter
-kernels (:mod:`repro.core.kernel`) over every codec family, and reports
-two things.  The scalar kernel is the sequential identity oracle, so it
-runs once per codec and its columns repeat on that codec's rows; v3 runs
-at every requested worker count.
+kernels (:mod:`repro.core.kernel`) over every codec family, one row per
+codec, and reports two things:
 
 * **filter-phase latency** — measured wall-clock p50/p95 per query and
-  the speedup of v3 at the row's worker count over the sequential
-  scalar oracle (the kernels change CPU work only, so the modeled index
-  I/O is identical by construction and the measured wall time is the
-  honest comparison);
-* **answer identity** — every (codec, workers) v3 run and every codec's
-  scalar run must return *bit-identical* ``(tid, distance)`` lists for
-  every query.  The kernel's lookup tables are built from the exact
-  scalar routines (Prop. 3.3's no-false-negative bounds included), so
-  any divergence is a bug, not a tolerance; the CLI turns it into a
-  hard failure.
+  the speedup of v3 over the scalar identity oracle (the kernels change
+  CPU work only, so the modeled index I/O is identical by construction
+  and the measured wall time is the honest comparison);
+* **answer identity** — every codec's v3 and scalar runs must return
+  *bit-identical* ``(tid, distance)`` lists for every query.  The
+  kernel's lookup tables are built from the exact scalar routines
+  (Prop. 3.3's no-false-negative bounds included), so any divergence is
+  a bug, not a tolerance; the CLI turns it into a hard failure.
 
 Exposed as ``repro bench kernel-compare`` and as
 :func:`kernel_compare_sweep` for the suite/tests.
@@ -31,19 +27,13 @@ from repro.analysis.stats import percentile
 from repro.bench.harness import DEFAULTS, Environment, QuerySetStats, run_query_set
 from repro.bench.reporting import emit_table
 from repro.codec import CODEC_NAMES
-from repro.parallel import ExecutorConfig
-
-#: Default worker counts for the sweep (1 = sequential engine).
-KERNEL_WORKER_COUNTS: Tuple[int, ...] = (1,)
 
 
 @dataclass(frozen=True)
 class KernelRun:
-    """Per-kernel measurements for one (codec, workers) setup."""
+    """Per-kernel measurements for one codec."""
 
     codec: str
-    workers: int
-    #: The codec's sequential scalar oracle run (shared by its rows).
     scalar: QuerySetStats
     v3: QuerySetStats
     #: True when both kernels returned the sweep-wide baseline's exact
@@ -81,11 +71,10 @@ def _answers(stats: QuerySetStats) -> List[List[Tuple[int, float]]]:
 def kernel_compare_sweep(
     env: Environment,
     codecs: Optional[Sequence[str]] = None,
-    worker_counts: Sequence[int] = KERNEL_WORKER_COUNTS,
     values_per_query: int = DEFAULTS.values_per_query,
     k: int = DEFAULTS.k,
 ) -> List[KernelRun]:
-    """Race the kernels across codecs × worker counts; verify answers."""
+    """Race the kernels on every codec; verify answers."""
 
     def compute() -> List[KernelRun]:
         names = tuple(codecs) if codecs is not None else CODEC_NAMES
@@ -103,43 +92,34 @@ def kernel_compare_sweep(
             scalar_answers = _answers(scalar)
             if baseline is None:
                 baseline = scalar_answers
-            for workers in worker_counts:
-                executor = (
-                    ExecutorConfig(workers=workers) if workers > 1 else None
+            v3 = run_query_set(
+                env.iva_engine(index=index, kernel="v3"),
+                query_set,
+                k=k,
+                label=f"iVA {codec} v3",
+            )
+            runs.append(
+                KernelRun(
+                    codec=codec,
+                    scalar=scalar,
+                    v3=v3,
+                    answers_identical=scalar_answers == baseline
+                    and _answers(v3) == baseline,
                 )
-                v3 = run_query_set(
-                    env.iva_engine(index=index, executor=executor, kernel="v3"),
-                    query_set,
-                    k=k,
-                    label=f"iVA {codec} x{workers} v3",
-                )
-                runs.append(
-                    KernelRun(
-                        codec=codec,
-                        workers=workers,
-                        scalar=scalar,
-                        v3=v3,
-                        answers_identical=scalar_answers == baseline
-                        and _answers(v3) == baseline,
-                    )
-                )
+            )
         return runs
 
-    key = (
-        f"kernel_compare_{tuple(codecs or CODEC_NAMES)}"
-        f"_{tuple(worker_counts)}_{values_per_query}_{k}"
-    )
+    key = f"kernel_compare_{tuple(codecs or CODEC_NAMES)}_{values_per_query}_{k}"
     return env.cached(key, compute)
 
 
 def kernel_rows(sweep: Sequence[KernelRun]) -> list:
-    """Table rows: one per (codec, workers) pair."""
+    """Table rows: one per codec."""
     rows = []
     for run in sweep:
         rows.append(
             [
                 run.codec,
-                run.workers,
                 round(run.filter_p50_ms("scalar"), 2),
                 round(run.filter_p95_ms("scalar"), 2),
                 round(run.filter_p50_ms("v3"), 2),
@@ -155,7 +135,6 @@ def kernel_rows(sweep: Sequence[KernelRun]) -> list:
 
 KERNEL_HEADERS = [
     "codec",
-    "workers",
     "scalar p50 (ms)",
     "scalar p95 (ms)",
     "v3 p50 (ms)",

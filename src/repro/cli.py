@@ -20,22 +20,16 @@ spans.jsonl`` aggregates a span file into per-phase p50/p95/p99 tables,
 and ``repro obs serve`` exposes ``/metrics`` (Prometheus text),
 ``/metrics.json``, ``/healthz`` and ``/traces/recent`` over HTTP.
 
-Parallel execution: ``--workers N`` on ``query``/``compare``/``workload``
-shards the filter scan across N worker threads (see docs/parallelism.md);
-``repro bench parallel-scaling`` sweeps the worker count on the standard
-bench environment and emits a worker-count-vs-latency table.
-
 Filter kernel: ``query``/``compare``/``workload`` run the v3 kernel by
 default: query-compiled lookup tables, whole-segment columnar decode,
 zero-copy mmap reads and page-batched refinement (see
 docs/architecture.md).  ``--kernel scalar`` runs the published per-tuple
-Algorithm 1 instead, the sequential identity oracle (it does not combine
-with ``--workers``); answers are bit-identical.  ``repro serve`` always
-runs v3.  ``repro bench kernel-compare`` races both kernels on both codecs
-and fails on any top-k divergence.
+Algorithm 1 instead, the identity oracle; answers are bit-identical.
+``repro serve`` always runs v3.  ``repro bench kernel-compare`` races both
+kernels on both codecs and fails on any top-k divergence.
 
 Resilience: ``--fail-mode degrade`` on ``query``/``compare``/``workload``
-lets a query survive shard failures with an explicitly flagged partial
+lets a query survive a scan failure with an explicitly flagged partial
 answer (see docs/resilience.md); ``repro fsck`` exits 0 (clean), 1
 (findings), or 2 (files unreadable) and ``--repair`` quarantines damaged
 vector lists and rebuilds them from the base table; ``repro bench
@@ -73,26 +67,6 @@ def _save_metrics(snapshot_path: str) -> str:
     return write_snapshot(get_registry(), _metrics_sidecar(snapshot_path))
 
 
-def _executor_from(args: argparse.Namespace):
-    """An ExecutorConfig for ``--workers N`` (None when sequential)."""
-    workers = getattr(args, "workers", None)
-    if workers is None or workers <= 1:
-        return None
-    from repro.parallel import ExecutorConfig
-
-    return ExecutorConfig(workers=workers)
-
-
-def _add_workers_flag(subparser: argparse.ArgumentParser) -> None:
-    subparser.add_argument(
-        "--workers",
-        type=int,
-        metavar="N",
-        help="shard the filter scan across N worker threads "
-        "(parallel execution; 1 = sequential)",
-    )
-
-
 def _add_kernel_flag(subparser: argparse.ArgumentParser) -> None:
     from repro.core.kernel import KERNEL_MODES
 
@@ -102,8 +76,7 @@ def _add_kernel_flag(subparser: argparse.ArgumentParser) -> None:
         choices=list(KERNEL_MODES),
         help="filter evaluation strategy: v3 (query-compiled lookup tables "
         "over whole-segment columnar decode, with page-batched refine) or "
-        "scalar (the per-tuple oracle; sequential only); answers are "
-        "identical",
+        "scalar (the per-tuple oracle); answers are identical",
     )
 
 
@@ -115,7 +88,7 @@ def _add_fail_mode_flag(subparser: argparse.ArgumentParser) -> None:
         default="raise",
         choices=list(FAIL_MODES),
         help="scan-failure policy: raise (default) or degrade (answer "
-        "without lost shards, flagged on the report)",
+        "with what the cut scan found, flagged on the report)",
     )
 
 
@@ -125,7 +98,7 @@ def _add_explain_flag(subparser: argparse.ArgumentParser) -> None:
         action="store_true",
         help="profile the search and print its EXPLAIN ANALYZE artifact: "
         "candidate funnel, per-attribute scan stats, lower-bound "
-        "tightness, phase/shard times (see docs/profiling.md)",
+        "tightness, phase times (see docs/profiling.md)",
     )
 
 
@@ -190,7 +163,6 @@ def _build_parser() -> argparse.ArgumentParser:
         metavar="ATTR=VALUE",
         help="query value; repeat for multiple attributes",
     )
-    _add_workers_flag(query)
     _add_kernel_flag(query)
     _add_fail_mode_flag(query)
     _add_explain_flag(query)
@@ -235,7 +207,6 @@ def _build_parser() -> argparse.ArgumentParser:
     compare.add_argument("-k", type=int, default=10)
     compare.add_argument("--queries-file",
                          help="replay a saved query set instead of sampling")
-    _add_workers_flag(compare)
     _add_kernel_flag(compare)
     _add_fail_mode_flag(compare)
 
@@ -256,7 +227,6 @@ def _build_parser() -> argparse.ArgumentParser:
                           help="log queries whose modeled time crosses MS")
     workload.add_argument("--no-run", action="store_true",
                           help="only sample and save; skip the measurement pass")
-    _add_workers_flag(workload)
     _add_kernel_flag(workload)
     _add_fail_mode_flag(workload)
     _add_explain_flag(workload)
@@ -267,19 +237,12 @@ def _build_parser() -> argparse.ArgumentParser:
     bench.add_argument(
         "suite",
         choices=[
-            "parallel-scaling",
             "codec-compare",
             "kernel-compare",
             "fault-sweep",
             "crash-sweep",
         ],
         help="benchmark suite to run",
-    )
-    bench.add_argument(
-        "--workers-list",
-        default="1,2,4",
-        metavar="N,N,...",
-        help="comma-separated worker counts to sweep (1 = sequential baseline)",
     )
     bench.add_argument("-k", type=int, default=10)
     bench.add_argument("--values-per-query", type=int, default=3)
@@ -349,9 +312,6 @@ def _build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--name", default="iva", help="index name inside the snapshot")
     serve.add_argument("--metric", default="L2", choices=["L1", "L2", "Linf"])
     serve.add_argument("--ndf-penalty", type=float, default=20.0)
-    serve.add_argument("--workers", type=int, default=0,
-                       help="shard served scans across N worker threads "
-                       "(0/1 = sequential)")
     serve.add_argument("--max-concurrency", type=int, default=8,
                        help="queries executing at once before queueing")
     serve.add_argument("--max-queue", type=int, default=32,
@@ -480,7 +440,6 @@ def _cmd_query(args: argparse.Namespace) -> int:
         index,
         DistanceFunction(metric=args.metric, ndf_penalty=args.ndf_penalty),
         tracer=tracer,
-        executor=_executor_from(args),
         kernel=getattr(args, "kernel", "v3"),
         fail_mode=getattr(args, "fail_mode", "raise"),
         profile=getattr(args, "explain_analyze", False),
@@ -489,8 +448,7 @@ def _cmd_query(args: argparse.Namespace) -> int:
     print(f"query: {query.describe()}  (k={args.k}, {args.metric})")
     if report.degraded:
         print(
-            f"  WARNING: degraded answer; lost shards {report.lost_shards} "
-            f"covering tid ranges {report.lost_tid_ranges}"
+            f"  WARNING: degraded answer; lost tid ranges {report.lost_tid_ranges}"
         )
     for rank, result in enumerate(report.results, start=1):
         record = table.read(result.tid)
@@ -632,7 +590,6 @@ def _cmd_workload(args: argparse.Namespace) -> int:
                 table,
                 index,
                 tracer=tracer,
-                executor=_executor_from(args),
                 kernel=getattr(args, "kernel", "v3"),
                 fail_mode=getattr(args, "fail_mode", "raise"),
                 profile=getattr(args, "explain_analyze", False),
@@ -697,19 +654,14 @@ def _cmd_compare(args: argparse.Namespace) -> int:
             workload.sample_query(args.values_per_query)
             for _ in range(args.queries)
         ]
-    executor = _executor_from(args)
     engines = [
         IVAEngine(
             table,
             index,
-            executor=executor,
             kernel=getattr(args, "kernel", "v3"),
             fail_mode=getattr(args, "fail_mode", "raise"),
         ),
-        # Baselines accept the knob for parity; their filters are not
-        # sharded (and have no v3 kernel), so they run the plain
-        # sequential path either way.
-        SIIEngine(table, sii, executor=executor),
+        SIIEngine(table, sii),
         DirectScanEngine(table),
     ]
     print(f"{len(queries)} queries, k={args.k}")
@@ -787,64 +739,17 @@ def _cmd_bench(args: argparse.Namespace) -> int:
             )
         return 0
 
-    if args.suite == "kernel-compare":
-        from repro.bench.kernel_compare import (
-            emit_kernel_compare,
-            kernel_compare_sweep,
-        )
+    from repro.bench.kernel_compare import emit_kernel_compare, kernel_compare_sweep
 
-        try:
-            worker_counts = tuple(
-                int(part) for part in args.workers_list.split(",") if part.strip()
-            )
-        except ValueError:
-            raise ReproError(
-                f"bad --workers-list {args.workers_list!r}; expected e.g. 1,2,4"
-            ) from None
-        print("building the bench environment (generated dataset + indexes)...")
-        env = build_environment()
-        sweep = kernel_compare_sweep(
-            env,
-            worker_counts=worker_counts or (1,),
-            values_per_query=args.values_per_query,
-            k=args.k,
-        )
-        emit_kernel_compare(sweep)
-        broken = [
-            f"{run.codec}/x{run.workers}"
-            for run in sweep
-            if not run.answers_identical
-        ]
-        if broken:
-            raise ReproError(
-                f"v3 kernel diverged from scalar answers on: {broken}"
-            )
-        return 0
-
-    from repro.bench.parallel_scaling import (
-        emit_parallel_scaling,
-        parallel_scaling_sweep,
-    )
-
-    try:
-        worker_counts = tuple(
-            int(part) for part in args.workers_list.split(",") if part.strip()
-        )
-    except ValueError:
-        raise ReproError(
-            f"bad --workers-list {args.workers_list!r}; expected e.g. 1,2,4"
-        ) from None
-    if not worker_counts:
-        raise ReproError("--workers-list must name at least one worker count")
     print("building the bench environment (generated dataset + indexes)...")
     env = build_environment()
-    sweep = parallel_scaling_sweep(
-        env,
-        worker_counts=worker_counts,
-        values_per_query=args.values_per_query,
-        k=args.k,
+    sweep = kernel_compare_sweep(
+        env, values_per_query=args.values_per_query, k=args.k
     )
-    emit_parallel_scaling(sweep)
+    emit_kernel_compare(sweep)
+    broken = [run.codec for run in sweep if not run.answers_identical]
+    if broken:
+        raise ReproError(f"v3 kernel diverged from scalar answers on: {broken}")
     return 0
 
 
@@ -1013,7 +918,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
                 port=args.port,
                 metric=args.metric,
                 ndf_penalty=args.ndf_penalty,
-                workers=args.workers,
                 deadline_ms=args.deadline_ms,
                 beta=args.beta,
                 admission=admission,

@@ -9,9 +9,7 @@ is this package's business: a :class:`VectorListCodec` owns
   the sizes it compares are codec-specific);
 * the **builders** (bulk serialization at rebuild) and **appenders**
   (tail elements at insert);
-* the **scanners** (the synchronized-scan pointers of Sec. IV-A);
-* the **resume-point arithmetic** feeding the index's sync directory, so
-  ``repro.parallel`` shard workers can enter a list mid-stream; and
+* the **scanners** (the synchronized-scan pointers of Sec. IV-A); and
 * the **integrity checks** ``repro.storage.fsck`` runs over raw payloads.
 
 Two families ship: :class:`~repro.codec.raw.RawCodec` (the fixed-width
@@ -25,10 +23,10 @@ the approximation vectors or the lower-bound semantics.
 from __future__ import annotations
 
 import bisect
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from repro.core.numeric import NumericQuantizer
-from repro.core.scan import ResumePoint, SkipTable, VectorListScanner
+from repro.core.scan import SkipTable, VectorListScanner
 from repro.core.signature import SignatureScheme
 from repro.core.vector_lists import ListType, NumericListSizes, TextListSizes
 from repro.errors import IndexError_
@@ -40,8 +38,6 @@ __all__ = [
     "read_uvarint",
     "uvarint_len",
     "BytesReader",
-    "tid_resume_points",
-    "positional_resume_points",
     "list_last_key",
 ]
 
@@ -115,68 +111,6 @@ class BytesReader:
     def size(self) -> int:
         """Total payload length in bytes."""
         return len(self._payload)
-
-
-# ------------------------------------------------- resume-point arithmetic
-
-
-def tid_resume_points(
-    elements: Iterable[Tuple[int, int]],
-    all_tids: Sequence[int],
-    positions: Sequence[int],
-) -> List[ResumePoint]:
-    """Resume points at *positions* for a tid-based list.
-
-    *elements* yields ``(tid, serialized_bytes)`` per list element in tid
-    order — widths must already include any delta varints, so they only
-    make sense accumulated in order, which is exactly what this does.  The
-    resume point at tuple position ``p`` covers every element with
-    ``tid < all_tids[p]``; its ``prev_key`` is the last such element's tid
-    (the decoding base a delta-coded scanner resumes from).
-    """
-    points: List[ResumePoint] = []
-    iterator = iter(elements)
-    current = next(iterator, None)
-    acc = 0
-    prev = -1
-    for pos in positions:
-        boundary = all_tids[pos]
-        while current is not None and current[0] < boundary:
-            acc += current[1]
-            prev = current[0]
-            current = next(iterator, None)
-        points.append(ResumePoint(offset=acc, prev_key=prev, position=pos))
-    return points
-
-
-def positional_resume_points(
-    defined: Sequence[Tuple[int, int]],
-    ndf_width: int,
-    positions: Sequence[int],
-) -> List[ResumePoint]:
-    """Resume points at *positions* for a positional list.
-
-    *defined* holds ``(tuple_position, serialized_bytes)`` for the defined
-    elements in position order; undefined positions cost *ndf_width* bytes
-    each (0 for gap-coded layouts that skip them entirely).  ``prev_key``
-    is the last *defined* position before the cut.
-    """
-    points: List[ResumePoint] = []
-    i = 0
-    acc = 0
-    prev = -1
-    done = 0  # elements with position < done are accumulated in acc
-    for pos in positions:
-        while i < len(defined) and defined[i][0] < pos:
-            defined_pos, width = defined[i]
-            acc += ndf_width * (defined_pos - done) + width
-            done = defined_pos + 1
-            prev = defined_pos
-            i += 1
-        acc += ndf_width * (pos - done)
-        done = pos
-        points.append(ResumePoint(offset=acc, prev_key=prev, position=pos))
-    return points
 
 
 def list_last_key(
@@ -293,14 +227,13 @@ class VectorListCodec:
         list_type: ListType,
         reader,
         scheme: SignatureScheme,
-        resume: ResumePoint,
         skip: Optional[SkipTable] = None,
     ) -> VectorListScanner:
-        """A scanning pointer over a text list, starting at *resume*.
+        """A scanning pointer at the head of a text list.
 
-        The reader must already be positioned at ``resume.offset``.
-        *skip* is an optional advisory :class:`~repro.core.scan.SkipTable`;
-        codecs whose scanners cannot use it simply ignore it.
+        The reader must be positioned at the list's first byte.  *skip* is
+        an optional advisory :class:`~repro.core.scan.SkipTable`; codecs
+        whose scanners cannot use it simply ignore it.
         """
         raise NotImplementedError
 
@@ -309,10 +242,9 @@ class VectorListCodec:
         list_type: ListType,
         reader,
         quantizer: NumericQuantizer,
-        resume: ResumePoint,
         skip: Optional[SkipTable] = None,
     ) -> VectorListScanner:
-        """A scanning pointer over a numeric list, starting at *resume*."""
+        """A scanning pointer at the head of a numeric list."""
         raise NotImplementedError
 
     # ------------------------------------------------------- skip tables
@@ -333,34 +265,6 @@ class VectorListCodec:
         derivable without decoding (the raw fixed-width family).
         """
         return None
-
-    # ---------------------------------------------------- sync directory
-
-    def text_resume_points(
-        self,
-        list_type: ListType,
-        scheme: SignatureScheme,
-        entries: Sequence[Tuple[int, TextValue]],
-        all_tids: Sequence[int],
-        positions: Sequence[int],
-    ) -> List[ResumePoint]:
-        """Resume points at *positions* for a freshly built text list.
-
-        Pure arithmetic over the entries just serialized — the widths
-        mirror the builders exactly, so no payload parsing or I/O.
-        """
-        raise NotImplementedError
-
-    def numeric_resume_points(
-        self,
-        list_type: ListType,
-        vector_bytes: int,
-        entries: Sequence[Tuple[int, float]],
-        all_tids: Sequence[int],
-        positions: Sequence[int],
-    ) -> List[ResumePoint]:
-        """Resume points at *positions* for a freshly built numeric list."""
-        raise NotImplementedError
 
     # -------------------------------------------------------- integrity
 

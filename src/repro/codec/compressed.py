@@ -24,11 +24,6 @@ Wire formats (``uv(x)`` = LEB128 unsigned varint):
 * **Type I numeric** — per defined tuple: ``uv(tid - prev_tid) ‖ code``.
 * **Type IV numeric** — unchanged from ``raw``: the packed fixed-width
   code per tuple is already ⌈α·r⌉-tight, with nothing monotone to gap-code.
-
-Because elements are delta-coded, resuming a scan mid-list needs the
-decoding base as well as a byte offset — that is exactly what
-:class:`~repro.core.scan.ResumePoint` carries and what the index's sync
-directory stores per codec.
 """
 
 from __future__ import annotations
@@ -39,16 +34,13 @@ from repro.codec.base import (
     BytesReader,
     VectorListCodec,
     encode_uvarint,
-    positional_resume_points,
     read_uvarint,
-    tid_resume_points,
     uvarint_len,
 )
 from repro.core import fastpath
 from repro.core.numeric import VECTORISED_MAX_BYTES, NumericQuantizer
 from repro.core.scan import (
     NumericTypeIVScanner,
-    ResumePoint,
     SkipTable,
     VectorListScanner,
 )
@@ -72,20 +64,18 @@ class _DeltaTidScanner(VectorListScanner):
 
     Mirrors :class:`~repro.core.scan._TidBasedScanner`, with the pending
     element's tid reconstructed as ``base + gap``; ``base`` is the tid of
-    the last fully consumed element (``resume.prev_key`` at construction).
+    the last fully consumed element (``-1`` at the list head).
     """
 
-    def __init__(self, reader, resume: ResumePoint) -> None:
+    def __init__(self, reader) -> None:
         super().__init__(reader)
-        self._base = resume.prev_key
+        self._base = -1
         self._pending: Optional[int] = None
-        self._pending_start = reader.position
         self._load_next()
 
     def _load_next(self) -> None:
         if self._pending is not None:
             self._base = self._pending
-        self._pending_start = self._reader.position
         if self._reader.exhausted():
             self._pending = None
         else:
@@ -96,23 +86,13 @@ class _DeltaTidScanner(VectorListScanner):
         """The tid the pointer is frozen at (None at the list tail)."""
         return self._pending
 
-    def checkpoint_offset(self) -> int:
-        """Start of the pending element (its gap varint is re-read on resume)."""
-        return self._pending_start
-
-    def checkpoint(self, position: int = 0) -> ResumePoint:
-        """Full resume state: offset plus the decoding base before it."""
-        return ResumePoint(
-            offset=self._pending_start, prev_key=self._base, position=position
-        )
-
 
 class CompressedTextTypeIScanner(_DeltaTidScanner):
     """Gap-coded Type I text: ``uv(gap) ‖ signature`` per string."""
 
-    def __init__(self, reader, scheme: SignatureScheme, resume: ResumePoint) -> None:
+    def __init__(self, reader, scheme: SignatureScheme) -> None:
         self._scheme = scheme
-        super().__init__(reader, resume)
+        super().__init__(reader)
 
     def move_to(self, tid: int) -> Optional[List[Signature]]:
         """Advance the pointer to *tid*; see :mod:`repro.core.scan`."""
@@ -152,9 +132,9 @@ class CompressedTextTypeIScanner(_DeltaTidScanner):
 class CompressedTextTypeIIScanner(_DeltaTidScanner):
     """Gap-coded Type II text: ``uv(gap) ‖ uv(count) ‖ signatures``."""
 
-    def __init__(self, reader, scheme: SignatureScheme, resume: ResumePoint) -> None:
+    def __init__(self, reader, scheme: SignatureScheme) -> None:
         self._scheme = scheme
-        super().__init__(reader, resume)
+        super().__init__(reader)
 
     def move_to(self, tid: int) -> Optional[List[Signature]]:
         """Advance the pointer to *tid*; see :mod:`repro.core.scan`."""
@@ -200,9 +180,9 @@ class CompressedTextTypeIIScanner(_DeltaTidScanner):
 class CompressedNumericTypeIScanner(_DeltaTidScanner):
     """Gap-coded Type I numeric: ``uv(gap) ‖ code``."""
 
-    def __init__(self, reader, quantizer: NumericQuantizer, resume: ResumePoint) -> None:
+    def __init__(self, reader, quantizer: NumericQuantizer) -> None:
         self._quantizer = quantizer
-        super().__init__(reader, resume)
+        super().__init__(reader)
 
     def move_to(self, tid: int) -> Optional[int]:
         """Advance the pointer to *tid*; see :mod:`repro.core.scan`."""
@@ -242,25 +222,22 @@ class CompressedTextTypeIIIScanner(VectorListScanner):
     Position-identified like its raw counterpart, so ``move_to`` must be
     called once per tuple-list element (tombstones included) — but the
     list stores elements only for *defined* tuples, keyed by position
-    gaps, so the scanner keeps its own element counter (seeded from
-    ``resume.position``) and decodes an element only when the pending
-    defined position comes due.  A stream that ends early just means the
-    remaining tuples are all undefined.
+    gaps, so the scanner keeps its own element counter and decodes an
+    element only when the pending defined position comes due.  A stream
+    that ends early just means the remaining tuples are all undefined.
     """
 
-    def __init__(self, reader, scheme: SignatureScheme, resume: ResumePoint) -> None:
+    def __init__(self, reader, scheme: SignatureScheme) -> None:
         super().__init__(reader)
         self._scheme = scheme
-        self._position = resume.position
-        self._prev_defined = resume.prev_key
+        self._position = 0
+        self._prev_defined = -1
         self._pending: Optional[int] = None
-        self._pending_start = reader.position
         self._load_next()
 
     def _load_next(self) -> None:
         if self._pending is not None:
             self._prev_defined = self._pending
-        self._pending_start = self._reader.position
         if self._reader.exhausted():
             self._pending = None
         else:
@@ -311,18 +288,6 @@ class CompressedTextTypeIIIScanner(VectorListScanner):
             self._load_next()
         return TextSegment.from_pairs(
             len(tids), slots, lengths, bits, unique, self._scheme
-        )
-
-    def checkpoint_offset(self) -> int:
-        """Start of the pending element (gap varint re-read on resume)."""
-        return self._pending_start
-
-    def checkpoint(self, position: int = 0) -> ResumePoint:
-        """Full resume state; the scanner's own element counter wins."""
-        return ResumePoint(
-            offset=self._pending_start,
-            prev_key=self._prev_defined,
-            position=self._position,
         )
 
 
@@ -543,99 +508,30 @@ class CompressedCodec(VectorListCodec):
         list_type: ListType,
         reader,
         scheme: SignatureScheme,
-        resume: ResumePoint,
         skip: Optional[SkipTable] = None,
     ) -> VectorListScanner:
-        """A scanning pointer over a text list, starting at *resume*.
+        """A scanning pointer at the head of a text list.
 
         *skip* is accepted for interface parity and ignored: delta-coded
         elements cannot be jumped over without losing the decoding base.
         """
         if list_type is ListType.TYPE_I:
-            return CompressedTextTypeIScanner(reader, scheme, resume)
+            return CompressedTextTypeIScanner(reader, scheme)
         if list_type is ListType.TYPE_II:
-            return CompressedTextTypeIIScanner(reader, scheme, resume)
-        return CompressedTextTypeIIIScanner(reader, scheme, resume)
+            return CompressedTextTypeIIScanner(reader, scheme)
+        return CompressedTextTypeIIIScanner(reader, scheme)
 
     def numeric_scanner(
         self,
         list_type: ListType,
         reader,
         quantizer: NumericQuantizer,
-        resume: ResumePoint,
         skip: Optional[SkipTable] = None,
     ) -> VectorListScanner:
-        """A scanning pointer over a numeric list, starting at *resume*."""
+        """A scanning pointer at the head of a numeric list."""
         if list_type is ListType.TYPE_I:
-            return CompressedNumericTypeIScanner(reader, quantizer, resume)
+            return CompressedNumericTypeIScanner(reader, quantizer)
         return NumericTypeIVScanner(reader, quantizer)
-
-    # ---------------------------------------------------- sync directory
-
-    def text_resume_points(
-        self,
-        list_type: ListType,
-        scheme: SignatureScheme,
-        entries: Sequence[Tuple[int, TextValue]],
-        all_tids: Sequence[int],
-        positions: Sequence[int],
-    ) -> List[ResumePoint]:
-        """Resume points at *positions* for a freshly built text list."""
-        if list_type is ListType.TYPE_I:
-            def widths():
-                prev = -1
-                for tid, strings in entries:
-                    if not strings:
-                        continue
-                    total = uvarint_len(tid - prev) + (len(strings) - 1)
-                    total += sum(scheme.vector_byte_size(s) for s in strings)
-                    prev = tid
-                    yield tid, total
-
-            return tid_resume_points(widths(), all_tids, positions)
-        if list_type is ListType.TYPE_II:
-            def widths():
-                prev = -1
-                for tid, strings in entries:
-                    total = uvarint_len(tid - prev) + uvarint_len(len(strings))
-                    total += sum(scheme.vector_byte_size(s) for s in strings)
-                    prev = tid
-                    yield tid, total
-
-            return tid_resume_points(widths(), all_tids, positions)
-        pos_of = {tid: i for i, tid in enumerate(all_tids)}
-        defined: List[Tuple[int, int]] = []
-        prev = -1
-        for tid, strings in entries:
-            position = pos_of[tid]
-            total = uvarint_len(position - prev) + uvarint_len(len(strings))
-            total += sum(scheme.vector_byte_size(s) for s in strings)
-            defined.append((position, total))
-            prev = position
-        return positional_resume_points(defined, 0, positions)
-
-    def numeric_resume_points(
-        self,
-        list_type: ListType,
-        vector_bytes: int,
-        entries: Sequence[Tuple[int, float]],
-        all_tids: Sequence[int],
-        positions: Sequence[int],
-    ) -> List[ResumePoint]:
-        """Resume points at *positions* for a freshly built numeric list."""
-        if list_type is ListType.TYPE_I:
-            def widths():
-                prev = -1
-                for tid, _ in entries:
-                    total = uvarint_len(tid - prev) + vector_bytes
-                    prev = tid
-                    yield tid, total
-
-            return tid_resume_points(widths(), all_tids, positions)
-        return [
-            ResumePoint(offset=pos * vector_bytes, prev_key=pos - 1, position=pos)
-            for pos in positions
-        ]
 
     # -------------------------------------------------------- integrity
 

@@ -17,12 +17,7 @@ from __future__ import annotations
 
 from typing import List, Optional, Sequence, Tuple
 
-from repro.codec.base import (
-    BytesReader,
-    VectorListCodec,
-    positional_resume_points,
-    tid_resume_points,
-)
+from repro.codec.base import BytesReader, VectorListCodec
 from repro.core.numeric import NumericQuantizer
 from repro.core.scan import (
     NUM_BYTES,
@@ -30,7 +25,6 @@ from repro.core.scan import (
     TID_BYTES,
     NumericTypeIScanner,
     NumericTypeIVScanner,
-    ResumePoint,
     SkipTable,
     TextTypeIScanner,
     TextTypeIIScanner,
@@ -165,10 +159,9 @@ class RawCodec(VectorListCodec):
         list_type: ListType,
         reader,
         scheme: SignatureScheme,
-        resume: ResumePoint,
         skip: Optional[SkipTable] = None,
     ) -> VectorListScanner:
-        """A scanning pointer over a text list, starting at *resume*."""
+        """A scanning pointer at the head of a text list."""
         if list_type is ListType.TYPE_I:
             return TextTypeIScanner(reader, scheme, skip)
         if list_type is ListType.TYPE_II:
@@ -180,10 +173,9 @@ class RawCodec(VectorListCodec):
         list_type: ListType,
         reader,
         quantizer: NumericQuantizer,
-        resume: ResumePoint,
         skip: Optional[SkipTable] = None,
     ) -> VectorListScanner:
-        """A scanning pointer over a numeric list, starting at *resume*."""
+        """A scanning pointer at the head of a numeric list."""
         if list_type is ListType.TYPE_I:
             return NumericTypeIScanner(reader, quantizer, skip)
         return NumericTypeIVScanner(reader, quantizer)
@@ -201,9 +193,8 @@ class RawCodec(VectorListCodec):
         """Per-segment tid fences for tid-based layouts (Types I and II).
 
         Fixed-width elements make segment byte offsets computable from the
-        entries alone — the same arithmetic the resume-point directory
-        uses.  Positional layouts identify by position, not tid, so a tid
-        fence buys nothing there and ``None`` is returned.
+        entries alone.  Positional layouts identify by position, not tid,
+        so a tid fence buys nothing there and ``None`` is returned.
         """
         if is_text:
             if list_type is ListType.TYPE_I:
@@ -252,76 +243,6 @@ class RawCodec(VectorListCodec):
             offsets=tuple(offsets),
             end_offset=offset,
         )
-
-    # ---------------------------------------------------- sync directory
-
-    @staticmethod
-    def _without_prev(points: List[ResumePoint]) -> List[ResumePoint]:
-        """Fixed-width elements need no decoding base; normalize to ``-1``.
-
-        Keeps directory-computed points equal to what a walked raw
-        scanner's :meth:`~repro.core.scan.VectorListScanner.checkpoint`
-        reports (it never tracks a predecessor either).
-        """
-        return [
-            ResumePoint(offset=p.offset, prev_key=-1, position=p.position)
-            for p in points
-        ]
-
-    def text_resume_points(
-        self,
-        list_type: ListType,
-        scheme: SignatureScheme,
-        entries: Sequence[Tuple[int, TextValue]],
-        all_tids: Sequence[int],
-        positions: Sequence[int],
-    ) -> List[ResumePoint]:
-        """Resume points at *positions* for a freshly built text list."""
-        if list_type is ListType.TYPE_I:
-            widths = (
-                (tid, sum(TID_BYTES + scheme.vector_byte_size(s) for s in strings))
-                for tid, strings in entries
-            )
-            return self._without_prev(tid_resume_points(widths, all_tids, positions))
-        if list_type is ListType.TYPE_II:
-            widths = (
-                (
-                    tid,
-                    TID_BYTES
-                    + NUM_BYTES
-                    + sum(scheme.vector_byte_size(s) for s in strings),
-                )
-                for tid, strings in entries
-            )
-            return self._without_prev(tid_resume_points(widths, all_tids, positions))
-        pos_of = {tid: i for i, tid in enumerate(all_tids)}
-        defined = [
-            (
-                pos_of[tid],
-                NUM_BYTES + sum(scheme.vector_byte_size(s) for s in strings),
-            )
-            for tid, strings in entries
-        ]
-        return self._without_prev(
-            positional_resume_points(defined, NUM_BYTES, positions)
-        )
-
-    def numeric_resume_points(
-        self,
-        list_type: ListType,
-        vector_bytes: int,
-        entries: Sequence[Tuple[int, float]],
-        all_tids: Sequence[int],
-        positions: Sequence[int],
-    ) -> List[ResumePoint]:
-        """Resume points at *positions* for a freshly built numeric list."""
-        if list_type is ListType.TYPE_I:
-            widths = ((tid, TID_BYTES + vector_bytes) for tid, _ in entries)
-            return self._without_prev(tid_resume_points(widths, all_tids, positions))
-        return [
-            ResumePoint(offset=pos * vector_bytes, prev_key=-1, position=pos)
-            for pos in positions
-        ]
 
     # -------------------------------------------------------- integrity
 

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import logging
 import time
-from typing import TYPE_CHECKING, List, Mapping, Optional, Sequence, Union
+from typing import List, Mapping, Optional, Sequence, Union
 
 from repro.core.engine import (
     QueryResult,
@@ -34,12 +34,8 @@ from repro.errors import DeadlineExceeded, QueryError, ReproError
 from repro.metrics.distance import DistanceFunction
 from repro.obs.metrics import MetricsRegistry, get_registry
 from repro.obs.profile import ProfileCollector
-from repro.obs.trace import Tracer, get_tracer
 from repro.query import Query
 from repro.storage.table import SparseWideTable
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.parallel.config import ExecutorConfig
 
 logger = logging.getLogger(__name__)
 
@@ -56,46 +52,30 @@ class BatchIVAEngine:
         distance: Optional[DistanceFunction] = None,
         *,
         registry: Optional[MetricsRegistry] = None,
-        tracer: Optional[Tracer] = None,
-        parallelism: Optional[int] = None,
-        executor: Optional["ExecutorConfig"] = None,
         fail_mode: str = "raise",
         profile: bool = False,
         kernel_cache: Optional[KernelCache] = None,
         scan_end_element: Optional[int] = None,
-        shard_planner=None,
     ) -> None:
         self.table = table
         self.index = index
         self.distance = distance or DistanceFunction()
-        #: Optional shared compiled-term cache, snapshot watermark and
-        #: shard planner — same semantics as on
+        #: Optional shared compiled-term cache and snapshot watermark —
+        #: same semantics as on
         #: :class:`~repro.core.engine.FilterAndRefineEngine`; the serving
-        #: daemon injects all three per index snapshot.
+        #: daemon injects both per index snapshot.
         self.kernel_cache = kernel_cache
         self.scan_end_element = scan_end_element
-        self.shard_planner = shard_planner
         #: When True every report in the batch carries an EXPLAIN ANALYZE
         #: artifact (``SearchReport.profile``); see :mod:`repro.obs.profile`.
         self.profile = profile
-        #: Scan-failure policy (see :class:`FilterAndRefineEngine`): the
-        #: parallel path walks the shard-recovery ladder and flags every
-        #: report in the batch ``degraded`` when a shard stays lost.
+        #: Scan-failure policy (see :class:`FilterAndRefineEngine`): a cut
+        #: shared scan flags every report in the batch ``degraded``.
         self.fail_mode = validate_fail_mode(fail_mode)
         self.registry = registry
-        self.tracer = tracer
-        if executor is None and parallelism is not None:
-            from repro.parallel.config import ExecutorConfig
-
-            executor = ExecutorConfig(workers=parallelism)
-        #: Parallel-execution configuration; None means always sequential.
-        self.executor = executor
 
     def _registry(self) -> MetricsRegistry:
         return self.registry if self.registry is not None else get_registry()
-
-    def _tracer(self) -> Tracer:
-        return self.tracer if self.tracer is not None else get_tracer()
 
     def _prepare(self, queries: Sequence[Union[Query, Mapping[str, object]]]) -> List[Query]:
         bound: List[Query] = []
@@ -115,56 +95,12 @@ class BatchIVAEngine:
         distance: Optional[DistanceFunction] = None,
         deadline_s: Optional[float] = None,
     ) -> List[SearchReport]:
-        """Run all *queries* in one pass; reports align with the input.
-
-        Dispatches the shared scan to the parallel executor when one is
-        configured; the sequential loop runs otherwise (or as the fallback
-        when the pool cannot start).  Both paths return bit-identical
-        answers.
+        """Run all *queries* in one shared scan; reports align with the input.
 
         *deadline_s* is a wall-clock budget for the whole batch: on expiry
         ``fail_mode="degrade"`` flags every report ``degraded``/
         ``deadline_hit`` (the shared scan was cut for all of them), while
         ``fail_mode="raise"`` raises :class:`~repro.errors.DeadlineExceeded`.
-        """
-        if not queries:
-            return []
-        bound = self._prepare(queries)
-        deadline = (
-            time.perf_counter() + deadline_s if deadline_s is not None else None
-        )
-        config = self.executor
-        if config is not None and config.effective_workers() > 1:
-            from repro.parallel.executor import (
-                ParallelExecutionError,
-                parallel_search_batch,
-            )
-
-            try:
-                return parallel_search_batch(
-                    self, bound, k=k, distance=distance, deadline=deadline
-                )
-            except ParallelExecutionError as exc:
-                if not config.fallback:
-                    raise
-                logger.warning(
-                    "parallel batch execution failed, running sequentially: %s", exc
-                )
-                self._registry().counter(
-                    "repro_parallel_fallbacks_total",
-                    labels={"engine": self.name},
-                    help="Searches that fell back to the sequential path.",
-                ).inc()
-        return self._sequential_search_batch(bound, k, distance, deadline=deadline)
-
-    def _sequential_search_batch(
-        self,
-        bound: Sequence[Query],
-        k: int = 10,
-        distance: Optional[DistanceFunction] = None,
-        deadline: Optional[float] = None,
-    ) -> List[SearchReport]:
-        """The inline shared-scan loop.
 
         Cost attribution: the batch's shared I/O (the single scan, the
         de-duplicated table fetches) is reported once on the *first*
@@ -172,6 +108,12 @@ class BatchIVAEngine:
         ("how many tuples this query refined" — several queries refining
         the same tuple share one physical fetch).
         """
+        if not queries:
+            return []
+        bound = self._prepare(queries)
+        deadline = (
+            time.perf_counter() + deadline_s if deadline_s is not None else None
+        )
         dist = distance or self.distance
         attr_ids = sorted({t.attr.attr_id for q in bound for t in q.terms})
         position = {attr_id: i for i, attr_id in enumerate(attr_ids)}

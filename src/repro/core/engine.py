@@ -1,5 +1,8 @@
 """Query processing: the parallel filter-and-refine plan (Sec. IV-A, Alg. 1).
 
+"Parallel" is the paper's word for scanning the tuple list and the vector
+lists side by side in one pass; the plan runs on one thread.
+
 The engine scans the tuple list and the queried attributes' vector lists in
 a synchronized manner, computes a per-tuple lower bound of the similarity
 distance from the approximation vectors, and — interleaved with the scan
@@ -26,7 +29,7 @@ import logging
 import time
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Iterator, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Iterator, List, Mapping, Optional, Sequence, Tuple, Union
 
 from repro.core.iva_file import DELETED_PTR, IVAFile
 from repro.core.kernel import BLOCK_TUPLES, QueryKernel, validate_kernel_mode
@@ -39,9 +42,6 @@ from repro.obs.metrics import MetricsRegistry, get_registry
 from repro.obs.profile import ProfileCollector, QueryProfile
 from repro.obs.trace import Tracer, get_tracer
 from repro.query import Query
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.parallel.config import ExecutorConfig
 
 logger = logging.getLogger(__name__)
 
@@ -77,19 +77,11 @@ class BoundEvaluator:
     """Per-query machinery turning scanner payloads into distance bounds.
 
     Owns the query-string encoders and numeric quantizers for one query's
-    terms and converts one tuple's vector-list payloads into ``(diffs,
-    exact)`` — the per-term lower bounds of Algorithm 1 plus the all-ndf
-    shortcut flag.  Extracted from the engine's filter loop so shard
-    workers in :mod:`repro.parallel` evaluate bounds with exactly the same
-    code path as the sequential scan.
-
-    *position* maps attribute id → index into the payload row; ``None``
-    means payloads align 1:1 with the query's terms (the single-query
-    scan).  The batch engine passes the union-scan position map instead.
-
-    *cache*, when given to :meth:`evaluate`, memoizes text bounds per tuple
-    keyed ``(attr_id, query string)`` so batched queries sharing a term pay
-    the signature comparison once (the batch engine's optimization).
+    terms and converts one tuple's vector-list payloads, aligned 1:1 with
+    the query's terms, into ``(diffs, exact)`` — the per-term lower bounds
+    of Algorithm 1 plus the all-ndf shortcut flag.  The scalar oracle's
+    filter; the v3 kernel (:mod:`repro.core.kernel`) computes the same
+    bounds a block at a time.
     """
 
     def __init__(
@@ -97,7 +89,6 @@ class BoundEvaluator:
         index: IVAFile,
         query: Query,
         distance: DistanceFunction,
-        position: Optional[Mapping[int, int]] = None,
     ) -> None:
         self.query = query
         n = index.config.n
@@ -112,37 +103,21 @@ class BoundEvaluator:
                 entry = index.entry(term.attr.attr_id)
                 self._quantizers.append(entry.quantizer if entry is not None else None)
         self._ndf_penalty = distance.ndf_penalty
-        if position is None:
-            self._slots = list(range(len(query.terms)))
-        else:
-            self._slots = [position[term.attr.attr_id] for term in query.terms]
 
-    def evaluate(
-        self,
-        payloads: Sequence[object],
-        cache: Optional[dict] = None,
-    ) -> Tuple[List[float], bool]:
+    def evaluate(self, payloads: Sequence[object]) -> Tuple[List[float], bool]:
         """One tuple's per-term lower bounds plus the all-ndf flag."""
         diffs: List[float] = []
         exact = True
         for idx, term in enumerate(self.query.terms):
-            payload = payloads[self._slots[idx]]
+            payload = payloads[idx]
             if payload is None:
                 diffs.append(self._ndf_penalty)
                 continue
             exact = False
             if term.attr.is_text:
-                if cache is None:
-                    diffs.append(
-                        min(self._encoders[idx].lower_bound(sig) for sig in payload)
-                    )
-                    continue
-                key = (term.attr.attr_id, str(term.value))
-                bound = cache.get(key)
-                if bound is None:
-                    bound = min(self._encoders[idx].lower_bound(sig) for sig in payload)
-                    cache[key] = bound
-                diffs.append(bound)
+                diffs.append(
+                    min(self._encoders[idx].lower_bound(sig) for sig in payload)
+                )
             else:
                 diffs.append(self._quantizers[idx].lower_bound(float(term.value), payload))
         return diffs, exact
@@ -182,12 +157,9 @@ class SearchReport:
     #: true top-k members (``fail_mode="degrade"`` only; a non-degraded
     #: report is always complete).
     degraded: bool = False
-    #: Shard indices whose tid ranges could not be scanned (parallel path).
-    lost_shards: List[int] = field(default_factory=list)
-    #: Inclusive (first, last) tid ranges not covered by the scan.  The
-    #: sequential path reports ``(next_tid, -1)`` — ``-1`` meaning
-    #: "through the end of the scan" — since it cannot know where the
-    #: aborted scan would have ended.
+    #: Inclusive (first, last) tid ranges not covered by the scan:
+    #: ``(next_tid, -1)``, ``-1`` meaning "through the end of the scan",
+    #: since a cut scan cannot know where it would have ended.
     lost_tid_ranges: List[Tuple[int, int]] = field(default_factory=list)
     #: True when the query's deadline budget expired and the scan was cut
     #: short.  Always accompanied by ``degraded=True`` (a deadline cut is
@@ -271,7 +243,7 @@ def observe_search(
         registry.counter(
             "repro_degraded_queries_total",
             labels=labels,
-            help="Searches that completed with lost shards or a cut scan.",
+            help="Searches that completed with a cut scan.",
         ).inc()
     if report.deadline_hit:
         registry.counter(
@@ -312,11 +284,6 @@ class FilterAndRefineEngine(ABC):
     #: Engine label used in benchmark tables.
     name = "engine"
 
-    #: Whether this engine's filter can be sharded by :mod:`repro.parallel`.
-    #: Engines that cannot (the baselines) still accept the ``parallelism``
-    #: knob and degrade gracefully to the sequential path.
-    supports_parallel = False
-
     #: Filter evaluation strategy.  Template engines walk their filter
     #: tuple by tuple and refine inline; :class:`IVAEngine` also runs the
     #: v3 kernel (see its ``kernel`` argument).
@@ -329,13 +296,10 @@ class FilterAndRefineEngine(ABC):
         *,
         registry: Optional[MetricsRegistry] = None,
         tracer: Optional[Tracer] = None,
-        parallelism: Optional[int] = None,
-        executor: Optional["ExecutorConfig"] = None,
         fail_mode: str = "raise",
         profile: bool = False,
         kernel_cache=None,
         scan_end_element: Optional[int] = None,
-        shard_planner=None,
     ) -> None:
         self.table = table
         self.distance = distance or DistanceFunction()
@@ -348,10 +312,6 @@ class FilterAndRefineEngine(ABC):
         #: are visible to this engine's scans (snapshot-isolated reads).
         #: None scans everything committed at scan-open time.
         self.scan_end_element = scan_end_element
-        #: Optional pre-built :class:`~repro.parallel.shards.ShardPlanner`
-        #: shared across searches; the parallel executor uses it instead of
-        #: building (and paying the plan I/O of) its own.
-        self.shard_planner = shard_planner
         #: When True every search carries a :class:`ProfileCollector` and
         #: the report gains a ``profile`` (EXPLAIN ANALYZE) artifact.  Off
         #: by default: the hot loops then pay one None-check per tuple.
@@ -360,9 +320,9 @@ class FilterAndRefineEngine(ABC):
         #: their per-tuple payload probes through it.  ``search`` is not
         #: reentrant per engine instance, so one slot suffices.
         self._collector: Optional[ProfileCollector] = None
-        #: Scan-failure policy: ``"raise"`` propagates storage errors
-        #: (after any sequential fallback); ``"degrade"`` completes the
-        #: query with what survived and flags ``SearchReport.degraded``.
+        #: Scan-failure policy: ``"raise"`` propagates storage errors;
+        #: ``"degrade"`` completes the query with what survived and flags
+        #: ``SearchReport.degraded``.
         self.fail_mode = validate_fail_mode(fail_mode)
         #: When the filter's bounds are exact (all queried attributes ndf),
         #: insert the distance directly instead of fetching the tuple.  The
@@ -371,12 +331,6 @@ class FilterAndRefineEngine(ABC):
         #: Observability destinations; None means the process-global ones.
         self.registry = registry
         self.tracer = tracer
-        if executor is None and parallelism is not None:
-            from repro.parallel.config import ExecutorConfig
-
-            executor = ExecutorConfig(workers=parallelism)
-        #: Parallel-execution configuration; None means always sequential.
-        self.executor = executor
 
     def _registry(self) -> MetricsRegistry:
         return self.registry if self.registry is not None else get_registry()
@@ -434,66 +388,25 @@ class FilterAndRefineEngine(ABC):
         distance: Optional[DistanceFunction] = None,
         deadline_s: Optional[float] = None,
     ) -> SearchReport:
-        """Run a top-k structured similarity query.
+        """Run a top-k structured similarity query: Algorithm 1, inline.
 
-        Dispatches to the parallel executor when one is configured (and the
-        engine supports sharded filtering); otherwise — or when the pool
-        cannot start and fallback is enabled — runs Algorithm 1 inline.
-        Both paths return bit-identical results (see :mod:`repro.parallel`).
+        Candidates go to a :class:`~repro.core.refine.Refiner`: inline on
+        the scalar path, page-batched under the v3 kernel.  I/O is metered
+        on this thread, so other threads' disk traffic (concurrent daemon
+        requests) never lands in the report.
 
-        *deadline_s* is a wall-clock budget for this search.  When it
-        expires mid-scan, ``fail_mode="degrade"`` returns the partial
-        answer flagged ``degraded``/``deadline_hit`` (candidates already
-        found are still refined — never a silently-wrong full answer);
+        *deadline_s* is a wall-clock budget for this search, checked once
+        per filter block under v3 and per tuple on the scalar path, and
+        only paid when a deadline is set.  When it expires mid-scan,
+        ``fail_mode="degrade"`` returns the partial answer flagged
+        ``degraded``/``deadline_hit`` (candidates already found are still
+        refined — never a silently-wrong full answer);
         ``fail_mode="raise"`` raises :class:`~repro.errors.DeadlineExceeded`.
         """
         query = self.prepare_query(query)
         deadline = (
             time.perf_counter() + deadline_s if deadline_s is not None else None
         )
-        config = self.executor
-        if (
-            config is not None
-            and self.supports_parallel
-            and config.effective_workers() > 1
-        ):
-            from repro.parallel.executor import ParallelExecutionError, parallel_search
-
-            try:
-                return parallel_search(
-                    self, query, k=k, distance=distance, deadline=deadline
-                )
-            except ParallelExecutionError as exc:
-                if not config.fallback:
-                    raise
-                self._note_parallel_fallback(exc)
-        return self._sequential_search(query, k, distance, deadline=deadline)
-
-    def _note_parallel_fallback(self, exc: Exception) -> None:
-        """Record an automatic degradation to the sequential path."""
-        logger.warning("parallel execution failed, running sequentially: %s", exc)
-        self._registry().counter(
-            "repro_parallel_fallbacks_total",
-            labels={"engine": self.name},
-            help="Searches that fell back to the sequential path.",
-        ).inc()
-
-    def _sequential_search(
-        self,
-        query: Query,
-        k: int = 10,
-        distance: Optional[DistanceFunction] = None,
-        deadline: Optional[float] = None,
-    ) -> SearchReport:
-        """The inline (single-threaded) Algorithm 1 loop.
-
-        Candidates go to a :class:`~repro.core.refine.Refiner`: inline on
-        the scalar path, page-batched under the v3 kernel.  *deadline* is
-        an absolute ``time.perf_counter()`` instant, checked once per
-        filter block under v3 and per tuple on the scalar path, and only
-        paid when a deadline is set.  I/O is metered on this thread, so
-        other threads' disk traffic never lands in the report.
-        """
         dist = distance or self.distance
         pool = ResultPool(k)
         report = SearchReport()
@@ -582,15 +495,14 @@ class IVAEngine(FilterAndRefineEngine):
 
     *kernel* picks the filter: ``"v3"`` (the default) decodes whole
     segments columnar through a compiled
-    :class:`~repro.core.kernel.QueryKernel`, refines page-batched, and is
-    the only kernel the parallel executor runs.  ``"scalar"`` walks every
+    :class:`~repro.core.kernel.QueryKernel` and refines page-batched.
+    ``"scalar"`` walks every
     scanner tuple by tuple and refines inline: the published Algorithm 1,
     kept as the sequential identity oracle the other paths are checked
     against.  Both return bit-identical answers.
     """
 
     name = "iVA"
-    supports_parallel = True
 
     def __init__(
         self,
@@ -600,34 +512,23 @@ class IVAEngine(FilterAndRefineEngine):
         *,
         registry: Optional[MetricsRegistry] = None,
         tracer: Optional[Tracer] = None,
-        parallelism: Optional[int] = None,
-        executor: Optional["ExecutorConfig"] = None,
         kernel: str = "v3",
         fail_mode: str = "raise",
         profile: bool = False,
         kernel_cache=None,
         scan_end_element: Optional[int] = None,
-        shard_planner=None,
     ) -> None:
         super().__init__(
             table,
             distance,
             registry=registry,
             tracer=tracer,
-            parallelism=parallelism,
-            executor=executor,
             fail_mode=fail_mode,
             profile=profile,
             kernel_cache=kernel_cache,
             scan_end_element=scan_end_element,
-            shard_planner=shard_planner,
         )
         self.kernel = validate_kernel_mode(kernel)
-        if self.kernel == "scalar" and self.executor is not None:
-            raise QueryError(
-                "the scalar kernel is the sequential oracle and does not "
-                "shard; drop executor=/parallelism= or use kernel='v3'"
-            )
         self.index = index
 
     def _filter(self, query: Query, distance: DistanceFunction) -> Iterator[FilterItem]:

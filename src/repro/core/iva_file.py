@@ -15,21 +15,6 @@ Maintenance follows Sec. IV-B: inserts append everywhere, deletes tombstone
 the tuple list only, updates are delete + insert under a fresh tid, and
 :meth:`IVAFile.rebuild` compacts everything.
 
-Sync directory
---------------
-
-Vector-list elements are variable width, so resuming a scan mid-list — what
-``repro.parallel`` shard workers do — needs a resume point per list.  The
-index maintains a **checkpoint directory** as it goes: every
-:data:`SYNC_INTERVAL` tuple-list elements it records, for every attribute,
-the :class:`~repro.core.scan.ResumePoint` at which a fresh scanner resumes
-the synchronized scan at that element — a byte offset plus, for delta-coded
-codecs, the decoding base at that offset.  At rebuild the points are pure
-arithmetic over the entries being serialized (delegated to the active
-codec); at insert they are the current list tails — either way the
-directory costs no I/O.  Attached indexes have no directory (it lives
-in memory); the shard planner falls back to a one-off charged walk.
-
 Codecs
 ------
 
@@ -46,12 +31,12 @@ from __future__ import annotations
 import logging
 import struct
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 from repro.codec import VectorListCodec, codec_for_code, get_codec
 from repro.codec.base import list_last_key as _list_last_key
 from repro.core.numeric import NumericQuantizer, vector_bytes_for_alpha
-from repro.core.scan import ResumePoint, SkipTable, VectorListScanner
+from repro.core.scan import SkipTable, VectorListScanner
 from repro.core.signature import SignatureScheme
 from repro.core.tuple_list import DELETED_PTR, TupleList
 from repro.core.vector_lists import ListType
@@ -70,9 +55,6 @@ ATTR_ELEMENT_BYTES = _ATTR_ELEMENT.size
 
 _KIND_TEXT = 1
 _KIND_NUMERIC = 0
-
-#: Tuple-list elements between consecutive checkpoint-directory sync points.
-SYNC_INTERVAL = 64
 
 logger = logging.getLogger(__name__)
 
@@ -195,10 +177,6 @@ class _NullScanner(VectorListScanner):
         """Advance the pointer to *tid*; see the class docstring."""
         return None
 
-    def checkpoint_offset(self) -> int:
-        """No backing list: every resume point is offset 0."""
-        return 0
-
 
 class IVAFile:
     """The inverted vector-approximation file over one sparse wide table."""
@@ -210,12 +188,6 @@ class IVAFile:
         self._entries: List[AttributeEntry] = []
         self._tuples = TupleList(self.disk, self.tuples_file)
         self._version = 0
-        # Checkpoint directory (see the module docstring): element positions
-        # and, per attribute, the vector-list resume point at each position.
-        # Maintained by rebuild/insert; absent (inactive) on attach.
-        self._sync_positions: List[int] = []
-        self._sync_offsets: Dict[int, List[ResumePoint]] = {}
-        self._sync_active = False
         # Per-attribute skip tables (raw tid-based lists only): segment tid
         # fences built at rebuild so a frozen pointer can jump dead runs.
         # Appends keep a table valid — appended tids are strictly larger
@@ -227,11 +199,7 @@ class IVAFile:
 
     @property
     def version(self) -> int:
-        """Mutation counter: bumped on every insert/delete/rebuild.
-
-        Lets ``repro.parallel`` cache shard plans per index state and
-        invalidate them when the underlying lists change.
-        """
+        """Mutation counter: bumped on every insert/delete/rebuild."""
         return self._version
 
     # -------------------------------------------------------------- naming
@@ -254,7 +222,7 @@ class IVAFile:
 
     @property
     def tuples(self) -> TupleList:
-        """The underlying tuple list (shared with ``repro.parallel``)."""
+        """The underlying tuple list."""
         return self._tuples
 
     @property
@@ -381,9 +349,6 @@ class IVAFile:
         for bucket in numeric_entries.values():
             bucket.sort(key=lambda pair: pair[0])
 
-        self._sync_positions = list(range(0, len(all_tids), SYNC_INTERVAL))
-        self._sync_offsets = {}
-        self._sync_active = True
         self._skip_tables = {}
 
         from repro.obs import get_tracer
@@ -406,9 +371,6 @@ class IVAFile:
                     bucket = numeric_entries.get(attr.attr_id, [])
                     entry = self._build_numeric_entry(attr, bucket, all_tids)
                 entries.append(entry)
-                self._sync_offsets[attr.attr_id] = self._entry_resume_points(
-                    entry, bucket, all_tids, self._sync_positions
-                )
                 self._refresh_skip_table(entry, bucket, all_tids)
         self._entries = entries
 
@@ -531,10 +493,9 @@ class IVAFile:
     ) -> None:
         """Recompute one attribute's skip table after its list was built.
 
-        Pure arithmetic over the entries just serialized (like the sync
-        directory).  Codecs decline for layouts whose element offsets are
-        not derivable without decoding, in which case any stale table is
-        dropped.
+        Pure arithmetic over the entries just serialized, no I/O.  Codecs
+        decline for layouts whose element offsets are not derivable
+        without decoding, in which case any stale table is dropped.
         """
         attr_id = entry.attr.attr_id
         skip = entry.codec_impl.skip_table(
@@ -549,57 +510,6 @@ class IVAFile:
         else:
             self._skip_tables[attr_id] = skip
 
-    def _entry_resume_points(
-        self,
-        entry: AttributeEntry,
-        bucket: Sequence[Tuple[int, object]],
-        all_tids: Sequence[int],
-        positions: Sequence[int],
-    ) -> List[ResumePoint]:
-        """Sync-directory resume points for one freshly rebuilt list.
-
-        Delegated to the entry's codec: pure arithmetic over the same
-        ``(tid, value)`` entries the builder just serialized — no payload
-        parsing, no I/O.
-        """
-        if not positions:
-            return []
-        codec = entry.codec_impl
-        if entry.attr.is_text:
-            return codec.text_resume_points(
-                entry.list_type, entry.scheme, bucket, all_tids, positions
-            )
-        return codec.numeric_resume_points(
-            entry.list_type, entry.vector_bytes, bucket, all_tids, positions
-        )
-
-    def sync_checkpoints(
-        self, attr_ids: Sequence[int]
-    ) -> Optional[Tuple[List[int], Dict[int, Sequence[ResumePoint]]]]:
-        """The checkpoint directory restricted to *attr_ids*.
-
-        Returns ``(positions, {attr_id: resume_points})`` — ascending
-        tuple-list element positions and, aligned with them, each
-        attribute's :class:`~repro.core.scan.ResumePoint` — or ``None``
-        when the directory is unavailable (attached index or empty
-        table).  Attributes the index holds no list for resume at the
-        list head (the null scanner ignores the point anyway).
-        """
-        if not self._sync_active or not self._sync_positions:
-            return None
-        zeros: Optional[List[ResumePoint]] = None
-        offsets: Dict[int, Sequence[ResumePoint]] = {}
-        for attr_id in attr_ids:
-            rows = self._sync_offsets.get(attr_id)
-            if rows is None:
-                if zeros is None:
-                    zeros = [
-                        ResumePoint(position=pos) for pos in self._sync_positions
-                    ]
-                rows = zeros
-            offsets[attr_id] = rows
-        return list(self._sync_positions), offsets
-
     # ------------------------------------------------------------- updates
 
     def insert(self, tid: int, cells: Dict[int, CellValue]) -> None:
@@ -613,19 +523,7 @@ class IVAFile:
         self._version += 1
         self._register_new_attributes()
         ptr, _ = self.table.locate(tid)
-        # Extend the checkpoint directory before any payload lands: the new
-        # element's position checkpoints at every list's current tail.
         position = self._tuples.element_count
-        if self._sync_active and position % SYNC_INTERVAL == 0:
-            self._sync_positions.append(position)
-            for entry in self._entries:
-                self._sync_offsets[entry.attr.attr_id].append(
-                    ResumePoint(
-                        offset=entry.list_size,
-                        prev_key=entry.last_key,
-                        position=position,
-                    )
-                )
         self._tuples.append(tid, ptr)
         for entry in self._entries:
             attr_id = entry.attr.attr_id
@@ -763,10 +661,6 @@ class IVAFile:
         self._entries[attr_id] = new_entry
         self._rewrite_attr_element(attr_id)
         self._refresh_skip_table(new_entry, bucket, all_tids)
-        if self._sync_active:
-            self._sync_offsets[attr_id] = self._entry_resume_points(
-                new_entry, bucket, all_tids, self._sync_positions
-            )
         logger.info(
             "rebuilt vector list %r from the base table (%d defined tuples)",
             file_name,
@@ -805,11 +699,6 @@ class IVAFile:
                     entry.hi = stats.max_value
             self._entries.append(entry)
             self.disk.append(self.attrs_file, entry.pack())
-            if self._sync_active:
-                # The list was empty at every earlier sync point.
-                self._sync_offsets[attr.attr_id] = [
-                    ResumePoint(position=pos) for pos in self._sync_positions
-                ]
 
     def _rewrite_attr_element(self, attr_id: int) -> None:
         offset = attr_id * _ATTR_ELEMENT.size
@@ -832,42 +721,27 @@ class IVAFile:
         return IVAScan(self, attr_ids, end_element=end_element)
 
     def read_attr_elements(self, attr_ids: Sequence[int]) -> None:
-        """Charge the attribute-list reads of Algorithm 1 (lines 2–3).
-
-        Fetches ptr1/metadata for each related attribute; shared by the
-        sequential scan and the parallel executor so both pay the same
-        per-query setup cost.
-        """
+        """Charge the attribute-list reads of Algorithm 1 (lines 2–3):
+        ptr1/metadata for each related attribute."""
         for attr_id in attr_ids:
             offset = attr_id * _ATTR_ELEMENT.size
             if offset + _ATTR_ELEMENT.size <= self.disk.size(self.attrs_file):
                 self.disk.read(self.attrs_file, offset, _ATTR_ELEMENT.size)
 
-    def make_scanner(
-        self, attr_id: int, start: Union[int, ResumePoint] = 0
-    ) -> VectorListScanner:
-        """A fresh scanning pointer over one attribute's list.
-
-        *start* is a :class:`~repro.core.scan.ResumePoint` — normally the
-        list head, or a point recorded by
-        :meth:`~repro.core.scan.VectorListScanner.checkpoint` / the sync
-        directory when resuming a scan mid-list (shard workers in
-        ``repro.parallel``).  A bare ``int`` byte offset is accepted for
-        back-compatibility; delta-coded lists need the full resume point.
-        """
-        resume = ResumePoint(offset=start) if isinstance(start, int) else start
+    def make_scanner(self, attr_id: int) -> VectorListScanner:
+        """A fresh scanning pointer at the head of one attribute's list."""
         entry = self.entry(attr_id)
         if entry is None:
             return _NullScanner()
         codec = entry.codec_impl
-        reader = BufferedReader(self.disk, self.vector_file(attr_id), resume.offset)
+        reader = BufferedReader(self.disk, self.vector_file(attr_id), 0)
         skip = self._skip_tables.get(attr_id)
         if entry.attr.is_text:
             return codec.text_scanner(
-                entry.list_type, reader, entry.scheme, resume, skip=skip
+                entry.list_type, reader, entry.scheme, skip=skip
             )
         return codec.numeric_scanner(
-            entry.list_type, reader, entry.quantizer, resume, skip=skip
+            entry.list_type, reader, entry.quantizer, skip=skip
         )
 
 

@@ -31,8 +31,8 @@ the engines' block-level candidacy (:class:`~repro.core.pool.BlockCandidacy`)
 prefilters without a per-tuple Python step.
 
 Compiled terms are shared: :class:`KernelCache` deduplicates per
-``(attribute, value)`` so parallel shard workers and batched queries reuse
-one artifact (gram sets and masks) instead of rebuilding
+``(attribute, value)`` so batched queries and concurrent daemon requests
+reuse one artifact (gram sets and masks) instead of rebuilding
 :class:`~repro.core.signature.QueryStringEncoder` state per context.
 """
 
@@ -392,9 +392,9 @@ class KernelCache:
     """Shared compiled-term artifact: one entry per ``(attribute, value)``.
 
     One instance spans whatever should share compilation work — a batch of
-    queries, all shards of a parallel run, or (in the serving daemon) every
-    request against one index snapshot — so two queries naming the same
-    term get the *same* compiled object (and the block evaluator's column
+    queries or (in the serving daemon) every request against one index
+    snapshot — so two queries naming the same term get the *same*
+    compiled object (and the block evaluator's column
     cache can key on object identity).  ``hits``/``misses`` count term
     lookups so long-lived caches can report reuse.
 
@@ -454,9 +454,8 @@ class KernelCache:
 class QueryKernel:
     """One query compiled for block-at-a-time filtering.
 
-    Holds the compiled per-term tables, the payload slot of each term
-    (mirroring :class:`~repro.core.engine.BoundEvaluator`'s position map),
-    the pre-resolved importance weights, and the metric — everything the
+    Holds the compiled per-term tables, the payload slot of each term, the
+    pre-resolved importance weights, and the metric — everything the
     per-block loop needs without touching the query again.
 
     :meth:`evaluate_segments` returns the same ``(estimated, exact)`` the
@@ -496,9 +495,9 @@ class QueryKernel:
     ) -> "QueryKernel":
         """Compile *query* against *index*; see :class:`KernelCache`.
 
-        *position* maps attribute id → payload slot (the batch/parallel
+        *position* maps attribute id → payload slot (the batch engine's
         union scan); ``None`` means payloads align 1:1 with the query's
-        terms, exactly as in :class:`~repro.core.engine.BoundEvaluator`.
+        terms, as in :class:`~repro.core.engine.BoundEvaluator`.
         """
         cache = cache if cache is not None else KernelCache()
         n = index.config.n

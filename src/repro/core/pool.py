@@ -4,18 +4,18 @@ Holds at most k ``<tid, dist>`` pairs.  ``max_dist`` is the largest actual
 distance in the pool; a tuple is a candidate iff the pool is not yet full or
 its *estimated* distance beats ``max_dist``.
 
-Determinism contract (load-bearing for ``repro.parallel``): the pool's
-final contents are the k smallest entries under the total order
-``(distance, tid)`` — a pure function of the *multiset* of inserted pairs,
-independent of insertion order.  The sequential engine inserts in tid
-order, shard workers and the merge step insert in whatever order the
-scheduler produces; both converge on identical results because ties at the
-boundary are broken by tid, never by arrival time.
+Determinism contract: the pool's final contents are the k smallest
+entries under the total order ``(distance, tid)`` — a pure function of the
+*multiset* of inserted pairs, independent of insertion order.  The scalar
+oracle refines in tid order, the v3 refiner in table-file page order, and
+a partitioned search merges per-partition pools; all converge on identical
+results because ties at the boundary are broken by tid, never by arrival
+time.
 
 :class:`BlockCandidacy` and :func:`block_candidates` are the one
-per-tuple decision of Algorithm 1 (exact shortcut → shared bound → pool
-candidacy → profiler) that every engine loop calls, fed one evaluated
-block at a time.
+per-tuple decision of Algorithm 1 (exact shortcut → pool candidacy →
+profiler) that every engine loop calls, fed one evaluated block at a
+time.
 """
 
 from __future__ import annotations
@@ -72,9 +72,10 @@ class ResultPool:
 
         With *tid* given, the check is tie-aware: an estimate equal to the
         current ``max_dist`` still qualifies when the tid beats the worst
-        member's tid — required for order-independent results under
-        concurrent execution (a shard may fill the pool with a larger tid
-        first).  Without *tid* the classic strict comparison applies.
+        member's tid — required for order-independent results when
+        candidates are refined out of tid order (the page-ordered refiner
+        may fill the pool with a larger tid first).  Without *tid* the
+        classic strict comparison applies.
         """
         if not self.is_full():
             return True
@@ -100,14 +101,6 @@ class ResultPool:
             return True
         return False
 
-    def merge_from(self, other: "ResultPool") -> int:
-        """Insert every member of *other*; returns how many were admitted."""
-        admitted = 0
-        for entry in other.results():
-            if self.insert(entry.tid, entry.distance):
-                admitted += 1
-        return admitted
-
     def results(self) -> List[PoolEntry]:
         """Pool contents sorted by (distance, tid) ascending."""
         ordered = sorted((-neg_d, -neg_t) for neg_d, neg_t in self._heap)
@@ -128,13 +121,11 @@ class BlockCandidacy:
 
     An exact tuple (every queried attribute ndf) enters the pool with its
     estimate; any other tuple is a candidate for refinement iff its
-    ``(estimate, tid)`` beats the pool's worst member and, in a shard
-    scan, the run-wide *shared* bound (any object with a ``get()``
-    returning ``(distance, tid)`` or None).
+    ``(estimate, tid)`` beats the pool's worst member.
 
     :meth:`survivors` prefilters a whole block against the pool's worst
-    member (and the shared bound) as they stand when the block starts.
-    Both only tighten, so a tuple that fails there would fail at its own
+    member as it stands when the block starts.  The worst member only
+    tightens, so a tuple that fails there would fail at its own
     turn too: a non-exact one is pruned and an exact one is a no-op
     ``insert``.  Those are tallied in bulk; the survivors then take
     :meth:`admit` one by one in tid order, so every decision and counter
@@ -145,7 +136,6 @@ class BlockCandidacy:
     __slots__ = (
         "pool",
         "skip_exact",
-        "shared",
         "collector",
         "scanned",
         "exact_shortcuts",
@@ -156,12 +146,10 @@ class BlockCandidacy:
         pool: ResultPool,
         *,
         skip_exact: bool = True,
-        shared=None,
         collector=None,
     ) -> None:
         self.pool = pool
         self.skip_exact = skip_exact
-        self.shared = shared
         self.collector = collector
         self.scanned = 0
         self.exact_shortcuts = 0
@@ -189,18 +177,9 @@ class BlockCandidacy:
         else:
             keep = np.ones(count, dtype=bool)
         pool = self.pool
-        worst = bound = pool.worst() if pool.is_full() else None
-        if self.shared is not None:
-            shared = self.shared.get()
-            if shared is not None and (bound is None or shared < bound):
-                bound = shared
-        if bound is not None:
-            beats = _beats(estimates, tids, bound)
+        if pool.is_full():
+            beats = _beats(estimates, tids, pool.worst())
             shortcut = exact if self.skip_exact else None
-            if shortcut is not None and bound is not worst:
-                # Exact tuples answer to the pool alone, not the shared bound.
-                pool_beats = True if worst is None else _beats(estimates, tids, worst)
-                beats = np.where(shortcut, pool_beats, beats)
             dropped = keep & ~beats
             n_dropped = int(np.count_nonzero(dropped))
             if n_dropped:
@@ -231,10 +210,7 @@ class BlockCandidacy:
             if collector is not None:
                 collector.on_exact()
             return False
-        shared = self.shared.get() if self.shared is not None else None
-        if (
-            shared is not None and not (estimated, tid) < shared
-        ) or not self.pool.is_candidate(estimated, tid):
+        if not self.pool.is_candidate(estimated, tid):
             if collector is not None:
                 collector.on_pruned()
             return False

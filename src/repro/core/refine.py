@@ -1,20 +1,19 @@
 """The refine step of Algorithm 1: fetch each candidate, pool its exact distance.
 
-Every iVA read path (the sequential engine, the batch engine, the parallel
-executor's refiner thread and its shard recovery) hands the candidates its
-filter admits to one :class:`Refiner`.  Buffered candidates are issued
-sorted by their row's table-file offset and re-checked against their pool
-first.  Losing the re-check implies the tuple cannot be in the final top-k
-(``actual >= estimate >= pool worst`` under the ``(distance, tid)`` tie
-order), so deferral never changes an answer, only when pools tighten.  A
-buffer of one refines inline in admission order, as the published
-Algorithm 1 (the scalar oracle) does.
+Every iVA read path (the single-query engine and the batch engine) hands
+the candidates its filter admits to one :class:`Refiner`.  Buffered
+candidates are issued sorted by their row's table-file offset and
+re-checked against their pool first.  Losing the re-check implies the tuple
+cannot be in the final top-k (``actual >= estimate >= pool worst`` under
+the ``(distance, tid)`` tie order), so deferral never changes an answer,
+only when pools tighten.  A buffer of one refines inline in admission
+order, as the published Algorithm 1 (the scalar oracle) does.
 """
 
 from __future__ import annotations
 
 import time
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core.pool import ResultPool
 from repro.metrics.distance import DistanceFunction
@@ -27,14 +26,10 @@ REFINE_BATCH = 64
 class Refiner:
     """Refines one run's candidates, a page-ordered buffer at a time.
 
-    *pools* (and *collectors*, *shared* when given) align with *queries*.
-    ``add`` flushes once *batch* candidates are buffered.  A full pool
-    tightens its :class:`~repro.parallel.executor.SharedBound`.  *clock*
-    measures ``seconds`` (``time.thread_time`` on the executor's refiner
-    thread).  *dedup* skips a tid already refined for the same query,
-    because the executor's recovery re-scans re-emit candidates.  Rows
-    are projected onto the run's attributes and, when several queries
-    share the run, cached by tid; ``table_accesses`` counts per query.
+    *pools* (and *collectors*, when given) align with *queries*.  ``add``
+    flushes once *batch* candidates are buffered.  Rows are projected onto
+    the run's attributes and, when several queries share the run, cached
+    by tid; ``table_accesses`` counts per query.
     """
 
     def __init__(
@@ -46,9 +41,6 @@ class Refiner:
         *,
         batch: int = REFINE_BATCH,
         collectors: Optional[Sequence] = None,
-        shared: Optional[Sequence] = None,
-        clock: Callable[[], float] = time.perf_counter,
-        dedup: bool = False,
     ) -> None:
         self.table = table
         self.queries = queries
@@ -56,19 +48,14 @@ class Refiner:
         self.pools = pools
         self.batch = batch
         self.collectors = collectors
-        self.shared = shared
-        self.clock = clock
         self.attrs = frozenset(a for q in queries for a in q.attribute_ids())
         self._rows: Optional[Dict[int, object]] = {} if len(queries) > 1 else None
-        self._seen: Optional[List[set]] = (
-            [set() for _ in queries] if dedup else None
-        )
         self._pending: List[Tuple[int, int, float]] = []
         #: Candidates refined per query (the paper's table accesses).
         self.table_accesses = [0] * len(queries)
         #: Modeled I/O of this thread's table reads (``disk.metered()``).
         self.io_ms = 0.0
-        #: Time spent in :meth:`flush`, by *clock*.
+        #: Wall-clock seconds spent in :meth:`flush`.
         self.seconds = 0.0
 
     def add(self, qi: int, tid: int, estimated: float) -> None:
@@ -83,21 +70,17 @@ class Refiner:
         if not pending:
             return
         self._pending = []
-        start = self.clock()
+        start = time.perf_counter()
         if len(pending) > 1:
             locate = self.table.locate
             pending.sort(key=lambda item: locate(item[1])[0])
         read, attrs, actual = self.table.read, self.attrs, self.dist.actual
-        pools, queries, shared = self.pools, self.queries, self.shared
-        collectors, rows, seen = self.collectors, self._rows, self._seen
+        pools, queries = self.pools, self.queries
+        collectors, rows = self.collectors, self._rows
         try:
             with self.table.disk.metered() as meter:
                 for qi, tid, estimated in pending:
                     collector = collectors[qi] if collectors is not None else None
-                    if seen is not None and tid in seen[qi]:
-                        if collector is not None:
-                            collector.on_dedup_skipped()
-                        continue
                     pool = pools[qi]
                     if not pool.is_candidate(estimated, tid):
                         if collector is not None:
@@ -114,12 +97,8 @@ class Refiner:
                             rows[tid] = record
                     distance = actual(queries[qi], record)
                     pool.insert(tid, distance)
-                    if shared is not None and pool.is_full():
-                        shared[qi].tighten(pool.worst())
                     self.table_accesses[qi] += 1
                     if collector is not None:
                         collector.on_refined(estimated, distance)
-                    if seen is not None:
-                        seen[qi].add(tid)
         finally:
-            self.seconds += self.clock() - start
+            self.seconds += time.perf_counter() - start

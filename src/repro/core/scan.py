@@ -120,30 +120,6 @@ class _ByteRun:
 
 
 @dataclass(frozen=True)
-class ResumePoint:
-    """Everything a fresh scanner needs to resume a scan mid-list.
-
-    The fixed-width (``raw``) layouts resume from a byte offset alone, but
-    delta-coded lists (``repro.codec.compressed``) store each element
-    relative to its predecessor, so a resume point also carries:
-
-    * ``prev_key`` — the decoding base at the offset: the last tid decoded
-      before it (tid-based layouts) or the last *defined* tuple position
-      (compressed positional layouts); ``-1`` at the list head;
-    * ``position`` — the tuple-list element position the scan stands at,
-      which positional layouts need to re-anchor their element counter.
-    """
-
-    offset: int = 0
-    prev_key: int = -1
-    position: int = 0
-
-
-#: Resume point for a scan starting at the head of a list.
-START = ResumePoint()
-
-
-@dataclass(frozen=True)
 class SkipTable:
     """Per-segment tid fences over a tid-based vector list.
 
@@ -219,28 +195,6 @@ class VectorListScanner:
             column.append(payload)
         return ColumnSegment(column)
 
-    def checkpoint_offset(self) -> int:
-        """Byte offset at which a fresh scanner resumes this pointer's state.
-
-        Recorded *between* ``move_to`` calls: the offset points at the start
-        of the next unconsumed list element, so a scanner constructed with
-        this offset as its reader start continues the scan exactly where
-        this one stands.  ``repro.parallel`` uses these as shard entry
-        points (one sequential planning pass records a checkpoint per shard
-        boundary; shard workers then scan only their own slice).
-        """
-        return self._reader.position
-
-    def checkpoint(self, position: int = 0) -> ResumePoint:
-        """Full resume state at the current pointer position.
-
-        *position* is the tuple-list element position the scan stands at
-        (the scanner itself does not track it for fixed-width layouts; the
-        planner passes it in).  Codec scanners that need a decoding base
-        override this to fill ``prev_key``.
-        """
-        return ResumePoint(offset=self.checkpoint_offset(), position=position)
-
 
 class _TidBasedScanner(VectorListScanner):
     """Shared freeze-semantics machinery for Types I and II."""
@@ -283,11 +237,6 @@ class _TidBasedScanner(VectorListScanner):
         """The tid the pointer is frozen at (None at the list tail)."""
         return self._pending
 
-    def checkpoint_offset(self) -> int:
-        """Start of the pending element (its tid bytes are re-read on resume)."""
-        if self._pending is None:
-            return self._reader.position
-        return self._reader.position - TID_BYTES
 
 
 class _Parsed:

@@ -113,7 +113,7 @@ class TupleList:
         """Every element's tid in list order (tombstones included).
 
         Served from the in-memory offset map — index metadata the list
-        already maintains — so planning shard boundaries charges no I/O.
+        already maintains — so it charges no I/O.
         """
         return tuple(self._offsets)
 
@@ -127,9 +127,9 @@ class TupleList:
     def scan_range(self, start_element: int, end_element: int) -> Iterator[Tuple[int, int]]:
         """Yield ``(tid, ptr)`` for element positions ``[start, end)``.
 
-        The shard-scan entry point of :mod:`repro.parallel`: each worker
-        reads only its own contiguous slice of the list (one sequential
-        stream per shard).
+        The scans' entry point: :class:`~repro.core.iva_file.IVAScan`
+        reads ``[0, watermark)``, so a snapshot-pinned reader never sees
+        elements appended after its snapshot.
         """
         if not 0 <= start_element <= end_element <= self._count:
             raise IndexError_(
@@ -161,8 +161,8 @@ class TupleList:
     ) -> Iterator[Tuple[Tuple[int, ...], Tuple[int, ...]]]:
         """Yield ``(tids, ptrs)`` column pairs over ``[start, end)``.
 
-        The block counterpart of :meth:`scan_range`, used by parallel shard
-        workers running the v3 kernel.
+        The block counterpart of :meth:`scan_range`, used by the v3
+        kernel's scans.
         """
         if not 0 <= start_element <= end_element <= self._count:
             raise IndexError_(

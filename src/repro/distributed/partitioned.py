@@ -9,16 +9,17 @@ and uniform routing keeps partitions balanced); a global id encodes
 
 A query runs Algorithm 1 independently on every partition with the same
 ``k`` and merges the per-partition pools.  Correctness is immediate: the
-global top-k is a subset of the union of per-partition top-k's.  Modeled
-latency is the slowest partition (they run in parallel); modeled work is
-the sum.
+global top-k is a subset of the union of per-partition top-k's.  The
+partitions are searched one after another in this process, but modeled
+latency is the slowest partition (on a cluster they run side by side);
+modeled work is the sum.
 """
 
 from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, List, Mapping, Optional, Union
+from typing import List, Mapping, Optional, Union
 
 from repro.core.engine import IVAEngine, SearchReport, validate_fail_mode
 from repro.core.iva_file import IVAConfig, IVAFile
@@ -33,9 +34,6 @@ from repro.storage import (
     StorageBackend,
     simulated_backend,
 )
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.parallel.config import ExecutorConfig
 
 logger = logging.getLogger(__name__)
 
@@ -56,14 +54,14 @@ class GlobalResult:
 
 @dataclass
 class PartitionedSearchReport:
-    """Merged answer plus parallel-execution cost summary."""
+    """Merged answer plus the per-partition cost summary."""
 
     results: List[GlobalResult] = field(default_factory=list)
     per_partition: List[SearchReport] = field(default_factory=list)
 
     @property
     def elapsed_ms(self) -> float:
-        """Modeled latency: partitions execute in parallel."""
+        """Modeled latency: the slowest partition (they run side by side)."""
         if not self.per_partition:
             return 0.0
         return max(r.query_time_ms for r in self.per_partition)
@@ -85,7 +83,7 @@ class PartitionedSearchReport:
 
     @property
     def degraded(self) -> bool:
-        """True when any partition answered with lost shards."""
+        """True when any partition's local answer is incomplete."""
         return any(r.degraded for r in self.per_partition)
 
     @property
@@ -104,8 +102,6 @@ class PartitionedSystem:
         iva_config: Optional[IVAConfig] = None,
         distance: Optional[DistanceFunction] = None,
         registry: Optional[MetricsRegistry] = None,
-        parallelism: Optional[int] = None,
-        executor: Optional["ExecutorConfig"] = None,
         fail_mode: str = "raise",
     ) -> None:
         if num_partitions < 1:
@@ -114,16 +110,8 @@ class PartitionedSystem:
         self.catalog = Catalog()
         self.distance = distance or DistanceFunction()
         self._iva_config = iva_config or IVAConfig()
-        if executor is None and parallelism is not None:
-            from repro.parallel.config import ExecutorConfig
-
-            executor = ExecutorConfig(workers=parallelism)
-        #: Intra-partition parallelism: each partition's engine shards its
-        #: own filter scan, composing with the scatter-gather across
-        #: partitions.  None means sequential per-partition engines.
-        self.executor = executor
         #: Scan-failure policy handed to every partition engine; with
-        #: ``"degrade"`` a partition that loses shards flags its local
+        #: ``"degrade"`` a partition whose scan fails flags its local
         #: report and :attr:`PartitionedSearchReport.degraded` goes true.
         self.fail_mode = validate_fail_mode(fail_mode)
         self.disks: List[StorageBackend] = []
@@ -175,12 +163,8 @@ class PartitionedSystem:
             self._engines[partition] = None
 
     def _engine(self, partition: int, dist: DistanceFunction) -> IVAEngine:
-        """The partition's cached engine (keeps shard plans warm).
-
-        Rebuilt when the index or distance changed; reusing the engine
-        lets the parallel executor serve shard plans from its cache across
-        the query stream instead of replanning per query.
-        """
+        """The partition's cached engine, rebuilt when the index or
+        distance changed."""
         engine = self._engines[partition]
         index = self.indexes[partition]
         if engine is None or engine.index is not index or engine.distance is not dist:
@@ -188,7 +172,6 @@ class PartitionedSystem:
                 self.tables[partition],
                 index,
                 dist,
-                executor=self.executor,
                 fail_mode=self.fail_mode,
             )
             self._engines[partition] = engine
@@ -203,13 +186,13 @@ class PartitionedSystem:
                 index.rebuild()
 
     def total_index_bytes(self) -> int:
-        """Combined index bytes across all shards."""
+        """Combined index bytes across all partitions."""
         return sum(
             index.total_bytes() for index in self.indexes if index is not None
         )
 
     def total_table_bytes(self) -> int:
-        """Combined table-file bytes across all shards."""
+        """Combined table-file bytes across all partitions."""
         return sum(table.file_bytes for table in self.tables)
 
     # --------------------------------------------------------------- queries

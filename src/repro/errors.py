@@ -70,10 +70,6 @@ class EncodingError(ReproError):
     """A value cannot be encoded into an approximation vector."""
 
 
-class ParallelError(ReproError):
-    """The parallel executor is misconfigured or cannot run."""
-
-
 class DeadlineExceeded(ReproError):
     """A per-query deadline budget expired before the search completed.
 

@@ -9,14 +9,14 @@ show that funnel summed over a whole run; this module reproduces it for
 *one* query, as a structured artifact:
 
 * the candidate funnel — tuples scanned → exact shortcuts → bound-pruned →
-  candidates → refined → results (plus the parallel refiner's late-pruned
-  and deduplicated counts);
+  candidates → refined → results (plus the page-ordered refiner's
+  late-pruned count);
 * per-attribute scan statistics — vector-list entries probed and how many
   were ndf, with each attribute's list layout and codec;
 * lower-bound tightness — mean bound vs. mean true distance over the
   refined tuples, the quality measure behind the pruning rate;
 * per-block prune counts when the v3 kernel ran;
-* phase/shard time attribution and degradation annotations.
+* phase time attribution and degradation annotations.
 
 A :class:`ProfileCollector` rides along with one scan; engines allocate it
 only when profiling is requested, and every hot-loop hook is guarded by a
@@ -27,10 +27,11 @@ load per tuple.  ``collector.build(report, ...)`` turns the counts into a
 
 Invariants (asserted in the test suite): ``tuples_scanned == exact +
 bound_pruned + candidates`` — every scanned live tuple takes exactly one
-decision — and on the sequential path ``candidates == refined`` (the
-parallel refiner additionally re-checks, so ``candidates == refined +
-late_pruned + dedup_skipped`` there).  The funnel totals equal the
-existing :class:`~repro.core.engine.SearchReport` counters exactly.
+decision — and ``candidates == refined + late_pruned`` (the refiner
+re-checks each buffered candidate against its pool before fetching; the
+scalar oracle refines inline, so its ``late_pruned`` is 0).  The funnel
+totals equal the existing :class:`~repro.core.engine.SearchReport`
+counters exactly.
 """
 
 from __future__ import annotations
@@ -90,21 +91,15 @@ class QueryProfile:
     fail_mode: str = "raise"
     metric: str = ""
     k: int = 0
-    parallel: bool = False
-    workers: int = 0
-    shards: int = 0
 
     # ---- candidate funnel (paper Fig. 8: accesses to the table file)
     tuples_scanned: int = 0
     exact_shortcuts: int = 0
     bound_pruned: int = 0
     candidates: int = 0
-    #: Parallel refiner only: candidates whose estimate no longer beat the
-    #: global pool by the time the refiner re-checked them.
+    #: Candidates whose estimate no longer beat the pool by the time the
+    #: page-ordered refiner re-checked them.
     late_pruned: int = 0
-    #: Parallel degrade mode only: candidates skipped because the tuple
-    #: was already refined (shard-recovery re-scans re-emit candidates).
-    dedup_skipped: int = 0
     refined: int = 0
     results: int = 0
 
@@ -125,15 +120,10 @@ class QueryProfile:
     filter_wall_ms: float = 0.0
     refine_io_ms: float = 0.0
     refine_wall_ms: float = 0.0
-    planning_io_ms: float = 0.0
     query_time_ms: float = 0.0
-
-    # ---- parallel shard attribution
-    shard_rows: List[dict] = field(default_factory=list)
 
     # ---- degradation
     degraded: bool = False
-    lost_shards: List[int] = field(default_factory=list)
     lost_tid_ranges: List[Tuple[int, int]] = field(default_factory=list)
 
     # ------------------------------------------------------------- derived
@@ -182,14 +172,12 @@ class QueryProfile:
             "fail_mode": self.fail_mode,
             "metric": self.metric,
             "k": self.k,
-            "parallel": self.parallel,
             "funnel": {
                 "tuples_scanned": self.tuples_scanned,
                 "exact_shortcuts": self.exact_shortcuts,
                 "bound_pruned": self.bound_pruned,
                 "candidates": self.candidates,
                 "late_pruned": self.late_pruned,
-                "dedup_skipped": self.dedup_skipped,
                 "refined": self.refined,
                 "results": self.results,
                 "prune_rate": self.prune_rate,
@@ -209,7 +197,6 @@ class QueryProfile:
                 "filter_wall_ms": self.filter_wall_ms,
                 "refine_io_ms": self.refine_io_ms,
                 "refine_wall_ms": self.refine_wall_ms,
-                "planning_io_ms": self.planning_io_ms,
                 "query_time_ms": self.query_time_ms,
             },
         }
@@ -218,13 +205,8 @@ class QueryProfile:
                 "count": self.blocks,
                 "pruned_per_block": list(self.block_pruned),
             }
-        if self.parallel:
-            out["workers"] = self.workers
-            out["shards"] = self.shards
-            out["shard_rows"] = list(self.shard_rows)
         if self.degraded:
             out["degraded"] = True
-            out["lost_shards"] = list(self.lost_shards)
             out["lost_tid_ranges"] = [list(r) for r in self.lost_tid_ranges]
         return out
 
@@ -237,8 +219,6 @@ class QueryProfile:
         )
         if self.metric:
             head += f"  metric={self.metric}"
-        if self.parallel:
-            head += f"  parallel({self.workers} workers, {self.shards} shards)"
         lines.append(head)
 
         scanned = self.tuples_scanned
@@ -260,10 +240,6 @@ class QueryProfile:
         if self.late_pruned:
             lines.append(
                 f"  late-pruned      {self.late_pruned:>10}  (refiner re-check)"
-            )
-        if self.dedup_skipped:
-            lines.append(
-                f"  deduplicated     {self.dedup_skipped:>10}  (recovery re-scan)"
             )
         lines.append(
             f"  refined          {self.refined:>10}{pct(self.refined)}"
@@ -311,27 +287,12 @@ class QueryProfile:
             f"  refine  io {self.refine_io_ms:.1f} ms  wall "
             f"{self.refine_wall_ms:.2f} ms"
         )
-        if self.parallel:
-            lines.append(f"  planning io {self.planning_io_ms:.1f} ms")
         lines.append(f"  total   {self.query_time_ms:.1f} ms modeled")
-
-        if self.shard_rows:
-            lines.append("shards")
-            lines.append(
-                f"  {'shard':>5}  {'worker':<8}  {'tuples':>8}  "
-                f"{'io_ms':>9}  {'cpu_ms':>9}"
-            )
-            for row in self.shard_rows:
-                lines.append(
-                    f"  {row.get('shard', ''):>5}  {str(row.get('worker', '')):<8}  "
-                    f"{row.get('tuples', 0):>8}  {row.get('io_ms', 0.0):>9.1f}  "
-                    f"{row.get('cpu_ms', 0.0):>9.2f}"
-                )
 
         if self.degraded:
             lines.append(
-                f"DEGRADED: lost shards {self.lost_shards} covering tid "
-                f"ranges {self.lost_tid_ranges}; funnel counts are best-effort"
+                f"DEGRADED: lost tid ranges {self.lost_tid_ranges}; "
+                "funnel counts are best-effort"
             )
         return "\n".join(lines)
 
@@ -339,13 +300,9 @@ class QueryProfile:
 class ProfileCollector:
     """Accumulates one query's funnel/attribute/tightness counts.
 
-    One collector follows one query through one scan.  The parallel
-    executor gives each shard worker its own collector (no shared mutable
-    state on the hot path) and :meth:`absorb`\\ s them into a per-query
-    master on the refiner thread.
-
-    Every hook is O(1) (``on_payloads``/``on_segments`` are O(terms)) and the
-    engines call them only when profiling is on.
+    One collector follows one query through one scan.  Every hook is O(1)
+    (``on_payloads``/``on_segments`` are O(terms)) and the engines call
+    them only when profiling is on.
     """
 
     __slots__ = (
@@ -358,7 +315,6 @@ class ProfileCollector:
         "candidates",
         "refined",
         "late_pruned",
-        "dedup_skipped",
         "blocks",
         "block_pruned",
         "bound_sum",
@@ -369,8 +325,8 @@ class ProfileCollector:
     def __init__(self, attr_ids: Sequence[int], slots: Sequence[int]) -> None:
         self.attr_ids = list(attr_ids)
         #: Index of each queried attribute in the scan's payload row — the
-        #: same mapping :class:`~repro.core.engine.BoundEvaluator` uses, so
-        #: union scans (batch/parallel) probe the right columns.
+        #: same mapping :class:`~repro.core.kernel.QueryKernel` uses, so
+        #: batch union scans probe the right columns.
         self.slots = list(slots)
         n = len(self.attr_ids)
         self.defined = [0] * n
@@ -380,7 +336,6 @@ class ProfileCollector:
         self.candidates = 0
         self.refined = 0
         self.late_pruned = 0
-        self.dedup_skipped = 0
         self.blocks = 0
         self.block_pruned: List[int] = []
         self.bound_sum = 0.0
@@ -442,9 +397,6 @@ class ProfileCollector:
     def on_late_pruned(self) -> None:
         self.late_pruned += 1
 
-    def on_dedup_skipped(self) -> None:
-        self.dedup_skipped += 1
-
     def on_refined(self, estimated: float, actual: float) -> None:
         self.refined += 1
         self.bound_sum += estimated
@@ -460,24 +412,6 @@ class ProfileCollector:
         """Live tuples that took a funnel decision."""
         return self.exact + self.pruned + self.candidates
 
-    def absorb(self, other: "ProfileCollector") -> None:
-        """Merge a shard-local collector for the same query into this one."""
-        for i in range(len(self.defined)):
-            self.defined[i] += other.defined[i]
-            self.ndf[i] += other.ndf[i]
-        self.exact += other.exact
-        self.pruned += other.pruned
-        self.candidates += other.candidates
-        self.refined += other.refined
-        self.late_pruned += other.late_pruned
-        self.dedup_skipped += other.dedup_skipped
-        self.blocks += other.blocks
-        self.block_pruned.extend(other.block_pruned)
-        self.bound_sum += other.bound_sum
-        self.actual_sum += other.actual_sum
-        if other.slack_max > self.slack_max:
-            self.slack_max = other.slack_max
-
     def build(
         self,
         report,
@@ -489,10 +423,6 @@ class ProfileCollector:
         fail_mode: str = "raise",
         metric: str = "",
         k: int = 0,
-        parallel: bool = False,
-        workers: int = 0,
-        shards: int = 0,
-        shard_rows: Optional[List[dict]] = None,
     ) -> QueryProfile:
         """Bake the counts plus the finished *report* into a profile."""
         profile = QueryProfile(
@@ -501,15 +431,11 @@ class ProfileCollector:
             fail_mode=fail_mode,
             metric=metric,
             k=k,
-            parallel=parallel,
-            workers=workers,
-            shards=shards,
             tuples_scanned=report.tuples_scanned,
             exact_shortcuts=self.exact,
             bound_pruned=self.pruned,
             candidates=self.candidates,
             late_pruned=self.late_pruned,
-            dedup_skipped=self.dedup_skipped,
             refined=self.refined,
             results=len(report.results),
             bound_sum=self.bound_sum,
@@ -521,11 +447,8 @@ class ProfileCollector:
             filter_wall_ms=report.filter_wall_s * 1000.0,
             refine_io_ms=report.refine_io_ms,
             refine_wall_ms=report.refine_wall_s * 1000.0,
-            planning_io_ms=getattr(report, "planning_io_ms", 0.0),
             query_time_ms=report.query_time_ms,
-            shard_rows=list(shard_rows or []),
             degraded=report.degraded,
-            lost_shards=list(report.lost_shards),
             lost_tid_ranges=list(report.lost_tid_ranges),
         )
         for i, attr_id in enumerate(self.attr_ids):

@@ -201,8 +201,8 @@ class Tracer:
         thread's stack without finishing it — the owning thread still
         closes it normally.  Appending children to a foreign span is safe
         under the GIL (``list.append`` is atomic), provided the owner
-        keeps the parent open until the workers are done — which the
-        executor guarantees by joining workers inside the query span.
+        keeps the parent open until the workers are done (join them inside
+        the parent span).
 
         ``attach(None)`` is a no-op guard, so call sites need no branch
         for the "no parent" case.

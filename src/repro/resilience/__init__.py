@@ -17,9 +17,9 @@ retry re-reads *through* the verifying layer)::
 
     backend = resilient_stack(simulated_backend(), plan=plan)
 
-Shard-level degradation (``fail_mode="degrade"``) lives in
-:mod:`repro.parallel.executor`; quarantine-and-rebuild repair in
-:mod:`repro.storage.fsck`.
+Query-level degradation (``fail_mode="degrade"``) lives in the engines
+(:mod:`repro.core.engine`, :mod:`repro.core.batch`); quarantine-and-rebuild
+repair in :mod:`repro.storage.fsck`.
 """
 
 from repro.resilience._delegate import DelegatingBackend

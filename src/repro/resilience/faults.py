@@ -5,7 +5,7 @@ A :class:`FaultPlan` is a seed plus an ordered tuple of
 on every operation.  Whether a fault fires at a given *site* — the
 ``(rule, operation, file, offset, length)`` tuple — is a pure hash of
 the plan seed and the site, never a draw from shared RNG state, so a
-chaos run is bit-reproducible no matter how the executor's threads
+chaos run is bit-reproducible no matter how concurrent threads
 interleave, and a plan dumped to JSON replays exactly.
 
 Fault kinds:

@@ -5,7 +5,8 @@ error — :class:`~repro.errors.TransientIOError` from a fault layer or a
 real flaky device, and :class:`~repro.errors.ChecksumError` from the
 checksum layer (a transient bit flip reads clean the second time).
 Persistent corruption exhausts the budget and propagates, handing the
-failure to the executor's shard-degradation ladder.
+failure to the engine's ``fail_mode`` (raise, or degrade with the cut tid
+range flagged).
 
 Backoff is exponential with deterministic jitter: the jitter fraction is
 a hash of ``(file, offset, attempt)``, not an RNG draw, so chaos runs

@@ -6,8 +6,7 @@ observability routes (``/metrics``, ``/metrics.json``, ``/healthz``,
 
 * ``POST /query`` — one top-k query: admission control, snapshot pin,
   result-cache lookup, per-request engine with the generation's shared
-  kernel cache and shard planner, deadline budget with graceful
-  degradation;
+  kernel cache, deadline budget with graceful degradation;
 * ``POST /query/batch`` — a shared-scan batch through
   :class:`~repro.core.batch.BatchIVAEngine`, same isolation and deadline
   semantics (batch answers are never result-cached);
@@ -32,11 +31,10 @@ is a 429 with ``reason="quota"`` and a ``Retry-After`` header.
 
 Every request runs on its own engine instance (``engine.search`` is not
 re-entrant: per-search state lives on the engine) with the v3 filter
-kernel (:mod:`repro.core.kernel`), but all requests
-against one generation share that generation's
-:class:`~repro.core.kernel.KernelCache` and
-:class:`~repro.parallel.shards.ShardPlanner`, so repeated query terms
-skip kernel compilation and repeated attribute sets skip shard planning.
+kernel (:mod:`repro.core.kernel`) on the request's handler thread, but all
+requests against one generation share that generation's
+:class:`~repro.core.kernel.KernelCache`, so repeated query terms skip
+kernel compilation.
 The deadline clock starts when execution starts — queue wait is excluded,
 since admission already bounds it separately.
 """
@@ -58,7 +56,6 @@ from repro.metrics.distance import DistanceFunction
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.server import JSON_CONTENT_TYPE, ObsServer, SpanRingBuffer
 from repro.obs.trace import Tracer, get_tracer
-from repro.parallel import ExecutorConfig
 from repro.query import Query
 from repro.serve.admission import AdmissionController, AdmissionRejected
 from repro.serve.cache import ResultCache, result_key
@@ -91,7 +88,6 @@ class QueryDaemon(ObsServer):
         *,
         metric: str = "L2",
         ndf_penalty: float = 20.0,
-        workers: int = 0,
         default_k: int = 10,
         deadline_ms: Optional[float] = None,
         beta: Optional[float] = None,
@@ -115,7 +111,6 @@ class QueryDaemon(ObsServer):
         self.result_cache = (
             result_cache if result_cache is not None else ResultCache(registry=registry)
         )
-        self.executor = ExecutorConfig(workers=workers) if workers > 1 else None
         self.draining = False
 
     # --------------------------------------------------------------- health
@@ -236,7 +231,7 @@ class QueryDaemon(ObsServer):
                 400, {"error": 'body must include a non-empty "terms" object'}
             )
         k = self._int_field(body, "k", self.default_k)
-        metric = body.get("metric", self.metric)
+        metric = self._metric_field(body)
         deadline_s = self._deadline_s(body)
         slot = self._admit(headers)
         with slot:
@@ -270,7 +265,7 @@ class QueryDaemon(ObsServer):
                 400, {"error": 'body must include a non-empty "queries" array'}
             )
         k = self._int_field(body, "k", self.default_k)
-        metric = body.get("metric", self.metric)
+        metric = self._metric_field(body)
         deadline_s = self._deadline_s(body)
         slot = self._admit(headers)
         with slot:
@@ -292,12 +287,9 @@ class QueryDaemon(ObsServer):
                     gen.index,
                     DistanceFunction(metric=metric, ndf_penalty=self.ndf_penalty),
                     registry=self.metrics_registry(),
-                    tracer=self.tracer,
-                    executor=self.executor,
                     fail_mode="degrade",
                     kernel_cache=gen.kernel_cache,
                     scan_end_element=snapshot.end_element,
-                    shard_planner=gen.planner,
                 )
                 reports = self._search_metered(
                     gen,
@@ -336,11 +328,9 @@ class QueryDaemon(ObsServer):
             DistanceFunction(metric=metric, ndf_penalty=self.ndf_penalty),
             registry=self.metrics_registry(),
             tracer=self.tracer,
-            executor=self.executor,
             fail_mode="degrade",
             kernel_cache=gen.kernel_cache,
             scan_end_element=snapshot.end_element,
-            shard_planner=gen.planner,
         )
 
     def _search_metered(self, gen, run):
@@ -392,17 +382,27 @@ class QueryDaemon(ObsServer):
             "cached": False,
         }
 
+    def _metric_field(self, body: dict) -> str:
+        """The request's metric name; checked before it keys the result cache."""
+        metric = body.get("metric", self.metric)
+        if not isinstance(metric, str):
+            raise _HTTPError(400, {"error": '"metric" must be a string'})
+        return metric
+
     def _deadline_s(self, body: dict) -> Optional[float]:
         raw = body.get("deadline_ms", self.deadline_ms)
         if raw is None:
             return None
-        try:
-            value = float(raw)
-        except (TypeError, ValueError):
-            raise _HTTPError(400, {"error": '"deadline_ms" must be a number'})
-        if value <= 0:
-            raise _HTTPError(400, {"error": '"deadline_ms" must be positive'})
-        return value / 1000.0
+        if (
+            not isinstance(raw, (int, float))
+            or isinstance(raw, bool)
+            or not math.isfinite(raw)
+            or raw <= 0
+        ):
+            raise _HTTPError(
+                400, {"error": '"deadline_ms" must be a finite positive number'}
+            )
+        return raw / 1000.0
 
     @staticmethod
     def _int_field(body: dict, name: str, default: int) -> int:

@@ -63,7 +63,6 @@ from repro.errors import JournalError, ReproError, SimulatedCrash
 from repro.maintenance import MaintainedSystem
 from repro.obs.metrics import MetricsRegistry, get_registry
 from repro.obs.trace import Tracer, get_tracer
-from repro.parallel.shards import ShardPlanner
 from repro.serve.journal import WriteAheadJournal, write_journal_state
 from repro.storage.backend import StorageBackend, simulated_backend
 from repro.storage.disk import DiskStats
@@ -84,12 +83,10 @@ class CompactionInProgress(ReproError):
 class Generation:
     """One immutable-identity (disk, table, index) triple plus its watermark.
 
-    The kernel cache and shard planner live here because both are valid
-    for the lifetime of the generation: compiled kernel terms depend only
-    on per-attribute quantizers and signature schemes, which inserts never
-    retouch (only a rebuild re-derives them — and a rebuild starts a new
-    generation); shard plans are cached per index version and bounded by
-    the caller's watermark.
+    The kernel cache lives here because it is valid for the lifetime of
+    the generation: compiled kernel terms depend only on per-attribute
+    quantizers and signature schemes, which inserts never retouch (only a
+    rebuild re-derives them — and a rebuild starts a new generation).
     """
 
     def __init__(
@@ -106,7 +103,6 @@ class Generation:
         self.index = index
         self.system = system
         self.kernel_cache = KernelCache()
-        self.planner = ShardPlanner(index)
         #: Committed watermark: scans bounded here see only committed data.
         self.visible_elements = index.tuple_elements
         self.visible_version = index.version

@@ -17,9 +17,9 @@ distributed system constructors) instead of a per-module branch.
 
 The protocol is deliberately the *union* of what the upper layers use —
 including the I/O-attribution surface (:meth:`StorageBackend.metered`,
-:meth:`StorageBackend.io_channel`) the parallel executor depends on, which
-the host backend implements as cheap no-ops (real I/O has no modeled cost
-to attribute).
+:meth:`StorageBackend.io_channel`) that keeps concurrent daemon requests'
+I/O apart, which the host backend implements as cheap no-ops (real I/O
+has no modeled cost to attribute).
 """
 
 from __future__ import annotations

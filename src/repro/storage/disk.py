@@ -122,8 +122,9 @@ class IoMeter:
 
     Accumulates the modeled cost of every access *charged by the opening
     thread* while the meter is on that thread's stack — the attribution
-    primitive behind per-shard I/O numbers in ``repro.parallel`` (the global
-    :class:`DiskStats` cannot split concurrent charges by worker).
+    primitive behind per-search I/O numbers when the serving daemon runs
+    requests on concurrent threads (the global :class:`DiskStats` cannot
+    split concurrent charges by thread).
 
     Modeled time is kept as a running total that starts at the thread's
     active stats value and takes the same additions in the same order, so
@@ -147,8 +148,8 @@ class SimulatedDisk:
     """An in-memory file store charging accesses through a disk cost model.
 
     Thread safety: every access runs under one internal lock, so concurrent
-    readers (``repro.parallel`` shard scans, the overlapped refiner) keep
-    the counters and the LRU cache consistent.  Head positioning is tracked
+    readers (the serving daemon's request threads, background compaction)
+    keep the counters and the LRU cache consistent.  Head positioning is tracked
     **per channel** — by default every thread shares the ``"main"`` channel
     (single disk arm, exactly the historical model); a scan that registers
     its own channel via :meth:`io_channel` gets an independent head, which
@@ -188,7 +189,7 @@ class SimulatedDisk:
         """Route this thread's accesses through their own head channel.
 
         Nested use restores the previous channel on exit.  The channel's
-        head state is dropped when the context closes, so short-lived shard
+        head state is dropped when the context closes, so short-lived
         channels do not accumulate.
         """
         previous = getattr(self._tls, "channel", "main")

@@ -283,7 +283,7 @@ class HostDisk:
         """Yield an :class:`IoMeter`; stays zero (no modeled charges here).
 
         Exists so code written against :class:`~repro.storage.backend.StorageBackend`
-        — the parallel executor's per-shard accounting in particular — runs
+        — the engines' per-thread I/O accounting in particular — runs
         unchanged on a host directory.
         """
         yield IoMeter()

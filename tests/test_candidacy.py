@@ -1,16 +1,16 @@
 """Block-level candidacy: the prefilter never changes a decision.
 
 :class:`~repro.core.pool.BlockCandidacy` drops, in bulk, every tuple of a
-block that cannot beat the pool's worst member (or the shared bound) as it
-stands when the block starts.  These tests pin that the shortcut is
+block that cannot beat the pool's worst member as it stands when the block
+starts.  These tests pin that the shortcut is
 invisible:
 
 * a **property test** runs random blocks — tied estimates, exact tuples,
-  tombstones, pre-filled pools, a tightening shared bound — through
+  tombstones, pre-filled pools — through
   :func:`~repro.core.pool.block_candidates` and through the plain
   per-tuple walk, and compares every candidate, pool and counter;
-* **engine tests** run v3 sequential, batch and 2-worker parallel against
-  scalar on a table with tombstones, and compare v3's funnel with and
+* **engine tests** run v3 single-query and batch against scalar on a
+  table with tombstones, and compare v3's funnel with and
   without numpy (the numpy-absent path has no prefilter).
 """
 
@@ -30,8 +30,6 @@ from repro.core.pool import BlockCandidacy, ResultPool, block_candidates
 from repro.data import DatasetConfig, DatasetGenerator, WorkloadGenerator
 from repro.maintenance import MaintainedSystem
 from repro.obs.profile import ProfileCollector
-from repro.parallel import ExecutorConfig
-from repro.parallel.executor import SharedBound
 
 ESTIMATES = st.sampled_from([0.0, 0.5, 1.0, 1.5, 2.0, 3.0])
 
@@ -41,17 +39,9 @@ def _actual(tid: int, estimated: float) -> float:
     return estimated + (tid % 3) * 0.5
 
 
-def _shared(start):
-    """A shared bound already holding *start* (a run-wide pool's worst)."""
-    bound = SharedBound()
-    bound.tighten(start)
-    return bound
-
-
-def _reference(k, prefill, rows, blocks, queries, skip_exact, shared_start):
+def _reference(k, prefill, rows, blocks, queries, skip_exact):
     """The per-tuple walk: every live tuple, tid outer, query inner."""
     pools = [ResultPool(k) for _ in range(queries)]
-    shared = [_shared(shared_start) if shared_start else None for _ in range(queries)]
     counts = [[0, 0, 0] for _ in range(queries)]  # scanned, exact, pruned
     candidates = []
     for pool in pools:
@@ -68,30 +58,19 @@ def _reference(k, prefill, rows, blocks, queries, skip_exact, shared_start):
                     pool.insert(tid, estimated)
                     counts[qi][1] += 1
                     continue
-                bound = shared[qi].get() if shared[qi] is not None else None
-                if bound is not None and not (estimated, tid) < bound:
-                    counts[qi][2] += 1
-                    continue
                 if not pool.is_candidate(estimated, tid):
                     counts[qi][2] += 1
                     continue
                 candidates.append((tid, qi, estimated))
                 pool.insert(tid, _actual(tid, estimated))
-                if shared[qi] is not None and pool.is_full():
-                    shared[qi].tighten(pool.worst())
     return pools, counts, candidates
 
 
-def _blockwise(k, prefill, rows, blocks, queries, skip_exact, shared_start, arrays):
+def _blockwise(k, prefill, rows, blocks, queries, skip_exact, arrays):
     pools = [ResultPool(k) for _ in range(queries)]
     collectors = [ProfileCollector([], []) for _ in range(queries)]
     candidacies = [
-        BlockCandidacy(
-            pool,
-            skip_exact=skip_exact,
-            shared=_shared(shared_start) if shared_start else None,
-            collector=collector,
-        )
+        BlockCandidacy(pool, skip_exact=skip_exact, collector=collector)
         for pool, collector in zip(pools, collectors)
     ]
     for pool in pools:
@@ -113,11 +92,7 @@ def _blockwise(k, prefill, rows, blocks, queries, skip_exact, shared_start, arra
             evaluated.append((estimates, exact))
         for tid, qi, estimated in block_candidates(candidacies, tids, ptrs, evaluated):
             candidates.append((tid, qi, estimated))
-            pool = pools[qi]
-            pool.insert(tid, _actual(tid, estimated))
-            shared = candidacies[qi].shared
-            if shared is not None and pool.is_full():
-                shared.tighten(pool.worst())
+            pools[qi].insert(tid, _actual(tid, estimated))
     counts = []
     for qi, (c, collector) in enumerate(zip(candidacies, collectors)):
         # The collector saw every exact shortcut, bulk-dropped ones included.
@@ -153,14 +128,13 @@ class TestBlockCandidates:
         case=_blocks(),
         k=st.integers(1, 6),
         skip_exact=st.booleans(),
-        shared_start=st.none() | st.tuples(ESTIMATES, st.integers(0, 400)),
         arrays=st.booleans(),
     )
-    def test_matches_per_tuple_walk(self, case, k, skip_exact, shared_start, arrays):
+    def test_matches_per_tuple_walk(self, case, k, skip_exact, arrays):
         if arrays and fastpath._np is None:
             arrays = False
         queries, rows, blocks, prefill = case
-        args = (k, prefill, rows, blocks, queries, skip_exact, shared_start)
+        args = (k, prefill, rows, blocks, queries, skip_exact)
         ref_pools, ref_counts, ref_candidates = _reference(*args)
         pools, counts, candidates = _blockwise(*args, arrays)
         assert candidates == ref_candidates
@@ -220,8 +194,7 @@ def _run(path, table, index, queries, k):
     if path == "batch":
         engine = BatchIVAEngine(table, index, profile=True)
         return engine.search_batch(queries, k=k)
-    executor = ExecutorConfig(workers=2) if path == "parallel" else None
-    engine = IVAEngine(table, index, executor=executor, profile=True)
+    engine = IVAEngine(table, index, profile=True)
     return [engine.search(query, k=k) for query in queries]
 
 
@@ -245,7 +218,7 @@ def _funnel(report):
 
 class TestEnginesOnTombstones:
     @pytest.mark.parametrize("k", [5, 300])
-    @pytest.mark.parametrize("path", ["sequential", "batch", "parallel"])
+    @pytest.mark.parametrize("path", ["sequential", "batch"])
     def test_v3_matches_scalar(self, churned, path, k):
         """k=300 exceeds one 256-tuple block, so the second block starts
         before the pool is full and fills it mid-block."""

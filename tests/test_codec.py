@@ -1,14 +1,11 @@
-"""The codec seam: round-trips, cross-codec answer identity, sync points.
+"""The codec seam: round-trips and cross-codec answer identity.
 
 The load-bearing contracts:
 
 * every codec decodes back exactly what was encoded, layout by layout
   (the codecs change *addressing bytes*, never the signatures);
 * a query answered through a ``compressed`` index is bit-identical to the
-  same query through a ``raw`` index, sequentially and at every worker
-  count;
-* the sync-directory resume points a codec computes arithmetically equal
-  what a scanner walked to the same boundary reports.
+  same query through a ``raw`` index, under both filter kernels.
 """
 
 from __future__ import annotations
@@ -22,13 +19,11 @@ from repro.codec.base import BytesReader, encode_uvarint, read_uvarint, uvarint_
 from repro.core.engine import IVAEngine
 from repro.core.iva_file import IVAConfig, IVAFile
 from repro.core.numeric import NumericQuantizer
-from repro.core.scan import START, ResumePoint
 from repro.core.signature import SignatureScheme
 from repro.core.vector_lists import ListType
 from repro.data.generator import DatasetConfig, DatasetGenerator
 from repro.data.workload import WorkloadGenerator
 from repro.errors import IndexError_
-from repro.parallel import ExecutorConfig
 from repro.storage import SparseWideTable, simulated_backend
 
 
@@ -105,14 +100,11 @@ class TestRoundTrip:
             seed=hash((codec_name, list_type.value)) % 1000, density=density
         )
         payload = codec.build_text(list_type, scheme, entries, all_tids)
-        scanner = codec.text_scanner(
-            list_type, BytesReader(payload), scheme, START
-        )
+        scanner = codec.text_scanner(list_type, BytesReader(payload), scheme)
         reference = raw.text_scanner(
             ListType.TYPE_I,
             BytesReader(raw.build_text(ListType.TYPE_I, scheme, entries, all_tids)),
             scheme,
-            START,
         )
         for tid in all_tids:
             assert scanner.move_to(tid) == reference.move_to(tid)
@@ -127,9 +119,7 @@ class TestRoundTrip:
         quantizer = NumericQuantizer.from_domain(0.0, 500.0, 0.2, reserve_ndf=reserve)
         all_tids, _, entries = _sample_entries(seed=list_type.value, density=density)
         payload = codec.build_numeric(list_type, quantizer, entries, all_tids)
-        scanner = codec.numeric_scanner(
-            list_type, BytesReader(payload), quantizer, START
-        )
+        scanner = codec.numeric_scanner(list_type, BytesReader(payload), quantizer)
         ref_quant = NumericQuantizer.from_domain(0.0, 500.0, 0.2, reserve_ndf=False)
         reference = raw.numeric_scanner(
             ListType.TYPE_I,
@@ -137,7 +127,6 @@ class TestRoundTrip:
                 raw.build_numeric(ListType.TYPE_I, ref_quant, entries, all_tids)
             ),
             ref_quant,
-            START,
         )
         defined = {tid for tid, _ in entries}
         for tid in all_tids:
@@ -175,53 +164,6 @@ class TestRoundTrip:
             codec.build_numeric(ListType.TYPE_IV, quantizer, numeric, all_tids)
         )
 
-    @pytest.mark.parametrize("codec_name", CODEC_NAMES)
-    @pytest.mark.parametrize(
-        "list_type", [ListType.TYPE_I, ListType.TYPE_II, ListType.TYPE_III]
-    )
-    def test_resume_points_match_walked_scanner(self, codec_name, list_type):
-        """Directory arithmetic == a scanner walked to the same boundary."""
-        codec = get_codec(codec_name)
-        scheme = SignatureScheme(0.2, 2)
-        all_tids, entries, _ = _sample_entries(seed=17, density=0.5)
-        payload = codec.build_text(list_type, scheme, entries, all_tids)
-        positions = list(range(0, len(all_tids), 7))
-        points = codec.text_resume_points(
-            list_type, scheme, entries, all_tids, positions
-        )
-        scanner = codec.text_scanner(
-            list_type, BytesReader(payload), scheme, START
-        )
-        by_position = dict(zip(positions, points))
-        for position, tid in enumerate(all_tids):
-            expected = by_position.get(position)
-            if expected is not None:
-                assert scanner.checkpoint(position) == expected
-            scanner.move_to(tid)
-
-    @pytest.mark.parametrize("codec_name", CODEC_NAMES)
-    @pytest.mark.parametrize(
-        "list_type", [ListType.TYPE_I, ListType.TYPE_II, ListType.TYPE_III]
-    )
-    def test_scanner_resumes_mid_list(self, codec_name, list_type):
-        """A fresh scanner entering at a resume point continues exactly."""
-        codec = get_codec(codec_name)
-        scheme = SignatureScheme(0.2, 2)
-        all_tids, entries, _ = _sample_entries(seed=23, density=0.5)
-        payload = codec.build_text(list_type, scheme, entries, all_tids)
-        cut = len(all_tids) // 2
-        [point] = codec.text_resume_points(
-            list_type, scheme, entries, all_tids, [cut]
-        )
-        resumed_reader = BytesReader(payload)
-        resumed_reader.read(point.offset)
-        resumed = codec.text_scanner(list_type, resumed_reader, scheme, point)
-        walked = codec.text_scanner(list_type, BytesReader(payload), scheme, START)
-        for tid in all_tids[:cut]:
-            walked.move_to(tid)
-        for tid in all_tids[cut:]:
-            assert resumed.move_to(tid) == walked.move_to(tid)
-
 
 def _dense_table():
     """Few attributes, high fill — drives layout choice to Types III/IV."""
@@ -249,14 +191,13 @@ class TestCrossCodecAnswers:
     """Raw and compressed indexes answer every query identically."""
 
     @pytest.mark.parametrize("make_table", [_dense_table, _sparse_table])
-    @pytest.mark.parametrize("workers", [1, 2, 3, 4])
-    def test_identical_answers(self, make_table, workers):
+    @pytest.mark.parametrize("kernel", ["v3", "scalar"])
+    def test_identical_answers(self, make_table, kernel):
         table = make_table()
         raw = IVAFile.build(table, IVAConfig(name="raw", codec="raw"))
         comp = IVAFile.build(table, IVAConfig(name="comp", codec="compressed"))
-        executor = ExecutorConfig(workers=workers) if workers > 1 else None
         raw_engine = IVAEngine(table, raw)
-        comp_engine = IVAEngine(table, comp, executor=executor)
+        comp_engine = IVAEngine(table, comp, kernel=kernel)
         workload = WorkloadGenerator(table, seed=5)
         for arity in (1, 2, 3):
             for _ in range(4):
@@ -274,8 +215,8 @@ class TestCrossCodecAnswers:
     @pytest.mark.parametrize(
         "forced", [ListType.TYPE_I, ListType.TYPE_II, ListType.TYPE_III]
     )
-    @pytest.mark.parametrize("workers", [1, 3])
-    def test_forced_text_layouts_identical(self, monkeypatch, forced, workers):
+    @pytest.mark.parametrize("kernel", ["v3", "scalar"])
+    def test_forced_text_layouts_identical(self, monkeypatch, forced, kernel):
         """Every text layout answers identically under both codecs.
 
         Compressed sizing rarely picks Types II/III on synthetic tables
@@ -289,9 +230,8 @@ class TestCrossCodecAnswers:
         raw = IVAFile.build(table, IVAConfig(name="raw", codec="raw"))
         comp = IVAFile.build(table, IVAConfig(name="comp", codec="compressed"))
         assert {e.list_type for e in comp.entries() if e.attr.is_text} == {forced}
-        executor = ExecutorConfig(workers=workers) if workers > 1 else None
         raw_engine = IVAEngine(table, raw)
-        comp_engine = IVAEngine(table, comp, executor=executor)
+        comp_engine = IVAEngine(table, comp, kernel=kernel)
         workload = WorkloadGenerator(table, seed=31)
         for _ in range(6):
             query = workload.sample_query(2)
@@ -304,8 +244,8 @@ class TestCrossCodecAnswers:
             assert got == want
 
     @pytest.mark.parametrize("forced", [ListType.TYPE_I, ListType.TYPE_IV])
-    @pytest.mark.parametrize("workers", [1, 3])
-    def test_forced_numeric_layouts_identical(self, monkeypatch, forced, workers):
+    @pytest.mark.parametrize("kernel", ["v3", "scalar"])
+    def test_forced_numeric_layouts_identical(self, monkeypatch, forced, kernel):
         from repro.core.vector_lists import NumericListSizes
 
         monkeypatch.setattr(NumericListSizes, "best", lambda self: forced)
@@ -313,9 +253,8 @@ class TestCrossCodecAnswers:
         raw = IVAFile.build(table, IVAConfig(name="raw", codec="raw"))
         comp = IVAFile.build(table, IVAConfig(name="comp", codec="compressed"))
         assert {e.list_type for e in comp.entries() if not e.attr.is_text} == {forced}
-        executor = ExecutorConfig(workers=workers) if workers > 1 else None
         raw_engine = IVAEngine(table, raw)
-        comp_engine = IVAEngine(table, comp, executor=executor)
+        comp_engine = IVAEngine(table, comp, kernel=kernel)
         workload = WorkloadGenerator(table, seed=37)
         for _ in range(6):
             query = workload.sample_query(2)
@@ -348,7 +287,7 @@ class TestCrossCodecAnswers:
             raw.insert(tid, table.read(tid).cells)
             comp.insert(tid, table.read(tid).cells)
         raw_engine = IVAEngine(table, raw)
-        comp_engine = IVAEngine(table, comp, executor=ExecutorConfig(workers=2))
+        comp_engine = IVAEngine(table, comp, kernel="scalar")
         workload = WorkloadGenerator(table, seed=9)
         for _ in range(6):
             query = workload.sample_query(2)

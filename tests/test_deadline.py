@@ -27,7 +27,6 @@ from repro.data.workload import WorkloadGenerator
 from repro.errors import DeadlineExceeded
 from repro.metrics.distance import DistanceFunction
 from repro.obs.metrics import MetricsRegistry
-from repro.parallel import ExecutorConfig
 
 #: A budget that has always already expired when the first check runs.
 EXPIRED = 1e-9
@@ -85,33 +84,6 @@ def test_sequential_expired_deadline_degrades(indexed, queries, kernel):
     )
 
 
-def test_parallel_expired_deadline_degrades(indexed, queries):
-    table, index = indexed
-    registry = MetricsRegistry()
-    engine = IVAEngine(
-        table,
-        index,
-        registry=registry,
-        executor=ExecutorConfig(workers=2),
-        fail_mode="degrade",
-    )
-    report = engine.search(queries[1], k=5, deadline_s=EXPIRED)
-    assert report.degraded is True
-    assert report.deadline_hit is True
-    # Aborted shards surface as conservative whole-shard lost ranges.
-    assert report.lost_tid_ranges
-    for result in report.results:
-        assert result.distance == pytest.approx(
-            _true_distance(table, queries[1], result.tid, engine.distance)
-        )
-    assert (
-        registry.counter(
-            "repro_deadline_exceeded_total", labels={"engine": "iVA"}
-        ).value
-        == 1
-    )
-
-
 def test_batch_expired_deadline_flags_every_report(indexed, queries):
     table, index = indexed
     registry = MetricsRegistry()
@@ -134,15 +106,6 @@ def test_sequential_expired_deadline_raises(indexed, queries):
         engine.search(queries[0], k=5, deadline_s=EXPIRED)
 
 
-def test_parallel_expired_deadline_raises(indexed, queries):
-    table, index = indexed
-    engine = IVAEngine(
-        table, index, executor=ExecutorConfig(workers=2), fail_mode="raise"
-    )
-    with pytest.raises(DeadlineExceeded):
-        engine.search(queries[1], k=5, deadline_s=EXPIRED)
-
-
 def test_batch_expired_deadline_raises(indexed, queries):
     table, index = indexed
     engine = BatchIVAEngine(table, index, fail_mode="raise")
@@ -153,11 +116,10 @@ def test_batch_expired_deadline_raises(indexed, queries):
 # --------------------------------------------------- generous budget: no-op
 
 
-@pytest.mark.parametrize("workers", [None, 2])
-def test_generous_deadline_is_invisible(indexed, queries, workers):
+@pytest.mark.parametrize("kernel", ["v3", "scalar"])
+def test_generous_deadline_is_invisible(indexed, queries, kernel):
     table, index = indexed
-    executor = ExecutorConfig(workers=workers) if workers else None
-    engine = IVAEngine(table, index, executor=executor, fail_mode="degrade")
+    engine = IVAEngine(table, index, kernel=kernel, fail_mode="degrade")
     for query in queries:
         assert_topk_matches_bruteforce(engine, table, query, k=5)
         report = engine.search(query, k=5, deadline_s=GENEROUS)

@@ -9,12 +9,12 @@ Two layers of checks:
   Prop. 3.3.  Equality is ``==``, not approx: the kernel's contract is
   bit identity, not tolerance;
 * **engine tests** assert full top-k answer identity between the
-  sequential scalar oracle (``IVAEngine(kernel="scalar")``) and every
-  path v3 runs — sequential, parallel at several worker counts, and the
-  batch engine — both with numpy and through v3's numpy-absent
-  fallback (segments rebuilt into per-element columns for
-  ``evaluate_block``) — and on numeric codes too wide to vectorise
-  (3-, 5- and 8-byte vectors), where ``decode_segment`` adapts ``move_to``.
+  scalar oracle (``IVAEngine(kernel="scalar")``) and every path v3 runs —
+  the single-query engine and the batch engine — both with numpy and
+  through v3's numpy-absent fallback (segments rebuilt into per-element
+  columns for ``evaluate_block``) — and on numeric codes too wide to
+  vectorise (3-, 5- and 8-byte vectors), where ``decode_segment`` adapts
+  ``move_to``.
 """
 
 from __future__ import annotations
@@ -47,7 +47,6 @@ from repro.core.vector_lists import ListType
 from repro.data.workload import WorkloadGenerator
 from repro.errors import QueryError
 from repro.metrics.distance import DistanceFunction
-from repro.parallel import ExecutorConfig
 
 TEXT = st.text(alphabet=string.ascii_lowercase + " #$", min_size=1, max_size=24)
 NDF_PENALTY = 1.0
@@ -253,16 +252,6 @@ class TestKernelMode:
         index = IVAFile.build(small_dataset, IVAConfig(name="kern_default"))
         assert IVAEngine(small_dataset, index).kernel == "v3"
 
-    @pytest.mark.parametrize(
-        "sharding",
-        [{"executor": ExecutorConfig(workers=2)}, {"parallelism": 2}],
-        ids=["executor", "parallelism"],
-    )
-    def test_scalar_oracle_does_not_shard(self, small_dataset, sharding):
-        index = IVAFile.build(small_dataset, IVAConfig(name="kern_oracle"))
-        with pytest.raises(QueryError, match="sequential oracle"):
-            IVAEngine(small_dataset, index, kernel="scalar", **sharding)
-
 
 class TestKernelCacheSharing:
     def test_same_term_compiles_once(self, small_dataset):
@@ -396,22 +385,6 @@ class TestAnswerIdentity:
         v3 = self._answers(IVAEngine(table, indexes[codec], kernel="v3"), queries)
         assert v3 == scalar
 
-    def _parallel_matches(self, setups, table, codec, workers):
-        indexes, queries = setups
-        scalar = self._answers(
-            IVAEngine(table, indexes[codec], kernel="scalar"), queries
-        )
-        v3 = self._answers(
-            IVAEngine(
-                table,
-                indexes[codec],
-                kernel="v3",
-                executor=ExecutorConfig(workers=workers),
-            ),
-            queries,
-        )
-        assert v3 == scalar
-
     def _batch_matches(self, setups, table, codec):
         indexes, queries = setups
         scalar = self._answers(
@@ -431,18 +404,6 @@ class TestAnswerIdentity:
         self, setups, small_dataset, codec, no_numpy
     ):
         self._sequential_matches(setups, small_dataset, codec)
-
-    @pytest.mark.parametrize("codec", CODEC_NAMES)
-    @pytest.mark.parametrize("workers", [2, 4])
-    def test_parallel_v3_matches_scalar(self, setups, small_dataset, codec, workers):
-        self._parallel_matches(setups, small_dataset, codec, workers)
-
-    @pytest.mark.parametrize("codec", CODEC_NAMES)
-    @pytest.mark.parametrize("workers", [2, 4])
-    def test_parallel_block_matches_scalar(
-        self, setups, small_dataset, codec, workers, no_numpy
-    ):
-        self._parallel_matches(setups, small_dataset, codec, workers)
 
     @pytest.mark.parametrize("codec", CODEC_NAMES)
     def test_batch_v3_matches_scalar(self, setups, small_dataset, codec):
@@ -508,12 +469,5 @@ class TestWideNumericCodes:
         scalar = search(IVAEngine(wide_table, index, kernel="scalar"))
         assert all(scalar)
         assert search(IVAEngine(wide_table, index, kernel="v3")) == scalar
-        parallel = IVAEngine(
-            wide_table, index, kernel="v3", executor=ExecutorConfig(workers=2)
-        )
-        assert search(parallel) == scalar
-        for executor in (None, ExecutorConfig(workers=2)):
-            batch = BatchIVAEngine(
-                wide_table, index, executor=executor
-            ).search_batch(self.QUERIES, k=8)
-            assert self._rows(batch) == scalar
+        batch = BatchIVAEngine(wide_table, index).search_batch(self.QUERIES, k=8)
+        assert self._rows(batch) == scalar

@@ -1,7 +1,6 @@
 """Unit tests for the top-k result pool."""
 
 import itertools
-import random
 
 import pytest
 
@@ -80,9 +79,10 @@ class TestOrderIndependence:
     """Regression tests for the merge-order nondeterminism bug.
 
     The pool's final contents must be a pure function of the inserted
-    multiset — the determinism contract ``repro.parallel`` builds on.
-    The old pool kept whichever equal-distance tuple arrived first, so
-    shard merge order leaked into the answer.
+    multiset — the determinism contract the page-ordered refiner and the
+    partitioned merge build on.  The old pool kept whichever
+    equal-distance tuple arrived first, so merge order leaked into the
+    answer.
     """
 
     def test_tie_eviction_prefers_smaller_tid(self):
@@ -105,30 +105,6 @@ class TestOrderIndependence:
                 expected = got
             assert got == expected, f"order {order} diverged"
         assert expected == [(1.0, 5), (2.0, 4), (3.0, 2)]
-
-    def test_sharded_merge_equals_sequential(self):
-        # Simulate shard-local pools merged in arbitrary order.
-        rng = random.Random(13)
-        entries = [(tid, float(rng.randrange(8))) for tid in range(60)]
-        sequential = ResultPool(10)
-        for tid, dist in entries:
-            sequential.insert(tid, dist)
-        for seed in range(10):
-            shuffled = entries[:]
-            random.Random(seed).shuffle(shuffled)
-            shards = [shuffled[i::4] for i in range(4)]
-            locals_ = []
-            for shard in shards:
-                local = ResultPool(10)
-                for tid, dist in shard:
-                    local.insert(tid, dist)
-                locals_.append(local)
-            merged = ResultPool(10)
-            for local in locals_:
-                merged.merge_from(local)
-            assert [(e.distance, e.tid) for e in merged.results()] == [
-                (e.distance, e.tid) for e in sequential.results()
-            ]
 
     def test_tie_aware_is_candidate(self):
         pool = ResultPool(2)

@@ -4,8 +4,8 @@ The artifact's load-bearing property is that its candidate funnel is
 *exact bookkeeping*, not sampling: scanned/pruned/candidate/refined
 counts must reconcile with the access counters the engines already
 report (``SearchReport.tuples_scanned`` / ``table_accesses`` /
-``exact_shortcuts``) on every execution path — the sequential scalar
-oracle, and v3 sequential, parallel and batched.
+``exact_shortcuts``) on every execution path — the scalar oracle, and v3
+single-query and batched.
 """
 
 from __future__ import annotations
@@ -19,9 +19,7 @@ from repro.core.batch import BatchIVAEngine
 from repro.core.engine import IVAEngine
 from repro.core.iva_file import IVAConfig, IVAFile
 from repro.data.workload import WorkloadGenerator
-from repro.errors import QueryError
-from repro.obs.profile import ProfileCollector, QueryProfile
-from repro.parallel import ExecutorConfig
+from repro.obs.profile import QueryProfile
 
 
 @pytest.fixture(scope="module")
@@ -51,9 +49,7 @@ def assert_funnel_matches_report(profile: QueryProfile, report) -> None:
         profile.exact_shortcuts + profile.bound_pruned + profile.candidates
     )
     # Every candidate's fate is accounted for.
-    assert profile.candidates == (
-        profile.refined + profile.late_pruned + profile.dedup_skipped
-    )
+    assert profile.candidates == profile.refined + profile.late_pruned
 
 
 class TestSequential:
@@ -64,11 +60,9 @@ class TestSequential:
             for query in queries:
                 report = engine.search(query, k=10)
                 assert_funnel_matches_report(report.profile, report)
-                # Only recovery re-scans dedup, and the sequential path
-                # has none.  v3 re-checks buffered candidates at flush, so
-                # it may late-prune; the scalar oracle refines inline and
-                # never does.
-                assert report.profile.dedup_skipped == 0
+                # v3 re-checks buffered candidates at flush, so it may
+                # late-prune; the scalar oracle refines inline and never
+                # does.
                 if kernel == "scalar":
                     assert report.profile.late_pruned == 0
 
@@ -110,7 +104,6 @@ class TestSequential:
         assert profile.engine == engine.name
         assert profile.kernel == "v3"
         assert profile.k == 7
-        assert profile.parallel is False
         assert profile.blocks > 0
         assert len(profile.block_pruned) == profile.blocks
 
@@ -127,44 +120,19 @@ class TestSequential:
         assert data["funnel"]["refined"] == profile.refined
 
 
-class TestKernelAndParallel:
+class TestKernels:
     @pytest.mark.parametrize("kernel", ["scalar", "v3"])
-    @pytest.mark.parametrize("workers", [1, 3])
-    def test_funnel_on_every_path(self, indexed, queries, kernel, workers):
+    def test_funnel_on_every_path(self, indexed, queries, kernel):
         table, index = indexed
-        executor = ExecutorConfig(workers=workers) if workers > 1 else None
-        if kernel == "scalar" and executor is not None:
-            # The scalar oracle does not shard; check it sequentially.
-            with pytest.raises(QueryError):
-                IVAEngine(table, index, executor=executor, kernel=kernel)
-            executor = None
-        engine = IVAEngine(
-            table, index, executor=executor, kernel=kernel, profile=True
-        )
+        engine = IVAEngine(table, index, kernel=kernel, profile=True)
         for query in queries:
             report = engine.search(query, k=10)
             assert_funnel_matches_report(report.profile, report)
 
-    def test_parallel_shard_rows(self, indexed, queries):
+    def test_answers_unchanged_by_profiling(self, indexed, queries):
         table, index = indexed
-        engine = IVAEngine(
-            table, index, executor=ExecutorConfig(workers=3), profile=True
-        )
-        report = engine.search(queries[0], k=10)
-        profile = report.profile
-        assert profile.parallel is True
-        assert profile.workers == 3
-        assert profile.shards == len(profile.shard_rows)
-        assert sum(row["tuples"] for row in profile.shard_rows) == (
-            profile.tuples_scanned
-        )
-
-    def test_parallel_answers_unchanged_by_profiling(self, indexed, queries):
-        table, index = indexed
-        plain = IVAEngine(table, index, executor=ExecutorConfig(workers=3))
-        profiled = IVAEngine(
-            table, index, executor=ExecutorConfig(workers=3), profile=True
-        )
+        plain = IVAEngine(table, index)
+        profiled = IVAEngine(table, index, profile=True)
         for query in queries:
             a = plain.search(query, k=10)
             b = profiled.search(query, k=10)
@@ -200,15 +168,13 @@ class TestKernelAndParallel:
 
 
 class TestBatch:
-    @pytest.mark.parametrize("workers", [1, 3])
     @pytest.mark.parametrize("kernel", ["scalar", "v3"])
-    def test_batch_funnels(self, indexed, queries, workers, kernel):
+    def test_batch_funnels(self, indexed, queries, kernel):
         """The batch engine's funnels reconcile, and each report agrees with
-        a per-query sequential engine running *kernel* on every
-        path-independent count."""
+        a per-query engine running *kernel* on every path-independent
+        count."""
         table, index = indexed
-        executor = ExecutorConfig(workers=workers) if workers > 1 else None
-        engine = BatchIVAEngine(table, index, executor=executor, profile=True)
+        engine = BatchIVAEngine(table, index, profile=True)
         reports = engine.search_batch(queries[:4], k=10)
         reference = IVAEngine(table, index, kernel=kernel)
         for query, report in zip(queries[:4], reports):
@@ -219,27 +185,6 @@ class TestBatch:
             ]
             assert report.tuples_scanned == expected.tuples_scanned
             assert report.exact_shortcuts == expected.exact_shortcuts
-
-
-class TestCollectorUnit:
-    def test_absorb_merges_counts(self, indexed, queries):
-        query = queries[0]
-        a = ProfileCollector.for_query(query)
-        b = ProfileCollector.for_query(query)
-        a.on_exact()
-        a.on_candidate()
-        a.on_refined(1.0, 2.0)
-        b.on_pruned()
-        b.on_candidate()
-        b.on_refined(3.0, 3.5)
-        a.absorb(b)
-        assert a.exact == 1
-        assert a.pruned == 1
-        assert a.candidates == 2
-        assert a.refined == 2
-        assert a.bound_sum == pytest.approx(4.0)
-        assert a.actual_sum == pytest.approx(5.5)
-        assert a.slack_max == pytest.approx(1.0)
 
 
 class TestOverhead:

@@ -100,38 +100,6 @@ class TestRefiner:
             dist.actual(q, full) for q in queries[:2]
         ]
 
-    def test_dedup_skips_refined_tids(self, world):
-        table, _, queries = world
-        collector = ProfileCollector.for_query(queries[0])
-        refiner = Refiner(
-            table,
-            queries[:1],
-            DistanceFunction(),
-            [ResultPool(5)],
-            collectors=[collector],
-            dedup=True,
-        )
-        refiner.add(0, 12, 0.0)
-        refiner.flush()
-        refiner.add(0, 12, 0.0)
-        refiner.flush()
-        assert refiner.table_accesses == [1]
-        assert collector.dedup_skipped == 1
-
-    def test_tightens_shared_bound_when_full(self, world):
-        from repro.parallel.executor import SharedBound
-
-        table, _, queries = world
-        shared = SharedBound()
-        pool = ResultPool(2)
-        refiner = Refiner(
-            table, queries[:1], DistanceFunction(), [pool], shared=[shared], batch=1
-        )
-        refiner.add(0, 1, 0.0)
-        assert shared.get() is None
-        refiner.add(0, 2, 0.0)
-        assert shared.get() == pool.worst()
-
 
 def _noisy_reads(table, monkeypatch):
     """Make every table read wait for another thread's disk reads.

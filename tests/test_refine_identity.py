@@ -6,16 +6,9 @@ that refines must return the same ``(tid, distance)`` lists — compared as
 floats, not rounded — and the same ``table_accesses`` as a reference run in
 which :class:`DistanceFunction` falls back to the DP ``edit_distance`` and
 every table read decodes the full row.
-
-The threaded executor's ``table_accesses`` depend on when its refiner
-tightens the workers' shared bound, so a threaded 2-worker run is compared
-on answers only; the same 2-worker plan is also run on an inline pool (each
-shard scanned at submit time, in order), where the accesses are
-deterministic and compared too.
 """
 
 import random
-from concurrent.futures import Future
 
 import pytest
 
@@ -27,8 +20,6 @@ from repro.maintenance import MaintainedSystem
 from repro.metrics.distance import DistanceFunction, numeric_difference
 from repro.metrics.edit_distance import edit_distance
 from repro.model.values import is_ndf
-from repro.parallel import ExecutorConfig
-from repro.parallel import executor as executor_module
 from repro.query import Query
 from repro.storage import SparseWideTable, simulated_backend
 
@@ -97,22 +88,7 @@ def _dp_term_difference(self, term_index, query, value):
     return numeric_difference(float(term.value), value, self.ndf_penalty)
 
 
-class _InlinePool:
-    """A ``ThreadPoolExecutor`` stand-in that runs each job on submit."""
-
-    def __init__(self, *args, **kwargs):
-        pass
-
-    def submit(self, fn, *args):
-        future = Future()
-        future.set_result(fn(*args))
-        return future
-
-    def shutdown(self, wait=True):
-        pass
-
-
-def _runs(table, index, queries, metric, monkeypatch):
+def _runs(table, index, queries, metric):
     """{engine path: (per-query answers, per-query table accesses)}."""
     dist = DistanceFunction(metric)
 
@@ -123,51 +99,30 @@ def _runs(table, index, queries, metric, monkeypatch):
         )
 
     sequential = IVAEngine(table, index, dist, kernel="v3")
-    parallel = IVAEngine(
-        table,
-        index,
-        dist,
-        kernel="v3",
-        executor=ExecutorConfig(workers=2, min_shard_elements=16),
-    )
     batch = BatchIVAEngine(table, index, dist)
     memory = InMemoryIVAEngine(table, index, dist)
     runs = {
         "sequential": collect([sequential.search(q, k=K) for q in queries]),
-        "parallel x2": collect([parallel.search(q, k=K) for q in queries]),
         "batch": collect(batch.search_batch(queries, k=K)),
         "in-memory": collect([memory.search(q, k=K) for q in queries]),
     }
-    inline = IVAEngine(
-        table,
-        index,
-        dist,
-        kernel="v3",
-        executor=ExecutorConfig(
-            workers=2, min_shard_elements=16, queue_depth=1 << 20, fallback=False
-        ),
-    )
-    with monkeypatch.context() as patch:
-        patch.setattr(executor_module, "ThreadPoolExecutor", _InlinePool)
-        runs["parallel x2 inline"] = collect([inline.search(q, k=K) for q in queries])
     return runs
 
 
 @pytest.mark.parametrize("metric", METRICS)
 def test_refine_matches_dp_and_full_rows(world, metric, monkeypatch):
     table, index, queries = world
-    fast = _runs(table, index, queries, metric, monkeypatch)
+    fast = _runs(table, index, queries, metric)
 
     full_read = SparseWideTable.read
     monkeypatch.setattr(DistanceFunction, "term_difference", _dp_term_difference)
     monkeypatch.setattr(
         SparseWideTable, "read", lambda self, tid, attr_ids=None: full_read(self, tid)
     )
-    reference = _runs(table, index, queries, metric, monkeypatch)
+    reference = _runs(table, index, queries, metric)
 
     for path, (answers, accesses) in fast.items():
         ref_answers, ref_accesses = reference[path]
         assert answers == ref_answers, path
-        if path != "parallel x2":
-            assert accesses == ref_accesses, path
+        assert accesses == ref_accesses, path
     assert any(any(answers) for answers, _ in fast.values())

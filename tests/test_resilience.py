@@ -1,5 +1,5 @@
 """The resilience stack: fault injection, checksummed frames, retries,
-and shard-level graceful degradation.
+and query-level graceful degradation.
 
 The invariant under test everywhere: a query under faults either matches
 the fault-free answer exactly, or is *explicitly* degraded/errored —
@@ -15,7 +15,6 @@ from repro.data.generator import DatasetConfig, DatasetGenerator
 from repro.data.workload import WorkloadGenerator
 from repro.errors import ChecksumError, StorageError, TransientIOError
 from repro.obs.metrics import MetricsRegistry
-from repro.parallel import ExecutorConfig
 from repro.resilience import (
     ChecksummedBackend,
     FaultInjectingBackend,
@@ -535,132 +534,51 @@ class TestDegradedExecution:
     def query(self, small_dataset):
         return WorkloadGenerator(small_dataset, seed=41).sample_query(3)
 
-    def _install_dying_scan(self, monkeypatch, *, die_on_retry: bool):
-        import repro.parallel.executor as executor_module
+    @staticmethod
+    def _failing_blocks(monkeypatch, after: int):
+        """Make the v3 filter raise a storage error after *after* blocks."""
+        original = IVAEngine._filter_blocks
 
-        original = executor_module.ParallelScanExecutor._scan_shard
+        def failing(self, *args, **kwargs):
+            for n, block in enumerate(original(self, *args, **kwargs)):
+                if n == after:
+                    raise StorageError("media failure mid-scan")
+                yield block
 
-        def dying_scan(
-            self, shard, worker, attr_ids, contexts, k, skip_exact,
-            out_queue, abort,
-        ):
-            if shard.index == 1 and (die_on_retry or worker != "retry"):
-                stats = executor_module._ShardStats(shard=shard.index, worker=worker)
-                stats.error = RuntimeError("shard 1 exploded")
-                out_queue.put(
-                    executor_module._ShardDone(stats=stats, local_pools=[])
-                )
-                return
-            original(
-                self, shard, worker, attr_ids, contexts, k, skip_exact,
-                out_queue, abort,
-            )
+        monkeypatch.setattr(IVAEngine, "_filter_blocks", failing)
 
-        monkeypatch.setattr(
-            executor_module.ParallelScanExecutor, "_scan_shard", dying_scan
-        )
-        return executor_module
-
-    def test_degrade_mode_retry_recovers_exact_answer(
-        self, indexed, query, monkeypatch
-    ):
+    def test_v3_engine_degrades_mid_stream(self, indexed, query, monkeypatch):
+        """A storage error in the v3 scan reports a partial, explicitly
+        degraded answer whose funnel still reconciles."""
         table, index = indexed
-        self._install_dying_scan(monkeypatch, die_on_retry=False)
+        registry = MetricsRegistry()
+        self._failing_blocks(monkeypatch, after=1)
         engine = IVAEngine(
-            table,
-            index,
-            executor=ExecutorConfig(workers=2, fallback=False),
-            fail_mode="degrade",
+            table, index, registry=registry, fail_mode="degrade", profile=True
         )
         report = engine.search(query, k=10)
-        sequential = IVAEngine(table, index).search(query, k=10)
-        assert _answers(report) == _answers(sequential)
-        assert report.degraded is False
-        assert report.lost_shards == []
-
-    def test_degrade_mode_sequential_rescan_recovers(
-        self, indexed, query, monkeypatch
-    ):
-        """Retry dies too; the scalar re-scan (different code path) saves it."""
-        table, index = indexed
-        self._install_dying_scan(monkeypatch, die_on_retry=True)
-        engine = IVAEngine(
-            table,
-            index,
-            executor=ExecutorConfig(workers=2, fallback=False),
-            fail_mode="degrade",
-        )
-        report = engine.search(query, k=10)
-        sequential = IVAEngine(table, index).search(query, k=10)
-        assert _answers(report) == _answers(sequential)
-        assert report.degraded is False
-
-    def test_sequential_rescan_keeps_the_funnel(self, indexed, query, monkeypatch):
-        """The re-scan decides through ``BlockCandidacy.admit`` on the global
-        pool and refines through the run's refiner: every scanned tuple and
-        every candidate is still accounted for exactly once."""
-        table, index = indexed
-        self._install_dying_scan(monkeypatch, die_on_retry=True)
-        engine = IVAEngine(
-            table,
-            index,
-            executor=ExecutorConfig(workers=2, fallback=False),
-            fail_mode="degrade",
-            profile=True,
-        )
-        report = engine.search(query, k=10)
+        assert report.degraded is True
+        assert report.deadline_hit is False
+        [(lo, hi)] = report.lost_tid_ranges
+        assert lo > 0 and hi == -1  # the unscanned tail, through the end
+        assert report.results  # a partial answer, not an empty one
         profile = report.profile
-        assert report.degraded is False
         assert profile.tuples_scanned == report.tuples_scanned
         assert profile.tuples_scanned == (
             profile.exact_shortcuts + profile.bound_pruned + profile.candidates
         )
-        assert profile.candidates == (
-            profile.refined + profile.late_pruned + profile.dedup_skipped
-        )
+        assert profile.candidates == profile.refined + profile.late_pruned
         assert profile.refined == report.table_accesses
-        assert report.exact_shortcuts == (
-            IVAEngine(table, index).search(query, k=10).exact_shortcuts
-        )
-
-    def test_degrade_mode_lost_shard_is_flagged(
-        self, indexed, query, monkeypatch
-    ):
-        table, index = indexed
-        registry = MetricsRegistry()
-        executor_module = self._install_dying_scan(monkeypatch, die_on_retry=True)
-        monkeypatch.setattr(
-            executor_module.ParallelScanExecutor,
-            "_rescan_shard_sequential",
-            lambda self, *a, **k: False,
-        )
-        engine = IVAEngine(
-            table,
-            index,
-            registry=registry,
-            executor=ExecutorConfig(workers=2, fallback=False),
-            fail_mode="degrade",
-        )
-        report = engine.search(query, k=10)
-        assert report.degraded is True
-        assert report.lost_shards == [1]
-        (lo, hi) = report.lost_tid_ranges[0]
-        assert 0 <= lo <= hi
-        assert report.results  # a partial answer, not an empty one
         counter = registry.counter(
             "repro_degraded_queries_total", labels={"engine": "iVA"}
         )
         assert counter.value == 1
 
     def test_raise_mode_still_raises(self, indexed, query, monkeypatch):
-        from repro.parallel import ParallelExecutionError
-
         table, index = indexed
-        self._install_dying_scan(monkeypatch, die_on_retry=True)
-        engine = IVAEngine(
-            table, index, executor=ExecutorConfig(workers=2, fallback=False)
-        )
-        with pytest.raises(ParallelExecutionError):
+        self._failing_blocks(monkeypatch, after=1)
+        engine = IVAEngine(table, index, fail_mode="raise")
+        with pytest.raises(StorageError):
             engine.search(query, k=10)
 
     def test_invalid_fail_mode_rejected(self, indexed):

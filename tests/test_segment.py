@@ -35,7 +35,6 @@ from repro.core.kernel import CompiledTextTerm
 from repro.core.numeric import NumericQuantizer
 from repro.core.scan import (
     SKIP_SEGMENT_ELEMENTS,
-    START,
     SkipTable,
     VectorListScanner,
 )
@@ -132,7 +131,7 @@ def _list_scanner(index, attr_id, end=None):
     """A raw scanner over one text list, optionally cut to ``end`` bytes."""
     entry = index.entry(attr_id)
     reader = BufferedReader(index.disk, index.vector_file(attr_id), 0, end=end)
-    return entry.codec_impl.text_scanner(entry.list_type, reader, entry.scheme, START)
+    return entry.codec_impl.text_scanner(entry.list_type, reader, entry.scheme)
 
 
 def _walk(index, attr_id, tids, block, end=None):

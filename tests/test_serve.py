@@ -430,6 +430,54 @@ def test_deadline_cut_is_flagged_and_never_cached(daemon, manager):
     assert second["cached"] is False  # degraded answers are not replayed
 
 
+def _requests_counted(daemon, route: str, code: int) -> float:
+    return daemon.metrics_registry().counter(
+        "repro_serve_requests_total", labels={"route": route, "code": str(code)}
+    ).value
+
+
+@pytest.mark.parametrize(
+    "route, metric",
+    [("/query", ["L2"]), ("/query", {"a": 1}), ("/query/batch", {"a": 1}),
+     ("/query/batch", 2)],
+)
+def test_non_string_metric_is_a_400(daemon, manager, route, metric):
+    terms = _some_terms(manager, tid=3)
+    body = (
+        {"terms": terms, "metric": metric}
+        if route == "/query"
+        else {"queries": [{"terms": terms}], "metric": metric}
+    )
+    code, _, payload = _post(daemon.url + route, body)
+    assert code == 400
+    assert "metric" in payload["error"]
+    assert _requests_counted(daemon, route, 400) == 1
+
+
+@pytest.mark.parametrize("route", ["/query", "/query/batch"])
+@pytest.mark.parametrize(
+    "deadline", [float("nan"), float("inf"), True, "5", 0, -1.0, [5]]
+)
+def test_malformed_deadline_is_a_400(daemon, manager, route, deadline):
+    terms = _some_terms(manager, tid=3)
+    body = (
+        {"terms": terms, "deadline_ms": deadline}
+        if route == "/query"
+        else {"queries": [{"terms": terms}], "deadline_ms": deadline}
+    )
+    code, _, payload = _post(daemon.url + route, body)
+    assert code == 400
+    assert "deadline_ms" in payload["error"]
+
+
+@pytest.mark.parametrize("deadline", [5000, 5000.0])
+def test_numeric_deadline_is_accepted(daemon, manager, deadline):
+    body = {"terms": _some_terms(manager, tid=3), "deadline_ms": deadline}
+    code, _, payload = _post(daemon.url + "/query", body)
+    assert code == 200
+    assert payload["deadline_hit"] is False
+
+
 def test_http_429_with_retry_after(daemon, manager):
     daemon.admission = AdmissionController(
         max_concurrency=1, max_queue=0, queue_timeout_s=0.05,

@@ -61,3 +61,23 @@ class TestTupleList:
         tl = TupleList(disk, "e.tuples")
         assert list(tl.scan()) == []
         assert tl.element_count == 0
+
+    def test_scan_range_is_the_watermarked_prefix(self, tuples):
+        assert list(tuples.scan_range(0, 2)) == [(0, 100), (1, 200)]
+        assert list(tuples.scan_range(1, 3)) == [(1, 200), (3, 300)]
+        assert list(tuples.scan_range(2, 2)) == []
+
+    @pytest.mark.parametrize("start, end", [(-1, 2), (2, 1), (0, 4)])
+    def test_scan_range_rejects_bad_ranges(self, tuples, start, end):
+        with pytest.raises(IndexError_):
+            list(tuples.scan_range(start, end))
+        with pytest.raises(IndexError_):
+            list(tuples.scan_range_blocks(start, end, 2))
+
+    def test_scan_range_blocks_columns(self, tuples):
+        assert list(tuples.scan_range_blocks(0, 3, 2)) == [
+            ((0, 1), (100, 200)),
+            ((3,), (300,)),
+        ]
+        with pytest.raises(IndexError_):
+            list(tuples.scan_range_blocks(0, 3, 0))
