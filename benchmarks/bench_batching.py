@@ -1,12 +1,12 @@
 """Extension — shared-scan batching of concurrent queries.
 
 Front-ends serve many searches at once; since Algorithm 1's filter is a
-sequential scan, a batch can share it.  Expected shape: identical answers,
-with batch I/O well below the sum of the individual runs.
+sequential scan, a batch (``IVAEngine.search_batch``) can share it.
+Expected shape: identical answers, with batch I/O well below the sum of
+the individual runs.
 """
 
 from repro.bench import DEFAULTS, emit_table
-from repro.core.batch import BatchIVAEngine
 
 BATCH_SIZES = (1, 4, 8)
 
@@ -15,7 +15,7 @@ def test_query_batching(env, benchmark):
     def compute():
         queries = list(env.query_set(DEFAULTS.values_per_query).measured[:8])
         single_engine = env.iva_engine()
-        batch_engine = BatchIVAEngine(env.table, env.iva, env.distance())
+        batch_engine = env.iva_engine(kernel="v3")
         out = {}
         for size in BATCH_SIZES:
             chunk = queries[:size]
@@ -55,7 +55,7 @@ def test_query_batching(env, benchmark):
     assert sweep[BATCH_SIZES[-1]][1] < sweep[BATCH_SIZES[-1]][0]
 
     queries = list(env.query_set(DEFAULTS.values_per_query).measured[:4])
-    engine = BatchIVAEngine(env.table, env.iva, env.distance())
+    engine = env.iva_engine(kernel="v3")
     benchmark.pedantic(
         lambda: engine.search_batch(queries, k=DEFAULTS.k), rounds=2, iterations=1
     )

@@ -24,7 +24,6 @@ WIDE_ALPHA = 1.0
 
 def main() -> int:
     from repro.codec import CODEC_NAMES
-    from repro.core.batch import BatchIVAEngine
     from repro.core.engine import IVAEngine
     from repro.core.iva_file import IVAConfig, IVAFile
     from repro.data.generator import DatasetConfig, DatasetGenerator
@@ -66,7 +65,7 @@ def main() -> int:
                 "v3": answers(IVAEngine(table, index)),
                 "batch": [
                     [(r.tid, r.distance) for r in report.results]
-                    for report in BatchIVAEngine(table, index).search_batch(queries, k=K)
+                    for report in IVAEngine(table, index).search_batch(queries, k=K)
                 ],
             }
             for path, got in paths.items():

@@ -9,7 +9,8 @@ are bit-identical to the scalar oracle's (``IVAEngine(kernel="scalar")``)
 on every path v3 runs:
 
 * the single-query engine (page-batched refine);
-* the batch engine (one compiled artifact shared across the batch).
+* the batch path, `IVAEngine.search_batch` (one compiled artifact shared
+  across the batch).
 
 Run it with and without numpy: without, v3 decodes every list through the
 scanners' ``move_to`` adapter.
@@ -38,7 +39,6 @@ WIDE_ALPHA = 1.0
 
 def main() -> int:
     from repro.codec import CODEC_NAMES
-    from repro.core.batch import BatchIVAEngine
     from repro.core.engine import IVAEngine
     from repro.core.iva_file import IVAConfig, IVAFile
     from repro.data.generator import DatasetConfig, DatasetGenerator
@@ -109,7 +109,7 @@ def main() -> int:
             "sequential": answers(IVAEngine(table, index)),
             "batch": [
                 [(r.tid, r.distance) for r in report.results]
-                for report in BatchIVAEngine(table, index).search_batch(queries, k=K)
+                for report in IVAEngine(table, index).search_batch(queries, k=K)
             ],
         }
         for label, got in paths.items():

@@ -12,7 +12,8 @@ stdlib ``urllib``:
   result cache misses but the compiled-kernel cache must hit, and the
   hit must be observable as ``repro_serve_cache_hits_total`` with
   ``layer="kernel"`` on ``/metrics`` (the acceptance criterion);
-* ``POST /query/batch`` — aligned, non-degraded reports;
+* ``POST /query/batch`` — aligned, non-degraded reports, each query
+  counted in ``repro_queries_total{engine="iVA"}`` on ``/metrics``;
 * ``POST /admin/insert`` → the new tuple is immediately queryable;
   ``POST /admin/delete`` → tombstoned; ``POST /admin/compact`` → the
   generation advances, dead tuples drop to zero, and the same query
@@ -50,6 +51,15 @@ def _get(url: str):
             return resp.status, resp.read().decode("utf-8")
     except urllib.error.HTTPError as exc:
         return exc.code, exc.read().decode("utf-8")
+
+
+def _metric(daemon, name: str, label: str) -> float:
+    """The value of the first *name* sample on ``/metrics`` carrying *label*."""
+    _, text = _get(daemon.url + "/metrics")
+    for line in text.splitlines():
+        if line.startswith(name) and label in line:
+            return float(line.rsplit(" ", 1)[1])
+    return 0.0
 
 
 def main() -> int:
@@ -99,22 +109,22 @@ def main() -> int:
         # Same terms, different k: result-cache miss, kernel-cache hit.
         code, third = _post(daemon.url + "/query", {"terms": terms, "k": 6})
         check(code == 200 and third["cached"] is False, "different k bypasses result cache")
-        code, metrics = _get(daemon.url + "/metrics")
-        kernel_hits = 0.0
-        for line in metrics.splitlines():
-            if line.startswith("repro_serve_cache_hits_total") and 'layer="kernel"' in line:
-                kernel_hits = float(line.rsplit(" ", 1)[1])
+        kernel_hits = _metric(daemon, "repro_serve_cache_hits_total", 'layer="kernel"')
         check(kernel_hits > 0, f"kernel-cache hits observable on /metrics ({kernel_hits:g})")
 
-        code, batch = _post(
-            daemon.url + "/query/batch",
-            {"queries": [{"terms": terms}, {"terms": dict(list(terms.items())[:1])}], "k": 3},
-        )
+        queries = [{"terms": terms}, {"terms": dict(list(terms.items())[:1])}]
+        counted = _metric(daemon, "repro_queries_total", 'engine="iVA"')
+        code, batch = _post(daemon.url + "/query/batch", {"queries": queries, "k": 3})
         check(
             code == 200
-            and len(batch["reports"]) == 2
+            and len(batch["reports"]) == len(queries)
             and all(not r["degraded"] for r in batch["reports"]),
             "batch answers",
+        )
+        grown = _metric(daemon, "repro_queries_total", 'engine="iVA"') - counted
+        check(
+            grown == len(queries),
+            f"batch queries counted on /metrics (+{grown:g} of {len(queries)})",
         )
 
         code, inserted = _post(daemon.url + "/admin/insert", {"values": terms})

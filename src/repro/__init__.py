@@ -73,7 +73,6 @@ from repro.core import (
 )
 from repro.codec import CODEC_NAMES, VectorListCodec, codec_for_code, get_codec
 from repro.core.sequential import SequentialPlanEngine
-from repro.core.batch import BatchIVAEngine
 from repro.core.columnar import InMemoryIVAEngine
 from repro.storage.fsck import (
     Finding,
@@ -172,7 +171,6 @@ __all__ = [
     "MaintainedSystem",
     "amortized_update_times",
     "SequentialPlanEngine",
-    "BatchIVAEngine",
     "InMemoryIVAEngine",
     "Finding",
     "check_all",

@@ -82,7 +82,7 @@ class DirectScanEngine:
                 QueryResult(tid=entry.tid, distance=entry.distance)
                 for entry in pool.results()
             ]
-            trace_phases(tracer, span, report)
+            trace_phases(tracer, span, [report])
         registry = self.registry if self.registry is not None else get_registry()
         observe_search(registry, self.name, report)
         return report

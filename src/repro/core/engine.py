@@ -14,6 +14,12 @@ The same template drives the SII baseline (which yields content-blind
 bounds) so the two systems differ only in what their filter knows, exactly
 the comparison the paper makes.
 
+One driver (``FilterAndRefineEngine._run``) serves one query or many: a
+batch (:meth:`IVAEngine.search_batch`) shares one scan over the union of
+its queries' attributes, keeps one pool per query, and fetches a tuple
+that several queries want from the table file once.  Answers are
+identical to searching the queries one by one; only the cost changes.
+
 Instrumentation: every search reports the counters behind the paper's
 figures — table-file accesses (Fig. 8), filter vs. refine modeled I/O time
 and measured wall-clock time (Figs. 9/15), and the overall per-query time
@@ -29,10 +35,15 @@ import logging
 import time
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
-from typing import Iterator, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Tuple, Union
 
 from repro.core.iva_file import DELETED_PTR, IVAFile
-from repro.core.kernel import BLOCK_TUPLES, QueryKernel, validate_kernel_mode
+from repro.core.kernel import (
+    BLOCK_TUPLES,
+    KernelCache,
+    QueryKernel,
+    validate_kernel_mode,
+)
 from repro.core.pool import BlockCandidacy, ResultPool, block_candidates
 from repro.core.refine import REFINE_BATCH, Refiner
 from repro.core.signature import QueryStringEncoder
@@ -49,12 +60,6 @@ logger = logging.getLogger(__name__)
 #: ``exact`` is True when every bound is the exact difference (e.g. the
 #: tuple is ndf on every queried attribute), so refinement is unnecessary.
 FilterItem = Tuple[int, List[float], bool]
-
-#: What :meth:`IVAEngine._filter_blocks` yields per block:
-#: ``(tids, ptrs, estimates, exact)``.  ``ptrs`` holds the tuple-list
-#: pointers (tombstones are ``DELETED_PTR``); ``estimates``/``exact`` are
-#: float64/bool arrays from the v3 kernel, or sequences without numpy.
-FilterBlock = Tuple[Sequence[int], Optional[Sequence[int]], object, object]
 
 #: Accepted values of the engines' ``fail_mode`` knob.
 FAIL_MODES = ("raise", "degrade")
@@ -253,29 +258,41 @@ def observe_search(
         ).inc()
 
 
-def trace_phases(tracer: Tracer, span, report: SearchReport) -> None:
-    """Attach ``filter``/``refine`` child spans for a finished report.
+def trace_phases(tracer: Tracer, span, reports: Sequence[SearchReport]) -> None:
+    """Attach ``filter``/``refine`` child spans for one run's finished reports.
 
     The two phases interleave during the scan ("refining happens from time
     to time during the filtering process"), so they are recorded as
     synthetic spans whose durations are the accumulated per-phase wall
-    totals — they reconcile exactly with the report.
+    totals — they reconcile exactly with the reports.  A batch's spans
+    sum its reports: the shared costs sit on one report, the per-query
+    counters on each.
     """
     tracer.record(
         "filter",
-        report.filter_wall_s * 1000.0,
-        io_ms=report.filter_io_ms,
-        tuples_scanned=report.tuples_scanned,
-        exact_shortcuts=report.exact_shortcuts,
+        sum(r.filter_wall_s for r in reports) * 1000.0,
+        io_ms=sum(r.filter_io_ms for r in reports),
+        tuples_scanned=sum(r.tuples_scanned for r in reports),
+        exact_shortcuts=sum(r.exact_shortcuts for r in reports),
     )
     tracer.record(
         "refine",
-        report.refine_wall_s * 1000.0,
-        io_ms=report.refine_io_ms,
-        table_accesses=report.table_accesses,
+        sum(r.refine_wall_s for r in reports) * 1000.0,
+        io_ms=sum(r.refine_io_ms for r in reports),
+        table_accesses=sum(r.table_accesses for r in reports),
     )
-    span.attrs["modeled_ms"] = report.query_time_ms
-    span.attrs["results"] = len(report.results)
+    span.attrs["modeled_ms"] = sum(r.query_time_ms for r in reports)
+    span.attrs["results"] = sum(len(r.results) for r in reports)
+
+
+def scan_slots(queries: Sequence[Query]) -> Dict[int, int]:
+    """Attribute id → payload slot of one scan over *queries*' attributes.
+
+    The scan opens the union of the queried attributes in ascending id
+    order; for a single query the slots align 1:1 with its terms.
+    """
+    attr_ids = sorted({attr_id for q in queries for attr_id in q.attribute_ids()})
+    return {attr_id: slot for slot, attr_id in enumerate(attr_ids)}
 
 
 class FilterAndRefineEngine(ABC):
@@ -306,28 +323,26 @@ class FilterAndRefineEngine(ABC):
         #: Optional shared :class:`~repro.core.kernel.KernelCache`: compiled
         #: query-term artifacts are reused across searches (the serving
         #: daemon injects one per index snapshot so Zipfian traffic skips
-        #: recompilation).  None compiles fresh per query.
+        #: recompilation).  None compiles fresh per search.
         self.kernel_cache = kernel_cache
         #: Optional scan watermark: only the first N tuple-list elements
         #: are visible to this engine's scans (snapshot-isolated reads).
         #: None scans everything committed at scan-open time.
         self.scan_end_element = scan_end_element
-        #: When True every search carries a :class:`ProfileCollector` and
-        #: the report gains a ``profile`` (EXPLAIN ANALYZE) artifact.  Off
-        #: by default: the hot loops then pay one None-check per tuple.
+        #: When True every search carries a :class:`ProfileCollector` per
+        #: query and each report gains a ``profile`` (EXPLAIN ANALYZE)
+        #: artifact.  Off by default: the hot loops then pay one
+        #: None-check per tuple.
         self.profile = profile
-        #: The in-flight search's collector; filter implementations feed
-        #: their per-tuple payload probes through it.  ``search`` is not
-        #: reentrant per engine instance, so one slot suffices.
+        #: The in-flight scalar walk's collector; :meth:`_filter`
+        #: implementations feed their per-tuple payload probes through it.
+        #: A search is not reentrant per engine instance, so one slot
+        #: suffices.
         self._collector: Optional[ProfileCollector] = None
         #: Scan-failure policy: ``"raise"`` propagates storage errors;
-        #: ``"degrade"`` completes the query with what survived and flags
+        #: ``"degrade"`` completes the search with what survived and flags
         #: ``SearchReport.degraded``.
         self.fail_mode = validate_fail_mode(fail_mode)
-        #: When the filter's bounds are exact (all queried attributes ndf),
-        #: insert the distance directly instead of fetching the tuple.  The
-        #: answer set is identical; only the access count changes.
-        self.skip_exact = True
         #: Observability destinations; None means the process-global ones.
         self.registry = registry
         self.tracer = tracer
@@ -342,36 +357,30 @@ class FilterAndRefineEngine(ABC):
     def _filter(self, query: Query, distance: DistanceFunction) -> Iterator[FilterItem]:
         """Yield (tid, per-term lower bounds, exact) for every live tuple."""
 
-    def _filter_estimates(
-        self, query: Query, distance: DistanceFunction
-    ) -> Iterator[Tuple[int, float, bool]]:
-        """Yield (tid, combined distance estimate, exact) per live tuple.
-
-        The scalar path — per-term bounds from :meth:`_filter` combined
-        tuple-by-tuple.
-        """
-        for tid, diffs, exact in self._filter(query, distance):
-            yield tid, distance.combine_bounds(query, diffs), exact
-
     def _candidates(
         self,
-        query: Query,
+        queries: Sequence[Query],
         distance: DistanceFunction,
-        candidacy: BlockCandidacy,
+        candidacies: Sequence[BlockCandidacy],
         deadline: Optional[float],
         progress: List[int],
-    ) -> Iterator[Tuple[int, float]]:
-        """Yield ``(tid, estimated)`` per refine candidate, in tid order.
+    ) -> Iterator[Tuple[int, int, float]]:
+        """Yield ``(tid, query index, estimated)`` per refine candidate.
 
-        Decides every live tuple through *candidacy*, one at a time,
-        checking *deadline* before each.  ``progress[0]`` is kept at the
-        last tid the scan got past, for the degraded report.
+        The scalar walk, for exactly one query: every live tuple from
+        :meth:`_filter` has its per-term bounds combined and is decided
+        through the query's candidacy, one at a time, checking *deadline*
+        before each.  ``progress[0]`` is kept at the last tid the scan got
+        past, for the degraded report.
         """
-        for tid, estimated, exact in self._filter_estimates(query, distance):
+        (query,), (candidacy,) = queries, candidacies
+        self._collector = candidacy.collector
+        for tid, diffs, exact in self._filter(query, distance):
             check_deadline(deadline, progress[0])
             progress[0] = tid
+            estimated = distance.combine_bounds(query, diffs)
             if candidacy.admit(tid, estimated, exact):
-                yield tid, estimated
+                yield tid, 0, estimated
 
     def prepare_query(self, query: Union[Query, Mapping[str, object]]) -> Query:
         """Coerce a mapping into a validated :class:`Query`."""
@@ -403,52 +412,75 @@ class FilterAndRefineEngine(ABC):
         refined — never a silently-wrong full answer);
         ``fail_mode="raise"`` raises :class:`~repro.errors.DeadlineExceeded`.
         """
-        query = self.prepare_query(query)
+        return self._run([self.prepare_query(query)], k, distance, deadline_s)[0]
+
+    def _run(
+        self,
+        queries: Sequence[Query],
+        k: int,
+        distance: Optional[DistanceFunction],
+        deadline_s: Optional[float],
+    ) -> List[SearchReport]:
+        """Algorithm 1 for one query, or for a batch sharing one scan.
+
+        Each query gets its own pool, candidacy, collector and report; one
+        :class:`~repro.core.refine.Refiner` serves them all.  The run is
+        one ``query`` span and one ``disk.metered()`` window, opened
+        before the scan so scan-open reads land in the reports.  A cut
+        scan degrades every report alike.  The run's shared costs (scan
+        and table I/O, wall time) go on report 0; ``tuples_scanned``,
+        ``exact_shortcuts`` and ``table_accesses`` stay per query.
+        """
         deadline = (
             time.perf_counter() + deadline_s if deadline_s is not None else None
         )
         dist = distance or self.distance
-        pool = ResultPool(k)
-        report = SearchReport()
-        disk = self.table.disk
-        tracer = self._tracer()
-        collector = ProfileCollector.for_query(query) if self.profile else None
-        self._collector = collector
-        candidacy = BlockCandidacy(
-            pool, skip_exact=self.skip_exact, collector=collector
-        )
+        position = scan_slots(queries)
+        pools = [ResultPool(k) for _ in queries]
+        reports = [SearchReport() for _ in queries]
+        collectors: Optional[List[ProfileCollector]] = None
+        if self.profile:
+            collectors = [ProfileCollector.for_query(q, position) for q in queries]
+        candidacies = [
+            BlockCandidacy(pool, collector=collectors[qi] if collectors else None)
+            for qi, pool in enumerate(pools)
+        ]
         refiner = Refiner(
             self.table,
-            [query],
+            queries,
             dist,
-            [pool],
+            pools,
             batch=REFINE_BATCH if self.kernel == "v3" else 1,
-            collectors=[collector] if collector is not None else None,
+            collectors=collectors,
         )
+        tracer = self._tracer()
 
         with tracer.span(
             "query",
             engine=self.name,
             k=k,
-            attr_ids=list(query.attribute_ids()),
-        ) as span, disk.metered() as meter:
+            attr_ids=list(position),
+            queries=len(queries),
+        ) as span, self.table.disk.metered() as meter:
             start_wall = time.perf_counter()
             progress = [-1]
             try:
-                for tid, estimated in self._candidates(
-                    query, dist, candidacy, deadline, progress
+                for tid, qi, estimated in self._candidates(
+                    queries, dist, candidacies, deadline, progress
                 ):
-                    refiner.add(0, tid, estimated)
+                    refiner.add(qi, tid, estimated)
                 refiner.flush()
             except ReproError as exc:
                 if self.fail_mode != "degrade":
                     raise
                 last_tid = progress[0]
                 # Degrade-don't-die: keep what the scan delivered and
-                # account the uncovered tail (-1 = through end of scan).
-                report.degraded = True
-                report.deadline_hit = isinstance(exc, DeadlineExceeded)
-                report.lost_tid_ranges.append((last_tid + 1, -1))
+                # account the uncovered tail (-1 = through end of scan),
+                # on every report — the one scan was cut for all of them.
+                for report in reports:
+                    report.degraded = True
+                    report.deadline_hit = isinstance(exc, DeadlineExceeded)
+                    report.lost_tid_ranges.append((last_tid + 1, -1))
                 logger.warning(
                     "scan failed after tid %d; returning degraded results: %s",
                     last_tid,
@@ -463,43 +495,48 @@ class FilterAndRefineEngine(ABC):
             finally:
                 self._collector = None
 
-            report.tuples_scanned = candidacy.scanned
-            report.exact_shortcuts = candidacy.exact_shortcuts
-            report.table_accesses = refiner.table_accesses[0]
-            report.refine_io_ms = refiner.io_ms
-            report.refine_wall_s = refiner.seconds
-            report.filter_io_ms = meter.io_ms - refiner.io_ms
-            report.filter_wall_s = time.perf_counter() - start_wall - refiner.seconds
-            report.results = [
-                QueryResult(tid=entry.tid, distance=entry.distance)
-                for entry in pool.results()
-            ]
-            if collector is not None:
-                report.profile = collector.build(
-                    report,
-                    query=query,
-                    index=getattr(self, "index", None),
-                    engine=self.name,
-                    kernel=self.kernel,
-                    fail_mode=self.fail_mode,
-                    metric=getattr(dist.metric, "name", ""),
-                    k=k,
-                )
-            trace_phases(tracer, span, report)
-        observe_search(self._registry(), self.name, report)
-        return report
+            for qi, report in enumerate(reports):
+                report.tuples_scanned = candidacies[qi].scanned
+                report.exact_shortcuts = candidacies[qi].exact_shortcuts
+                report.table_accesses = refiner.table_accesses[qi]
+                report.results = [
+                    QueryResult(tid=entry.tid, distance=entry.distance)
+                    for entry in pools[qi].results()
+                ]
+            shared = reports[0]
+            shared.refine_io_ms = refiner.io_ms
+            shared.refine_wall_s = refiner.seconds
+            shared.filter_io_ms = meter.io_ms - refiner.io_ms
+            shared.filter_wall_s = time.perf_counter() - start_wall - refiner.seconds
+            if collectors is not None:
+                for query, report, collector in zip(queries, reports, collectors):
+                    report.profile = collector.build(
+                        report,
+                        query=query,
+                        index=getattr(self, "index", None),
+                        engine=self.name,
+                        kernel=self.kernel,
+                        fail_mode=self.fail_mode,
+                        metric=getattr(dist.metric, "name", ""),
+                        k=k,
+                    )
+            trace_phases(tracer, span, reports)
+        registry = self._registry()
+        for report in reports:
+            observe_search(registry, self.name, report)
+        return reports
 
 
 class IVAEngine(FilterAndRefineEngine):
     """Algorithm 1 over the iVA-file: content-conscious filtering.
 
     *kernel* picks the filter: ``"v3"`` (the default) decodes whole
-    segments columnar through a compiled
-    :class:`~repro.core.kernel.QueryKernel` and refines page-batched.
-    ``"scalar"`` walks every
-    scanner tuple by tuple and refines inline: the published Algorithm 1,
-    kept as the sequential identity oracle the other paths are checked
-    against.  Both return bit-identical answers.
+    segments columnar through compiled
+    :class:`~repro.core.kernel.QueryKernel` objects, refines page-batched
+    and also runs batches (:meth:`search_batch`).  ``"scalar"`` walks
+    every scanner tuple by tuple and refines inline: the published
+    Algorithm 1, kept as the identity oracle the other paths are checked
+    against, one query at a time.  Both return bit-identical answers.
     """
 
     name = "iVA"
@@ -531,6 +568,34 @@ class IVAEngine(FilterAndRefineEngine):
         self.kernel = validate_kernel_mode(kernel)
         self.index = index
 
+    def search_batch(
+        self,
+        queries: Sequence[Union[Query, Mapping[str, object]]],
+        k: int = 10,
+        distance: Optional[DistanceFunction] = None,
+        deadline_s: Optional[float] = None,
+    ) -> List[SearchReport]:
+        """Run all *queries* in one shared v3 scan; reports align with the input.
+
+        Answers are identical to searching the queries one by one; a tuple
+        that several queries refine is fetched once.  *deadline_s* bounds
+        the whole batch and a cut degrades (or raises for) every query
+        alike.  The batch's shared I/O and wall time are reported on the
+        first report; ``tuples_scanned`` and ``table_accesses`` stay per
+        query.  Under ``kernel="scalar"`` this raises
+        :class:`~repro.errors.QueryError`: the oracle runs one query at a
+        time.
+        """
+        if self.kernel != "v3":
+            raise QueryError(
+                "search_batch needs the v3 kernel; the scalar oracle "
+                "searches one query at a time"
+            )
+        if not queries:
+            return []
+        bound = [self.prepare_query(query) for query in queries]
+        return self._run(bound, k, distance, deadline_s)
+
     def _filter(self, query: Query, distance: DistanceFunction) -> Iterator[FilterItem]:
         attr_ids = query.attribute_ids()
         scan = self.index.open_scan(attr_ids, end_element=self.scan_end_element)
@@ -552,83 +617,87 @@ class IVAEngine(FilterAndRefineEngine):
 
     def _candidates(
         self,
-        query: Query,
+        queries: Sequence[Query],
         distance: DistanceFunction,
-        candidacy: BlockCandidacy,
+        candidacies: Sequence[BlockCandidacy],
         deadline: Optional[float],
         progress: List[int],
-    ) -> Iterator[Tuple[int, float]]:
-        """Under v3, decide a whole block at a time, checking *deadline*
-        before each block."""
+    ) -> Iterator[Tuple[int, int, float]]:
+        """The v3 filter: whole tuple-list blocks, every query at once.
+
+        Opens one scan over the union of the queries' attributes and
+        compiles every query once (``kernel.compile`` span) against one
+        shared :class:`~repro.core.kernel.KernelCache`.  Per block,
+        checking *deadline* first, it decodes every scanner's segment,
+        evaluates each query's kernel (accumulated into one
+        ``kernel.block`` span; queries naming the same term share one
+        bound column) and runs the block, tombstones included, through
+        :func:`~repro.core.pool.block_candidates`.  Estimates are
+        bit-identical to the scalar path and arrive in the same tid order.
+        """
         if self.kernel != "v3":
             yield from super()._candidates(
-                query, distance, candidacy, deadline, progress
+                queries, distance, candidacies, deadline, progress
             )
             return
-        for tids, ptrs, estimates, exact in self._filter_blocks(query, distance):
-            check_deadline(deadline, progress[0])
-            for tid, _, estimated in block_candidates(
-                (candidacy,), tids, ptrs, ((estimates, exact),)
-            ):
-                progress[0] = tid
-                yield tid, estimated
-            progress[0] = tids[-1]
-
-    def _filter_blocks(
-        self, query: Query, distance: DistanceFunction
-    ) -> Iterator[FilterBlock]:
-        """The v3 filter: whole tuple-list blocks through the query kernel.
-
-        Compiles the query once (``kernel.compile`` span), then per
-        tuple-list block drives every scanner's ``decode_segment`` and
-        evaluates the decoded segments through the kernel (accumulated
-        into one ``kernel.block`` span), yielding whole blocks — tombstones
-        included, flagged by their ``ptrs``.  Estimates are bit-identical
-        to the scalar path and arrive in the same tid order.
-        """
-        attr_ids = query.attribute_ids()
-        scan = self.index.open_scan(attr_ids, end_element=self.scan_end_element)
+        position = scan_slots(queries)
+        scan = self.index.open_scan(list(position), end_element=self.scan_end_element)
         tracer = self._tracer()
         registry = self._registry()
+        labels = {"engine": self.name}
         compile_start = time.perf_counter()
-        compiled = QueryKernel.compile(
-            self.index, query, distance, cache=self.kernel_cache
-        )
+        cache = self.kernel_cache if self.kernel_cache is not None else KernelCache()
+        kernels = [
+            QueryKernel.compile(self.index, query, distance, position, cache=cache)
+            for query in queries
+        ]
         tracer.record(
             "kernel.compile",
             (time.perf_counter() - compile_start) * 1000.0,
-            terms=len(compiled.terms),
-            table_entries=compiled.table_entries,
+            terms=sum(len(kern.terms) for kern in kernels),
+            table_entries=sum(kern.table_entries for kern in kernels),
         )
         registry.counter(
             "repro_kernel_compiles_total",
-            labels={"engine": self.name},
+            labels=labels,
             help="Query kernels compiled for v3 filtering.",
-        ).inc()
+        ).inc(len(kernels))
+        collectors = [c.collector for c in candidacies if c.collector is not None]
         blocks = 0
         tuples = 0
         segments_total = 0
         block_wall = 0.0
-        collector = self._collector
         for tids, ptrs in scan.blocks(BLOCK_TUPLES):
+            # One deadline check per block: the block is the unit of
+            # decode work, so a finer check buys nothing.
+            check_deadline(deadline, progress[0])
             block_start = time.perf_counter()
+            count = len(tids)
             segments = scan.segment_blocks(tids)
-            estimates, exact = compiled.evaluate_segments(segments, len(tids))
+            columns: dict = {}
+            evaluated = [
+                kern.evaluate_segments(segments, count, columns) for kern in kernels
+            ]
             block_wall += time.perf_counter() - block_start
             blocks += 1
             segments_total += len(segments)
-            tuples += len(tids) - ptrs.count(DELETED_PTR)
-            if collector is not None:
-                collector.on_segments(segments, len(tids))
-            yield tids, ptrs, estimates, exact
+            tuples += count - ptrs.count(DELETED_PTR)
+            for collector in collectors:
+                collector.on_segments(segments, count)
+            for tid, qi, estimated in block_candidates(
+                candidacies, tids, ptrs, evaluated
+            ):
+                progress[0] = tid
+                yield tid, qi, estimated
+            progress[0] = tids[-1]
         tracer.record("kernel.block", block_wall * 1000.0, blocks=blocks, tuples=tuples)
         registry.counter(
             "repro_kernel_blocks_total",
-            labels={"engine": self.name},
+            labels=labels,
             help="Tuple-list blocks decoded and evaluated by the v3 kernel.",
         ).inc(blocks)
         registry.counter(
             "repro_kernel_segments_total",
-            labels={"engine": self.name},
+            labels=labels,
             help="Vector-list segments decoded columnar by the v3 kernel.",
         ).inc(segments_total)

@@ -495,8 +495,8 @@ class QueryKernel:
     ) -> "QueryKernel":
         """Compile *query* against *index*; see :class:`KernelCache`.
 
-        *position* maps attribute id → payload slot (the batch engine's
-        union scan); ``None`` means payloads align 1:1 with the query's
+        *position* maps attribute id → payload slot (the engine's union
+        scan); ``None`` means payloads align 1:1 with the query's
         terms, as in :class:`~repro.core.engine.BoundEvaluator`.
         """
         cache = cache if cache is not None else KernelCache()
@@ -545,8 +545,7 @@ class QueryKernel:
         ``column()``: ``None`` for ndf, a slice code, or a list of
         ``(stored_length, bits)`` pairs); *cache*, when given, is a
         per-block memo keyed on compiled-term identity so batched queries
-        sharing a term fill the bound column once (the block counterpart
-        of the batch engine's per-tuple text-bound cache).
+        sharing a term fill the bound column once.
         """
         exact = [True] * count
         ndf_penalty = self.ndf_penalty

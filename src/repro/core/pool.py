@@ -133,23 +133,10 @@ class BlockCandidacy:
     count live tuples and exact inserts across both steps.
     """
 
-    __slots__ = (
-        "pool",
-        "skip_exact",
-        "collector",
-        "scanned",
-        "exact_shortcuts",
-    )
+    __slots__ = ("pool", "collector", "scanned", "exact_shortcuts")
 
-    def __init__(
-        self,
-        pool: ResultPool,
-        *,
-        skip_exact: bool = True,
-        collector=None,
-    ) -> None:
+    def __init__(self, pool: ResultPool, *, collector=None) -> None:
         self.pool = pool
-        self.skip_exact = skip_exact
         self.collector = collector
         self.scanned = 0
         self.exact_shortcuts = 0
@@ -179,13 +166,10 @@ class BlockCandidacy:
         pool = self.pool
         if pool.is_full():
             beats = _beats(estimates, tids, pool.worst())
-            shortcut = exact if self.skip_exact else None
             dropped = keep & ~beats
             n_dropped = int(np.count_nonzero(dropped))
             if n_dropped:
-                n_exact = 0
-                if shortcut is not None:
-                    n_exact = int(np.count_nonzero(dropped & shortcut))
+                n_exact = int(np.count_nonzero(dropped & exact))
                 self.scanned += n_dropped
                 self.exact_shortcuts += n_exact
                 collector = self.collector
@@ -204,7 +188,7 @@ class BlockCandidacy:
         """
         self.scanned += 1
         collector = self.collector
-        if exact and self.skip_exact:
+        if exact:
             self.pool.insert(tid, estimated)
             self.exact_shortcuts += 1
             if collector is not None:

@@ -1,13 +1,13 @@
 """The refine step of Algorithm 1: fetch each candidate, pool its exact distance.
 
-Every iVA read path (the single-query engine and the batch engine) hands
-the candidates its filter admits to one :class:`Refiner`.  Buffered
-candidates are issued sorted by their row's table-file offset and
-re-checked against their pool first.  Losing the re-check implies the tuple
-cannot be in the final top-k (``actual >= estimate >= pool worst`` under
-the ``(distance, tid)`` tie order), so deferral never changes an answer,
-only when pools tighten.  A buffer of one refines inline in admission
-order, as the published Algorithm 1 (the scalar oracle) does.
+Every search, one query or a batch, hands the candidates its filter
+admits to one :class:`Refiner`.  Buffered candidates are issued sorted by
+their row's table-file offset and re-checked against their pool first.
+Losing the re-check implies the tuple cannot be in the final top-k
+(``actual >= estimate >= pool worst`` under the ``(distance, tid)`` tie
+order), so deferral never changes an answer, only when pools tighten.
+A buffer of one refines inline in admission order, as the published
+Algorithm 1 (the scalar oracle) does.
 """
 
 from __future__ import annotations

@@ -152,7 +152,7 @@ class SequentialPlanEngine(FilterAndRefineEngine):
                 QueryResult(tid=entry.tid, distance=entry.distance)
                 for entry in pool.results()
             ]
-            trace_phases(tracer, span, report)
+            trace_phases(tracer, span, [report])
         observe_search(self._registry(), self.name, report)
         return report
 

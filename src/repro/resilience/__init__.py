@@ -18,7 +18,7 @@ retry re-reads *through* the verifying layer)::
     backend = resilient_stack(simulated_backend(), plan=plan)
 
 Query-level degradation (``fail_mode="degrade"``) lives in the engines
-(:mod:`repro.core.engine`, :mod:`repro.core.batch`); quarantine-and-rebuild
+(:mod:`repro.core.engine`); quarantine-and-rebuild
 repair in :mod:`repro.storage.fsck`.
 """
 

@@ -8,7 +8,8 @@ observability routes (``/metrics``, ``/metrics.json``, ``/healthz``,
   result-cache lookup, per-request engine with the generation's shared
   kernel cache, deadline budget with graceful degradation;
 * ``POST /query/batch`` — a shared-scan batch through
-  :class:`~repro.core.batch.BatchIVAEngine`, same isolation and deadline
+  :meth:`~repro.core.engine.IVAEngine.search_batch` on the same
+  per-request engine, same isolation, deadline and observability
   semantics (batch answers are never result-cached);
 * ``POST /admin/insert`` / ``/admin/delete`` / ``/admin/update`` —
   mutations through the snapshot manager (each invalidates the result
@@ -49,7 +50,6 @@ from http.server import BaseHTTPRequestHandler
 from typing import Optional, Tuple
 from urllib.parse import urlparse
 
-from repro.core.batch import BatchIVAEngine
 from repro.core.engine import IVAEngine, SearchReport
 from repro.errors import JournalError, QueryError, ReproError
 from repro.metrics.distance import DistanceFunction
@@ -282,15 +282,7 @@ class QueryDaemon(ObsServer):
                             {"error": f'queries[{i}] must have a "terms" object'},
                         )
                     queries.append(Query.from_dict(gen.table.catalog, terms))
-                engine = BatchIVAEngine(
-                    gen.table,
-                    gen.index,
-                    DistanceFunction(metric=metric, ndf_penalty=self.ndf_penalty),
-                    registry=self.metrics_registry(),
-                    fail_mode="degrade",
-                    kernel_cache=gen.kernel_cache,
-                    scan_end_element=snapshot.end_element,
-                )
+                engine = self._engine_for(gen, snapshot, metric)
                 reports = self._search_metered(
                     gen,
                     lambda: engine.search_batch(queries, k=k, deadline_s=deadline_s),

@@ -1,9 +1,9 @@
-"""Tests for the shared-scan batch engine."""
+"""Tests for shared-scan batches (``IVAEngine.search_batch``)."""
 
 import pytest
 
 from repro import IVAConfig, IVAEngine, IVAFile
-from repro.core.batch import BatchIVAEngine
+from repro.codec import CODEC_NAMES
 from repro.data import WorkloadGenerator
 from repro.errors import QueryError
 
@@ -12,7 +12,7 @@ from repro.errors import QueryError
 def engines(small_dataset):
     index = IVAFile.build(small_dataset, IVAConfig(name="iva_batch"))
     return (
-        BatchIVAEngine(small_dataset, index),
+        IVAEngine(small_dataset, index),
         IVAEngine(small_dataset, index),
     )
 
@@ -38,7 +38,7 @@ class TestBatchCorrectness:
 
     def test_mapping_queries_accepted(self, camera_table):
         index = IVAFile.build(camera_table)
-        batch = BatchIVAEngine(camera_table, index)
+        batch = IVAEngine(camera_table, index)
         reports = batch.search_batch(
             [{"Company": "Canon"}, {"Type": "Music Album"}], k=1
         )
@@ -80,7 +80,7 @@ class TestBatchEconomics:
     def test_shared_fetches(self, camera_table):
         """Two queries refining the same tuples trigger one fetch each."""
         index = IVAFile.build(camera_table)
-        batch = BatchIVAEngine(camera_table, index)
+        batch = IVAEngine(camera_table, index)
         disk = camera_table.disk
         before = disk.stats.per_file_reads.get(camera_table.file_name, 0)
         reports = batch.search_batch(
@@ -103,3 +103,47 @@ class TestBatchEconomics:
         # Per-query counters everywhere.
         for report in reports:
             assert report.tuples_scanned == len(small_dataset)
+
+
+@pytest.mark.parametrize("codec", CODEC_NAMES)
+class TestIOReconciles:
+    """Every modeled millisecond a search charges lands in some report."""
+
+    @pytest.fixture
+    def setup(self, small_dataset, codec):
+        index = IVAFile.build(
+            small_dataset, IVAConfig(name=f"iva_io_{codec}", codec=codec)
+        )
+        workload = WorkloadGenerator(small_dataset, seed=54)
+        queries = [workload.sample_query(2) for _ in range(4)]
+        return IVAEngine(small_dataset, index), queries
+
+    def test_batch_reports_sum_to_disk_delta(self, small_dataset, setup):
+        engine, queries = setup
+        disk = small_dataset.disk
+        disk.drop_cache()
+        before = disk.stats.io_time_ms
+        reports = engine.search_batch(queries, k=10)
+        charged = disk.stats.io_time_ms - before
+        reported = sum(r.filter_io_ms + r.refine_io_ms for r in reports)
+        assert reported == pytest.approx(charged, rel=1e-9)
+
+    def test_batch_of_one_equals_search(self, small_dataset, setup):
+        engine, queries = setup
+        disk = small_dataset.disk
+        for query in queries:
+            # A cold warm-up leaves the disk head where both measured runs
+            # start; each run starts from an empty page cache.
+            disk.drop_cache()
+            engine.search(query, k=10)
+            disk.drop_cache()
+            single = engine.search(query, k=10)
+            disk.drop_cache()
+            [batch] = engine.search_batch([query], k=10)
+            assert batch.filter_io_ms == pytest.approx(single.filter_io_ms, rel=1e-9)
+            assert batch.refine_io_ms == pytest.approx(single.refine_io_ms, rel=1e-9)
+            assert batch.tuples_scanned == single.tuples_scanned
+            assert batch.table_accesses == single.table_accesses
+            assert [(r.tid, r.distance) for r in batch.results] == [
+                (r.tid, r.distance) for r in single.results
+            ]

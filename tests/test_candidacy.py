@@ -24,7 +24,6 @@ from hypothesis import strategies as st
 
 from repro import IVAConfig, IVAEngine, IVAFile, SimulatedDisk, SparseWideTable
 from repro.core import fastpath
-from repro.core.batch import BatchIVAEngine
 from repro.core.iva_file import DELETED_PTR
 from repro.core.pool import BlockCandidacy, ResultPool, block_candidates
 from repro.data import DatasetConfig, DatasetGenerator, WorkloadGenerator
@@ -39,7 +38,7 @@ def _actual(tid: int, estimated: float) -> float:
     return estimated + (tid % 3) * 0.5
 
 
-def _reference(k, prefill, rows, blocks, queries, skip_exact):
+def _reference(k, prefill, rows, blocks, queries):
     """The per-tuple walk: every live tuple, tid outer, query inner."""
     pools = [ResultPool(k) for _ in range(queries)]
     counts = [[0, 0, 0] for _ in range(queries)]  # scanned, exact, pruned
@@ -54,7 +53,7 @@ def _reference(k, prefill, rows, blocks, queries, skip_exact):
             for qi, (estimated, exact) in enumerate(per_query):
                 pool = pools[qi]
                 counts[qi][0] += 1
-                if exact and skip_exact:
+                if exact:
                     pool.insert(tid, estimated)
                     counts[qi][1] += 1
                     continue
@@ -66,11 +65,11 @@ def _reference(k, prefill, rows, blocks, queries, skip_exact):
     return pools, counts, candidates
 
 
-def _blockwise(k, prefill, rows, blocks, queries, skip_exact, arrays):
+def _blockwise(k, prefill, rows, blocks, queries, arrays):
     pools = [ResultPool(k) for _ in range(queries)]
     collectors = [ProfileCollector([], []) for _ in range(queries)]
     candidacies = [
-        BlockCandidacy(pool, skip_exact=skip_exact, collector=collector)
+        BlockCandidacy(pool, collector=collector)
         for pool, collector in zip(pools, collectors)
     ]
     for pool in pools:
@@ -127,14 +126,13 @@ class TestBlockCandidates:
     @given(
         case=_blocks(),
         k=st.integers(1, 6),
-        skip_exact=st.booleans(),
         arrays=st.booleans(),
     )
-    def test_matches_per_tuple_walk(self, case, k, skip_exact, arrays):
+    def test_matches_per_tuple_walk(self, case, k, arrays):
         if arrays and fastpath._np is None:
             arrays = False
         queries, rows, blocks, prefill = case
-        args = (k, prefill, rows, blocks, queries, skip_exact)
+        args = (k, prefill, rows, blocks, queries)
         ref_pools, ref_counts, ref_candidates = _reference(*args)
         pools, counts, candidates = _blockwise(*args, arrays)
         assert candidates == ref_candidates
@@ -191,10 +189,9 @@ def _assert_funnel(report) -> None:
 
 def _run(path, table, index, queries, k):
     """Profiled v3 reports for *queries* on one engine path."""
-    if path == "batch":
-        engine = BatchIVAEngine(table, index, profile=True)
-        return engine.search_batch(queries, k=k)
     engine = IVAEngine(table, index, profile=True)
+    if path == "batch":
+        return engine.search_batch(queries, k=k)
     return [engine.search(query, k=k) for query in queries]
 
 

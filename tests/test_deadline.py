@@ -20,7 +20,6 @@ from __future__ import annotations
 import pytest
 
 from tests.helpers import assert_topk_matches_bruteforce
-from repro.core.batch import BatchIVAEngine
 from repro.core.engine import IVAEngine
 from repro.core.iva_file import IVAFile
 from repro.data.workload import WorkloadGenerator
@@ -87,7 +86,7 @@ def test_sequential_expired_deadline_degrades(indexed, queries, kernel):
 def test_batch_expired_deadline_flags_every_report(indexed, queries):
     table, index = indexed
     registry = MetricsRegistry()
-    engine = BatchIVAEngine(table, index, registry=registry, fail_mode="degrade")
+    engine = IVAEngine(table, index, registry=registry, fail_mode="degrade")
     reports = engine.search_batch(queries, k=5, deadline_s=EXPIRED)
     assert len(reports) == len(queries)
     for report in reports:
@@ -108,7 +107,7 @@ def test_sequential_expired_deadline_raises(indexed, queries):
 
 def test_batch_expired_deadline_raises(indexed, queries):
     table, index = indexed
-    engine = BatchIVAEngine(table, index, fail_mode="raise")
+    engine = IVAEngine(table, index, fail_mode="raise")
     with pytest.raises(DeadlineExceeded):
         engine.search_batch(queries, k=5, deadline_s=EXPIRED)
 
@@ -129,7 +128,7 @@ def test_generous_deadline_is_invisible(indexed, queries, kernel):
 
 def test_generous_deadline_batch_is_invisible(indexed, queries):
     table, index = indexed
-    engine = BatchIVAEngine(table, index, fail_mode="degrade")
+    engine = IVAEngine(table, index, fail_mode="degrade")
     reports = engine.search_batch(queries, k=5, deadline_s=GENEROUS)
     baseline = engine.search_batch(queries, k=5)
     for with_deadline, without in zip(reports, baseline):

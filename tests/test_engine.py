@@ -117,20 +117,6 @@ class TestAgainstBruteForce:
             query = workload.sample_query(3)
             assert_topk_matches_bruteforce(engine, small_dataset, query, k=10)
 
-    def test_skip_exact_shortcut_changes_nothing(self, small_dataset):
-        index = IVAFile.build(small_dataset, IVAConfig(alpha=0.2, n=2, name="iva_sx"))
-        workload = WorkloadGenerator(small_dataset, seed=5)
-        query = workload.sample_query(2)
-        with_shortcut = IVAEngine(small_dataset, index)
-        without = IVAEngine(small_dataset, index)
-        without.skip_exact = False
-        a = with_shortcut.search(query, k=10)
-        b = without.search(query, k=10)
-        assert [r.distance for r in a.results] == pytest.approx(
-            [r.distance for r in b.results]
-        )
-        assert without.search(query, k=10).table_accesses >= a.table_accesses
-
 
 class TestUpdatesVisible:
     def test_inserted_tuple_found(self, small_dataset_copy=None):

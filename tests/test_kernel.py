@@ -10,7 +10,7 @@ Two layers of checks:
   bit identity, not tolerance;
 * **engine tests** assert full top-k answer identity between the
   scalar oracle (``IVAEngine(kernel="scalar")``) and every path v3 runs —
-  the single-query engine and the batch engine — both with numpy and
+  a single search and a batch (``search_batch``) — both with numpy and
   through v3's numpy-absent fallback (segments rebuilt into per-element
   columns for ``evaluate_block``) — and on numeric codes too wide to
   vectorise (3-, 5- and 8-byte vectors), where ``decode_segment`` adapts
@@ -30,7 +30,6 @@ from hypothesis import strategies as st
 from repro import IVAConfig, IVAEngine, IVAFile, SimulatedDisk, SparseWideTable
 from repro.codec import CODEC_NAMES
 from repro.core import fastpath
-from repro.core.batch import BatchIVAEngine
 from repro.core.kernel import (
     BLOCK_TUPLES,
     KERNEL_MODES,
@@ -244,9 +243,9 @@ class TestKernelMode:
         index = IVAFile.build(small_dataset, IVAConfig(name="kern_mode"))
         with pytest.raises(QueryError):
             IVAEngine(small_dataset, index, kernel="bogus")
-        # ``kernel`` is an IVAEngine argument only: the batch engine is v3.
-        with pytest.raises(TypeError):
-            BatchIVAEngine(small_dataset, index, kernel="v3")
+        # Batches run the v3 kernel only: the scalar oracle refuses them.
+        with pytest.raises(QueryError):
+            IVAEngine(small_dataset, index, kernel="scalar").search_batch([], k=5)
 
     def test_v3_is_the_default(self, small_dataset):
         index = IVAFile.build(small_dataset, IVAConfig(name="kern_default"))
@@ -390,7 +389,7 @@ class TestAnswerIdentity:
         scalar = self._answers(
             IVAEngine(table, indexes[codec], kernel="scalar"), queries
         )
-        v3 = BatchIVAEngine(table, indexes[codec]).search_batch(queries, k=8)
+        v3 = IVAEngine(table, indexes[codec]).search_batch(queries, k=8)
         assert [[(r.tid, r.distance) for r in report.results] for report in v3] == (
             scalar
         )
@@ -469,5 +468,5 @@ class TestWideNumericCodes:
         scalar = search(IVAEngine(wide_table, index, kernel="scalar"))
         assert all(scalar)
         assert search(IVAEngine(wide_table, index, kernel="v3")) == scalar
-        batch = BatchIVAEngine(wide_table, index).search_batch(self.QUERIES, k=8)
+        batch = IVAEngine(wide_table, index).search_batch(self.QUERIES, k=8)
         assert self._rows(batch) == scalar

@@ -153,8 +153,6 @@ class TestBatchProperties:
     @given(rows=ROWS, words=st.lists(WORD, min_size=1, max_size=4))
     @settings(max_examples=15, deadline=None, suppress_health_check=[HealthCheck.too_slow])
     def test_batch_equals_individual(self, rows, words):
-        from repro.core.batch import BatchIVAEngine
-
         table = _build_table(rows)
         if table.catalog.get("A") is None:
             return
@@ -162,7 +160,7 @@ class TestBatchProperties:
         queries = [
             Query.from_dict(table.catalog, {"A": word}) for word in words
         ]
-        batch = BatchIVAEngine(table, index).search_batch(queries, k=5)
+        batch = IVAEngine(table, index).search_batch(queries, k=5)
         single = IVAEngine(table, index)
         for query, report in zip(queries, batch):
             expected = single.search(query, k=5)

@@ -12,7 +12,6 @@ import threading
 import pytest
 
 from repro import IVAConfig, IVAEngine, IVAFile, SimulatedDisk, SparseWideTable
-from repro.core.batch import BatchIVAEngine
 from repro.core.pool import ResultPool
 from repro.core.refine import Refiner
 from repro.data import DatasetConfig, DatasetGenerator
@@ -137,7 +136,7 @@ def test_reports_exclude_other_threads_io(world, path, monkeypatch):
     def costs():
         if path == "batch":
             table.disk.drop_cache()
-            reports = BatchIVAEngine(table, index).search_batch(queries, k=10)
+            reports = IVAEngine(table, index).search_batch(queries, k=10)
             return [(reports[0].filter_io_ms, reports[0].refine_io_ms)]
         engine = IVAEngine(table, index, kernel=path)
         out = []

@@ -12,7 +12,6 @@ import random
 
 import pytest
 
-from repro.core.batch import BatchIVAEngine
 from repro.core.columnar import InMemoryIVAEngine
 from repro.core.engine import IVAEngine
 from repro.core.iva_file import IVAFile
@@ -99,7 +98,7 @@ def _runs(table, index, queries, metric):
         )
 
     sequential = IVAEngine(table, index, dist, kernel="v3")
-    batch = BatchIVAEngine(table, index, dist)
+    batch = IVAEngine(table, index, dist)
     memory = InMemoryIVAEngine(table, index, dist)
     runs = {
         "sequential": collect([sequential.search(q, k=K) for q in queries]),

@@ -8,9 +8,12 @@ never silently wrong (see ``docs/resilience.md``).
 
 from __future__ import annotations
 
+import itertools
+
 import pytest
 
 from repro import IVAConfig, IVAEngine, IVAFile, SparseWideTable
+from repro.core.kernel import QueryKernel
 from repro.data.generator import DatasetConfig, DatasetGenerator
 from repro.data.workload import WorkloadGenerator
 from repro.errors import ChecksumError, StorageError, TransientIOError
@@ -537,15 +540,15 @@ class TestDegradedExecution:
     @staticmethod
     def _failing_blocks(monkeypatch, after: int):
         """Make the v3 filter raise a storage error after *after* blocks."""
-        original = IVAEngine._filter_blocks
+        original = QueryKernel.evaluate_segments
+        blocks = itertools.count()
 
         def failing(self, *args, **kwargs):
-            for n, block in enumerate(original(self, *args, **kwargs)):
-                if n == after:
-                    raise StorageError("media failure mid-scan")
-                yield block
+            if next(blocks) == after:
+                raise StorageError("media failure mid-scan")
+            return original(self, *args, **kwargs)
 
-        monkeypatch.setattr(IVAEngine, "_filter_blocks", failing)
+        monkeypatch.setattr(QueryKernel, "evaluate_segments", failing)
 
     def test_v3_engine_degrades_mid_stream(self, indexed, query, monkeypatch):
         """A storage error in the v3 scan reports a partial, explicitly
@@ -594,9 +597,9 @@ class TestDegradedExecution:
         """A storage error in the single-threaded path reports a partial,
         explicitly degraded answer in degrade mode."""
         table, index = indexed
-        # ``_filter_estimates`` feeds the scalar walk.
+        # ``_filter`` feeds the scalar walk.
         engine = IVAEngine(table, index, kernel="scalar", fail_mode="degrade")
-        original = type(engine)._filter_estimates
+        original = type(engine)._filter
         state = {"count": 0}
 
         def flaky(self, *args, **kwargs):
@@ -606,12 +609,12 @@ class TestDegradedExecution:
                     raise StorageError("media failure mid-scan")
                 yield item
 
-        monkeypatch.setattr(type(engine), "_filter_estimates", flaky)
+        monkeypatch.setattr(type(engine), "_filter", flaky)
         report = engine.search(query, k=10)
         assert report.degraded is True
         assert report.lost_tid_ranges  # the unscanned remainder
         strict = IVAEngine(table, index, kernel="scalar", fail_mode="raise")
-        monkeypatch.setattr(type(strict), "_filter_estimates", flaky)
+        monkeypatch.setattr(type(strict), "_filter", flaky)
         state["count"] = 0
         with pytest.raises(StorageError):
             strict.search(query, k=10)

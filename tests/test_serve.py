@@ -29,6 +29,8 @@ from repro.core.iva_file import IVAFile
 from repro.data import DatasetConfig, DatasetGenerator
 from repro.errors import ReproError
 from repro.obs.metrics import MetricsRegistry
+from repro.obs.server import SpanRingBuffer
+from repro.obs.trace import Tracer
 from repro.serve import (
     AdmissionController,
     AdmissionRejected,
@@ -416,6 +418,37 @@ def test_batch_round_trip(daemon, manager):
     for report in payload["reports"]:
         assert report["degraded"] is False
         assert report["results"]
+
+
+def test_batch_is_observable(manager):
+    """A batch counts every query under the ``iVA`` engine label and
+    leaves one ``query`` span in the daemon's trace ring."""
+    registry = MetricsRegistry()
+    ring = SpanRingBuffer()
+    tracer = Tracer(registry=registry, sink=ring)
+    srv = QueryDaemon(
+        manager, port=0, registry=registry, tracer=tracer, ring=ring
+    ).start()
+    try:
+        queries = [{"terms": _some_terms(manager, tid)} for tid in (2, 5, 8)]
+        code, _, payload = _post(
+            srv.url + "/query/batch",
+            {"queries": queries, "k": 3, "deadline_ms": 1e-6},
+        )
+    finally:
+        srv.close()
+    assert code == 200
+    assert all(report["deadline_hit"] for report in payload["reports"])
+    labels = {"engine": "iVA"}
+    for name in (
+        "repro_queries_total",
+        "repro_deadline_exceeded_total",
+        "repro_degraded_queries_total",
+    ):
+        assert registry.counter(name, labels=labels).value == len(queries)
+    spans = [span for span in ring.recent() if span["name"] == "query"]
+    assert len(spans) == 1
+    assert spans[0]["attrs"]["queries"] == len(queries)
 
 
 def test_deadline_cut_is_flagged_and_never_cached(daemon, manager):
