@@ -8,15 +8,20 @@ wide for the columnar decoders: v3 decodes them through the scanners'
 are bit-identical to the scalar oracle's (``IVAEngine(kernel="scalar")``)
 on every path v3 runs:
 
-* the single-query engine (page-batched refine);
+* the single-query engine (two-phase: best-first refine after the scan);
 * the batch path, `IVAEngine.search_batch` (one compiled artifact shared
   across the batch).
+
+v3's text bound adds the length filter to the scalar oracle's Eq. 3 and
+refines best-first, so per query it must also refine no more rows than
+the oracle: v3 ``table_accesses`` <= scalar ``table_accesses``.
 
 Run it with and without numpy: without, v3 decodes every list through the
 scanners' ``move_to`` adapter.
 
 The kernels' lookup tables are built from the exact scalar bound
-routines, so any divergence — including on ndf tuples and clamped
+routines (text: the larger of Eq. 3 and the length filter, both lower
+bounds), so any divergence — including on ndf tuples and clamped
 out-of-domain numeric values — is a correctness bug, not a tolerance.
 
 It also guards the refine kernel: every returned distance is recomputed
@@ -59,11 +64,16 @@ def main() -> int:
         workload.sample_query(arity) for arity in (1, 2, 3) for _ in range(QUERIES // 3)
     ]
 
-    def answers(engine) -> list:
-        return [
-            [(r.tid, r.distance) for r in engine.search(q, k=K).results]
-            for q in queries
-        ]
+    def answers(reports) -> tuple:
+        """(per-query answers, per-query table accesses)."""
+        reports = list(reports)
+        return (
+            [[(r.tid, r.distance) for r in report.results] for report in reports],
+            [report.table_accesses for report in reports],
+        )
+
+    def searched(engine):
+        return answers(engine.search(q, k=K) for q in queries)
 
     dist = DistanceFunction()
 
@@ -84,6 +94,7 @@ def main() -> int:
 
     problems = []
     checked = 0
+    v3_accesses = {"scalar": 0, "sequential": 0, "batch": 0}
     distances_checked = 0
 
     def check_distances(label, got) -> None:
@@ -104,21 +115,27 @@ def main() -> int:
             name=f"kernel_smoke_{codec}_{alpha}", codec=codec, alpha=alpha
         )
         index = IVAFile.build(table, config)
-        baseline = answers(IVAEngine(table, index, kernel="scalar"))
+        oracle = IVAEngine(table, index, kernel="scalar")
+        baseline, baseline_accesses = searched(oracle)
         paths = {
-            "sequential": answers(IVAEngine(table, index)),
-            "batch": [
-                [(r.tid, r.distance) for r in report.results]
-                for report in IVAEngine(table, index).search_batch(queries, k=K)
-            ],
+            "sequential": searched(IVAEngine(table, index)),
+            "batch": answers(IVAEngine(table, index).search_batch(queries, k=K)),
         }
-        for label, got in paths.items():
+        for label, (got, accesses) in paths.items():
             checked += 1
             check_distances(f"{label_index}: v3 {label}", got)
             if got != baseline:
                 problems.append(
                     f"{label_index}: v3 {label} answers differ from scalar"
                 )
+            for qi, (v3, scalar) in enumerate(zip(accesses, baseline_accesses)):
+                if v3 > scalar:
+                    problems.append(
+                        f"{label_index}: v3 {label} query {qi} refined {v3} "
+                        f"rows, more than the scalar oracle's {scalar}"
+                    )
+            v3_accesses[label] += sum(accesses)
+        v3_accesses["scalar"] += sum(baseline_accesses)
 
     if problems:
         for problem in problems:
@@ -129,7 +146,9 @@ def main() -> int:
         f"{len(queries)} queries, "
         f"v3 == scalar oracle on {checked} engine paths (single-query, batch); "
         f"{distances_checked} "
-        f"returned distances == DP edit distance over the full row"
+        f"returned distances == DP edit distance over the full row; "
+        f"table accesses v3 {v3_accesses['sequential']} (batch "
+        f"{v3_accesses['batch']}) <= scalar {v3_accesses['scalar']} per query"
     )
     return 0
 

@@ -73,7 +73,6 @@ from repro.core import (
 )
 from repro.codec import CODEC_NAMES, VectorListCodec, codec_for_code, get_codec
 from repro.core.sequential import SequentialPlanEngine
-from repro.core.columnar import InMemoryIVAEngine
 from repro.storage.fsck import (
     Finding,
     check_all,
@@ -171,7 +170,6 @@ __all__ = [
     "MaintainedSystem",
     "amortized_update_times",
     "SequentialPlanEngine",
-    "InMemoryIVAEngine",
     "Finding",
     "check_all",
     "check_checksums",

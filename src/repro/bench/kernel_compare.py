@@ -2,17 +2,22 @@
 
 Races the default query set through the iVA engine with both filter
 kernels (:mod:`repro.core.kernel`) over every codec family, one row per
-codec, and reports two things:
+codec, and reports three things:
 
 * **filter-phase latency** — measured wall-clock p50/p95 per query and
-  the speedup of v3 over the scalar identity oracle (the kernels change
-  CPU work only, so the modeled index I/O is identical by construction
-  and the measured wall time is the honest comparison);
+  the speedup of v3 over the scalar identity oracle (the kernels decode
+  the same index bytes, so the measured wall time is the honest
+  comparison);
+* **table accesses per query** — the refine rows each kernel needs: the
+  scalar oracle bounds text with Eq. 3 and refines interleaved with the
+  scan (Algorithm 1); v3 adds the length filter and refines best-first
+  after the scan.  This is the bound-and-order ablation; the counts are
+  deterministic, unlike the wall times;
 * **answer identity** — every codec's v3 and scalar runs must return
-  *bit-identical* ``(tid, distance)`` lists for every query.  The
-  kernel's lookup tables are built from the exact scalar routines
-  (Prop. 3.3's no-false-negative bounds included), so any divergence is
-  a bug, not a tolerance; the CLI turns it into a hard failure.
+  *bit-identical* ``(tid, distance)`` lists for every query.  Both
+  kernels' bounds are lower bounds (Prop. 3.3's no-false-negative
+  contract), so any divergence is a bug, not a tolerance; the CLI turns
+  it into a hard failure.
 
 Exposed as ``repro bench kernel-compare`` and as
 :func:`kernel_compare_sweep` for the suite/tests.
@@ -55,6 +60,11 @@ class KernelRun:
         """Measured queries per second over the whole set."""
         stats: QuerySetStats = getattr(self, kernel)
         return len(stats.reports) / stats.wall_s if stats.wall_s else 0.0
+
+    def accesses_per_query(self, kernel: str) -> float:
+        """Mean table-file accesses (refined rows) per query."""
+        reports = getattr(self, kernel).reports
+        return sum(r.table_accesses for r in reports) / len(reports)
 
     @property
     def filter_speedup(self) -> float:
@@ -127,6 +137,8 @@ def kernel_rows(sweep: Sequence[KernelRun]) -> list:
                 round(run.filter_speedup, 2),
                 round(run.qps("scalar"), 1),
                 round(run.qps("v3"), 1),
+                round(run.accesses_per_query("scalar"), 1),
+                round(run.accesses_per_query("v3"), 1),
                 "yes" if run.answers_identical else "NO",
             ]
         )
@@ -142,6 +154,8 @@ KERNEL_HEADERS = [
     "filter speedup",
     "scalar QPS",
     "v3 QPS",
+    "scalar accesses/query",
+    "v3 accesses/query",
     "answers identical",
 ]
 
@@ -150,7 +164,8 @@ def emit_kernel_compare(sweep: Sequence[KernelRun]) -> str:
     """Print + persist the scalar/v3 kernel comparison table."""
     return emit_table(
         "kernel_compare",
-        "Kernel comparison — scalar vs. v3 filter, wall-clock per query",
+        "Kernel comparison — scalar (Eq. 3, interleaved) vs. v3 (Eq. 3 + "
+        "length, best-first): wall-clock and table accesses per query",
         KERNEL_HEADERS,
         kernel_rows(sweep),
     )

@@ -22,9 +22,10 @@ and ``repro obs serve`` exposes ``/metrics`` (Prometheus text),
 
 Filter kernel: ``query``/``compare``/``workload`` run the v3 kernel by
 default: query-compiled lookup tables, whole-segment columnar decode,
-zero-copy mmap reads and page-batched refinement (see
-docs/architecture.md).  ``--kernel scalar`` runs the published per-tuple
-Algorithm 1 instead, the identity oracle; answers are bit-identical.
+zero-copy mmap reads, a length-filtered text bound and best-first
+refinement after the scan (see docs/architecture.md).  ``--kernel
+scalar`` runs the published per-tuple Algorithm 1 instead, the identity
+oracle; answers are bit-identical.
 ``repro serve`` always runs v3.  ``repro bench kernel-compare`` races both
 kernels on both codecs and fails on any top-k divergence.
 
@@ -75,7 +76,7 @@ def _add_kernel_flag(subparser: argparse.ArgumentParser) -> None:
         default="v3",
         choices=list(KERNEL_MODES),
         help="filter evaluation strategy: v3 (query-compiled lookup tables "
-        "over whole-segment columnar decode, with page-batched refine) or "
+        "over whole-segment columnar decode, refining best-first) or "
         "scalar (the per-tuple oracle); answers are identical",
     )
 

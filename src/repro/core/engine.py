@@ -4,11 +4,16 @@
 lists side by side in one pass; the plan runs on one thread.
 
 The engine scans the tuple list and the queried attributes' vector lists in
-a synchronized manner, computes a per-tuple lower bound of the similarity
-distance from the approximation vectors, and — interleaved with the scan
-("refining happens from time to time during the filtering process") —
+a synchronized manner and computes a per-tuple lower bound of the
+similarity distance from the approximation vectors.  The scalar oracle
+then does what Algorithm 1 says: interleaved with the scan ("refining
+happens from time to time during the filtering process") it
 random-accesses the table file for every tuple whose bound beats the
-temporary result pool.
+temporary result pool.  The v3 kernel, which bounds whole blocks at once,
+searches in two phases, as the VA-file does: the scan only prefilters and
+keeps the survivors' bounds, and refinement then visits them best-first,
+stopping at the first bound that can no longer beat the pool.  Both
+return the same answers; v3 refines at most as many rows.
 
 The same template drives the SII baseline (which yields content-blind
 bounds) so the two systems differ only in what their filter knows, exactly
@@ -44,8 +49,8 @@ from repro.core.kernel import (
     QueryKernel,
     validate_kernel_mode,
 )
-from repro.core.pool import BlockCandidacy, ResultPool, block_candidates
-from repro.core.refine import REFINE_BATCH, Refiner
+from repro.core.pool import BlockCandidacy, ResultPool
+from repro.core.refine import Refiner
 from repro.core.signature import QueryStringEncoder
 from repro.errors import DeadlineExceeded, QueryError, ReproError
 from repro.metrics.distance import DistanceFunction
@@ -201,14 +206,20 @@ class SearchReport:
 
 
 def observe_search(
-    registry: MetricsRegistry, engine_name: str, report: SearchReport
+    registry: MetricsRegistry,
+    engine_name: str,
+    report: SearchReport,
+    *,
+    times: bool = True,
 ) -> None:
     """Land one finished report's numbers in the metrics registry.
 
     Every engine (template subclasses, DST, the distributed wrappers' inner
     engines) funnels through here so the registry speaks one vocabulary:
     per-engine query/filter/refine latency histograms plus the paper's
-    counters (tuples scanned, table accesses, exact shortcuts).
+    counters (tuples scanned, table accesses, exact shortcuts).  With
+    *times* off only the counters move: a batch observes its shared time
+    once, on the report that carries it, not as zeros for the others.
     """
     labels = {"engine": engine_name}
     registry.counter(
@@ -229,21 +240,22 @@ def observe_search(
         labels=labels,
         help="Tuples resolved exactly from the index (all-ndf shortcut).",
     ).inc(report.exact_shortcuts)
-    registry.histogram(
-        "repro_query_time_ms",
-        labels=labels,
-        help="Modeled per-query time: simulated I/O plus wall-clock CPU.",
-    ).observe(report.query_time_ms)
-    registry.histogram(
-        "repro_filter_time_ms",
-        labels=labels,
-        help="Modeled filter-phase time per query (paper Figs. 9/15).",
-    ).observe(report.filter_time_ms)
-    registry.histogram(
-        "repro_refine_time_ms",
-        labels=labels,
-        help="Modeled refine-phase time per query (paper Figs. 9/15).",
-    ).observe(report.refine_time_ms)
+    if times:
+        registry.histogram(
+            "repro_query_time_ms",
+            labels=labels,
+            help="Modeled per-query time: simulated I/O plus wall-clock CPU.",
+        ).observe(report.query_time_ms)
+        registry.histogram(
+            "repro_filter_time_ms",
+            labels=labels,
+            help="Modeled filter-phase time per query (paper Figs. 9/15).",
+        ).observe(report.filter_time_ms)
+        registry.histogram(
+            "repro_refine_time_ms",
+            labels=labels,
+            help="Modeled refine-phase time per query (paper Figs. 9/15).",
+        ).observe(report.refine_time_ms)
     if report.degraded:
         registry.counter(
             "repro_degraded_queries_total",
@@ -261,12 +273,12 @@ def observe_search(
 def trace_phases(tracer: Tracer, span, reports: Sequence[SearchReport]) -> None:
     """Attach ``filter``/``refine`` child spans for one run's finished reports.
 
-    The two phases interleave during the scan ("refining happens from time
-    to time during the filtering process"), so they are recorded as
-    synthetic spans whose durations are the accumulated per-phase wall
-    totals — they reconcile exactly with the reports.  A batch's spans
-    sum its reports: the shared costs sit on one report, the per-query
-    counters on each.
+    On the scalar path the two phases interleave during the scan
+    ("refining happens from time to time during the filtering process"),
+    so they are recorded as synthetic spans whose durations are the
+    accumulated per-phase wall totals — they reconcile exactly with the
+    reports.  A batch's spans sum its reports: the shared costs sit on
+    one report, the per-query counters on each.
     """
     tracer.record(
         "filter",
@@ -367,11 +379,13 @@ class FilterAndRefineEngine(ABC):
     ) -> Iterator[Tuple[int, int, float]]:
         """Yield ``(tid, query index, estimated)`` per refine candidate.
 
-        The scalar walk, for exactly one query: every live tuple from
-        :meth:`_filter` has its per-term bounds combined and is decided
-        through the query's candidacy, one at a time, checking *deadline*
-        before each.  ``progress[0]`` is kept at the last tid the scan got
-        past, for the degraded report.
+        The caller refines each candidate before asking for the next, so
+        every decision sees the pool as it stands.  This is the scalar
+        walk, for exactly one query: every live tuple from :meth:`_filter`
+        has its per-term bounds combined and is decided through the
+        query's candidacy, one at a time, checking *deadline* before
+        each.  ``progress[0]`` is kept at the last tid the scan got past,
+        for the degraded report.
         """
         (query,), (candidacy,) = queries, candidacies
         self._collector = candidacy.collector
@@ -397,20 +411,24 @@ class FilterAndRefineEngine(ABC):
         distance: Optional[DistanceFunction] = None,
         deadline_s: Optional[float] = None,
     ) -> SearchReport:
-        """Run a top-k structured similarity query: Algorithm 1, inline.
+        """Run a top-k structured similarity query.
 
-        Candidates go to a :class:`~repro.core.refine.Refiner`: inline on
-        the scalar path, page-batched under the v3 kernel.  I/O is metered
-        on this thread, so other threads' disk traffic (concurrent daemon
+        Candidates go to one :class:`~repro.core.refine.Refiner`: as the
+        scan admits them on the scalar path (Algorithm 1), best-first
+        after the scan under the v3 kernel.  I/O is metered on this
+        thread, so other threads' disk traffic (concurrent daemon
         requests) never lands in the report.
 
-        *deadline_s* is a wall-clock budget for this search, checked once
-        per filter block under v3 and per tuple on the scalar path, and
-        only paid when a deadline is set.  When it expires mid-scan,
-        ``fail_mode="degrade"`` returns the partial answer flagged
-        ``degraded``/``deadline_hit`` (candidates already found are still
-        refined — never a silently-wrong full answer);
-        ``fail_mode="raise"`` raises :class:`~repro.errors.DeadlineExceeded`.
+        *deadline_s* is a wall-clock budget for the scan, checked once per
+        filter block under v3 and per tuple on the scalar path, and only
+        paid when a deadline is set.  When it expires mid-scan (or a
+        storage error cuts the scan), ``fail_mode="degrade"`` returns the
+        partial answer flagged ``degraded`` (and ``deadline_hit``), with
+        the unscanned tail in ``lost_tid_ranges``: the candidates found
+        so far are still refined (best-first under v3), so the answer is
+        the exact top-k over the live tuples up to the last scanned tid —
+        never a silently-wrong full answer.  ``fail_mode="raise"`` raises
+        :class:`~repro.errors.DeadlineExceeded` (or the storage error).
         """
         return self._run([self.prepare_query(query)], k, distance, deadline_s)[0]
 
@@ -421,15 +439,18 @@ class FilterAndRefineEngine(ABC):
         distance: Optional[DistanceFunction],
         deadline_s: Optional[float],
     ) -> List[SearchReport]:
-        """Algorithm 1 for one query, or for a batch sharing one scan.
+        """Filter and refine for one query, or for a batch sharing one scan.
 
         Each query gets its own pool, candidacy, collector and report; one
-        :class:`~repro.core.refine.Refiner` serves them all.  The run is
-        one ``query`` span and one ``disk.metered()`` window, opened
-        before the scan so scan-open reads land in the reports.  A cut
-        scan degrades every report alike.  The run's shared costs (scan
-        and table I/O, wall time) go on report 0; ``tuples_scanned``,
-        ``exact_shortcuts`` and ``table_accesses`` stay per query.
+        :class:`~repro.core.refine.Refiner` serves them all and refines
+        whatever :meth:`_candidates` hands over.  The run is one ``query``
+        span and one ``disk.metered()`` window, opened before the scan so
+        scan-open reads land in the reports.  A cut scan degrades every
+        report alike.  The run's shared costs (scan and table I/O, wall
+        time) go on report 0; ``tuples_scanned``, ``exact_shortcuts`` and
+        ``table_accesses`` stay per query.  The registry's time
+        histograms take one sample per run (report 0's shared time);
+        its counters count every query.
         """
         deadline = (
             time.perf_counter() + deadline_s if deadline_s is not None else None
@@ -445,14 +466,7 @@ class FilterAndRefineEngine(ABC):
             BlockCandidacy(pool, collector=collectors[qi] if collectors else None)
             for qi, pool in enumerate(pools)
         ]
-        refiner = Refiner(
-            self.table,
-            queries,
-            dist,
-            pools,
-            batch=REFINE_BATCH if self.kernel == "v3" else 1,
-            collectors=collectors,
-        )
+        refiner = Refiner(self.table, queries, dist, pools, collectors=collectors)
         tracer = self._tracer()
 
         with tracer.span(
@@ -468,8 +482,7 @@ class FilterAndRefineEngine(ABC):
                 for tid, qi, estimated in self._candidates(
                     queries, dist, candidacies, deadline, progress
                 ):
-                    refiner.add(qi, tid, estimated)
-                refiner.flush()
+                    refiner.refine(qi, tid, estimated)
             except ReproError as exc:
                 if self.fail_mode != "degrade":
                     raise
@@ -486,12 +499,6 @@ class FilterAndRefineEngine(ABC):
                     last_tid,
                     exc,
                 )
-                try:
-                    # Best effort: candidates found before the failure are
-                    # still refined (the docstring's degraded-answer promise).
-                    refiner.flush()
-                except ReproError:
-                    logger.warning("degraded refine flush failed; dropping batch")
             finally:
                 self._collector = None
 
@@ -522,8 +529,8 @@ class FilterAndRefineEngine(ABC):
                     )
             trace_phases(tracer, span, reports)
         registry = self._registry()
-        for report in reports:
-            observe_search(registry, self.name, report)
+        for qi, report in enumerate(reports):
+            observe_search(registry, self.name, report, times=qi == 0)
         return reports
 
 
@@ -532,11 +539,13 @@ class IVAEngine(FilterAndRefineEngine):
 
     *kernel* picks the filter: ``"v3"`` (the default) decodes whole
     segments columnar through compiled
-    :class:`~repro.core.kernel.QueryKernel` objects, refines page-batched
-    and also runs batches (:meth:`search_batch`).  ``"scalar"`` walks
-    every scanner tuple by tuple and refines inline: the published
-    Algorithm 1, kept as the identity oracle the other paths are checked
-    against, one query at a time.  Both return bit-identical answers.
+    :class:`~repro.core.kernel.QueryKernel` objects, adds the length
+    filter to the text bound, refines its survivors best-first after the
+    scan and also runs batches (:meth:`search_batch`).  ``"scalar"``
+    walks every scanner tuple by tuple and refines inline: the published
+    Algorithm 1 with the paper's Eq. 3, kept as the identity oracle the
+    other paths are checked against, one query at a time.  Both return
+    bit-identical answers; v3 never refines more rows.
     """
 
     name = "iVA"
@@ -623,23 +632,52 @@ class IVAEngine(FilterAndRefineEngine):
         deadline: Optional[float],
         progress: List[int],
     ) -> Iterator[Tuple[int, int, float]]:
-        """The v3 filter: whole tuple-list blocks, every query at once.
+        """The v3 search: two phases, every query at once.
 
-        Opens one scan over the union of the queries' attributes and
-        compiles every query once (``kernel.compile`` span) against one
-        shared :class:`~repro.core.kernel.KernelCache`.  Per block,
+        Phase 1 opens one scan over the union of the queries' attributes
+        and compiles every query once (``kernel.compile`` span) against
+        one shared :class:`~repro.core.kernel.KernelCache`.  Per block,
         checking *deadline* first, it decodes every scanner's segment,
         evaluates each query's kernel (accumulated into one
         ``kernel.block`` span; queries naming the same term share one
-        bound column) and runs the block, tombstones included, through
-        :func:`~repro.core.pool.block_candidates`.  Estimates are
-        bit-identical to the scalar path and arrive in the same tid order.
+        bound column) and hands the block, tombstones included, to each
+        query's :meth:`~repro.core.pool.BlockCandidacy.add_block`.  No row
+        is refined during the scan.
+
+        Phase 2 yields each query's survivors best-first
+        (:meth:`~repro.core.pool.BlockCandidacy.best_first`), query after
+        query; rows a batch shares are read once.  A scan cut under
+        ``fail_mode="degrade"`` still runs phase 2 over the survivors of
+        the blocks scanned so far, then re-raises the cut for the caller
+        to degrade the reports.
         """
         if self.kernel != "v3":
             yield from super()._candidates(
                 queries, distance, candidacies, deadline, progress
             )
             return
+        cut: Optional[ReproError] = None
+        try:
+            self._scan_blocks(queries, distance, candidacies, deadline, progress)
+        except ReproError as exc:
+            if self.fail_mode != "degrade":
+                raise
+            cut = exc
+        for qi, candidacy in enumerate(candidacies):
+            for tid, estimated in candidacy.best_first():
+                yield tid, qi, estimated
+        if cut is not None:
+            raise cut
+
+    def _scan_blocks(
+        self,
+        queries: Sequence[Query],
+        distance: DistanceFunction,
+        candidacies: Sequence[BlockCandidacy],
+        deadline: Optional[float],
+        progress: List[int],
+    ) -> None:
+        """Phase 1 of the v3 search (see :meth:`_candidates`)."""
         position = scan_slots(queries)
         scan = self.index.open_scan(list(position), end_element=self.scan_end_element)
         tracer = self._tracer()
@@ -681,14 +719,13 @@ class IVAEngine(FilterAndRefineEngine):
             block_wall += time.perf_counter() - block_start
             blocks += 1
             segments_total += len(segments)
-            tuples += count - ptrs.count(DELETED_PTR)
+            deleted = ptrs.count(DELETED_PTR)
+            tuples += count - deleted
             for collector in collectors:
                 collector.on_segments(segments, count)
-            for tid, qi, estimated in block_candidates(
-                candidacies, tids, ptrs, evaluated
-            ):
-                progress[0] = tid
-                yield tid, qi, estimated
+            tombstones = ptrs if deleted else None
+            for candidacy, (estimates, exact) in zip(candidacies, evaluated):
+                candidacy.add_block(tids, tombstones, estimates, exact)
             progress[0] = tids[-1]
         tracer.record("kernel.block", block_wall * 1000.0, blocks=blocks, tuples=tuples)
         registry.counter(

@@ -18,14 +18,18 @@ segments (one block of the tuple list) per call:
   :func:`~repro.core.ngram.estimate_from_hits` depends only on
   ``(stored_length, hit_count)``, so a whole run of ``uint64`` signature
   words is bounded by one mask-test expression and a table gather (the
-  scalar fallback tests the masks most-selective first, per signature);
+  scalar fallback tests the masks most-selective first, per signature).
+  Each table entry is the larger of Eq. 3 and the length filter
+  ``||sq| - |sd||``, so v3's text bound is never looser than the paper's;
 * **ndf** stays the distance function's constant penalty.
 
-Every bound is bit-identical to the one the
-:class:`~repro.core.engine.BoundEvaluator` path computes per tuple, so the
-no-false-negative contract (Prop. 3.3, open-ended boundary slices) holds
-by construction, and the engines assert answer identity in tests,
-``make smoke`` and ``repro bench kernel-compare``.
+Numeric bounds are bit-identical to the ones the
+:class:`~repro.core.engine.BoundEvaluator` path (the scalar oracle)
+computes per tuple; text bounds lie between the oracle's Eq. 3 and the
+exact edit distance.  Both are lower bounds, so the no-false-negative
+contract (Prop. 3.3, open-ended boundary slices) holds, and the engines
+assert answer identity in tests, ``make smoke`` and
+``repro bench kernel-compare``.
 :meth:`QueryKernel.evaluate_segments` returns float64/bool arrays, which
 the engines' block-level candidacy (:class:`~repro.core.pool.BlockCandidacy`)
 prefilters without a per-tuple Python step.
@@ -58,6 +62,7 @@ from repro.metrics.distance import (
     L2Metric,
     LInfMetric,
 )
+from repro.model.values import MAX_ENCODED_STRING_LENGTH
 from repro.query import Query
 
 #: Tuple-list elements evaluated per kernel call.  One block of the default
@@ -126,8 +131,8 @@ class CompiledTextTerm:
     def __init__(self, query_string: str, n: int) -> None:
         self.encoder = QueryStringEncoder(query_string, n)
         #: stored_length → (masks, bounds); masks are ``(mask, count)``
-        #: pairs ordered most-selective first, ``bounds[hits]`` the clamped
-        #: Eq. 3 estimate for that many hits.
+        #: pairs ordered most-selective first, ``bounds[hits]`` the bound
+        #: for that many hits (:meth:`_bound_table`).
         self._per_length: Dict[
             int, Tuple[List[Tuple[int, int]], Tuple[float, ...]]
         ] = {}
@@ -137,13 +142,26 @@ class CompiledTextTerm:
         self._bounds = None
 
     def _bound_table(self, stored_length: int) -> Tuple[float, ...]:
-        """``bounds[hits]``: the clamped Eq. 3 estimate for each hit count."""
+        """``bounds[hits]``: Eq. 3 or the length filter, whichever is larger.
+
+        Edit distance is never below the length difference,
+        ``ed(a, b) >= ||a| - |b||``.  A stored length of
+        :data:`~repro.model.values.MAX_ENCODED_STRING_LENGTH` is saturated
+        (the string may be longer), so it only bounds from below:
+        ``max(0, 255 - |q|)``.  The larger of two lower bounds is still a
+        lower bound (Prop. 3.3), and being non-negative it also clamps
+        Eq. 3.
+        """
         query_length = self.encoder.query_length
         n = self.encoder.n
+        if stored_length < MAX_ENCODED_STRING_LENGTH:
+            length_bound = float(abs(stored_length - query_length))
+        else:
+            length_bound = float(max(0, stored_length - query_length))
         bounds = []
         for hits in range(self.encoder.total_grams + 1):
             est = estimate_from_hits(query_length, stored_length, hits, n)
-            bounds.append(est if est > 0.0 else 0.0)
+            bounds.append(est if est > length_bound else length_bound)
         return tuple(bounds)
 
     def _compile_length(
@@ -458,10 +476,11 @@ class QueryKernel:
     pre-resolved importance weights, and the metric — everything the
     per-block loop needs without touching the query again.
 
-    :meth:`evaluate_segments` returns the same ``(estimated, exact)`` the
-    scalar path derives per tuple: bounds from the tables (bit-identical
-    entries), weights from :meth:`DistanceFunction.weight` (same cached
-    floats), combined through the same ``metric.combine``.
+    :meth:`evaluate_segments` and :meth:`evaluate_block` return the same
+    ``(estimated, exact)`` as each other: bounds from the same tables,
+    weights from :meth:`DistanceFunction.weight` (same cached floats),
+    combined through the same ``metric.combine``.  Numeric bounds equal
+    the scalar oracle's; text bounds add the length filter.
     """
 
     __slots__ = ("query", "terms", "schemes", "slots", "weights", "metric", "ndf_penalty")
@@ -631,7 +650,8 @@ class QueryKernel:
         ``decode_segment`` output of each scanner).  Per-term bounds come
         from the vectorised ``bound_segment`` routines and the combine
         collapses to :func:`repro.core.fastpath.combine_columns` for the
-        built-in metrics — both proven bit-identical to the scalar chain —
+        built-in metrics — both proven bit-identical to the per-element
+        chain of :meth:`evaluate_block` —
         while custom metrics fall back to the per-element ``combine``.
         Returns a float64 and a bool array, so block-level candidacy
         (:class:`~repro.core.pool.BlockCandidacy`) stays array-wide.

@@ -7,15 +7,15 @@ its *estimated* distance beats ``max_dist``.
 Determinism contract: the pool's final contents are the k smallest
 entries under the total order ``(distance, tid)`` — a pure function of the
 *multiset* of inserted pairs, independent of insertion order.  The scalar
-oracle refines in tid order, the v3 refiner in table-file page order, and
-a partitioned search merges per-partition pools; all converge on identical
+oracle refines in tid order, v3 in ``(estimate, tid)`` order, and a
+partitioned search merges per-partition pools; all converge on identical
 results because ties at the boundary are broken by tid, never by arrival
 time.
 
-:class:`BlockCandidacy` and :func:`block_candidates` are the one
-per-tuple decision of Algorithm 1 (exact shortcut → pool candidacy →
-profiler) that every engine loop calls, fed one evaluated block at a
-time.
+:class:`BlockCandidacy` holds one query's filter decisions: tuple by
+tuple for the scalar walk (Algorithm 1), or a whole evaluated block at a
+time for v3's two-phase search, whose survivors it then hands over
+best-first.
 """
 
 from __future__ import annotations
@@ -73,7 +73,7 @@ class ResultPool:
         With *tid* given, the check is tie-aware: an estimate equal to the
         current ``max_dist`` still qualifies when the tid beats the worst
         member's tid — required for order-independent results when
-        candidates are refined out of tid order (the page-ordered refiner
+        candidates are refined out of tid order (v3's best-first phase
         may fill the pool with a larger tid first).  Without *tid* the
         classic strict comparison applies.
         """
@@ -107,85 +107,45 @@ class ResultPool:
         return [PoolEntry(tid=tid, distance=dist) for dist, tid in ordered]
 
 
-def _beats(estimates, tids: Sequence[int], bound: Tuple[float, int]):
-    """Mask of block slots whose ``(estimate, tid)`` sorts before *bound*."""
-    distance, tid = bound
-    mask = estimates < distance
-    for slot in fastpath._np.flatnonzero(estimates == distance).tolist():
-        mask[slot] = tids[slot] < tid
-    return mask
-
-
 class BlockCandidacy:
-    """Algorithm 1's per-tuple decision for one pool, one block at a time.
+    """One query's filter decisions against its pool.
 
     An exact tuple (every queried attribute ndf) enters the pool with its
-    estimate; any other tuple is a candidate for refinement iff its
-    ``(estimate, tid)`` beats the pool's worst member.
+    estimate; any other tuple is a candidate for refinement while its
+    ``(estimate, tid)`` beats the pool's worst member.  The worst member
+    only tightens, so a tuple that fails once can never enter the final
+    top-k (its actual distance is at least its estimate).
 
-    :meth:`survivors` prefilters a whole block against the pool's worst
-    member as it stands when the block starts.  The worst member only
-    tightens, so a tuple that fails there would fail at its own
-    turn too: a non-exact one is pruned and an exact one is a no-op
-    ``insert``.  Those are tallied in bulk; the survivors then take
-    :meth:`admit` one by one in tid order, so every decision and counter
-    matches the per-tuple walk.  ``scanned`` and ``exact_shortcuts``
-    count live tuples and exact inserts across both steps.
+    * :meth:`admit` decides one tuple; the scalar walk refines each
+      candidate at once (Algorithm 1).
+    * :meth:`add_block` is phase 1 of v3's two-phase search, array-wide
+      per block: the block's exact tuples enter the pool (only its best
+      ``k`` can matter), then every other live tuple is prefiltered
+      against the pool's worst member, and the survivors are kept as
+      ``(estimate, tid)`` arrays.  No row is refined during the scan.
+    * :meth:`best_first` is phase 2: the survivors in ``(estimate, tid)``
+      order, each handed over only while it still beats the pool.  The
+      caller refines each before asking for the next, so the pool
+      tightens between rows, and the first survivor that fails ends the
+      phase: every later one sorts after it.
+
+    Funnel: every live tuple counts once in ``scanned`` and in one of the
+    collector's exact / pruned / candidate buckets; survivors left when
+    phase 2 stops count as late-pruned.
     """
 
-    __slots__ = ("pool", "collector", "scanned", "exact_shortcuts")
+    __slots__ = ("pool", "collector", "scanned", "exact_shortcuts", "_survivors")
 
     def __init__(self, pool: ResultPool, *, collector=None) -> None:
         self.pool = pool
         self.collector = collector
         self.scanned = 0
         self.exact_shortcuts = 0
-
-    def survivors(
-        self, tids: Sequence[int], ptrs: Optional[Sequence[int]], estimates, exact
-    ) -> Iterator[Tuple[int, float, bool]]:
-        """``(slot, estimated, exact)`` of the live slots that may change the pool.
-
-        *ptrs* holds the block's tuple-list pointers (None: all live);
-        tombstones carry ``DELETED_PTR = 2**64 - 1``, compared as uint64.
-        Only numpy arrays (the v3 kernel's output) are prefiltered; list
-        blocks pass every live slot through.
-        """
-        np = fastpath._np
-        count = len(tids)
-        tombstones = ptrs is not None and DELETED_PTR in ptrs
-        if np is None or not isinstance(estimates, np.ndarray):
-            slots = range(count)
-            if tombstones:
-                slots = [i for i in slots if ptrs[i] != DELETED_PTR]
-            return ((i, estimates[i], exact[i]) for i in slots)
-        if tombstones:
-            keep = np.asarray(ptrs, dtype=np.uint64) != DELETED_PTR
-        else:
-            keep = np.ones(count, dtype=bool)
-        pool = self.pool
-        if pool.is_full():
-            beats = _beats(estimates, tids, pool.worst())
-            dropped = keep & ~beats
-            n_dropped = int(np.count_nonzero(dropped))
-            if n_dropped:
-                n_exact = int(np.count_nonzero(dropped & exact))
-                self.scanned += n_dropped
-                self.exact_shortcuts += n_exact
-                collector = self.collector
-                if collector is not None:
-                    collector.on_exact(n_exact)
-                    collector.on_pruned(n_dropped - n_exact)
-                keep &= beats
-        slots = np.flatnonzero(keep)
-        return zip(slots.tolist(), estimates[slots].tolist(), exact[slots].tolist())
+        #: Phase-1 survivors, one ``(estimates, tids)`` pair per block.
+        self._survivors: list = []
 
     def admit(self, tid: int, estimated: float, exact: bool) -> bool:
-        """One live tuple's decision; True when it is a refine candidate.
-
-        Every call lands the tuple in exactly one funnel bucket of the
-        collector: exact shortcut, pruned, or candidate.
-        """
+        """One live tuple's decision; True when it is a refine candidate."""
         self.scanned += 1
         collector = self.collector
         if exact:
@@ -202,37 +162,162 @@ class BlockCandidacy:
             collector.on_candidate()
         return True
 
+    def add_block(
+        self, tids: Sequence[int], ptrs: Optional[Sequence[int]], estimates, exact
+    ) -> None:
+        """Phase 1 over one evaluated block.
 
-def block_candidates(
-    candidacies: Sequence[BlockCandidacy],
-    tids: Sequence[int],
-    ptrs: Optional[Sequence[int]],
-    evaluated: Sequence[Tuple[object, object]],
-) -> Iterator[Tuple[int, int, float]]:
-    """Run one evaluated block through every query's decision.
+        *ptrs* holds the block's tuple-list pointers, or None when it has
+        no tombstones (``DELETED_PTR = 2**64 - 1``, compared as uint64).
+        *estimates* and *exact* are the kernel's numpy arrays, or lists on
+        the numpy-absent path, which makes the same decisions in Python.
 
-    *evaluated* holds one ``(estimates, exact)`` pair per candidacy.
-    Yields ``(tid, query index, estimated)`` for each refine candidate in
-    ``(tid, query)`` order — the per-tuple walk's order — and lazily, so
-    whatever the caller does with a candidate (refine, enqueue) happens
-    before the next decision.
+        When the pool is already full, every live tuple is prefiltered
+        against its worst member as the block starts.  Otherwise the
+        block's exact tuples enter first and the rest is prefiltered
+        against the pool as they leave it.
+        """
+        np = fastpath._np
+        if np is None or not isinstance(estimates, np.ndarray):
+            self._add_list_block(tids, ptrs, estimates, exact)
+            return
+        first = tids[0]
+        if tids[-1] - first == len(tids) - 1:
+            # The tuple list ascends by tid, so this block is a tid run.
+            tid_array = np.arange(first, first + len(tids), dtype=np.int64)
+        else:
+            tid_array = np.asarray(tids, dtype=np.int64)
+        if ptrs is not None:
+            live = np.asarray(ptrs, dtype=np.uint64) != DELETED_PTR
+            exact = exact & live
+            rest = live ^ exact
+            n_live = int(np.count_nonzero(live))
+        else:
+            rest = ~exact
+            n_live = len(tids)
+        n_exact = int(np.count_nonzero(exact))
+        self.scanned += n_live
+        self.exact_shortcuts += n_exact
+        pool = self.pool
+        full = pool.is_full()
+        if full:
+            beats = _beats(estimates, tid_array, pool.worst())
+            rest &= beats
+            if n_exact:
+                exact = exact & beats
+        if n_exact:
+            slots = np.flatnonzero(exact)
+            if len(slots) > pool.k:
+                order = np.lexsort((tid_array[slots], estimates[slots]))
+                slots = slots[order[: pool.k]]
+            for tid, estimated in zip(
+                tid_array[slots].tolist(), estimates[slots].tolist()
+            ):
+                pool.insert(tid, estimated)
+            if not full and pool.is_full():
+                rest &= _beats(estimates, tid_array, pool.worst())
+        kept = int(np.count_nonzero(rest))
+        if kept:
+            self._survivors.append((estimates[rest], tid_array[rest]))
+        self._count(n_exact, n_live - n_exact - kept, kept)
+
+    def _add_list_block(self, tids, ptrs, estimates, exact) -> None:
+        """:meth:`add_block` over plain lists (no numpy)."""
+        slots = range(len(tids))
+        if ptrs is not None:
+            slots = [i for i in slots if ptrs[i] != DELETED_PTR]
+        exacts = [(estimates[i], tids[i]) for i in slots if exact[i]]
+        rest = [(estimates[i], tids[i]) for i in slots if not exact[i]]
+        self.scanned += len(slots)
+        self.exact_shortcuts += len(exacts)
+        pool = self.pool
+        worst = pool.worst() if pool.is_full() else None
+        kept = rest if worst is None else [item for item in rest if item < worst]
+        if exacts:
+            for estimated, tid in heapq.nsmallest(pool.k, exacts):
+                pool.insert(tid, estimated)
+            if worst is None and pool.is_full():
+                worst = pool.worst()
+                kept = [item for item in rest if item < worst]
+        if kept:
+            self._survivors.append(([e for e, _ in kept], [t for _, t in kept]))
+        self._count(len(exacts), len(rest) - len(kept), len(kept))
+
+    def _count(self, exact: int, pruned: int, candidates: int) -> None:
+        collector = self.collector
+        if collector is not None:
+            collector.on_exact(exact)
+            collector.on_pruned(pruned)
+            collector.on_candidate(candidates)
+
+    def best_first(self) -> Iterator[Tuple[int, float]]:
+        """Phase 2: ``(tid, estimated)`` per survivor still worth refining.
+
+        Survivors come in ``(estimate, tid)`` order until the first one
+        that fails the pool's re-check; it and every later one count as
+        late-pruned.  With numpy only the best :data:`RANK_CHUNK`
+        survivors are sorted at a time (a refine usually stops within
+        them), each chunk cut at an estimate so no tie straddles two.
+        """
+        chunks, self._survivors = self._survivors, []
+        if not chunks:
+            return
+        np = fastpath._np
+        if np is not None and isinstance(chunks[0][0], np.ndarray):
+            ranked = _ranked_arrays(
+                np.concatenate([e for e, _ in chunks]),
+                np.concatenate([t for _, t in chunks]),
+            )
+        else:
+            ranked = iter(sorted(pair for e, t in chunks for pair in zip(e, t)))
+        total = sum(len(e) for e, _ in chunks)
+        handed = 0
+        pool = self.pool
+        for estimated, tid in ranked:
+            if not pool.is_candidate(estimated, tid):
+                break
+            handed += 1
+            yield tid, estimated
+        if self.collector is not None:
+            self.collector.on_late_pruned(total - handed)
+
+
+#: Survivors :meth:`BlockCandidacy.best_first` sorts per step; doubles
+#: each time a refine runs past a chunk.
+RANK_CHUNK = 256
+
+
+def _ranked_arrays(estimates, tids) -> Iterator[Tuple[float, int]]:
+    """``(estimate, tid)`` pairs in ascending order, a chunk at a time.
+
+    *tids* ascend (phase 1 keeps scan order), so a stable sort on the
+    estimates alone is the ``(estimate, tid)`` order.
     """
-    if len(candidacies) == 1:
-        candidacy = candidacies[0]
-        estimates, exact = evaluated[0]
-        survivors = candidacy.survivors(tids, ptrs, estimates, exact)
-        for slot, estimated, is_exact in survivors:
-            tid = tids[slot]
-            if candidacy.admit(tid, estimated, is_exact):
-                yield tid, 0, estimated
-        return
-    merged: dict = {}
-    for qi, (candidacy, (estimates, exact)) in enumerate(zip(candidacies, evaluated)):
-        survivors = candidacy.survivors(tids, ptrs, estimates, exact)
-        for slot, estimated, is_exact in survivors:
-            merged.setdefault(slot, []).append((qi, estimated, is_exact))
-    for slot in sorted(merged):
-        tid = tids[slot]
-        for qi, estimated, is_exact in merged[slot]:
-            if candidacies[qi].admit(tid, estimated, is_exact):
-                yield tid, qi, estimated
+    np = fastpath._np
+    chunk = RANK_CHUNK
+    while len(estimates):
+        if len(estimates) > chunk:
+            cut = np.partition(estimates, chunk)[chunk]
+            head = estimates < cut
+            if not head.any():
+                head = estimates == cut
+        else:
+            head = None
+        part_e = estimates if head is None else estimates[head]
+        part_t = tids if head is None else tids[head]
+        order = np.argsort(part_e, kind="stable")
+        yield from zip(part_e[order].tolist(), part_t[order].tolist())
+        if head is None:
+            return
+        estimates, tids = estimates[~head], tids[~head]
+        chunk *= 2
+
+
+def _beats(estimates, tids, bound: Tuple[float, int]):
+    """Mask of the slots whose ``(estimate, tid)`` sorts before *bound*."""
+    distance, tid = bound
+    mask = estimates < distance
+    ties = estimates == distance
+    if ties.any():
+        mask |= ties & (tids < tid)
+    return mask

@@ -9,8 +9,8 @@ show that funnel summed over a whole run; this module reproduces it for
 *one* query, as a structured artifact:
 
 * the candidate funnel — tuples scanned → exact shortcuts → bound-pruned →
-  candidates → refined → results (plus the page-ordered refiner's
-  late-pruned count);
+  candidates → refined → results (plus v3's late-pruned count: survivors
+  its best-first refine never reached);
 * per-attribute scan statistics — vector-list entries probed and how many
   were ndf, with each attribute's list layout and codec;
 * lower-bound tightness — mean bound vs. mean true distance over the
@@ -27,9 +27,10 @@ load per tuple.  ``collector.build(report, ...)`` turns the counts into a
 
 Invariants (asserted in the test suite): ``tuples_scanned == exact +
 bound_pruned + candidates`` — every scanned live tuple takes exactly one
-decision — and ``candidates == refined + late_pruned`` (the refiner
-re-checks each buffered candidate against its pool before fetching; the
-scalar oracle refines inline, so its ``late_pruned`` is 0).  The funnel
+decision — and ``candidates == refined + late_pruned`` (v3's best-first
+phase stops at the first survivor that cannot beat its pool and
+late-prunes the rest; the scalar oracle refines inline, so its
+``late_pruned`` is 0).  The funnel
 totals equal the existing :class:`~repro.core.engine.SearchReport`
 counters exactly.
 """
@@ -97,8 +98,8 @@ class QueryProfile:
     exact_shortcuts: int = 0
     bound_pruned: int = 0
     candidates: int = 0
-    #: Candidates whose estimate no longer beat the pool by the time the
-    #: page-ordered refiner re-checked them.
+    #: v3 survivors left unrefined when the best-first phase stopped:
+    #: their estimates no longer beat the pool.
     late_pruned: int = 0
     refined: int = 0
     results: int = 0
@@ -391,11 +392,11 @@ class ProfileCollector:
         if self.block_pruned:
             self.block_pruned[-1] += count
 
-    def on_candidate(self) -> None:
-        self.candidates += 1
+    def on_candidate(self, count: int = 1) -> None:
+        self.candidates += count
 
-    def on_late_pruned(self) -> None:
-        self.late_pruned += 1
+    def on_late_pruned(self, count: int = 1) -> None:
+        self.late_pruned += count
 
     def on_refined(self, estimated: float, actual: float) -> None:
         self.refined += 1

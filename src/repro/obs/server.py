@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import collections
 import json
+import socket
 import threading
 import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
@@ -133,6 +134,17 @@ class ObsServer:
         server = self
 
         class _Handler(BaseHTTPRequestHandler):
+            def setup(self) -> None:
+                super().setup()
+                # Hold the response until the server closes the connection,
+                # after the handler has returned.  Otherwise the client has
+                # its answer, and sends its next request, while this thread
+                # still unwinds, so the request's server-side time overruns
+                # what the client saw.  The server speaks HTTP/1.0, one
+                # request per connection, so the close sends everything.
+                if hasattr(socket, "TCP_CORK"):
+                    self.connection.setsockopt(socket.IPPROTO_TCP, socket.TCP_CORK, 1)
+
             # Quiet by default; the CLI prints its own access summary.
             def log_message(self, fmt, *args):  # noqa: D102 - stdlib hook
                 pass

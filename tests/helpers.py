@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import List, Tuple
+from typing import List, Optional, Tuple
 
 import pytest
 
@@ -16,10 +16,19 @@ def brute_force_topk(
     query: Query,
     k: int,
     distance: DistanceFunction = None,
+    last_tid: Optional[int] = None,
 ) -> List[Tuple[int, float]]:
-    """Exact (tid, distance) top-k by scanning everything, ties by tid."""
+    """Exact (tid, distance) top-k by scanning everything, ties by tid.
+
+    With *last_tid*, only the live tuples up to that tid count: the
+    answer a scan cut after it must return.
+    """
     dist = distance or DistanceFunction()
-    scored = [(dist.actual(query, record), record.tid) for record in table.scan()]
+    scored = [
+        (dist.actual(query, record), record.tid)
+        for record in table.scan()
+        if last_tid is None or record.tid <= last_tid
+    ]
     scored.sort()
     return [(tid, d) for d, tid in scored[:k]]
 

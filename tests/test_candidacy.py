@@ -1,33 +1,40 @@
-"""Block-level candidacy: the prefilter never changes a decision.
+"""v3's two-phase search: block-wide phase 1, best-first phase 2.
 
-:class:`~repro.core.pool.BlockCandidacy` drops, in bulk, every tuple of a
-block that cannot beat the pool's worst member as it stands when the block
-starts.  These tests pin that the shortcut is
-invisible:
+:class:`~repro.core.pool.BlockCandidacy` puts each block's exact tuples
+in the pool and keeps, as ``(estimate, tid)`` arrays, every other live
+tuple that beats the pool's worst member; phase 2 hands the survivors
+over best-first until the first one that can no longer beat the pool.
+These tests pin that:
 
 * a **property test** runs random blocks — tied estimates, exact tuples,
-  tombstones, pre-filled pools — through
-  :func:`~repro.core.pool.block_candidates` and through the plain
-  per-tuple walk, and compares every candidate, pool and counter;
+  tombstones, pre-filled pools — through ``add_block``/``best_first`` on
+  arrays and on lists, against a tuple-by-tuple walk of the same two
+  phases (every refine, pool and counter) and against the interleaved
+  Algorithm 1 (same pools, never more refines);
 * **engine tests** run v3 single-query and batch against scalar on a
-  table with tombstones, and compare v3's funnel with and
-  without numpy (the numpy-absent path has no prefilter).
+  table with tombstones, compare v3's funnel with and without numpy, and
+  check that v3 refines exactly the rows its bounds cannot rule out.
 """
 
 from __future__ import annotations
 
 import random
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import IVAConfig, IVAEngine, IVAFile, SimulatedDisk, SparseWideTable
+from repro.codec import CODEC_NAMES
 from repro.core import fastpath
 from repro.core.iva_file import DELETED_PTR
-from repro.core.pool import BlockCandidacy, ResultPool, block_candidates
+from repro.core.kernel import BLOCK_TUPLES, QueryKernel
+from repro.core import pool as pool_module
+from repro.core.pool import BlockCandidacy, ResultPool
 from repro.data import DatasetConfig, DatasetGenerator, WorkloadGenerator
 from repro.maintenance import MaintainedSystem
+from repro.metrics.distance import DistanceFunction
 from repro.obs.profile import ProfileCollector
 
 ESTIMATES = st.sampled_from([0.0, 0.5, 1.0, 1.5, 2.0, 3.0])
@@ -38,68 +45,118 @@ def _actual(tid: int, estimated: float) -> float:
     return estimated + (tid % 3) * 0.5
 
 
-def _reference(k, prefill, rows, blocks, queries):
-    """The per-tuple walk: every live tuple, tid outer, query inner."""
+def _prefilled(k, prefill, queries):
     pools = [ResultPool(k) for _ in range(queries)]
-    counts = [[0, 0, 0] for _ in range(queries)]  # scanned, exact, pruned
-    candidates = []
     for pool in pools:
         for tid, distance in prefill:
             pool.insert(tid, distance)
-    for start, end in blocks:
-        for tid, deleted, per_query in rows[start:end]:
-            if deleted:
-                continue
-            for qi, (estimated, exact) in enumerate(per_query):
-                pool = pools[qi]
-                counts[qi][0] += 1
-                if exact:
-                    pool.insert(tid, estimated)
-                    counts[qi][1] += 1
-                    continue
-                if not pool.is_candidate(estimated, tid):
-                    counts[qi][2] += 1
-                    continue
-                candidates.append((tid, qi, estimated))
+    return pools
+
+
+def _interleaved(k, prefill, rows, queries):
+    """Algorithm 1: every live tuple in tid order, refined as it is admitted."""
+    pools = _prefilled(k, prefill, queries)
+    accesses = [0] * queries
+    for tid, deleted, per_query in rows:
+        if deleted:
+            continue
+        for qi, (estimated, exact) in enumerate(per_query):
+            pool = pools[qi]
+            if exact:
+                pool.insert(tid, estimated)
+            elif pool.is_candidate(estimated, tid):
                 pool.insert(tid, _actual(tid, estimated))
-    return pools, counts, candidates
+                accesses[qi] += 1
+    return pools, accesses
 
 
-def _blockwise(k, prefill, rows, blocks, queries, arrays):
-    pools = [ResultPool(k) for _ in range(queries)]
+def _reference(k, prefill, rows, blocks, queries):
+    """The two phases, one tuple at a time.
+
+    Phase 1, per block: when the pool is full as the block starts, every
+    live tuple is tested against its worst member then; otherwise the
+    block's exact tuples enter first and the rest is tested against the
+    pool they leave.  Phase 2 refines the survivors in ``(estimate, tid)``
+    order until one cannot beat the pool.
+    """
+    pools = _prefilled(k, prefill, queries)
+    # scanned, exact, pruned, candidates, late-pruned
+    counts = [[0, 0, 0, 0, 0] for _ in range(queries)]
+    refined = []
+    for qi in range(queries):
+        pool, count = pools[qi], counts[qi]
+        survivors = []
+        for start, end in blocks:
+            live = [row for row in rows[start:end] if not row[1]]
+            worst = pool.worst() if pool.is_full() else None
+            for tid, _, per_query in live:
+                estimated, exact = per_query[qi]
+                count[0] += 1
+                if exact:
+                    count[1] += 1
+                    if worst is None or (estimated, tid) < worst:
+                        pool.insert(tid, estimated)
+            if worst is None and pool.is_full():
+                worst = pool.worst()
+            for tid, _, per_query in live:
+                estimated, exact = per_query[qi]
+                if exact:
+                    continue
+                if worst is None or (estimated, tid) < worst:
+                    count[3] += 1
+                    survivors.append((estimated, tid))
+                else:
+                    count[2] += 1
+        survivors.sort()
+        for i, (estimated, tid) in enumerate(survivors):
+            if not pool.is_candidate(estimated, tid):
+                count[4] += len(survivors) - i
+                break
+            refined.append((tid, qi, estimated))
+            pool.insert(tid, _actual(tid, estimated))
+    return pools, counts, refined
+
+
+def _two_phase(k, prefill, rows, blocks, queries, arrays):
+    pools = _prefilled(k, prefill, queries)
     collectors = [ProfileCollector([], []) for _ in range(queries)]
     candidacies = [
         BlockCandidacy(pool, collector=collector)
         for pool, collector in zip(pools, collectors)
     ]
-    for pool in pools:
-        for tid, distance in prefill:
-            pool.insert(tid, distance)
     np = fastpath._np
-    candidates = []
     for start, end in blocks:
         block = rows[start:end]
         tids = tuple(row[0] for row in block)
         ptrs = tuple(DELETED_PTR if row[1] else 7 for row in block)
-        evaluated = []
-        for qi in range(queries):
+        if DELETED_PTR not in ptrs:
+            ptrs = None
+        for qi, candidacy in enumerate(candidacies):
             estimates = [row[2][qi][0] for row in block]
             exact = [row[2][qi][1] for row in block]
             if arrays:
                 estimates = np.asarray(estimates, dtype=np.float64)
                 exact = np.asarray(exact, dtype=bool)
-            evaluated.append((estimates, exact))
-        for tid, qi, estimated in block_candidates(candidacies, tids, ptrs, evaluated):
-            candidates.append((tid, qi, estimated))
+            candidacy.add_block(tids, ptrs, estimates, exact)
+    refined = []
+    for qi, candidacy in enumerate(candidacies):
+        for tid, estimated in candidacy.best_first():
+            refined.append((tid, qi, estimated))
             pools[qi].insert(tid, _actual(tid, estimated))
     counts = []
-    for qi, (c, collector) in enumerate(zip(candidacies, collectors)):
-        # The collector saw every exact shortcut, bulk-dropped ones included.
+    for c, collector in zip(candidacies, collectors):
         assert collector.exact == c.exact_shortcuts
-        chosen = sum(1 for cand in candidates if cand[1] == qi)
-        assert c.scanned == collector.exact + collector.pruned + chosen
-        counts.append([c.scanned, c.exact_shortcuts, collector.pruned])
-    return pools, counts, candidates
+        assert c.scanned == collector.scanned
+        counts.append(
+            [
+                c.scanned,
+                c.exact_shortcuts,
+                collector.pruned,
+                collector.candidates,
+                collector.late_pruned,
+            ]
+        )
+    return pools, counts, refined
 
 
 @st.composite
@@ -133,11 +190,38 @@ class TestBlockCandidates:
             arrays = False
         queries, rows, blocks, prefill = case
         args = (k, prefill, rows, blocks, queries)
-        ref_pools, ref_counts, ref_candidates = _reference(*args)
-        pools, counts, candidates = _blockwise(*args, arrays)
-        assert candidates == ref_candidates
+        ref_pools, ref_counts, ref_refined = _reference(*args)
+        pools, counts, refined = _two_phase(*args, arrays)
+        assert refined == ref_refined
         assert counts == ref_counts
         assert [p.results() for p in pools] == [p.results() for p in ref_pools]
+        for scanned, exact, pruned, candidates, late in counts:
+            assert scanned == exact + pruned + candidates
+        # Against Algorithm 1: the same answers from no more refines.
+        alg1_pools, alg1_accesses = _interleaved(k, prefill, rows, queries)
+        assert [p.results() for p in pools] == [p.results() for p in alg1_pools]
+        for qi in range(queries):
+            assert sum(1 for r in refined if r[1] == qi) <= alg1_accesses[qi]
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        estimates=st.lists(ESTIMATES, min_size=1, max_size=300),
+        chunk=st.integers(1, 8),
+    )
+    def test_best_first_keeps_the_total_order(self, estimates, chunk):
+        """Phase 2 hands survivors over by ``(estimate, tid)``; with numpy
+        it sorts a chunk at a time, and no tie straddles two chunks."""
+        tids = tuple(range(0, 3 * len(estimates), 3))
+        exact = [False] * len(estimates)
+        np = fastpath._np
+        if np is not None:
+            estimates = np.asarray(estimates, dtype=np.float64)
+            exact = np.asarray(exact)
+        candidacy = BlockCandidacy(ResultPool(len(tids)))
+        candidacy.add_block(tids, None, estimates, exact)
+        with mock.patch.object(pool_module, "RANK_CHUNK", chunk):
+            ranked = [(e, t) for t, e in candidacy.best_first()]
+        assert ranked == sorted(zip(list(estimates), tids))
 
     def test_tombstone_ptr_compares_as_uint64(self):
         """``DELETED_PTR`` is 2**64 - 1; an int64 cast would overflow."""
@@ -147,12 +231,11 @@ class TestBlockCandidates:
         candidacy = BlockCandidacy(pool)
         tids = (1, 2, 3)
         ptrs = (5, DELETED_PTR, DELETED_PTR - 1)
-        survivors = list(
-            candidacy.survivors(
-                tids, ptrs, np.array([0.1, 0.1, 0.1]), np.zeros(3, dtype=bool)
-            )
+        candidacy.add_block(
+            tids, ptrs, np.array([0.1, 0.1, 0.1]), np.zeros(3, dtype=bool)
         )
-        assert [slot for slot, _, _ in survivors] == [0, 2]
+        assert candidacy.scanned == 2
+        assert [tid for tid, _ in candidacy.best_first()] == [1, 3]
 
 
 @pytest.fixture(scope="module")
@@ -210,7 +293,23 @@ def _funnel(report):
         p.bound_pruned,
         p.candidates,
         p.refined,
+        p.late_pruned,
     )
+
+
+def _v3_estimates(table, index, query, dist):
+    """``(estimate, tid)`` of every non-exact live tuple under v3's bounds."""
+    kernel = QueryKernel.compile(index, query, dist)
+    scan = index.open_scan(query.attribute_ids())
+    out = []
+    for tids, ptrs in scan.blocks(BLOCK_TUPLES):
+        estimates, exact = kernel.evaluate_segments(
+            scan.segment_blocks(tids), len(tids)
+        )
+        for tid, ptr, estimated, is_exact in zip(tids, ptrs, estimates, exact):
+            if ptr != DELETED_PTR and not is_exact:
+                out.append((float(estimated), tid))
+    return out
 
 
 class TestEnginesOnTombstones:
@@ -234,8 +333,8 @@ class TestEnginesOnTombstones:
     @pytest.mark.parametrize("k", [5, 300])
     @pytest.mark.parametrize("path", ["sequential", "batch"])
     def test_prefilter_keeps_every_decision(self, churned, path, k, monkeypatch):
-        """Without numpy v3 decides tuple by tuple; with it, whole blocks
-        are prefiltered.  Every funnel count must agree."""
+        """Without numpy v3 decides over lists; with it, over arrays.
+        Every funnel count must agree."""
         if fastpath._np is None:
             pytest.skip("the prefilter needs numpy")
         table, index, queries = churned
@@ -244,3 +343,48 @@ class TestEnginesOnTombstones:
         per_tuple = _run(path, table, index, queries, k)
         assert [_funnel(r) for r in blockwise] == [_funnel(r) for r in per_tuple]
         assert sum(r.profile.bound_pruned for r in blockwise) > 0
+
+
+class TestOptimalAccesses:
+    @pytest.fixture(scope="class")
+    def indexes(self, churned):
+        table, _, _ = churned
+        return {
+            codec: IVAFile.build(table, IVAConfig(name=f"opt_{codec}", codec=codec))
+            for codec in CODEC_NAMES
+        }
+
+    @pytest.mark.parametrize("k", [5, 300, 1000])
+    @pytest.mark.parametrize("codec", CODEC_NAMES)
+    def test_refines_exactly_what_the_bounds_cannot_rule_out(
+        self, churned, indexes, codec, k
+    ):
+        """v3 refines every non-exact live tuple whose ``(estimate, tid)``
+        sorts at or before the final k-th ``(distance, tid)``, and no other.
+
+        No exact algorithm over the same bounds can refine fewer: each of
+        those tuples could still be in the top-k.  ("At": a final member
+        whose bound equals its distance.)  k = 1000 exceeds the live
+        tuples, so the pool never fills and every non-exact tuple is
+        refined.  The scalar oracle refines at least as many, and the
+        answers are bit-identical.
+        """
+        table, _, queries = churned
+        index = indexes[codec]
+        dist = DistanceFunction()
+        v3 = IVAEngine(table, index, dist)
+        scalar = IVAEngine(table, index, dist, kernel="scalar")
+        for query in queries:
+            got = v3.search(query, k=k)
+            oracle = scalar.search(query, k=k)
+            assert [(r.tid, r.distance) for r in got.results] == [
+                (r.tid, r.distance) for r in oracle.results
+            ]
+            bounds = _v3_estimates(table, index, query, dist)
+            if len(got.results) == k:
+                kth = (got.results[-1].distance, got.results[-1].tid)
+                expected = sum(1 for pair in bounds if pair <= kth)
+            else:
+                expected = len(bounds)
+            assert got.table_accesses == expected
+            assert got.table_accesses <= oracle.table_accesses

@@ -4,8 +4,8 @@ The contract under test (``deadline_s`` on every engine):
 
 * ``fail_mode="degrade"`` — an expired budget returns the partial answer
   explicitly flagged ``degraded=True``/``deadline_hit=True`` with the
-  unscanned tid ranges reported, and every returned result's distance is
-  the tuple's *true* distance (a cut answer may be incomplete, never
+  unscanned tid ranges reported; the answer is the exact top-k over the
+  live tuples the scan got through (a cut answer may be incomplete, never
   wrong);
 * ``fail_mode="raise"`` — the same expiry raises
   :class:`~repro.errors.DeadlineExceeded`;
@@ -17,9 +17,12 @@ The contract under test (``deadline_s`` on every engine):
 
 from __future__ import annotations
 
+import itertools
+
 import pytest
 
-from tests.helpers import assert_topk_matches_bruteforce
+from tests.helpers import assert_topk_matches_bruteforce, brute_force_topk
+from repro.core import engine as engine_module
 from repro.core.engine import IVAEngine
 from repro.core.iva_file import IVAFile
 from repro.data.workload import WorkloadGenerator
@@ -93,6 +96,55 @@ def test_batch_expired_deadline_flags_every_report(indexed, queries):
         assert report.degraded is True
         assert report.deadline_hit is True
         assert report.lost_tid_ranges
+
+
+def _cut_after(monkeypatch, checks: int) -> None:
+    """Expire the deadline at the *checks*-th check (one per v3 block, one
+    per tuple on the scalar walk), as a budget running out mid-scan."""
+    calls = itertools.count(1)
+
+    def check(deadline, last_tid):
+        if next(calls) >= checks:
+            raise DeadlineExceeded(f"deadline expired after tid {last_tid}")
+
+    monkeypatch.setattr(engine_module, "check_deadline", check)
+
+
+@pytest.mark.parametrize("kernel, checks", [("scalar", 120), ("v3", 2)])
+def test_cut_mid_scan_is_the_exact_topk_of_the_scanned_prefix(
+    indexed, queries, monkeypatch, kernel, checks
+):
+    """A budget that runs out mid-scan still refines what the scan found
+    (best-first under v3): the degraded answer is the exact top-k over the
+    live tuples up to the last scanned tid."""
+    table, index = indexed
+    engine = IVAEngine(table, index, kernel=kernel, fail_mode="degrade")
+    for query in queries:
+        _cut_after(monkeypatch, checks)
+        report = engine.search(query, k=5)
+        assert report.degraded and report.deadline_hit
+        [(first_lost, end)] = report.lost_tid_ranges
+        assert end == -1 and first_lost > 0
+        expected = brute_force_topk(
+            table, query, 5, engine.distance, last_tid=first_lost - 1
+        )
+        assert expected
+        assert [(r.tid, r.distance) for r in report.results] == expected
+
+
+def test_batch_cut_mid_scan_is_the_exact_topk_of_the_scanned_prefix(
+    indexed, queries, monkeypatch
+):
+    table, index = indexed
+    engine = IVAEngine(table, index, fail_mode="degrade")
+    _cut_after(monkeypatch, 2)
+    reports = engine.search_batch(queries, k=5)
+    for query, report in zip(queries, reports):
+        [(first_lost, _)] = report.lost_tid_ranges
+        expected = brute_force_topk(
+            table, query, 5, engine.distance, last_tid=first_lost - 1
+        )
+        assert [(r.tid, r.distance) for r in report.results] == expected
 
 
 # --------------------------------------------------------------- raise mode

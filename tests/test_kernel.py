@@ -1,13 +1,15 @@
-"""The filter kernel: compiled bounds must be bit-identical to scalar.
+"""The filter kernel: compiled bounds against the scalar oracle's.
 
 Two layers of checks:
 
-* **property tests** (hypothesis) pin ``CompiledTextTerm`` /
-  ``CompiledNumericTerm`` bound columns to the scalar routines they were
-  compiled from — on randomized signatures and slice codes, ndf payloads,
-  clamped out-of-domain values, and the open-ended boundary slices of
-  Prop. 3.3.  Equality is ``==``, not approx: the kernel's contract is
-  bit identity, not tolerance;
+* **property tests** (hypothesis) pin ``CompiledNumericTerm`` bound
+  columns to the scalar routine they were compiled from — on randomized
+  slice codes, ndf payloads, clamped out-of-domain values, and the
+  open-ended boundary slices of Prop. 3.3 — and ``CompiledTextTerm``
+  between the oracle's Eq. 3 and the exact edit distance: its tables add
+  the length filter, including the saturated stored length 255.
+  Equality is ``==``, not approx: the kernel's contract is bit identity
+  with the formula, not tolerance;
 * **engine tests** assert full top-k answer identity between the
   scalar oracle (``IVAEngine(kernel="scalar")``) and every path v3 runs —
   a single search and a batch (``search_batch``) — both with numpy and
@@ -44,8 +46,10 @@ from repro.core.segment import NumericSegment, TextSegment
 from repro.core.signature import Signature, QueryStringEncoder, SignatureScheme
 from repro.core.vector_lists import ListType
 from repro.data.workload import WorkloadGenerator
-from repro.errors import QueryError
+from repro.errors import EncodingError, QueryError
 from repro.metrics.distance import DistanceFunction
+from repro.metrics.edit_distance import compile_pattern
+from repro.model.values import MAX_ENCODED_STRING_LENGTH
 
 TEXT = st.text(alphabet=string.ascii_lowercase + " #$", min_size=1, max_size=24)
 NDF_PENALTY = 1.0
@@ -60,47 +64,83 @@ def _text_bounds(query_string, n, scheme, payloads):
     return term, out, exact
 
 
+def _length_bound(query_length: int, stored_length: int) -> float:
+    """The length filter as the signature sees it (255 means 255 or more)."""
+    if stored_length < MAX_ENCODED_STRING_LENGTH:
+        return float(abs(stored_length - query_length))
+    return float(max(0, stored_length - query_length))
+
+
+#: Strings long enough to saturate the signature's stored length at 255.
+LONG_TEXT = st.builds(lambda s, r: s * r, TEXT, st.integers(11, 40))
+
+
 class TestCompiledTextTerm:
+    @settings(max_examples=150, deadline=None)
     @given(
-        sq=TEXT,
-        data=st.lists(TEXT, min_size=1, max_size=6),
+        sq=st.one_of(TEXT, st.text(alphabet="ab", min_size=1, max_size=1), LONG_TEXT),
+        data=st.lists(st.one_of(TEXT, LONG_TEXT), min_size=1, max_size=4),
         n=st.integers(2, 3),
         alpha=st.sampled_from([0.1, 0.2, 0.5]),
     )
-    def test_bounds_match_scalar_on_encoded_strings(self, sq, data, n, alpha):
-        """Kernel bound == min over the scalar per-signature lower bounds."""
+    def test_bound_between_eq3_and_edit_distance(self, sq, data, n, alpha):
+        """Eq. 3 (the scalar oracle's bound) <= v3 bound <= exact distance.
+
+        Multi-string cells take the min over their strings on every side;
+        long strings store the saturated length 255.
+        """
         scheme = SignatureScheme(alpha=alpha, n=n)
         encoder = QueryStringEncoder(sq, n)
         signatures = [scheme.encode(s) for s in data]
-        expected = min(encoder.lower_bound(sig) for sig in signatures)
+        eq3 = min(encoder.lower_bound(sig) for sig in signatures)
+        exact = min(compile_pattern(sq).distance(s) for s in data)
         payload = [(sig.length, sig.bits) for sig in signatures]
-        _, out, exact = _text_bounds(sq, n, scheme, [payload])
-        assert out[0] == expected
-        assert exact == [False]
+        _, out, flags = _text_bounds(sq, n, scheme, [payload])
+        assert eq3 <= out[0] <= exact
+        assert flags == [False]
 
     @given(
-        sq=TEXT,
-        stored_length=st.integers(1, 30),
+        sq=st.one_of(TEXT, LONG_TEXT),
+        stored_length=st.one_of(st.integers(1, 30), st.just(MAX_ENCODED_STRING_LENGTH)),
         raw_bits=st.lists(st.integers(min_value=0), min_size=1, max_size=5),
         n=st.integers(2, 3),
     )
-    def test_bounds_match_scalar_on_random_signatures(
+    def test_bound_is_eq3_or_length_filter_on_random_signatures(
         self, sq, stored_length, raw_bits, n
     ):
-        """Arbitrary bit patterns, not just encodable ones, agree too."""
+        """Arbitrary bit patterns, not just encodable ones: each signature's
+        bound is the larger of Eq. 3 and the length filter, on the scalar
+        mask loop and on the array path alike."""
         scheme = SignatureScheme(alpha=0.2, n=n)
         l_bits, t = scheme.parameters_for(stored_length)
         bits = [b % (1 << l_bits) for b in raw_bits]
         encoder = QueryStringEncoder(sq, n)
+        length = _length_bound(len(sq), stored_length)
         expected = min(
-            encoder.lower_bound(
-                Signature(length=stored_length, l_bits=l_bits, t=t, bits=b)
+            max(
+                encoder.lower_bound(
+                    Signature(length=stored_length, l_bits=l_bits, t=t, bits=b)
+                ),
+                length,
             )
             for b in bits
         )
         payload = [(stored_length, b) for b in bits]
-        _, out, _ = _text_bounds(sq, n, scheme, [payload])
+        term, out, _ = _text_bounds(sq, n, scheme, [payload])
         assert out[0] == expected
+        if fastpath._np is not None:
+            segment = TextSegment.from_pairs(
+                1, [0] * len(bits), [stored_length] * len(bits), bits, 1, scheme
+            )
+            bounds, _ = term.bound_segment(segment, scheme, 1, NDF_PENALTY)
+            assert bounds.tolist() == [expected]
+
+    def test_empty_query_string_is_refused(self):
+        """No signature encodes an empty string, on either side."""
+        with pytest.raises(EncodingError):
+            CompiledTextTerm("", 2)
+        with pytest.raises(EncodingError):
+            QueryStringEncoder("", 2)
 
     def test_ndf_payload_gets_penalty_and_stays_exact(self):
         scheme = SignatureScheme(alpha=0.2, n=2)

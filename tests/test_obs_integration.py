@@ -72,6 +72,28 @@ class TestSearchTelemetry:
         assert h.sum == pytest.approx(sum(r.query_time_ms for r in reports))
         assert h.p50 is not None and h.p99 is not None
 
+    def test_batch_observes_one_time_sample(self, setup, small_dataset):
+        """A batch lands one non-zero sample per time histogram (its shared
+        time, carried by report 0) and per-query counters."""
+        registry, _, engine = setup
+        workload = WorkloadGenerator(small_dataset, seed=45)
+        queries = [workload.sample_query(2) for _ in range(4)]
+        reports = engine.search_batch(queries, k=5)
+        labels = {"engine": "iVA"}
+        assert registry.counter("repro_queries_total", labels=labels).value == 4
+        assert registry.counter(
+            "repro_table_accesses_total", labels=labels
+        ).value == sum(r.table_accesses for r in reports)
+        for name, phase in (
+            ("repro_query_time_ms", "query_time_ms"),
+            ("repro_filter_time_ms", "filter_time_ms"),
+            ("repro_refine_time_ms", "refine_time_ms"),
+        ):
+            h = registry.histogram(name, labels=labels)
+            assert h.count == 1, name
+            assert h.min > 0.0, name
+            assert h.sum == getattr(reports[0], phase)
+
     def test_spans_reconcile_with_report(self, setup, query):
         registry, tracer, engine = setup
         report = engine.search(query, k=5)

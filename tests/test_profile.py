@@ -45,7 +45,8 @@ def assert_funnel_matches_report(profile: QueryProfile, report) -> None:
     assert profile.tuples_scanned == (
         profile.exact_shortcuts + profile.bound_pruned + profile.candidates
     )
-    # Every candidate's fate is accounted for.
+    # Every candidate's fate is accounted for: v3 survivors left when
+    # phase 2 stops are late-pruned.
     assert profile.candidates == profile.refined + profile.late_pruned
 
 
@@ -57,9 +58,9 @@ class TestSequential:
             for query in queries:
                 report = engine.search(query, k=10)
                 assert_funnel_matches_report(report.profile, report)
-                # v3 re-checks buffered candidates at flush, so it may
-                # late-prune; the scalar oracle refines inline and never
-                # does.
+                # v3's best-first phase stops at the first survivor that
+                # cannot beat the pool and late-prunes the rest; the
+                # scalar oracle refines inline and never late-prunes.
                 if kernel == "scalar":
                     assert report.profile.late_pruned == 0
 
@@ -146,8 +147,8 @@ class TestKernels:
             a = scalar.search(query, k=10).profile
             b = v3.search(query, k=10).profile
             assert a.tuples_scanned == b.tuples_scanned
-            # ``refined`` is not compared: v3 refines in page-ordered
-            # batches, so its pool tightens at different points.
+            # ``refined`` is not compared: v3 refines best-first over
+            # tighter text bounds, so it refines fewer rows.
             # Per-attribute entry counts agree between the kernels (the
             # scalar path probes payloads before the tombstone check for
             # exactly this parity).

@@ -2,7 +2,7 @@
 
 The raw text scanners parse ahead through whatever their byte run has
 buffered, but they must fetch exactly where the field-by-field walk
-would: at the same field, for the same size, interleaved with the refine
+would: at the same field, for the same size, followed by the refine
 step's table reads in the same order.  Anything else moves pages, seeks
 and the modeled filter time — the paper's cost figures — without
 changing a single answer.
@@ -11,9 +11,10 @@ The expected figures below were recorded from the field-by-field walk on
 this fixed table.  Its lists are large enough that several buffered-reader
 chunks and byte-run refills land mid-scan (Dense ≈ 190 KB, Multi ≈ 63 KB,
 Sparse ≈ 37 KB), the raw codec stores them as Types III, II and I, and the
-page cache is smaller than the data, so warm runs still read.  The refine
-step flushes between blocks, so a fetch that moves to another block moves
-the seeks between the vector lists and the table file.
+page cache is smaller than the data, so warm runs still read.  v3 refines
+after the scan, best-first, so its table reads follow the filter's reads
+instead of interleaving with them; they come in bound order, not page
+order, so fewer rows can still cost more seeks than a page-sorted sweep.
 """
 
 from __future__ import annotations
@@ -46,32 +47,32 @@ QUERIES = [
 #: (filter_io_ms, refine_io_ms, pages_read, seeks, table_accesses).
 EXPECTED = {
     "raw": [
-        (35.90625000000114, 49.13020833334065, 446, 7, 4000),
-        (43.90624999999784, 49.130208333318706, 446, 8, 4000),
-        (33.62760416666572, 32.86979166666731, 66, 5, 69),
-        (33.62760416666572, 32.86979166666731, 66, 5, 69),
+        (19.906250000001137, 144.7526041666655, 487, 7, 573),
+        (27.906249999997726, 144.75260416666413, 487, 8, 573),
+        (33.62760416666572, 68.14062499999977, 35, 7, 10),
+        (0.0, 0.0, 0, 0, 10),
         (25.888020833332234, 0.0, 29, 3, 0),
         (0.0, 0.0, 0, 0, 0),
-        (52.036458333330984, 48.86979166666879, 262, 9, 574),
-        (52.036458333330984, 48.86979166666879, 262, 9, 574),
-        (52.36197916666583, 49.13020833334042, 453, 9, 4000),
-        (52.361979166671745, 49.13020833336259, 453, 9, 4000),
-        (61.59895833333985, 49.13020833336259, 472, 10, 3189),
-        (61.59895833333985, 49.13020833336259, 472, 10, 3189),
+        (44.036458333330984, 295.3072916666679, 103, 39, 42),
+        (44.03645833333803, 295.307291666669, 103, 39, 42),
+        (44.361979166671745, 624.8541666666672, 502, 32, 448),
+        (44.36197916665651, 624.8541666666556, 502, 32, 448),
+        (45.5989583333203, 57.276041666664696, 161, 7, 73),
+        (45.5989583333203, 57.276041666664696, 161, 7, 73),
     ],
     "compressed": [
-        (35.97135416666782, 49.13020833334065, 447, 7, 4000),
-        (43.97135416666441, 49.130208333318706, 447, 8, 4000),
-        (33.56249999999909, 32.86979166666731, 65, 5, 69),
-        (33.56249999999909, 32.86979166666731, 65, 5, 69),
+        (27.971354166667822, 144.75260416666566, 488, 8, 573),
+        (35.971354166664355, 144.75260416666413, 488, 9, 573),
+        (33.56249999999909, 68.14062499999977, 34, 7, 10),
+        (0.0, 0.0, 0, 0, 10),
         (25.888020833332234, 0.0, 29, 3, 0),
         (0.0, 0.0, 0, 0, 0),
-        (52.10156249999761, 48.86979166666879, 263, 9, 574),
-        (52.10156249999761, 48.86979166666879, 263, 9, 574),
-        (52.427083333332575, 49.13020833334065, 454, 9, 4000),
-        (52.42708333333849, 49.13020833336259, 454, 9, 4000),
-        (61.59895833333985, 49.13020833336259, 472, 10, 3189),
-        (61.59895833333985, 49.13020833336259, 472, 10, 3189),
+        (44.10156249999761, 295.3072916666681, 104, 39, 42),
+        (44.101562500004775, 295.307291666669, 104, 39, 42),
+        (44.42708333333849, 624.8541666666674, 503, 32, 448),
+        (44.427083333323026, 624.8541666666556, 503, 32, 448),
+        (53.5989583333203, 57.276041666664696, 161, 8, 73),
+        (53.5989583333203, 57.276041666664696, 161, 8, 73),
     ],
 }
 

@@ -1,4 +1,4 @@
-"""The one refine step: page order, re-checks, row sharing, and metering.
+"""The one refine step: bound order, the phase-2 stop, row sharing, metering.
 
 :class:`~repro.core.refine.Refiner` serves every iVA read path, so its
 contract is tested here directly; answer identity across the paths is
@@ -12,7 +12,8 @@ import threading
 import pytest
 
 from repro import IVAConfig, IVAEngine, IVAFile, SimulatedDisk, SparseWideTable
-from repro.core.pool import ResultPool
+from repro.core import fastpath
+from repro.core.pool import BlockCandidacy, ResultPool
 from repro.core.refine import Refiner
 from repro.data import DatasetConfig, DatasetGenerator
 from repro.data.workload import WorkloadGenerator
@@ -46,42 +47,54 @@ def _recording(table, monkeypatch):
 
 
 class TestRefiner:
-    def test_flush_reads_in_file_order(self, world, monkeypatch):
+    def test_best_first_reads_in_bound_order(self, world, monkeypatch):
+        """Phase 2 reads survivors by ``(estimate, tid)``, not by tid or page."""
         table, _, queries = world
         reads = _recording(table, monkeypatch)
         pool = ResultPool(400)
-        refiner = Refiner(table, queries[:1], DistanceFunction(), [pool], batch=8)
-        tids = [311, 7, 190, 42, 5, 260, 99, 150]
-        for tid in tids:
-            refiner.add(0, tid, 0.0)
-        # The eighth add filled the buffer and flushed it.
-        assert reads == sorted(tids, key=lambda tid: table.locate(tid)[0])
+        candidacy = BlockCandidacy(pool)
+        refiner = Refiner(table, queries[:1], DistanceFunction(), [pool])
+        tids = (5, 6, 7, 8, 9, 10, 11, 12)
+        estimates = [3.0, 1.0, 2.0, 1.0, 0.5, 4.0, 2.0, 0.0]
+        exact = [False] * len(tids)
+        np = fastpath._np
+        if np is not None:  # the kernel's arrays; lists without numpy
+            estimates, exact = np.asarray(estimates), np.asarray(exact)
+        candidacy.add_block(tids, None, estimates, exact)
+        for tid, estimated in candidacy.best_first():
+            refiner.refine(0, tid, estimated)
+        assert reads == [12, 9, 6, 8, 7, 11, 5, 10]
         assert refiner.table_accesses == [len(tids)]
-        assert pool.size() == len(tids)
 
     def test_batch_of_one_refines_inline(self, world, monkeypatch):
+        """Every candidate is refined when handed over: a batch of one."""
         table, _, queries = world
         reads = _recording(table, monkeypatch)
-        refiner = Refiner(
-            table, queries[:1], DistanceFunction(), [ResultPool(10)], batch=1
-        )
+        pool = ResultPool(10)
+        refiner = Refiner(table, queries[:1], DistanceFunction(), [pool])
         for tid in (30, 3, 20):
-            refiner.add(0, tid, 0.0)
+            refiner.refine(0, tid, 0.0)
             assert reads[-1] == tid
+            assert tid in [entry.tid for entry in pool.results()]
 
     def test_recheck_late_prunes(self, world):
+        """Phase 2 stops at the first survivor that cannot beat the pool;
+        it and every later survivor count as late-pruned."""
         table, _, queries = world
         pool = ResultPool(1)
-        pool.insert(0, 1.0)
         collector = ProfileCollector.for_query(queries[0])
+        candidacy = BlockCandidacy(pool, collector=collector)
         refiner = Refiner(
             table, queries[:1], DistanceFunction(), [pool], collectors=[collector]
         )
-        refiner.add(0, 10, 2.0)  # the estimate cannot beat the pool any more
-        refiner.flush()
-        assert refiner.table_accesses == [0]
-        assert collector.late_pruned == 1
-        assert collector.refined == 0
+        candidacy.add_block((10, 11, 12), None, [0.0, 5.0, 6.0], [False] * 3)
+        pool.insert(0, 1.0)  # tightens below the last two estimates
+        for tid, estimated in candidacy.best_first():
+            refiner.refine(0, tid, estimated)
+        assert refiner.table_accesses == [1]
+        assert collector.candidates == 3
+        assert collector.refined == 1
+        assert collector.late_pruned == 2
 
     def test_rows_shared_across_queries(self, world, monkeypatch):
         table, _, queries = world
@@ -90,8 +103,7 @@ class TestRefiner:
         pools = [ResultPool(5), ResultPool(5)]
         refiner = Refiner(table, queries[:2], dist, pools)
         for qi in (0, 1):
-            refiner.add(qi, 12, 0.0)
-        refiner.flush()
+            refiner.refine(qi, 12, 0.0)
         assert reads == [12]
         assert refiner.table_accesses == [1, 1]
         full = table.read(12)

@@ -12,7 +12,6 @@ import random
 
 import pytest
 
-from repro.core.columnar import InMemoryIVAEngine
 from repro.core.engine import IVAEngine
 from repro.core.iva_file import IVAFile
 from repro.maintenance import MaintainedSystem
@@ -99,11 +98,9 @@ def _runs(table, index, queries, metric):
 
     sequential = IVAEngine(table, index, dist, kernel="v3")
     batch = IVAEngine(table, index, dist)
-    memory = InMemoryIVAEngine(table, index, dist)
     runs = {
         "sequential": collect([sequential.search(q, k=K) for q in queries]),
         "batch": collect(batch.search_batch(queries, k=K)),
-        "in-memory": collect([memory.search(q, k=K) for q in queries]),
     }
     return runs
 

@@ -10,7 +10,6 @@ from repro import (
 )
 from repro.baselines.dst import DirectScanEngine
 from repro.baselines.sii import SIIEngine, SparseInvertedIndex
-from repro.core.columnar import InMemoryIVAEngine
 from repro.core.sequential import SequentialPlanEngine
 from repro.data import WorkloadGenerator
 
@@ -24,7 +23,6 @@ def setup(small_dataset):
         SIIEngine(small_dataset, sii),
         DirectScanEngine(small_dataset),
         SequentialPlanEngine(small_dataset, iva),
-        InMemoryIVAEngine(small_dataset, iva),
     ]
     workload = WorkloadGenerator(small_dataset, seed=90)
     queries = [workload.sample_query(arity) for arity in (1, 2, 3)]

@@ -12,6 +12,7 @@ import itertools
 
 import pytest
 
+from tests.helpers import brute_force_topk
 from repro import IVAConfig, IVAEngine, IVAFile, SparseWideTable
 from repro.core.kernel import QueryKernel
 from repro.data.generator import DatasetConfig, DatasetGenerator
@@ -565,6 +566,11 @@ class TestDegradedExecution:
         [(lo, hi)] = report.lost_tid_ranges
         assert lo > 0 and hi == -1  # the unscanned tail, through the end
         assert report.results  # a partial answer, not an empty one
+        # The survivors of the scanned blocks were still refined,
+        # best-first: the exact top-k over the scanned prefix.
+        assert [(r.tid, r.distance) for r in report.results] == brute_force_topk(
+            table, query, 10, engine.distance, last_tid=lo - 1
+        )
         profile = report.profile
         assert profile.tuples_scanned == report.tuples_scanned
         assert profile.tuples_scanned == (
@@ -612,7 +618,10 @@ class TestDegradedExecution:
         monkeypatch.setattr(type(engine), "_filter", flaky)
         report = engine.search(query, k=10)
         assert report.degraded is True
-        assert report.lost_tid_ranges  # the unscanned remainder
+        [(lo, _)] = report.lost_tid_ranges  # the unscanned remainder
+        assert [(r.tid, r.distance) for r in report.results] == brute_force_topk(
+            table, query, 10, engine.distance, last_tid=lo - 1
+        )
         strict = IVAEngine(table, index, kernel="scalar", fail_mode="raise")
         monkeypatch.setattr(type(strict), "_filter", flaky)
         state["count"] = 0
