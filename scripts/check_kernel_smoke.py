@@ -16,9 +16,6 @@ v3's text bound adds the length filter to the scalar oracle's Eq. 3 and
 refines best-first, so per query it must also refine no more rows than
 the oracle: v3 ``table_accesses`` <= scalar ``table_accesses``.
 
-Run it with and without numpy: without, v3 decodes every list through the
-scanners' ``move_to`` adapter.
-
 The kernels' lookup tables are built from the exact scalar bound
 routines (text: the larger of Eq. 3 and the length filter, both lower
 bounds), so any divergence — including on ndf tuples and clamped

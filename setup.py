@@ -17,5 +17,6 @@ setup(
     python_requires=">=3.9",
     package_dir={"": "src"},
     packages=find_packages(where="src"),
-    extras_require={"test": ["pytest", "pytest-benchmark", "hypothesis", "numpy"]},
+    install_requires=["numpy"],
+    extras_require={"test": ["pytest", "pytest-benchmark", "hypothesis"]},
 )

@@ -30,6 +30,8 @@ from __future__ import annotations
 
 from typing import List, Optional, Sequence, Tuple
 
+import numpy as np
+
 from repro.codec.base import (
     BytesReader,
     VectorListCodec,
@@ -37,7 +39,6 @@ from repro.codec.base import (
     read_uvarint,
     uvarint_len,
 )
-from repro.core import fastpath
 from repro.core.numeric import VECTORISED_MAX_BYTES, NumericQuantizer
 from repro.core.scan import (
     NumericTypeIVScanner,
@@ -198,8 +199,7 @@ class CompressedNumericTypeIScanner(_DeltaTidScanner):
     def decode_segment(self, tids: List[int]):
         """Columnar decode: same varint walk, codes scattered into arrays."""
         width = self._quantizer.vector_bytes
-        np = fastpath._np
-        if np is None or width > VECTORISED_MAX_BYTES:
+        if width > VECTORISED_MAX_BYTES:
             return super().decode_segment(tids)
         decode = self._quantizer.decode_bytes
         reader = self._reader

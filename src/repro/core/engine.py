@@ -103,15 +103,17 @@ class BoundEvaluator:
         self.query = query
         n = index.config.n
         self._encoders: List[Optional[QueryStringEncoder]] = []
-        self._quantizers = []
+        #: Each term's numeric quantizer (None for text terms and for
+        #: attributes absent from the index).
+        self.quantizers = []
         for term in query.terms:
             if term.attr.is_text:
                 self._encoders.append(QueryStringEncoder(str(term.value), n))
-                self._quantizers.append(None)
+                self.quantizers.append(None)
             else:
                 self._encoders.append(None)
                 entry = index.entry(term.attr.attr_id)
-                self._quantizers.append(entry.quantizer if entry is not None else None)
+                self.quantizers.append(entry.quantizer if entry is not None else None)
         self._ndf_penalty = distance.ndf_penalty
 
     def evaluate(self, payloads: Sequence[object]) -> Tuple[List[float], bool]:
@@ -129,7 +131,7 @@ class BoundEvaluator:
                     min(self._encoders[idx].lower_bound(sig) for sig in payload)
                 )
             else:
-                diffs.append(self._quantizers[idx].lower_bound(float(term.value), payload))
+                diffs.append(self.quantizers[idx].lower_bound(float(term.value), payload))
         return diffs, exact
 
 

@@ -1,12 +1,13 @@
-"""Optional numpy acceleration for bulk encoding and block filtering.
+"""numpy kernels for bulk encoding and block filtering.
 
-The repro environment note is right that pure Python struggles with
-scan-efficiency workloads; bulk *index builds* are the hottest loop we can
-vectorise without changing any on-disk byte.  When numpy is importable,
+Pure Python struggles with scan-efficiency workloads; bulk *index builds*
+are the hottest loop we can vectorise without changing any on-disk byte.
 :func:`encode_numeric_batch` quantises whole columns at once and
-:func:`pack_codes` emits the little-endian code stream in one call;
-otherwise both fall back to the scalar path.  Tests pin byte-for-byte
-equality between the two paths.
+:func:`pack_codes` emits the little-endian code stream in one call; inputs
+shorter than :data:`_BATCH_THRESHOLD` (where the array round-trip costs
+more than it saves) and code widths numpy cannot hold exactly take the
+scalar path.
+Tests pin byte-for-byte equality between the two paths.
 
 The v3 filter kernel (:mod:`repro.core.kernel`) plugs in through
 :func:`text_min_scatter` (the per-tuple minimum over a text segment's
@@ -22,12 +23,9 @@ from __future__ import annotations
 import logging
 from typing import List, Optional, Sequence
 
-from repro.core.numeric import VECTORISED_MAX_BYTES, NumericQuantizer
+import numpy as np
 
-try:  # pragma: no cover - exercised implicitly by both branches' tests
-    import numpy as _np
-except ImportError:  # pragma: no cover
-    _np = None
+from repro.core.numeric import VECTORISED_MAX_BYTES, NumericQuantizer
 
 logger = logging.getLogger(__name__)
 
@@ -39,11 +37,6 @@ _DTYPES = {1: "<u1", 2: "<u2", 4: "<u4", 8: "<u8"}
 #: One-shot flag so the wide-code scalar fallback announces itself once
 #: per process instead of once per column.
 _wide_code_logged = False
-
-
-def numpy_available() -> bool:
-    """True when the numpy fast path is active."""
-    return _np is not None
 
 
 def encode_numeric_batch(
@@ -64,25 +57,25 @@ def encode_numeric_batch(
                 quantizer.vector_bytes,
             )
         return [quantizer.encode(v) for v in values]
-    if _np is None or len(values) < _BATCH_THRESHOLD:
+    if len(values) < _BATCH_THRESHOLD:
         return [quantizer.encode(v) for v in values]
-    arr = _np.asarray(values, dtype=_np.float64)
+    arr = np.asarray(values, dtype=np.float64)
     top = quantizer.num_slices - 1
     if quantizer.hi == quantizer.lo:
-        codes = _np.where(arr <= quantizer.lo, 0, top)
+        codes = np.where(arr <= quantizer.lo, 0, top)
     else:
         width = quantizer.slice_width
-        codes = ((arr - quantizer.lo) / width).astype(_np.int64)
-        codes = _np.clip(codes, 0, top)
-        codes = _np.where(arr <= quantizer.lo, 0, codes)
-        codes = _np.where(arr >= quantizer.hi, top, codes)
-    return codes.astype(_np.int64).tolist()
+        codes = ((arr - quantizer.lo) / width).astype(np.int64)
+        codes = np.clip(codes, 0, top)
+        codes = np.where(arr <= quantizer.lo, 0, codes)
+        codes = np.where(arr >= quantizer.hi, top, codes)
+    return codes.astype(np.int64).tolist()
 
 
 def pack_codes(codes: Sequence[int], vector_bytes: int) -> bytes:
     """Little-endian concatenation of fixed-width codes."""
-    if _np is not None and len(codes) >= _BATCH_THRESHOLD and vector_bytes in _DTYPES:
-        return _np.asarray(codes, dtype=_DTYPES[vector_bytes]).tobytes()
+    if len(codes) >= _BATCH_THRESHOLD and vector_bytes in _DTYPES:
+        return np.asarray(codes, dtype=_DTYPES[vector_bytes]).tobytes()
     out = bytearray()
     for code in codes:
         out += int(code).to_bytes(vector_bytes, "little")
@@ -99,12 +92,12 @@ def encode_numeric_column(
 def segment_dtype(vector_bytes: int) -> Optional[str]:
     """The dtype code segment decoders crack *vector_bytes* codes with, or None.
 
-    None means "decode through the scalar walk": numpy is absent, the
-    width has no numpy scalar type (3, 5, 6, 7 bytes — legal quantizer
-    geometries), or the codes are wider than :data:`VECTORISED_MAX_BYTES`
-    and may not fit the kernel's int64 code arrays.
+    None means "decode through the scalar walk": the width has no numpy
+    scalar type (3, 5, 6, 7 bytes — legal quantizer geometries), or the
+    codes are wider than :data:`VECTORISED_MAX_BYTES` and may not fit the
+    kernel's int64 code arrays.
     """
-    if _np is None or vector_bytes > VECTORISED_MAX_BYTES:
+    if vector_bytes > VECTORISED_MAX_BYTES:
         return None
     return _DTYPES.get(vector_bytes)
 
@@ -120,15 +113,15 @@ def text_min_scatter(count: int, slots, values, ndf_penalty: float, repeats: boo
     values; a minimum over the same doubles is exact, so the column is
     bit-identical to the scalar ``bound_column``.
     """
-    out = _np.full(count, ndf_penalty, dtype=_np.float64)
-    defined = _np.zeros(count, dtype=bool)
+    out = np.full(count, ndf_penalty, dtype=np.float64)
+    defined = np.zeros(count, dtype=bool)
     if len(values):
         if repeats:
-            heads = _np.empty(len(slots), dtype=bool)
+            heads = np.empty(len(slots), dtype=bool)
             heads[0] = True
-            _np.not_equal(slots[1:], slots[:-1], out=heads[1:])
-            starts = _np.flatnonzero(heads)
-            values = _np.minimum.reduceat(values, starts)
+            np.not_equal(slots[1:], slots[:-1], out=heads[1:])
+            starts = np.flatnonzero(heads)
+            values = np.minimum.reduceat(values, starts)
             slots = slots[starts]
         out[slots] = values
         defined[slots] = True
@@ -148,25 +141,24 @@ def combine_columns(metric_kind: Optional[str], weights, columns, count: int):
     * Linf — a pairwise ``maximum`` chain computes the same maximum.
 
     Any other metric returns ``None`` and the caller falls back to the
-    scalar per-element ``combine``.  Returns ``None`` when numpy is
-    unavailable.
+    scalar per-element ``combine``.
     """
-    if _np is None or metric_kind is None:
+    if metric_kind is None:
         return None
     if metric_kind == "L1":
-        acc = _np.zeros(count, dtype=_np.float64)
+        acc = np.zeros(count, dtype=np.float64)
         for weight, column in zip(weights, columns):
             acc += weight * column
         return acc
     if metric_kind == "L2":
-        acc = _np.zeros(count, dtype=_np.float64)
+        acc = np.zeros(count, dtype=np.float64)
         for weight, column in zip(weights, columns):
             weighted = weight * column
             acc += weighted * weighted
-        return _np.sqrt(acc)
+        return np.sqrt(acc)
     if metric_kind == "Linf":
         acc = weights[0] * columns[0]
         for weight, column in zip(weights[1:], columns[1:]):
-            acc = _np.maximum(acc, weight * column)
+            acc = np.maximum(acc, weight * column)
         return acc
     return None

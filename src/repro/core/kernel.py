@@ -10,15 +10,16 @@ segments (one block of the tuple list) per call:
   :meth:`~repro.core.numeric.NumericQuantizer.lower_bound_array` call —
   the numpy mirror of :meth:`~repro.core.numeric.NumericQuantizer.lower_bound`,
   the same float operations in the same order — and keep no per-code
-  state; the scalar fallback (no numpy, or codes wider than four bytes)
-  looks codes up in a table built from ``lower_bound`` itself (eager for
-  one-byte vectors, memoised per code above);
+  state; codes the columnar decoders cannot hold (three bytes, or wider
+  than four) are bounded per element by ``lower_bound`` itself, memoised
+  per code;
 * **text terms** become per-stored-length tables: the query's gram masks
   for that signature geometry plus a ``hit_count → bound`` array —
   :func:`~repro.core.ngram.estimate_from_hits` depends only on
   ``(stored_length, hit_count)``, so a whole run of ``uint64`` signature
   words is bounded by one mask-test expression and a table gather (the
-  scalar fallback tests the masks most-selective first, per signature).
+  scalar loop, for signatures wider than one word and for payload
+  columns adapted from ``move_to``, tests the masks most-selective first).
   Each table entry is the larger of Eq. 3 and the length filter
   ``||sq| - |sd||``, so v3's text bound is never looser than the paper's;
 * **ndf** stays the distance function's constant penalty.
@@ -46,13 +47,11 @@ import threading
 from collections import OrderedDict
 from typing import Dict, List, Optional, Sequence, Tuple
 
+import numpy as np
+
 from repro.core import fastpath
 from repro.core.ngram import estimate_from_hits
-from repro.core.numeric import (
-    EAGER_LUT_MAX_CODES,
-    VECTORISED_MAX_BYTES,
-    NumericQuantizer,
-)
+from repro.core.numeric import VECTORISED_MAX_BYTES, NumericQuantizer
 from repro.core.segment import WORD_BYTES
 from repro.core.signature import QueryStringEncoder, gram_mask
 from repro.errors import QueryError
@@ -72,8 +71,7 @@ BLOCK_TUPLES = 256
 
 #: Valid filter-kernel modes on engines and the CLI's ``--kernel`` flag:
 #: ``scalar`` (per-tuple; the identity oracle) and ``v3`` (whole-segment
-#: columnar decode + array-wide evaluation, falling back to per-element
-#: columns through :meth:`QueryKernel.evaluate_block` without numpy).
+#: columnar decode + array-wide evaluation).
 KERNEL_MODES = ("scalar", "v3")
 
 #: Serialises the (rare) growth of text terms' row tables across threads.
@@ -223,7 +221,6 @@ class CompiledTextTerm:
         hold it are in place, so a thread sharing this term never reads a
         row past the end of ``_masks``/``_bounds``.
         """
-        np = fastpath._np
         row_of = self._row_of
         if row_of is None:
             with _ROW_LOCK:
@@ -271,7 +268,6 @@ class CompiledTextTerm:
         vals = run.bounds.get(self)
         if vals is not None:
             return vals
-        np = fastpath._np
         lengths = run.lengths
         words = run.words
         rows = self._rows(lengths, scheme)
@@ -317,38 +313,34 @@ class CompiledTextTerm:
         """Distinct stored lengths compiled so far, on either path (observability)."""
         lengths = set(self._per_length)
         if self._row_of is not None:
-            lengths.update(fastpath._np.flatnonzero(self._row_of >= 0).tolist())
+            lengths.update(np.flatnonzero(self._row_of >= 0).tolist())
         return len(lengths)
 
 
 class CompiledNumericTerm:
     """One numeric term compiled for array-wide and scalar bounding.
 
-    With numpy, :meth:`bound_segment` bounds a whole decoded segment
-    through :meth:`NumericQuantizer.lower_bound_array` and keeps no
-    per-code state.  The scalar :meth:`bound_column` (the numpy-absent
-    fallback and the :class:`~repro.core.segment.ColumnSegment` blocks
-    ``decode_segment`` adapts from ``move_to`` for codes wider than
-    :data:`~repro.core.numeric.VECTORISED_MAX_BYTES`) looks
-    codes up in a table: materialised at compile time for one-byte vectors
-    (≤ :data:`~repro.core.numeric.EAGER_LUT_MAX_CODES` codes), memoised
-    per observed code above that.  Every path produces the exact double
-    :meth:`NumericQuantizer.lower_bound` returns.
+    :meth:`bound_segment` bounds a whole decoded segment through
+    :meth:`NumericQuantizer.lower_bound_array` and keeps no per-code
+    state.  The scalar :meth:`bound_column` serves the
+    :class:`~repro.core.segment.ColumnSegment` blocks ``decode_segment``
+    adapts from ``move_to`` (3-byte codes, codes wider than
+    :data:`~repro.core.numeric.VECTORISED_MAX_BYTES`, a truncated list,
+    third-party codecs) and memoises each observed code's bound.  Every
+    path produces the exact double :meth:`NumericQuantizer.lower_bound`
+    returns.
     """
 
-    __slots__ = ("quantizer", "query_value", "_table", "_memo")
+    __slots__ = ("quantizer", "query_value", "_memo")
 
     def __init__(
         self, quantizer: Optional[NumericQuantizer], query_value: float
     ) -> None:
         self.quantizer = quantizer
         self.query_value = query_value
-        # Attribute absent from the index: every payload is None (the null
-        # scanner), so no table is ever consulted.
-        self._table: Optional[Tuple[float, ...]] = None
+        # An attribute absent from the index has no quantizer: every
+        # payload is None (the null scanner), so the memo stays empty.
         self._memo: Dict[int, float] = {}
-        if quantizer is not None and quantizer.num_slices <= EAGER_LUT_MAX_CODES:
-            self._table = quantizer.lower_bound_table(query_value)
 
     @property
     def vectorised(self) -> bool:
@@ -364,15 +356,6 @@ class CompiledNumericTerm:
         exact: List[bool],
     ) -> None:
         """Fill ``out`` with this term's lower bound per block element."""
-        table = self._table
-        if table is not None:
-            for i, code in enumerate(column):
-                if code is None:
-                    out[i] = ndf_penalty
-                else:
-                    exact[i] = False
-                    out[i] = table[code]
-            return
         memo = self._memo
         quantizer = self.quantizer
         value = self.query_value
@@ -402,8 +385,8 @@ class CompiledNumericTerm:
 
     @property
     def table_codes(self) -> int:
-        """Scalar-fallback table entries materialised so far (observability)."""
-        return len(self._table) if self._table is not None else len(self._memo)
+        """Codes memoised by :meth:`bound_column` so far (observability)."""
+        return len(self._memo)
 
 
 class KernelCache:
@@ -476,11 +459,10 @@ class QueryKernel:
     pre-resolved importance weights, and the metric — everything the
     per-block loop needs without touching the query again.
 
-    :meth:`evaluate_segments` and :meth:`evaluate_block` return the same
-    ``(estimated, exact)`` as each other: bounds from the same tables,
-    weights from :meth:`DistanceFunction.weight` (same cached floats),
-    combined through the same ``metric.combine``.  Numeric bounds equal
-    the scalar oracle's; text bounds add the length filter.
+    :meth:`evaluate_segments` weighs each term with
+    :meth:`DistanceFunction.weight` (the oracle's cached floats) and
+    combines as ``metric.combine`` does.  Numeric bounds equal the scalar
+    oracle's; text bounds add the length filter.
     """
 
     __slots__ = ("query", "terms", "schemes", "slots", "weights", "metric", "ndf_penalty")
@@ -551,61 +533,6 @@ class QueryKernel:
             distance.ndf_penalty,
         )
 
-    def evaluate_block(
-        self,
-        columns: Sequence[Sequence[object]],
-        count: int,
-        cache: Optional[dict] = None,
-    ) -> Tuple[List[float], List[bool]]:
-        """``(estimated, exact)`` for every element of one decoded block.
-
-        The numpy-absent fallback of :meth:`evaluate_segments`.  *columns*
-        holds one payload column per scan slot (each decoded segment's
-        ``column()``: ``None`` for ndf, a slice code, or a list of
-        ``(stored_length, bits)`` pairs); *cache*, when given, is a
-        per-block memo keyed on compiled-term identity so batched queries
-        sharing a term fill the bound column once.
-        """
-        exact = [True] * count
-        ndf_penalty = self.ndf_penalty
-        bound_columns: List[List[float]] = []
-        for term, scheme, slot in zip(self.terms, self.schemes, self.slots):
-            column = columns[slot]
-            if cache is not None:
-                key = (id(term), slot)
-                cached = cache.get(key)
-                if cached is not None:
-                    # Reused from a sibling query: the bounds are already
-                    # computed, but this query's exact flags still need the
-                    # definedness scan.
-                    for i in range(count):
-                        if column[i] is not None:
-                            exact[i] = False
-                    bound_columns.append(cached)
-                    continue
-            out = [0.0] * count
-            if isinstance(term, CompiledTextTerm):
-                term.bound_column(column, scheme, out, ndf_penalty, exact)
-            else:
-                term.bound_column(column, out, ndf_penalty, exact)
-            if cache is not None:
-                cache[(id(term), slot)] = out
-            bound_columns.append(out)
-
-        combine = self.metric.combine
-        weights = self.weights
-        estimates = [0.0] * count
-        if len(bound_columns) == 1:
-            w0 = weights[0]
-            col0 = bound_columns[0]
-            for i in range(count):
-                estimates[i] = combine([w0 * col0[i]])
-        else:
-            pairs = list(zip(weights, bound_columns))
-            for i in range(count):
-                estimates[i] = combine([w * col[i] for w, col in pairs])
-        return estimates, exact
-
     def _bound_segment(self, term, scheme, segment, count: int):
         """``(bounds, defined)`` arrays for one term over one segment.
 
@@ -616,7 +543,6 @@ class QueryKernel:
         ``bound_column`` and wraps its output — so mixed-shape blocks stay
         bit-identical to the scalar walk term by term.
         """
-        np = fastpath._np
         ndf_penalty = self.ndf_penalty
         kind = segment.kind
         if kind == "text" and isinstance(term, CompiledTextTerm):
@@ -634,7 +560,7 @@ class QueryKernel:
             term.bound_column(column, scheme, out, ndf_penalty, exact)
         else:
             term.bound_column(column, out, ndf_penalty, exact)
-        defined = np.asarray([not flag for flag in exact], dtype=bool)
+        defined = ~np.asarray(exact, dtype=bool)
         return np.asarray(out, dtype=np.float64), defined
 
     def evaluate_segments(
@@ -645,23 +571,18 @@ class QueryKernel:
     ):
         """``(estimated, exact)`` for one block of decoded segments.
 
-        The v3 counterpart of :meth:`evaluate_block`: *segments* holds one
-        :mod:`repro.core.segment` object per scan slot (the
-        ``decode_segment`` output of each scanner).  Per-term bounds come
-        from the vectorised ``bound_segment`` routines and the combine
-        collapses to :func:`repro.core.fastpath.combine_columns` for the
-        built-in metrics — both proven bit-identical to the per-element
-        chain of :meth:`evaluate_block` —
-        while custom metrics fall back to the per-element ``combine``.
-        Returns a float64 and a bool array, so block-level candidacy
-        (:class:`~repro.core.pool.BlockCandidacy`) stays array-wide.
-        Without numpy the segments are rebuilt into per-element columns
-        and handed to :meth:`evaluate_block`, which returns lists.
+        *segments* holds one :mod:`repro.core.segment` object per scan
+        slot (the ``decode_segment`` output of each scanner); *cache*,
+        when given, is a per-block memo keyed on compiled-term identity,
+        so batched queries sharing a term bound its column once.  Per-term
+        bounds come from the vectorised ``bound_segment`` routines and the
+        combine collapses to :func:`repro.core.fastpath.combine_columns`
+        for the built-in metrics — both proven bit-identical to the
+        per-element scalar chain — while custom metrics fall back to the
+        per-element ``combine``.  Returns a float64 and a bool array, so
+        block-level candidacy (:class:`~repro.core.pool.BlockCandidacy`)
+        stays array-wide.
         """
-        if fastpath._np is None:
-            columns = [segment.column() for segment in segments]
-            return self.evaluate_block(columns, count, cache)
-        np = fastpath._np
         any_defined = np.zeros(count, dtype=bool)
         bound_columns = []
         for term, scheme, slot in zip(self.terms, self.schemes, self.slots):
@@ -692,13 +613,17 @@ class QueryKernel:
         ]
         return np.asarray(scalar_estimates, dtype=np.float64), exact
 
+    #: The serving benchmark's tracer patches this name; the kernel
+    #: itself only calls :meth:`evaluate_segments`.
+    evaluate_block = evaluate_segments
+
     @property
     def table_entries(self) -> int:
         """Table entries materialised across this kernel's terms.
 
-        Text terms count compiled stored lengths; numeric terms count their
-        scalar-fallback table (eager one-byte tables, memoised wider codes),
-        which the numpy path never fills.
+        Text terms count compiled stored lengths; numeric terms count the
+        codes their scalar ``bound_column`` memoised, which only blocks
+        adapted from ``move_to`` fill.
         """
         total = 0
         for term in self.terms:

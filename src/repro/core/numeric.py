@@ -21,20 +21,12 @@ import math
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
-from repro.errors import EncodingError
+import numpy as np
 
-try:  # pragma: no cover - exercised implicitly by both branches' tests
-    import numpy as _np
-except ImportError:  # pragma: no cover
-    _np = None
+from repro.errors import EncodingError
 
 #: Byte width of a stored numeric value (float64 in the interpreted format).
 NUMERIC_VALUE_BYTES = 8
-
-#: Largest code space the scalar kernel fallback materialises eagerly as a
-#: full ``code → lower_bound`` table (one-byte vectors); wider quantizers
-#: are memoised lazily per observed code instead.
-EAGER_LUT_MAX_CODES = 256
 
 #: Widest code the numpy paths handle (bulk encode, array-wide bounds):
 #: up to 4 bytes every code fits int64 and converts to float64 exactly.
@@ -133,9 +125,9 @@ class NumericQuantizer:
         ``hi == lo`` domain — so every element is bit-identical to
         ``lower_bound(query_value, code)``.  Codes are taken as int64, whose
         conversion to float64 rounds exactly like Python's ``int * float``;
-        callers keep to :data:`VECTORISED_MAX_BYTES`.  Requires numpy.
+        callers keep to :data:`VECTORISED_MAX_BYTES`.
         """
-        codes = _np.asarray(codes, dtype=_np.int64)
+        codes = np.asarray(codes, dtype=np.int64)
         if self.hi == self.lo:
             lo, hi = self.lo, self.hi
         else:
@@ -145,30 +137,16 @@ class NumericQuantizer:
         open_low = codes == 0
         open_high = codes == self.num_slices - 1
         # Python float arithmetic overflows to inf and yields nan silently.
-        with _np.errstate(over="ignore", invalid="ignore"):
+        with np.errstate(over="ignore", invalid="ignore"):
             inside = (open_low | (query_value >= lo)) & (
                 open_high | (query_value <= hi)
             )
             below = ~open_low & (query_value < lo)
-            return _np.where(
+            return np.where(
                 inside,
                 0.0,
-                _np.where(below, lo - query_value, query_value - hi),
+                np.where(below, lo - query_value, query_value - hi),
             )
-
-    def lower_bound_table(self, query_value: float) -> Tuple[float, ...]:
-        """``code → lower_bound(query_value, code)`` for every data slice.
-
-        The scalar kernel fallback's numeric LUT: one entry per slice id,
-        each computed by :meth:`lower_bound` itself, so a table lookup is
-        bit-identical to the scalar arithmetic — open-ended boundary slices
-        and clamped out-of-domain codes included.  Only sensible for small
-        code spaces; the kernel memoises lazily above
-        :data:`EAGER_LUT_MAX_CODES`.
-        """
-        return tuple(
-            self.lower_bound(query_value, code) for code in range(self.num_slices)
-        )
 
     def encode_bytes(self, value: float) -> bytes:
         """The value's code as little-endian bytes."""

@@ -24,7 +24,8 @@ import heapq
 from dataclasses import dataclass
 from typing import Iterator, List, Optional, Sequence, Tuple
 
-from repro.core import fastpath
+import numpy as np
+
 from repro.core.tuple_list import DELETED_PTR
 
 
@@ -169,18 +170,13 @@ class BlockCandidacy:
 
         *ptrs* holds the block's tuple-list pointers, or None when it has
         no tombstones (``DELETED_PTR = 2**64 - 1``, compared as uint64).
-        *estimates* and *exact* are the kernel's numpy arrays, or lists on
-        the numpy-absent path, which makes the same decisions in Python.
+        *estimates* and *exact* are the kernel's float64 and bool arrays.
 
         When the pool is already full, every live tuple is prefiltered
         against its worst member as the block starts.  Otherwise the
         block's exact tuples enter first and the rest is prefiltered
         against the pool as they leave it.
         """
-        np = fastpath._np
-        if np is None or not isinstance(estimates, np.ndarray):
-            self._add_list_block(tids, ptrs, estimates, exact)
-            return
         first = tids[0]
         if tids[-1] - first == len(tids) - 1:
             # The tuple list ascends by tid, so this block is a tid run.
@@ -221,28 +217,6 @@ class BlockCandidacy:
             self._survivors.append((estimates[rest], tid_array[rest]))
         self._count(n_exact, n_live - n_exact - kept, kept)
 
-    def _add_list_block(self, tids, ptrs, estimates, exact) -> None:
-        """:meth:`add_block` over plain lists (no numpy)."""
-        slots = range(len(tids))
-        if ptrs is not None:
-            slots = [i for i in slots if ptrs[i] != DELETED_PTR]
-        exacts = [(estimates[i], tids[i]) for i in slots if exact[i]]
-        rest = [(estimates[i], tids[i]) for i in slots if not exact[i]]
-        self.scanned += len(slots)
-        self.exact_shortcuts += len(exacts)
-        pool = self.pool
-        worst = pool.worst() if pool.is_full() else None
-        kept = rest if worst is None else [item for item in rest if item < worst]
-        if exacts:
-            for estimated, tid in heapq.nsmallest(pool.k, exacts):
-                pool.insert(tid, estimated)
-            if worst is None and pool.is_full():
-                worst = pool.worst()
-                kept = [item for item in rest if item < worst]
-        if kept:
-            self._survivors.append(([e for e, _ in kept], [t for _, t in kept]))
-        self._count(len(exacts), len(rest) - len(kept), len(kept))
-
     def _count(self, exact: int, pruned: int, candidates: int) -> None:
         collector = self.collector
         if collector is not None:
@@ -255,21 +229,17 @@ class BlockCandidacy:
 
         Survivors come in ``(estimate, tid)`` order until the first one
         that fails the pool's re-check; it and every later one count as
-        late-pruned.  With numpy only the best :data:`RANK_CHUNK`
-        survivors are sorted at a time (a refine usually stops within
-        them), each chunk cut at an estimate so no tie straddles two.
+        late-pruned.  Only the best :data:`RANK_CHUNK` survivors are
+        sorted at a time (a refine usually stops within them), each chunk
+        cut at an estimate so no tie straddles two.
         """
         chunks, self._survivors = self._survivors, []
         if not chunks:
             return
-        np = fastpath._np
-        if np is not None and isinstance(chunks[0][0], np.ndarray):
-            ranked = _ranked_arrays(
-                np.concatenate([e for e, _ in chunks]),
-                np.concatenate([t for _, t in chunks]),
-            )
-        else:
-            ranked = iter(sorted(pair for e, t in chunks for pair in zip(e, t)))
+        ranked = _ranked_arrays(
+            np.concatenate([e for e, _ in chunks]),
+            np.concatenate([t for _, t in chunks]),
+        )
         total = sum(len(e) for e, _ in chunks)
         handed = 0
         pool = self.pool
@@ -293,7 +263,6 @@ def _ranked_arrays(estimates, tids) -> Iterator[Tuple[float, int]]:
     *tids* ascend (phase 1 keeps scan order), so a stable sort on the
     estimates alone is the ``(estimate, tid)`` order.
     """
-    np = fastpath._np
     chunk = RANK_CHUNK
     while len(estimates):
         if len(estimates) > chunk:

@@ -26,6 +26,8 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
+import numpy as np
+
 from repro.core import fastpath
 from repro.core.numeric import NumericQuantizer
 from repro.core.segment import (
@@ -217,7 +219,7 @@ class _TidBasedScanner(VectorListScanner):
         """Jump over whole segments that cannot intersect the scan cursor.
 
         Called with the block's first tid at the head of the numeric
-        ``decode_segment`` and of every ``move_to`` fallback.  Every
+        ``decode_segment``, columnar or adapted from ``move_to``.  Every
         skipped element's tid is strictly below *target_tid*, so the scalar
         walk would have consumed it without producing a payload — the jump
         is free of semantics, it only spares the decode.
@@ -284,19 +286,13 @@ class _Parsed:
 _PAD = bytes(WORD_BYTES)
 
 #: ``_WORD_MASKS[w]`` keeps the low *w* bytes of a gathered word.
-_WORD_MASKS = (
-    None
-    if fastpath._np is None
-    else fastpath._np.array(
-        [(1 << (8 * width)) - 1 for width in range(WORD_BYTES + 1)],
-        dtype=fastpath._np.uint64,
-    )
+_WORD_MASKS = np.array(
+    [(1 << (8 * width)) - 1 for width in range(WORD_BYTES + 1)], dtype=np.uint64
 )
 
 
 def _view(data, dtype: str):
     """Every byte offset of *data* read as one little-endian *dtype* value."""
-    np = fastpath._np
     itemsize = np.dtype(dtype).itemsize
     return np.ndarray(
         (len(data) - itemsize + 1,), dtype=dtype, buffer=data, strides=(1,)
@@ -310,7 +306,6 @@ def _signatures(buf: bytes, data, at, scheme) -> SignatureRun:
     reads the lengths, one reads eight bytes after each as a word, and a
     per-width mask clears the bytes that belong to the next field.
     """
-    np = fastpath._np
     lengths = data[at]
     widths = scheme.higher_array[lengths]
     words = _view(data, "<u8")[at + 1]
@@ -325,7 +320,6 @@ def _signatures(buf: bytes, data, at, scheme) -> SignatureRun:
 
 def _counted(parsed: _Parsed, data, unit_at, sig_at) -> None:
     """Fill ``first_sig``/``sig_unit`` from each element's count byte."""
-    np = fastpath._np
     counts = data[unit_at]
     first = np.zeros(parsed.units + 1, dtype=np.intp)
     np.cumsum(counts, out=first[1:])
@@ -336,7 +330,6 @@ def _counted(parsed: _Parsed, data, unit_at, sig_at) -> None:
 
 def _tidded(parsed: _Parsed, buf: bytes, data, unit_at, pending, final) -> None:
     """Fill ``unit_tids``/``tail``: each element's tid precedes its payload."""
-    np = fastpath._np
     unit_tids = np.empty(parsed.units, dtype=np.int64)
     if parsed.units:
         unit_tids[0] = pending
@@ -358,7 +351,6 @@ def _text_segment(count: int, pieces: list) -> TextSegment:
     is not in the block) the kept signatures are copied into a run of the
     block's own.
     """
-    np = fastpath._np
     if len(pieces) == 1 and pieces[0][4] is None:
         parsed, lo, hi, slots, _ = pieces[0]
         return TextSegment(count, slots, parsed.signatures, lo, hi, parsed.repeats)
@@ -448,8 +440,7 @@ def _walk_counted(run: _ByteRun, table, tail: int):
 class _TidTextScanner(_TidBasedScanner):
     """Run parsing shared by the tid-based raw text layouts (Types I, II).
 
-    Without numpy, ``decode_segment`` is the base ``move_to`` adapter.
-    With it, the scanner parses every complete element its
+    ``decode_segment`` parses every complete element its
     :class:`_ByteRun` holds in one pass (:meth:`_parse`) and each block
     takes the elements whose tid it covers.  When a block needs the
     element that straddles the buffered bytes, :meth:`_top_up` issues the
@@ -530,10 +521,6 @@ class _TidTextScanner(_TidBasedScanner):
 
     def decode_segment(self, tids: List[int]):
         """Columnar decode: the block's slice of the parsed run."""
-        np = fastpath._np
-        if np is None:
-            self._maybe_skip(tids[0])
-            return super().decode_segment(tids)
         parsed = self._parsed_for(tids[0])
         last = tids[-1]
         parts = []
@@ -607,7 +594,6 @@ class TextTypeIScanner(_TidTextScanner):
             append(s)
             s = p + TID_BYTES
         run.pos = s
-        np = fastpath._np
         data = np.frombuffer(buf + _PAD, dtype=np.uint8)
         at = np.array(starts, dtype=np.intp)
         parsed = _Parsed(at, s, _signatures(buf, data, at, self._scheme))
@@ -652,7 +638,6 @@ class TextTypeIIScanner(_TidTextScanner):
             run, self._scheme.higher_table, TID_BYTES
         )
         run.pos = s
-        np = fastpath._np
         data = np.frombuffer(buf + _PAD, dtype=np.uint8)
         at = np.array(starts, dtype=np.intp)
         sig_at = np.array(sig_starts, dtype=np.intp)
@@ -679,7 +664,7 @@ class TextTypeIIScanner(_TidTextScanner):
 class TextTypeIIIScanner(VectorListScanner):
     """Type III text layout: positional ``<num, vectors…>`` for every tuple.
 
-    With numpy, ``decode_segment`` parses a run at a time like the
+    ``decode_segment`` parses a run at a time like the
     tid-based layouts (see :class:`_TidTextScanner`); each block takes
     the next ``len(tids)`` elements.
     """
@@ -706,7 +691,6 @@ class TextTypeIIIScanner(VectorListScanner):
         buf = run.buf
         starts, sig_starts, s, _ = _walk_counted(run, self._scheme.higher_table, 0)
         run.pos = s
-        np = fastpath._np
         data = np.frombuffer(buf + _PAD, dtype=np.uint8)
         at = np.array(starts, dtype=np.intp)
         sig_at = np.array(sig_starts, dtype=np.intp)
@@ -725,8 +709,6 @@ class TextTypeIIIScanner(VectorListScanner):
 
     def decode_segment(self, tids: List[int]):
         """Columnar decode: the next ``len(tids)`` elements of the parsed run."""
-        if fastpath._np is None:
-            return super().decode_segment(tids)
         parsed = self._parsed
         if parsed is None:
             self._run = _ByteRun(self._reader)
@@ -792,7 +774,6 @@ class NumericTypeIScanner(_TidBasedScanner):
         dtype_code = fastpath.segment_dtype(width)
         if dtype_code is None:
             return super().decode_segment(tids)
-        np = fastpath._np
         reader = self._reader
         carry_tids = self._seg_tids
         carry_codes = self._seg_codes
@@ -877,7 +858,6 @@ class NumericTypeIVScanner(VectorListScanner):
             # The short-list case falls back so a truncated final segment
             # fails element-by-element exactly like the scalar walk.
             return super().decode_segment(tids)
-        np = fastpath._np
         raw = reader.read_view(count * width)
         codes = np.frombuffer(raw, dtype=dtype_code).astype(np.int64)
         defined = codes != quantizer.ndf_code

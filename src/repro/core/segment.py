@@ -23,21 +23,21 @@ Three segment shapes cover every layout:
 * :class:`ColumnSegment` — a per-element payload column (``None`` for
   ndf, a slice code, or a list of ``(stored_length, bits)`` pairs).  The
   default ``decode_segment`` builds it from ``move_to``, so every scanner
-  (third-party codecs, the engine's null scanner, raw lists without
-  numpy, numeric codes wider than four bytes) participates in the v3
-  path; the kernel evaluates it with the exact scalar ``bound_column``
-  routines, which keeps bit-identity trivially.
+  (third-party codecs, the engine's null scanner, numeric codes of three
+  or more than four bytes) participates in the v3 path; the kernel
+  evaluates it with the exact scalar ``bound_column`` routines, which
+  keeps bit-identity trivially.
 
 Every segment can rebuild that per-element column via :meth:`column`,
-which is how the numpy-absent kernel evaluates it through
-``evaluate_block``.
+the payloads the ``move_to`` walk returns, so tests can compare a
+columnar decode against the scalar one.
 """
 
 from __future__ import annotations
 
 from typing import List, Optional
 
-from repro.core import fastpath
+import numpy as np
 
 #: Signatures at most this many bytes wide fit one ``uint64`` word.
 WORD_BYTES = 8
@@ -89,10 +89,10 @@ class SignatureRun:
     bits as a ``uint64`` — the whole signature when it is at most
     :data:`WORD_BYTES` wide.  A wider signature (α = 1.0, long strings)
     has its full bits in ``wide_bits[i]`` for ``wide_index[i] == j``, and
-    its word is not used.  With numpy every column is an array (``wide_index``
-    intp); without it they are plain lists.  ``bounds`` is the kernel's
-    memo: per compiled term, that term's bound for every signature, so a
-    run is bounded once however many blocks slice it.
+    its word is not used.  Every column is a numpy array (``wide_index``
+    intp).  ``bounds`` is the kernel's memo: per compiled term, that
+    term's bound for every signature, so a run is bounded once however
+    many blocks slice it.
     """
 
     __slots__ = ("lengths", "words", "wide_index", "wide_bits", "bounds")
@@ -106,8 +106,8 @@ class SignatureRun:
 
     def bits(self, lo: int, hi: int) -> List[int]:
         """Full higher bits of signatures ``lo:hi`` as Python ints."""
-        bits = _as_list(self.words[lo:hi])
-        for i, j in enumerate(_as_list(self.wide_index)):
+        bits = self.words[lo:hi].tolist()
+        for i, j in enumerate(self.wide_index.tolist()):
             if lo <= j < hi:
                 bits[j - lo] = self.wide_bits[i]
         return bits
@@ -160,34 +160,23 @@ class TextSegment:
 
         *scheme*'s higher-bit widths decide which signatures fit a word.
         """
-        np = fastpath._np
-        if np is None:
-            table = scheme.higher_table
-            wide_index = [
-                j for j, length in enumerate(lengths) if table[length] > WORD_BYTES
-            ]
-        else:
-            lengths = np.array(lengths, dtype=np.intp)
-            wide = np.flatnonzero(scheme.higher_array[lengths] > WORD_BYTES)
-            wide_index = wide.tolist()
-        wide_bits = [bits[j] for j in wide_index]
-        if wide_index:
+        lengths = np.array(lengths, dtype=np.intp)
+        wide = np.flatnonzero(scheme.higher_array[lengths] > WORD_BYTES)
+        wide_bits = [bits[j] for j in wide.tolist()]
+        if wide_bits:
             bits = list(bits)
-            for j in wide_index:
+            for j in wide.tolist():
                 bits[j] = 0
-        if np is not None:
-            slots = np.array(slots, dtype=np.intp)
-            bits = np.array(bits, dtype=np.uint64)
-            wide_index = wide
-        run = SignatureRun(lengths, bits, wide_index, wide_bits)
+        run = SignatureRun(lengths, np.array(bits, dtype=np.uint64), wide, wide_bits)
         repeats = unique_slots != len(slots)
+        slots = np.array(slots, dtype=np.intp)
         return cls(count, slots, run, 0, len(slots), repeats, unique_slots)
 
     def column(self) -> list:
         column: list = [None] * self.count
-        lengths = _as_list(self.signatures.lengths[self.lo : self.hi])
+        lengths = self.signatures.lengths[self.lo : self.hi].tolist()
         bits = self.signatures.bits(self.lo, self.hi)
-        for j, slot in enumerate(_as_list(self.slots)):
+        for j, slot in enumerate(self.slots.tolist()):
             pairs = column[slot]
             if pairs is None:
                 pairs = []
@@ -205,7 +194,3 @@ class TextSegment:
             self.unique_slots = unique
         return unique
 
-
-def _as_list(values) -> list:
-    """A column as a list of Python ints (numpy arrays via ``tolist``)."""
-    return values if type(values) is list else values.tolist()

@@ -27,25 +27,26 @@ the paper says it must.
 from __future__ import annotations
 
 import math
-import time
-from typing import List, Optional, Tuple
+from typing import Iterator, List, Optional, Sequence, Tuple
 
 from repro.core.engine import (
+    BoundEvaluator,
     FilterAndRefineEngine,
-    QueryResult,
-    SearchReport,
-    observe_search,
-    trace_phases,
+    check_deadline,
 )
 from repro.core.iva_file import DELETED_PTR, IVAFile
-from repro.core.pool import ResultPool
-from repro.core.signature import QueryStringEncoder
+from repro.core.pool import BlockCandidacy
+from repro.errors import ReproError
 from repro.metrics.distance import DistanceFunction
 from repro.query import Query
 
 
 class SequentialPlanEngine(FilterAndRefineEngine):
-    """Two-phase (scan-then-refine) query processing over the iVA-file."""
+    """Two-phase (scan-then-refine) query processing over the iVA-file.
+
+    Keyword options (``registry``, ``tracer``, ``fail_mode``,
+    ``profile``, ...) are the base engine's.
+    """
 
     name = "iVA-seq"
 
@@ -54,56 +55,88 @@ class SequentialPlanEngine(FilterAndRefineEngine):
         table,
         index: IVAFile,
         distance: Optional[DistanceFunction] = None,
+        **options,
     ) -> None:
-        super().__init__(table, distance)
+        super().__init__(table, distance, **options)
         self.index = index
 
-    # The base-class template is interleaved; the sequential plan overrides
-    # search() wholesale with the two-phase strategy.
     def _filter(self, query, distance):  # pragma: no cover - not used
-        raise NotImplementedError("the sequential plan overrides search()")
+        raise NotImplementedError("the sequential plan overrides _candidates()")
+
+    def _candidates(
+        self,
+        queries: Sequence[Query],
+        distance: DistanceFunction,
+        candidacies: Sequence[BlockCandidacy],
+        deadline: Optional[float],
+        progress: List[int],
+    ) -> Iterator[Tuple[int, int, float]]:
+        """Phase 1 bounds every live tuple; phase 2 refines the survivors.
+
+        Phase 1 is one full scan keeping ``(tid, lower, upper)`` per live
+        tuple, checking *deadline* before keeping each.  Phase 2 hands over, in
+        tid order, every tuple whose lower bound does not exceed the
+        *k-th smallest upper bound*; each is refined, whatever the pool
+        holds by then.  A scan cut under ``fail_mode="degrade"`` still
+        refines the scanned prefix's candidates, then re-raises the cut
+        for the caller to degrade the report.
+        """
+        (query,), (candidacy,) = queries, candidacies
+        collector = candidacy.collector
+        bounds: List[Tuple[int, float, float]] = []
+        cut: Optional[ReproError] = None
+        try:
+            for tid, lower, upper in self._bounds(query, distance, collector):
+                check_deadline(deadline, progress[0])
+                bounds.append((tid, lower, upper))
+                progress[0] = tid
+        except ReproError as exc:
+            if self.fail_mode != "degrade":
+                raise
+            cut = exc
+        candidacy.scanned = len(bounds)
+        # The pruning threshold: the k-th smallest upper bound.  With any
+        # text term every upper bound is infinite and nothing is pruned.
+        k = candidacy.pool.k
+        uppers = sorted(upper for _, _, upper in bounds)
+        threshold = uppers[k - 1] if len(uppers) >= k else math.inf
+        candidates = [(tid, lower) for tid, lower, _ in bounds if lower <= threshold]
+        if collector is not None:
+            collector.on_pruned(len(bounds) - len(candidates))
+            collector.on_candidate(len(candidates))
+        for tid, lower in candidates:
+            yield tid, 0, lower
+        if cut is not None:
+            raise cut
 
     def _bounds(
-        self, query: Query, distance: DistanceFunction
-    ) -> List[Tuple[int, float, float]]:
-        """Phase 1: one full scan yielding (tid, lower, upper) per tuple."""
-        scan = self.index.open_scan(query.attribute_ids())
-        n = self.index.config.n
-        encoders = []
-        quantizers = []
-        for term in query.terms:
-            if term.attr.is_text:
-                encoders.append(QueryStringEncoder(str(term.value), n))
-                quantizers.append(None)
-            else:
-                encoders.append(None)
-                entry = self.index.entry(term.attr.attr_id)
-                quantizers.append(entry.quantizer if entry is not None else None)
+        self, query: Query, distance: DistanceFunction, collector
+    ) -> Iterator[Tuple[int, float, float]]:
+        """Phase 1: ``(tid, lower, upper)`` per live tuple, in tid order."""
+        scan = self.index.open_scan(
+            query.attribute_ids(), end_element=self.scan_end_element
+        )
+        evaluator = BoundEvaluator(self.index, query, distance)
         ndf_penalty = distance.ndf_penalty
-        out = []
         for tid, ptr in scan:
             payloads = scan.payloads(tid)
+            if collector is not None:
+                collector.on_payloads(payloads)
             if ptr == DELETED_PTR:
                 continue
-            lowers: List[float] = []
+            lowers, _ = evaluator.evaluate(payloads)
             uppers: List[float] = []
-            for idx, term in enumerate(query.terms):
-                payload = payloads[idx]
+            for term, quantizer, payload in zip(
+                query.terms, evaluator.quantizers, payloads
+            ):
                 if payload is None:
-                    lowers.append(ndf_penalty)
                     uppers.append(ndf_penalty)
                 elif term.attr.is_text:
-                    lowers.append(
-                        min(encoders[idx].lower_bound(sig) for sig in payload)
-                    )
                     # No finite upper bound exists for a string signature.
                     uppers.append(math.inf)
                 else:
-                    quantizer = quantizers[idx]
-                    code = payload
-                    lowers.append(quantizer.lower_bound(float(term.value), code))
                     uppers.append(
-                        _numeric_upper_bound(quantizer, float(term.value), code)
+                        _numeric_upper_bound(quantizer, float(term.value), payload)
                     )
             lower = distance.combine_bounds(query, lowers)
             upper = (
@@ -111,50 +144,7 @@ class SequentialPlanEngine(FilterAndRefineEngine):
                 if any(math.isinf(u) for u in uppers)
                 else distance.combine_bounds(query, uppers)
             )
-            out.append((tid, lower, upper))
-        return out
-
-    def search(self, query, k: int = 10, distance=None) -> SearchReport:
-        """Run a top-k structured similarity query; returns a report."""
-        query = self.prepare_query(query)
-        dist = distance or self.distance
-        report = SearchReport()
-        disk = self.table.disk
-        tracer = self._tracer()
-
-        with tracer.span(
-            "query", engine=self.name, k=k, attr_ids=list(query.attribute_ids())
-        ) as span:
-            io_before = disk.stats.io_time_ms
-            wall_before = time.perf_counter()
-            bounds = self._bounds(query, dist)
-            report.tuples_scanned = len(bounds)
-            report.filter_io_ms = disk.stats.io_time_ms - io_before
-            report.filter_wall_s = time.perf_counter() - wall_before
-
-            # The pruning threshold: the k-th smallest upper bound.  With any
-            # text term every upper bound is infinite and nothing is pruned.
-            uppers = sorted(upper for _, _, upper in bounds)
-            threshold = uppers[k - 1] if len(uppers) >= k else math.inf
-            candidates = [tid for tid, lower, _ in bounds if lower <= threshold]
-
-            io_before = disk.stats.io_time_ms
-            wall_before = time.perf_counter()
-            pool = ResultPool(k)
-            refine_attrs = frozenset(query.attribute_ids())
-            for tid in candidates:
-                record = self.table.read(tid, refine_attrs)
-                pool.insert(tid, dist.actual(query, record))
-                report.table_accesses += 1
-            report.refine_io_ms = disk.stats.io_time_ms - io_before
-            report.refine_wall_s = time.perf_counter() - wall_before
-            report.results = [
-                QueryResult(tid=entry.tid, distance=entry.distance)
-                for entry in pool.results()
-            ]
-            trace_phases(tracer, span, [report])
-        observe_search(self._registry(), self.name, report)
-        return report
+            yield tid, lower, upper
 
 
 def _numeric_upper_bound(quantizer, query_value: float, code: int) -> float:

@@ -22,7 +22,8 @@ import math
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
-from repro.core import fastpath
+import numpy as np
+
 from repro.core.ngram import estimate_from_hits, gram_multiset
 from repro.core.params import optimal_t
 from repro.errors import EncodingError
@@ -157,12 +158,10 @@ class SignatureScheme:
 
     @property
     def higher_array(self):
-        """:attr:`higher_table` as a numpy index array (numpy must be present)."""
+        """:attr:`higher_table` as a numpy index array."""
         array = self._higher_array
         if array is None:
-            array = self._higher_array = fastpath._np.array(
-                self.higher_table, dtype=fastpath._np.intp
-            )
+            array = self._higher_array = np.array(self.higher_table, dtype=np.intp)
         return array
 
     def stored_length(self, s: str) -> int:

@@ -192,7 +192,7 @@ def build_numeric_list(
     """Serialise a numeric vector list (defined ``(tid, value)`` entries).
 
     Bulk quantisation goes through :mod:`repro.core.fastpath` (vectorised
-    when numpy is available, byte-identical either way).
+    for long columns, byte-identical to the scalar encode).
     """
     from repro.core.fastpath import encode_numeric_batch, pack_codes
 

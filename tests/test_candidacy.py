@@ -7,13 +7,14 @@ over best-first until the first one that can no longer beat the pool.
 These tests pin that:
 
 * a **property test** runs random blocks — tied estimates, exact tuples,
-  tombstones, pre-filled pools — through ``add_block``/``best_first`` on
-  arrays and on lists, against a tuple-by-tuple walk of the same two
-  phases (every refine, pool and counter) and against the interleaved
-  Algorithm 1 (same pools, never more refines);
+  tombstones, pre-filled pools — through ``add_block``/``best_first``
+  against a tuple-by-tuple walk of the same two phases (every refine,
+  pool and counter) and against the interleaved Algorithm 1 (same pools,
+  never more refines);
 * **engine tests** run v3 single-query and batch against scalar on a
-  table with tombstones, compare v3's funnel with and without numpy, and
-  check that v3 refines exactly the rows its bounds cannot rule out.
+  table with tombstones, check v3's funnel against the same
+  tuple-by-tuple walk over v3's own bounds, and check that v3 refines
+  exactly the rows its bounds cannot rule out.
 """
 
 from __future__ import annotations
@@ -21,13 +22,13 @@ from __future__ import annotations
 import random
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import IVAConfig, IVAEngine, IVAFile, SimulatedDisk, SparseWideTable
 from repro.codec import CODEC_NAMES
-from repro.core import fastpath
 from repro.core.iva_file import DELETED_PTR
 from repro.core.kernel import BLOCK_TUPLES, QueryKernel
 from repro.core import pool as pool_module
@@ -40,7 +41,7 @@ from repro.obs.profile import ProfileCollector
 ESTIMATES = st.sampled_from([0.0, 0.5, 1.0, 1.5, 2.0, 3.0])
 
 
-def _actual(tid: int, estimated: float) -> float:
+def _actual(qi: int, tid: int, estimated: float) -> float:
     """A deterministic 'refined' distance no smaller than the estimate."""
     return estimated + (tid % 3) * 0.5
 
@@ -65,19 +66,20 @@ def _interleaved(k, prefill, rows, queries):
             if exact:
                 pool.insert(tid, estimated)
             elif pool.is_candidate(estimated, tid):
-                pool.insert(tid, _actual(tid, estimated))
+                pool.insert(tid, _actual(qi, tid, estimated))
                 accesses[qi] += 1
     return pools, accesses
 
 
-def _reference(k, prefill, rows, blocks, queries):
+def _reference(k, prefill, rows, blocks, queries, actual=_actual):
     """The two phases, one tuple at a time.
 
     Phase 1, per block: when the pool is full as the block starts, every
     live tuple is tested against its worst member then; otherwise the
     block's exact tuples enter first and the rest is tested against the
     pool they leave.  Phase 2 refines the survivors in ``(estimate, tid)``
-    order until one cannot beat the pool.
+    order until one cannot beat the pool, pooling ``actual(qi, tid,
+    estimated)`` as each survivor's refined distance.
     """
     pools = _prefilled(k, prefill, queries)
     # scanned, exact, pruned, candidates, late-pruned
@@ -113,18 +115,17 @@ def _reference(k, prefill, rows, blocks, queries):
                 count[4] += len(survivors) - i
                 break
             refined.append((tid, qi, estimated))
-            pool.insert(tid, _actual(tid, estimated))
+            pool.insert(tid, actual(qi, tid, estimated))
     return pools, counts, refined
 
 
-def _two_phase(k, prefill, rows, blocks, queries, arrays):
+def _two_phase(k, prefill, rows, blocks, queries):
     pools = _prefilled(k, prefill, queries)
     collectors = [ProfileCollector([], []) for _ in range(queries)]
     candidacies = [
         BlockCandidacy(pool, collector=collector)
         for pool, collector in zip(pools, collectors)
     ]
-    np = fastpath._np
     for start, end in blocks:
         block = rows[start:end]
         tids = tuple(row[0] for row in block)
@@ -132,17 +133,14 @@ def _two_phase(k, prefill, rows, blocks, queries, arrays):
         if DELETED_PTR not in ptrs:
             ptrs = None
         for qi, candidacy in enumerate(candidacies):
-            estimates = [row[2][qi][0] for row in block]
-            exact = [row[2][qi][1] for row in block]
-            if arrays:
-                estimates = np.asarray(estimates, dtype=np.float64)
-                exact = np.asarray(exact, dtype=bool)
+            estimates = np.array([row[2][qi][0] for row in block], dtype=np.float64)
+            exact = np.array([row[2][qi][1] for row in block], dtype=bool)
             candidacy.add_block(tids, ptrs, estimates, exact)
     refined = []
     for qi, candidacy in enumerate(candidacies):
         for tid, estimated in candidacy.best_first():
             refined.append((tid, qi, estimated))
-            pools[qi].insert(tid, _actual(tid, estimated))
+            pools[qi].insert(tid, _actual(qi, tid, estimated))
     counts = []
     for c, collector in zip(candidacies, collectors):
         assert collector.exact == c.exact_shortcuts
@@ -180,18 +178,12 @@ def _blocks(draw):
 
 class TestBlockCandidates:
     @settings(max_examples=200, deadline=None)
-    @given(
-        case=_blocks(),
-        k=st.integers(1, 6),
-        arrays=st.booleans(),
-    )
-    def test_matches_per_tuple_walk(self, case, k, arrays):
-        if arrays and fastpath._np is None:
-            arrays = False
+    @given(case=_blocks(), k=st.integers(1, 6))
+    def test_matches_per_tuple_walk(self, case, k):
         queries, rows, blocks, prefill = case
         args = (k, prefill, rows, blocks, queries)
         ref_pools, ref_counts, ref_refined = _reference(*args)
-        pools, counts, refined = _two_phase(*args, arrays)
+        pools, counts, refined = _two_phase(*args)
         assert refined == ref_refined
         assert counts == ref_counts
         assert [p.results() for p in pools] == [p.results() for p in ref_pools]
@@ -209,23 +201,22 @@ class TestBlockCandidates:
         chunk=st.integers(1, 8),
     )
     def test_best_first_keeps_the_total_order(self, estimates, chunk):
-        """Phase 2 hands survivors over by ``(estimate, tid)``; with numpy
-        it sorts a chunk at a time, and no tie straddles two chunks."""
+        """Phase 2 hands survivors over by ``(estimate, tid)``; it sorts a
+        chunk at a time, and no tie straddles two chunks."""
         tids = tuple(range(0, 3 * len(estimates), 3))
-        exact = [False] * len(estimates)
-        np = fastpath._np
-        if np is not None:
-            estimates = np.asarray(estimates, dtype=np.float64)
-            exact = np.asarray(exact)
         candidacy = BlockCandidacy(ResultPool(len(tids)))
-        candidacy.add_block(tids, None, estimates, exact)
+        candidacy.add_block(
+            tids,
+            None,
+            np.asarray(estimates, dtype=np.float64),
+            np.zeros(len(tids), dtype=bool),
+        )
         with mock.patch.object(pool_module, "RANK_CHUNK", chunk):
             ranked = [(e, t) for t, e in candidacy.best_first()]
-        assert ranked == sorted(zip(list(estimates), tids))
+        assert ranked == sorted(zip(estimates, tids))
 
     def test_tombstone_ptr_compares_as_uint64(self):
         """``DELETED_PTR`` is 2**64 - 1; an int64 cast would overflow."""
-        np = pytest.importorskip("numpy")
         pool = ResultPool(1)
         pool.insert(99, 0.5)
         candidacy = BlockCandidacy(pool)
@@ -297,6 +288,35 @@ def _funnel(report):
     )
 
 
+def _v3_rows(index, queries, dist):
+    """``(rows, blocks)`` of v3's bounds in :func:`_reference`'s shape.
+
+    Each row is ``(tid, deleted, [(estimate, exact) per query])`` and each
+    block a ``(start, end)`` row range: the engine's tuple-list blocks.
+    """
+    per_query = []
+    for query in queries:
+        kernel = QueryKernel.compile(index, query, dist)
+        scan = index.open_scan(query.attribute_ids())
+        bounds = []
+        for tids, ptrs in scan.blocks(BLOCK_TUPLES):
+            estimates, exact = kernel.evaluate_segments(
+                scan.segment_blocks(tids), len(tids)
+            )
+            bounds.append(
+                (tids, ptrs, list(zip(estimates.tolist(), exact.tolist())))
+            )
+        per_query.append(bounds)
+    rows, blocks = [], []
+    for block in zip(*per_query):
+        tids, ptrs, _ = block[0]
+        start = len(rows)
+        for i, (tid, ptr) in enumerate(zip(tids, ptrs)):
+            rows.append((tid, ptr == DELETED_PTR, [b[2][i] for b in block]))
+        blocks.append((start, len(rows)))
+    return rows, blocks
+
+
 def _v3_estimates(table, index, query, dist):
     """``(estimate, tid)`` of every non-exact live tuple under v3's bounds."""
     kernel = QueryKernel.compile(index, query, dist)
@@ -332,16 +352,29 @@ class TestEnginesOnTombstones:
 
     @pytest.mark.parametrize("k", [5, 300])
     @pytest.mark.parametrize("path", ["sequential", "batch"])
-    def test_prefilter_keeps_every_decision(self, churned, path, k, monkeypatch):
-        """Without numpy v3 decides over lists; with it, over arrays.
-        Every funnel count must agree."""
-        if fastpath._np is None:
-            pytest.skip("the prefilter needs numpy")
+    def test_prefilter_keeps_every_decision(self, churned, path, k):
+        """v3 decides a block at a time over arrays; the tuple-by-tuple
+        reference walk over the same bounds, refining with the real
+        distances, makes every decision alike: same funnel, same pools."""
         table, index, queries = churned
+        dist = DistanceFunction()
         blockwise = _run(path, table, index, queries, k)
-        monkeypatch.setattr(fastpath, "_np", None)
-        per_tuple = _run(path, table, index, queries, k)
-        assert [_funnel(r) for r in blockwise] == [_funnel(r) for r in per_tuple]
+        rows, blocks = _v3_rows(index, queries, dist)
+
+        def actual(qi, tid, estimated):
+            return dist.actual(queries[qi], table.read(tid))
+
+        pools, counts, refined = _reference(k, [], rows, blocks, len(queries), actual)
+        expected = []
+        for qi, (scanned, exact, pruned, candidates, late) in enumerate(counts):
+            n_refined = sum(1 for r in refined if r[1] == qi)
+            expected.append(
+                (scanned, exact, n_refined, pruned, candidates, n_refined, late)
+            )
+        assert [_funnel(r) for r in blockwise] == expected
+        assert [
+            [(r.tid, r.distance) for r in report.results] for report in blockwise
+        ] == [[(e.tid, e.distance) for e in pool.results()] for pool in pools]
         assert sum(r.profile.bound_pruned for r in blockwise) > 0
 
 

@@ -7,7 +7,6 @@ import pytest
 from repro.core.fastpath import (
     encode_numeric_batch,
     encode_numeric_column,
-    numpy_available,
     pack_codes,
 )
 from repro.core.numeric import NumericQuantizer
@@ -97,7 +96,3 @@ class TestColumnEncoding:
             else:
                 expected += q4.ndf_bytes()
         assert built == bytes(expected)
-
-    def test_numpy_reported(self):
-        # Informational: the test environment ships numpy.
-        assert numpy_available() in (True, False)

@@ -12,11 +12,9 @@ Two layers of checks:
   with the formula, not tolerance;
 * **engine tests** assert full top-k answer identity between the
   scalar oracle (``IVAEngine(kernel="scalar")``) and every path v3 runs —
-  a single search and a batch (``search_batch``) — both with numpy and
-  through v3's numpy-absent fallback (segments rebuilt into per-element
-  columns for ``evaluate_block``) — and on numeric codes too wide to
-  vectorise (3-, 5- and 8-byte vectors), where ``decode_segment`` adapts
-  ``move_to``.
+  a single search and a batch (``search_batch``) — including numeric
+  codes the columnar decoders cannot hold (3-, 5- and 8-byte vectors),
+  where ``decode_segment`` adapts ``move_to``.
 """
 
 from __future__ import annotations
@@ -25,13 +23,13 @@ import string
 import sys
 import threading
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import IVAConfig, IVAEngine, IVAFile, SimulatedDisk, SparseWideTable
 from repro.codec import CODEC_NAMES
-from repro.core import fastpath
 from repro.core.kernel import (
     BLOCK_TUPLES,
     KERNEL_MODES,
@@ -41,7 +39,7 @@ from repro.core.kernel import (
     QueryKernel,
     validate_kernel_mode,
 )
-from repro.core.numeric import EAGER_LUT_MAX_CODES, NumericQuantizer
+from repro.core.numeric import NumericQuantizer
 from repro.core.segment import NumericSegment, TextSegment
 from repro.core.signature import Signature, QueryStringEncoder, SignatureScheme
 from repro.core.vector_lists import ListType
@@ -128,12 +126,11 @@ class TestCompiledTextTerm:
         payload = [(stored_length, b) for b in bits]
         term, out, _ = _text_bounds(sq, n, scheme, [payload])
         assert out[0] == expected
-        if fastpath._np is not None:
-            segment = TextSegment.from_pairs(
-                1, [0] * len(bits), [stored_length] * len(bits), bits, 1, scheme
-            )
-            bounds, _ = term.bound_segment(segment, scheme, 1, NDF_PENALTY)
-            assert bounds.tolist() == [expected]
+        segment = TextSegment.from_pairs(
+            1, [0] * len(bits), [stored_length] * len(bits), bits, 1, scheme
+        )
+        bounds, _ = term.bound_segment(segment, scheme, 1, NDF_PENALTY)
+        assert bounds.tolist() == [expected]
 
     def test_empty_query_string_is_refused(self):
         """No signature encodes an empty string, on either side."""
@@ -177,16 +174,17 @@ class TestCompiledNumericTerm:
         values=st.lists(FINITE, min_size=1, max_size=8),
         reserve_ndf=st.booleans(),
     )
-    def test_eager_table_matches_scalar(
+    def test_one_byte_memo_matches_scalar(
         self, lo, span, query_value, values, reserve_ndf
     ):
-        """One-byte code space: the eager LUT equals the scalar call on
-        every encoded value, clamped out-of-domain ones included."""
+        """One-byte code space: the per-code memo equals the scalar call on
+        every encoded value, clamped out-of-domain ones included, and
+        holds only the codes it met."""
         quantizer = NumericQuantizer(
             lo=lo, hi=lo + span, vector_bytes=1, reserve_ndf=reserve_ndf
         )
         term = CompiledNumericTerm(quantizer, query_value)
-        assert term.table_codes == quantizer.num_slices
+        assert term.table_codes == 0
         # Boundary slices are the open-ended ones of Prop. 3.3 — always
         # include them alongside the sampled values.
         codes = [quantizer.encode(v) for v in values]
@@ -197,18 +195,18 @@ class TestCompiledNumericTerm:
         for got, code in zip(out, codes):
             assert got == quantizer.lower_bound(query_value, code)
         assert exact == [False] * len(codes)
+        assert term.table_codes == len(set(codes))
 
     @given(
         query_value=FINITE,
         codes=st.lists(st.integers(0, 65534), min_size=1, max_size=8),
     )
     def test_lazy_memo_matches_scalar(self, query_value, codes):
-        """Two-byte code space exceeds the eager limit; the memoised path
-        must return the same bounds as the scalar call."""
+        """Two-byte code space: the memoised path must return the same
+        bounds as the scalar call."""
         quantizer = NumericQuantizer(
             lo=-500.0, hi=500.0, vector_bytes=2, reserve_ndf=True
         )
-        assert quantizer.num_slices > EAGER_LUT_MAX_CODES
         term = CompiledNumericTerm(quantizer, query_value)
         out = [0.0] * len(codes)
         exact = [True] * len(codes)
@@ -228,8 +226,8 @@ class TestCompiledNumericTerm:
         assert exact == [True, False, True]
 
     def test_full_block_gather_matches_scalar(self):
-        """A fully-defined block-sized column takes the numpy gather when
-        available; bounds stay bit-identical either way."""
+        """A fully-defined block-sized column: every code's bound is
+        bit-identical to the scalar call."""
         quantizer = NumericQuantizer(lo=0.0, hi=255.0, vector_bytes=1)
         term = CompiledNumericTerm(quantizer, 311.5)  # beyond hi: clamped side
         codes = [i % quantizer.num_slices for i in range(BLOCK_TUPLES)]
@@ -240,10 +238,9 @@ class TestCompiledNumericTerm:
         assert exact == [False] * len(codes)
 
     def test_segment_bounds_keep_no_per_code_state(self):
-        """The numpy path bounds a two-byte segment array-wide: bit-identical
-        to the scalar call, and nothing is memoised per code (a long-lived
-        kernel cache would otherwise grow with every code it sees)."""
-        np = pytest.importorskip("numpy")
+        """A two-byte segment is bounded array-wide: bit-identical to the
+        scalar call, and nothing is memoised per code (a long-lived kernel
+        cache would otherwise grow with every code it sees)."""
         quantizer = NumericQuantizer(
             lo=-500.0, hi=500.0, vector_bytes=2, reserve_ndf=True
         )
@@ -338,7 +335,6 @@ class TestKernelCacheSharing:
         every array bound — while several threads grow the same term's row
         tables — must equal the scalar mask loop.
         """
-        pytest.importorskip("numpy")
         monkeypatch.setattr(KernelCache, "CAPACITY", 32)
         scheme = SignatureScheme(0.2, 2)
         strings = ["ab" * (1 + i % 30) + "c" * (i % 7) for i in range(40)]
@@ -409,48 +405,27 @@ class TestAnswerIdentity:
             for q in queries
         ]
 
-    @pytest.fixture
-    def no_numpy(self, monkeypatch):
-        """Route v3 through its numpy-absent fallback: numeric
-        ``decode_segment`` adapts ``move_to`` and ``evaluate_segments``
-        hands per-element columns to ``evaluate_block``."""
-        monkeypatch.setattr(fastpath, "_np", None)
-
-    def _sequential_matches(self, setups, table, codec):
-        indexes, queries = setups
-        scalar = self._answers(
-            IVAEngine(table, indexes[codec], kernel="scalar"), queries
-        )
-        v3 = self._answers(IVAEngine(table, indexes[codec], kernel="v3"), queries)
-        assert v3 == scalar
-
-    def _batch_matches(self, setups, table, codec):
-        indexes, queries = setups
-        scalar = self._answers(
-            IVAEngine(table, indexes[codec], kernel="scalar"), queries
-        )
-        v3 = IVAEngine(table, indexes[codec]).search_batch(queries, k=8)
-        assert [[(r.tid, r.distance) for r in report.results] for report in v3] == (
-            scalar
-        )
-
     @pytest.mark.parametrize("codec", CODEC_NAMES)
     def test_sequential_v3_matches_scalar(self, setups, small_dataset, codec):
-        self._sequential_matches(setups, small_dataset, codec)
-
-    @pytest.mark.parametrize("codec", CODEC_NAMES)
-    def test_sequential_block_matches_scalar(
-        self, setups, small_dataset, codec, no_numpy
-    ):
-        self._sequential_matches(setups, small_dataset, codec)
+        indexes, queries = setups
+        index = indexes[codec]
+        scalar = self._answers(
+            IVAEngine(small_dataset, index, kernel="scalar"), queries
+        )
+        v3 = self._answers(IVAEngine(small_dataset, index, kernel="v3"), queries)
+        assert v3 == scalar
 
     @pytest.mark.parametrize("codec", CODEC_NAMES)
     def test_batch_v3_matches_scalar(self, setups, small_dataset, codec):
-        self._batch_matches(setups, small_dataset, codec)
-
-    @pytest.mark.parametrize("codec", CODEC_NAMES)
-    def test_batch_block_matches_scalar(self, setups, small_dataset, codec, no_numpy):
-        self._batch_matches(setups, small_dataset, codec)
+        indexes, queries = setups
+        index = indexes[codec]
+        scalar = self._answers(
+            IVAEngine(small_dataset, index, kernel="scalar"), queries
+        )
+        v3 = IVAEngine(small_dataset, index).search_batch(queries, k=8)
+        assert [[(r.tid, r.distance) for r in report.results] for report in v3] == (
+            scalar
+        )
 
 
 class TestWideNumericCodes:

@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -165,7 +166,6 @@ class TestLowerBoundArray:
         data=st.data(),
     )
     def test_matches_scalar_bit_for_bit(self, lo, span, vector_bytes, reserve_ndf, data):
-        np = pytest.importorskip("numpy")
         q = NumericQuantizer(
             lo=lo, hi=lo + span, vector_bytes=vector_bytes, reserve_ndf=reserve_ndf
         )
@@ -186,7 +186,6 @@ class TestLowerBoundArray:
         assert got.view(np.uint64).tolist() == expected.view(np.uint64).tolist()
 
     def test_degenerate_domain(self):
-        np = pytest.importorskip("numpy")
         q = NumericQuantizer(lo=5.0, hi=5.0, vector_bytes=2)
         codes = [0, 1, 300, q.num_slices - 1]
         for query_value in (4.0, 5.0, 6.5):

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core import fastpath
 from repro.core.engine import IVAEngine
 from repro.core.iva_file import IVAConfig, IVAFile
 from repro.data.workload import WorkloadGenerator
@@ -159,10 +158,14 @@ class TestKernels:
     def test_v3_path_counts_match_scalar(self, indexed, queries):
         self._assert_v3_counts_match_scalar(indexed, queries)
 
-    def test_block_path_counts_match_scalar(self, indexed, queries, monkeypatch):
-        """Without numpy, v3 evaluates per-element columns; same counts."""
-        monkeypatch.setattr(fastpath, "_np", None)
-        self._assert_v3_counts_match_scalar(indexed, queries)
+    def test_adapter_path_counts_match_scalar(self, small_dataset, queries):
+        """At α = 0.6 numeric codes are five bytes wide, so v3 bounds them
+        from blocks ``decode_segment`` adapts from ``move_to``; same counts."""
+        index = IVAFile.build(small_dataset, IVAConfig(name="prof_wide", alpha=0.6))
+        assert any(
+            not term.attr.is_text for query in queries[:5] for term in query.terms
+        )
+        self._assert_v3_counts_match_scalar((small_dataset, index), queries)
 
 
 class TestBatch:

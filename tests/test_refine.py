@@ -9,10 +9,10 @@ from __future__ import annotations
 
 import threading
 
+import numpy as np
 import pytest
 
 from repro import IVAConfig, IVAEngine, IVAFile, SimulatedDisk, SparseWideTable
-from repro.core import fastpath
 from repro.core.pool import BlockCandidacy, ResultPool
 from repro.core.refine import Refiner
 from repro.data import DatasetConfig, DatasetGenerator
@@ -56,11 +56,9 @@ class TestRefiner:
         refiner = Refiner(table, queries[:1], DistanceFunction(), [pool])
         tids = (5, 6, 7, 8, 9, 10, 11, 12)
         estimates = [3.0, 1.0, 2.0, 1.0, 0.5, 4.0, 2.0, 0.0]
-        exact = [False] * len(tids)
-        np = fastpath._np
-        if np is not None:  # the kernel's arrays; lists without numpy
-            estimates, exact = np.asarray(estimates), np.asarray(exact)
-        candidacy.add_block(tids, None, estimates, exact)
+        candidacy.add_block(
+            tids, None, np.asarray(estimates), np.zeros(len(tids), dtype=bool)
+        )
         for tid, estimated in candidacy.best_first():
             refiner.refine(0, tid, estimated)
         assert reads == [12, 9, 6, 8, 7, 11, 5, 10]
@@ -87,7 +85,9 @@ class TestRefiner:
         refiner = Refiner(
             table, queries[:1], DistanceFunction(), [pool], collectors=[collector]
         )
-        candidacy.add_block((10, 11, 12), None, [0.0, 5.0, 6.0], [False] * 3)
+        candidacy.add_block(
+            (10, 11, 12), None, np.array([0.0, 5.0, 6.0]), np.zeros(3, dtype=bool)
+        )
         pool.insert(0, 1.0)  # tightens below the last two estimates
         for tid, estimated in candidacy.best_first():
             refiner.refine(0, tid, estimated)

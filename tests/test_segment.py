@@ -1,6 +1,6 @@
 """Kernel v3 segment decode: columnar output must equal the scalar walk.
 
-Three layers of checks:
+Two layers of checks:
 
 * **property tests** (hypothesis) pin ``decode_segment()`` to the scalar
   ``move_to`` walk (the identity oracle), value for value, across both
@@ -9,11 +9,8 @@ Three layers of checks:
   final block;
 * **skip-table tests** cover ``SkipTable.seek_offset`` arithmetic and
   verify a tail-block decode actually jumps over whole segments (and
-  still returns the right payloads), columnar and scalar-fallback alike;
-* **fallback tests** monkeypatch numpy away and assert text layouts keep
-  their (pure Python) :class:`TextSegment` decoders while numeric ones
-  degrade to a :class:`ColumnSegment` adapted from ``move_to``, with v3
-  engine answers still bit-identical to scalar.
+  still returns the right payloads), columnar and through the
+  ``move_to`` adapter alike.
 
 The wide-code (``vector_bytes > 4``) fastpath fallback rides along: one
 explicit 8-byte bit-identity check plus the one-time debug log contract.
@@ -28,7 +25,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro import IVAConfig, IVAEngine, IVAFile, SimulatedDisk, SparseWideTable
+from repro import IVAConfig, IVAFile, SimulatedDisk, SparseWideTable
 from repro.codec import CODEC_NAMES
 from repro.core import fastpath, scan
 from repro.core.kernel import CompiledTextTerm
@@ -40,7 +37,6 @@ from repro.core.scan import (
 )
 from repro.core.segment import ColumnSegment, TextSegment
 from repro.core.signature import SignatureScheme
-from repro.data.workload import WorkloadGenerator
 from repro.errors import IndexError_, StorageError
 from repro.storage.pager import BufferedReader
 
@@ -244,8 +240,6 @@ class TestDecodeSegmentIdentity:
                     assert segment.defined_count(len(chunk)) == sum(
                         1 for payload in column if payload is not None
                     )
-                    if segment.kind != "text":  # numpy absent: move_to adapter
-                        continue
                     bounds, defined = term.bound_segment(segment, scheme, len(chunk), 7.0)
                     expected = [0.0] * len(chunk)
                     exact = [True] * len(chunk)
@@ -292,7 +286,6 @@ class TestDecodeSegmentIdentity:
         multi-string tuples, and a block that slices a longer run (the
         run is bounded once and memoised, then sliced).
         """
-        pytest.importorskip("numpy")
         scheme = SignatureScheme(alpha, n)
         slots, lengths, bits = [], [], []
         for slot, strings in enumerate(values):
@@ -338,60 +331,6 @@ class TestDecodeSegmentIdentity:
                 column = segment.column()
                 defined = sum(1 for payload in column if payload is not None)
                 assert segment.defined_count(len(tids)) == defined
-
-
-class TestNumpyAbsentFallback:
-    @pytest.fixture
-    def no_numpy(self, monkeypatch):
-        monkeypatch.setattr(fastpath, "_np", None)
-
-    def test_decode_segment_degrades_to_column_segment(self, no_numpy):
-        """Raw lists adapt move_to; compressed text keeps its TextSegment.
-
-        The raw text run parser cracks fields with numpy, so without it
-        raw text degrades to the base adapter like numeric lists do; the
-        compressed varint walks build plain-list segments either way.
-        """
-        table = _build([("a", "x", 1.0, 2.0), (None, "y", None, 3.0)] * 5)
-        for codec in CODEC_NAMES:
-            index = IVAFile.build(
-                table, IVAConfig(name=f"seg_np_{codec}", codec=codec)
-            )
-            attr_ids = _attr_ids(table)
-            text = [table.catalog.by_id(a).is_text for a in attr_ids]
-            assert set(text) == {True, False}
-            scan = index.open_scan(attr_ids)
-            for tids, _ in scan.blocks(4):
-                segments = scan.segment_blocks(list(tids))
-                for is_text, segment in zip(text, segments):
-                    columnar = is_text and codec == "compressed"
-                    expected = TextSegment if columnar else ColumnSegment
-                    assert type(segment) is expected
-
-    def test_v3_engine_answers_without_numpy(self, no_numpy):
-        table = _build(
-            [
-                (
-                    f"val{i % 7}" if i % 3 else None,
-                    f"dense{i % 5}",
-                    float(i) if i % 2 else None,
-                    float(i * 3 % 97),
-                )
-                for i in range(60)
-            ]
-        )
-        index = IVAFile.build(table, IVAConfig(name="seg_np_engine"))
-        workload = WorkloadGenerator(table, seed=11)
-        queries = [workload.sample_query(arity) for arity in (1, 2) for _ in range(3)]
-
-        def answers(kernel):
-            engine = IVAEngine(table, index, kernel=kernel)
-            return [
-                [(r.tid, r.distance) for r in engine.search(q, k=5).results]
-                for q in queries
-            ]
-
-        assert answers("v3") == answers("scalar")
 
 
 class TestSkipTable:
@@ -466,11 +405,14 @@ class TestSkipTable:
         scalar = index.make_scanner(attr_id)
         assert segment.column() == [scalar.move_to(last_tid)]
 
-    def test_fallback_decode_jumps_too(self, long_table, monkeypatch):
-        """The numpy-absent numeric decode (adapted move_to) still skips."""
-        monkeypatch.setattr(fastpath, "_np", None)
-        index = IVAFile.build(long_table, IVAConfig(name="skip_mb", codec="raw"))
+    def test_fallback_decode_jumps_too(self, long_table):
+        """The numeric decode adapted from move_to still skips: at α = 0.6
+        codes are five bytes wide, too wide for the columnar decoder."""
+        index = IVAFile.build(
+            long_table, IVAConfig(name="skip_mb", codec="raw", alpha=0.6)
+        )
         attr_id = long_table.catalog.require("V").attr_id
+        assert index.entry(attr_id).quantizer.vector_bytes == 5
         if index._skip_tables.get(attr_id) is None:
             pytest.skip("chooser picked a positional layout for V")
         last_tid = long_table.stats.live_tuples - 1
@@ -482,7 +424,7 @@ class TestSkipTable:
         reader.skip = lambda n: (jumps.append(n), original_skip(n))[1]
         segment = scanner.decode_segment([last_tid])
         assert isinstance(segment, ColumnSegment)
-        assert jumps, "the fallback decode never engaged the skip table"
+        assert jumps, "the adapted decode never engaged the skip table"
 
         scalar = index.make_scanner(attr_id)
         assert segment.column() == [scalar.move_to(last_tid)]

@@ -6,7 +6,8 @@ import pytest
 from repro import IVAConfig, IVAEngine, IVAFile, SimulatedDisk, SparseWideTable
 from repro.core.sequential import SequentialPlanEngine
 from repro.data import WorkloadGenerator
-from tests.helpers import assert_topk_matches_bruteforce
+from repro.errors import DeadlineExceeded, StorageError
+from tests.helpers import assert_topk_matches_bruteforce, brute_force_topk
 
 
 @pytest.fixture
@@ -77,3 +78,66 @@ class TestAgreementWithParallel:
             a = [r.distance for r in sequential.search(query, k=10).results]
             b = [r.distance for r in parallel.search(query, k=10).results]
             assert a == pytest.approx(b)
+
+
+class TestSharedDriver:
+    """The plan runs through the engines' one filter-and-refine driver."""
+
+    def test_generous_deadline_changes_nothing(self, numeric_table):
+        index = IVAFile.build(numeric_table)
+        engine = SequentialPlanEngine(numeric_table, index)
+        plain = engine.search({"Price": 225.0}, k=3)
+        timed = engine.search({"Price": 225.0}, k=3, deadline_s=60.0)
+        assert not timed.degraded
+        assert timed.results == plain.results
+        assert timed.table_accesses == plain.table_accesses
+
+    def test_expired_deadline_degrades_or_raises(self, numeric_table):
+        index = IVAFile.build(numeric_table)
+        degrade = SequentialPlanEngine(numeric_table, index, fail_mode="degrade")
+        report = degrade.search({"Price": 225.0}, k=3, deadline_s=1e-9)
+        assert report.degraded and report.deadline_hit
+        assert report.lost_tid_ranges == [(0, -1)]
+        assert report.results == []
+        strict = SequentialPlanEngine(numeric_table, index)
+        with pytest.raises(DeadlineExceeded):
+            strict.search({"Price": 225.0}, k=3, deadline_s=1e-9)
+
+    def test_cut_scan_refines_the_scanned_prefix(self, small_dataset, monkeypatch):
+        """A storage error mid-scan still refines the prefix's candidates:
+        the degraded answer is the exact top-k of the tuples scanned."""
+        index = IVAFile.build(small_dataset, IVAConfig(name="iva_seq_cut"))
+        query = WorkloadGenerator(small_dataset, seed=4).sample_query(2)
+        original = SequentialPlanEngine._bounds
+        seen = []
+
+        def flaky(self, *args):
+            for item in original(self, *args):
+                if len(seen) == 60:
+                    raise StorageError("media failure mid-scan")
+                seen.append(item)
+                yield item
+
+        monkeypatch.setattr(SequentialPlanEngine, "_bounds", flaky)
+        engine = SequentialPlanEngine(small_dataset, index, fail_mode="degrade")
+        report = engine.search(query, k=5)
+        assert report.degraded and not report.deadline_hit
+        [(lo, hi)] = report.lost_tid_ranges
+        assert (lo, hi) == (seen[-1][0] + 1, -1)
+        assert report.tuples_scanned == 60
+        assert [(r.tid, r.distance) for r in report.results] == brute_force_topk(
+            small_dataset, query, 5, engine.distance, last_tid=lo - 1
+        )
+        seen.clear()
+        strict = SequentialPlanEngine(small_dataset, index)
+        with pytest.raises(StorageError):
+            strict.search(query, k=5)
+
+    def test_profile_funnel_matches_report(self, numeric_table):
+        index = IVAFile.build(numeric_table)
+        engine = SequentialPlanEngine(numeric_table, index, profile=True)
+        report = engine.search({"Price": 225.0}, k=2)
+        profile = report.profile
+        assert profile.tuples_scanned == report.tuples_scanned == len(numeric_table)
+        assert profile.refined == profile.candidates == report.table_accesses
+        assert profile.bound_pruned == report.tuples_scanned - report.table_accesses
