@@ -16,6 +16,11 @@ v3's text bound adds the length filter to the scalar oracle's Eq. 3 and
 refines best-first, so per query it must also refine no more rows than
 the oracle: v3 ``table_accesses`` <= scalar ``table_accesses``.
 
+The 600-tuple table fits in one default v3 block, so both v3 paths also
+run with the engine's block size patched to ``SMALL_BLOCK`` tuples: the
+answers and per-query ``table_accesses`` must equal the default block
+size's, so a bug at a block boundary cannot hide behind a one-block table.
+
 The kernels' lookup tables are built from the exact scalar bound
 routines (text: the larger of Eq. 3 and the length filter, both lower
 bounds), so any divergence — including on ndf tuples and clamped
@@ -32,15 +37,19 @@ Exit status 0 on success, 1 on any problem, so it can gate `make smoke`.
 from __future__ import annotations
 
 import sys
+from unittest import mock
 
 QUERIES = 12
 K = 10
 #: Relative numeric vector length of the second index per codec: 8-byte codes.
 WIDE_ALPHA = 1.0
+#: v3 block size of the second run of each path: the table spans ten blocks.
+SMALL_BLOCK = 64
 
 
 def main() -> int:
     from repro.codec import CODEC_NAMES
+    from repro.core import engine as engine_module
     from repro.core.engine import IVAEngine
     from repro.core.iva_file import IVAConfig, IVAFile
     from repro.data.generator import DatasetConfig, DatasetGenerator
@@ -114,10 +123,23 @@ def main() -> int:
         index = IVAFile.build(table, config)
         oracle = IVAEngine(table, index, kernel="scalar")
         baseline, baseline_accesses = searched(oracle)
-        paths = {
-            "sequential": searched(IVAEngine(table, index)),
-            "batch": answers(IVAEngine(table, index).search_batch(queries, k=K)),
-        }
+
+        def v3_paths():
+            return {
+                "sequential": searched(IVAEngine(table, index)),
+                "batch": answers(IVAEngine(table, index).search_batch(queries, k=K)),
+            }
+
+        paths = v3_paths()
+        with mock.patch.object(engine_module, "BLOCK_TUPLES", SMALL_BLOCK):
+            small = v3_paths()
+        for label, result in small.items():
+            if result != paths[label]:
+                problems.append(
+                    f"{label_index}: v3 {label} with {SMALL_BLOCK}-tuple "
+                    "blocks differs from the default block size in answers "
+                    "or table accesses"
+                )
         for label, (got, accesses) in paths.items():
             checked += 1
             check_distances(f"{label_index}: v3 {label}", got)
@@ -141,7 +163,8 @@ def main() -> int:
     print(
         f"kernel smoke OK: {len(CODEC_NAMES)} codecs x {len(alphas)} alphas x "
         f"{len(queries)} queries, "
-        f"v3 == scalar oracle on {checked} engine paths (single-query, batch); "
+        f"v3 == scalar oracle on {checked} engine paths (single-query, batch), "
+        f"unchanged at {SMALL_BLOCK}-tuple blocks; "
         f"{distances_checked} "
         f"returned distances == DP edit distance over the full row; "
         f"table accesses v3 {v3_accesses['sequential']} (batch "

@@ -64,10 +64,14 @@ from repro.metrics.distance import (
 from repro.model.values import MAX_ENCODED_STRING_LENGTH
 from repro.query import Query
 
-#: Tuple-list elements evaluated per kernel call.  One block of the default
-#: 12-byte tuple elements spans ~3 KB of the tuple list — well inside one
-#: buffered-reader chunk, so blocking changes call counts, not I/O.
-BLOCK_TUPLES = 256
+#: Tuple-list elements evaluated per kernel call.  Every block pays a fixed
+#: cost — one segment decode per scanner, a few dozen numpy calls per term
+#: in :meth:`QueryKernel.evaluate_segments` and in the candidacy's
+#: ``add_block`` — so the block is made as large as the tuple list's
+#: reader allows: 4,096 elements of 12 bytes are 48 KB, the largest power
+#: of two that fits in one 64 KB buffered-reader chunk.  Blocking changes
+#: call counts and the order in which scanners refill, never the answers.
+BLOCK_TUPLES = 4096
 
 #: Valid filter-kernel modes on engines and the CLI's ``--kernel`` flag:
 #: ``scalar`` (per-tuple; the identity oracle) and ``v3`` (whole-segment

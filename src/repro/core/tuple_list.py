@@ -11,10 +11,15 @@ from __future__ import annotations
 import struct
 from typing import Dict, Iterable, Iterator, Tuple
 
+import numpy as np
+
 from repro.errors import IndexError_
 from repro.storage import BufferedReader, StorageBackend
 
 ELEMENT = struct.Struct("<IQ")
+
+#: :data:`ELEMENT` as a packed numpy record, for decoding a block at once.
+ELEMENT_DTYPE = np.dtype([("tid", "<u4"), ("ptr", "<u8")])
 
 #: Sentinel ptr marking a deleted tuple (Sec. IV-B).
 DELETED_PTR = (1 << 64) - 1
@@ -143,26 +148,17 @@ class TupleList:
         while not reader.exhausted():
             yield ELEMENT.unpack(reader.read(size))
 
-    def scan_blocks(
-        self, block_elements: int
-    ) -> Iterator[Tuple[Tuple[int, ...], Tuple[int, ...]]]:
-        """Yield ``(tids, ptrs)`` column pairs, *block_elements* at a time.
-
-        The block filter kernel's tuple-list feed: one ``iter_unpack`` call
-        decodes a whole block instead of one ``unpack`` per element.  The
-        same bytes stream by in the same order, so modeled I/O is identical
-        to :meth:`scan`; only Python call counts change.  The final block
-        may be short.
-        """
-        yield from self.scan_range_blocks(0, self._count, block_elements)
-
     def scan_range_blocks(
         self, start_element: int, end_element: int, block_elements: int
     ) -> Iterator[Tuple[Tuple[int, ...], Tuple[int, ...]]]:
         """Yield ``(tids, ptrs)`` column pairs over ``[start, end)``.
 
-        The block counterpart of :meth:`scan_range`, used by the v3
-        kernel's scans.
+        The block filter kernel's tuple-list feed, *block_elements* at a
+        time; the final block may be short.  Each block's bytes are viewed
+        as one packed ``(tid, ptr)`` record array and split into its two
+        columns, so the per-element cost is numpy's ``tolist``, not a
+        Python-level transpose.  The same bytes stream by in the same
+        order as :meth:`scan_range`, so modeled I/O is identical.
         """
         if not 0 <= start_element <= end_element <= self._count:
             raise IndexError_(
@@ -178,7 +174,6 @@ class TupleList:
         remaining = end_element - start_element
         while remaining > 0:
             count = block_elements if remaining > block_elements else remaining
-            raw = reader.read(count * size)
-            columns = tuple(zip(*ELEMENT.iter_unpack(raw)))
-            yield columns[0], columns[1]
+            block = np.frombuffer(reader.read(count * size), ELEMENT_DTYPE)
+            yield tuple(block["tid"].tolist()), tuple(block["ptr"].tolist())
             remaining -= count

@@ -30,8 +30,9 @@ from hypothesis import strategies as st
 from repro import IVAConfig, IVAEngine, IVAFile, SimulatedDisk, SparseWideTable
 from repro.codec import CODEC_NAMES
 from repro.core.iva_file import DELETED_PTR
-from repro.core.kernel import BLOCK_TUPLES, QueryKernel
+from repro.core import engine as engine_module
 from repro.core import pool as pool_module
+from repro.core.kernel import BLOCK_TUPLES, QueryKernel
 from repro.core.pool import BlockCandidacy, ResultPool
 from repro.data import DatasetConfig, DatasetGenerator, WorkloadGenerator
 from repro.maintenance import MaintainedSystem
@@ -299,7 +300,7 @@ def _v3_rows(index, queries, dist):
         kernel = QueryKernel.compile(index, query, dist)
         scan = index.open_scan(query.attribute_ids())
         bounds = []
-        for tids, ptrs in scan.blocks(BLOCK_TUPLES):
+        for tids, ptrs in scan.blocks(engine_module.BLOCK_TUPLES):
             estimates, exact = kernel.evaluate_segments(
                 scan.segment_blocks(tids), len(tids)
             )
@@ -317,12 +318,30 @@ def _v3_rows(index, queries, dist):
     return rows, blocks
 
 
+def _reference_funnels(table, index, queries, k):
+    """:func:`_funnel` and answers per query from :func:`_reference` over
+    v3's bounds and blocks, refining with the real distances."""
+    dist = DistanceFunction()
+    rows, blocks = _v3_rows(index, queries, dist)
+
+    def actual(qi, tid, estimated):
+        return dist.actual(queries[qi], table.read(tid))
+
+    pools, counts, refined = _reference(k, [], rows, blocks, len(queries), actual)
+    funnels = []
+    for qi, (scanned, exact, pruned, candidates, late) in enumerate(counts):
+        n_refined = sum(1 for r in refined if r[1] == qi)
+        funnels.append((scanned, exact, n_refined, pruned, candidates, n_refined, late))
+    answers = [[(e.tid, e.distance) for e in pool.results()] for pool in pools]
+    return funnels, answers
+
+
 def _v3_estimates(table, index, query, dist):
     """``(estimate, tid)`` of every non-exact live tuple under v3's bounds."""
     kernel = QueryKernel.compile(index, query, dist)
     scan = index.open_scan(query.attribute_ids())
     out = []
-    for tids, ptrs in scan.blocks(BLOCK_TUPLES):
+    for tids, ptrs in scan.blocks(engine_module.BLOCK_TUPLES):
         estimates, exact = kernel.evaluate_segments(
             scan.segment_blocks(tids), len(tids)
         )
@@ -335,9 +354,11 @@ def _v3_estimates(table, index, query, dist):
 class TestEnginesOnTombstones:
     @pytest.mark.parametrize("k", [5, 300])
     @pytest.mark.parametrize("path", ["sequential", "batch"])
-    def test_v3_matches_scalar(self, churned, path, k):
-        """k=300 exceeds one 256-tuple block, so the second block starts
-        before the pool is full and fills it mid-block."""
+    def test_v3_matches_scalar(self, churned, path, k, monkeypatch):
+        """Blocks shrink to 64 tuples, so the 790-element tuple list spans
+        13 and k=300 exceeds one block: later blocks start before the pool
+        is full and one fills it mid-block."""
+        monkeypatch.setattr(engine_module, "BLOCK_TUPLES", 64)
         table, index, queries = churned
         assert table.dead_tuples > 0
         scalar = _oracle(table, index, queries, k)
@@ -357,36 +378,26 @@ class TestEnginesOnTombstones:
         reference walk over the same bounds, refining with the real
         distances, makes every decision alike: same funnel, same pools."""
         table, index, queries = churned
-        dist = DistanceFunction()
         blockwise = _run(path, table, index, queries, k)
-        rows, blocks = _v3_rows(index, queries, dist)
-
-        def actual(qi, tid, estimated):
-            return dist.actual(queries[qi], table.read(tid))
-
-        pools, counts, refined = _reference(k, [], rows, blocks, len(queries), actual)
-        expected = []
-        for qi, (scanned, exact, pruned, candidates, late) in enumerate(counts):
-            n_refined = sum(1 for r in refined if r[1] == qi)
-            expected.append(
-                (scanned, exact, n_refined, pruned, candidates, n_refined, late)
-            )
+        expected, answers = _reference_funnels(table, index, queries, k)
         assert [_funnel(r) for r in blockwise] == expected
         assert [
             [(r.tid, r.distance) for r in report.results] for report in blockwise
-        ] == [[(e.tid, e.distance) for e in pool.results()] for pool in pools]
+        ] == answers
         assert sum(r.profile.bound_pruned for r in blockwise) > 0
 
 
-class TestOptimalAccesses:
-    @pytest.fixture(scope="class")
-    def indexes(self, churned):
-        table, _, _ = churned
-        return {
-            codec: IVAFile.build(table, IVAConfig(name=f"opt_{codec}", codec=codec))
-            for codec in CODEC_NAMES
-        }
+@pytest.fixture(scope="module")
+def indexes(churned):
+    """One index per codec over the tombstoned table."""
+    table, _, _ = churned
+    return {
+        codec: IVAFile.build(table, IVAConfig(name=f"opt_{codec}", codec=codec))
+        for codec in CODEC_NAMES
+    }
 
+
+class TestOptimalAccesses:
     @pytest.mark.parametrize("k", [5, 300, 1000])
     @pytest.mark.parametrize("codec", CODEC_NAMES)
     def test_refines_exactly_what_the_bounds_cannot_rule_out(
@@ -421,3 +432,53 @@ class TestOptimalAccesses:
                 expected = len(bounds)
             assert got.table_accesses == expected
             assert got.table_accesses <= oracle.table_accesses
+
+
+#: Block sizes v3 must be indifferent to: one tuple, sizes that do not
+#: divide the ~790-element list, the default, and one past the table.
+BLOCK_SIZES = (1, 7, 64, 256, BLOCK_TUPLES, 10_000)
+
+
+class TestBlockSizeInvariance:
+    @pytest.mark.parametrize("path", ["sequential", "batch"])
+    @pytest.mark.parametrize("codec", CODEC_NAMES)
+    def test_block_size_changes_no_answer_or_count(
+        self, churned, indexes, codec, path, monkeypatch
+    ):
+        """Every block size gives the scalar oracle's answers, scanned and
+        exact counts, and one set of refines.
+
+        The block only decides *when* a tuple the pool rules out is ruled
+        out: when its block is added (bound-pruned) or as phase 2 stops
+        (late-pruned).  So ``refined`` and ``table_accesses`` are equal at
+        every size, never more than the oracle's, and ``bound_pruned +
+        late_pruned`` is equal at every size.  At each size the funnel is
+        the tuple-by-tuple reference walk's over blocks of that size.
+        """
+        table, _, queries = churned
+        index = indexes[codec]
+        k = 10
+        oracle = _oracle(table, index, queries, k)
+        funnels = {}
+        for size in BLOCK_SIZES:
+            monkeypatch.setattr(engine_module, "BLOCK_TUPLES", size)
+            reports = _run(path, table, index, queries, k)
+            for a, b in zip(oracle, reports):
+                assert [(r.tid, r.distance) for r in b.results] == [
+                    (r.tid, r.distance) for r in a.results
+                ]
+                assert b.tuples_scanned == a.tuples_scanned
+                assert b.exact_shortcuts == a.exact_shortcuts
+                assert b.table_accesses <= a.table_accesses
+                _assert_funnel(b)
+            expected, _ = _reference_funnels(table, index, queries, k)
+            assert [_funnel(r) for r in reports] == expected
+            funnels[size] = [
+                (
+                    r.table_accesses,
+                    r.profile.refined,
+                    r.profile.bound_pruned + r.profile.late_pruned,
+                )
+                for r in reports
+            ]
+        assert len(set(map(tuple, funnels.values()))) == 1, funnels

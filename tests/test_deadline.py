@@ -100,7 +100,11 @@ def test_batch_expired_deadline_flags_every_report(indexed, queries):
 
 def _cut_after(monkeypatch, checks: int) -> None:
     """Expire the deadline at the *checks*-th check (one per v3 block, one
-    per tuple on the scalar walk), as a budget running out mid-scan."""
+    per tuple on the scalar walk), as a budget running out mid-scan.
+
+    v3 blocks shrink to 64 tuples so the small table spans several.
+    """
+    monkeypatch.setattr(engine_module, "BLOCK_TUPLES", 64)
     calls = itertools.count(1)
 
     def check(deadline, last_tid):

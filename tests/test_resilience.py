@@ -14,6 +14,7 @@ import pytest
 
 from tests.helpers import brute_force_topk
 from repro import IVAConfig, IVAEngine, IVAFile, SparseWideTable
+from repro.core import engine as engine_module
 from repro.core.kernel import QueryKernel
 from repro.data.generator import DatasetConfig, DatasetGenerator
 from repro.data.workload import WorkloadGenerator
@@ -540,7 +541,12 @@ class TestDegradedExecution:
 
     @staticmethod
     def _failing_blocks(monkeypatch, after: int):
-        """Make the v3 filter raise a storage error after *after* blocks."""
+        """Make the v3 filter raise a storage error after *after* blocks.
+
+        Blocks shrink to 64 tuples so the small table spans several and the
+        error lands mid-scan.
+        """
+        monkeypatch.setattr(engine_module, "BLOCK_TUPLES", 64)
         original = QueryKernel.evaluate_segments
         blocks = itertools.count()
 

@@ -81,3 +81,33 @@ class TestTupleList:
         ]
         with pytest.raises(IndexError_):
             list(tuples.scan_range_blocks(0, 3, 0))
+
+    @pytest.mark.parametrize("block", [1, 7, 64, 5000])
+    @pytest.mark.parametrize("start", [0, 1, 130])
+    def test_scan_range_blocks_matches_scan_range(self, start, block):
+        """Blocks concatenate to :meth:`scan_range` element by element:
+        any start, a block size that does not divide the range, tombstones
+        and ptrs that need all 64 bits, every value a Python ``int``."""
+        disk = SimulatedDisk()
+        tl = TupleList(disk, "w.tuples")
+        tl.rebuild((3 * i + 1, (i << 33) + i) for i in range(300))
+        for tid in (1, 97, 3 * 130 + 1, 3 * 299 + 1):
+            tl.mark_deleted(tid)
+        tl.append(5000, DELETED_PTR - 1)
+        end = tl.element_count
+        expected = list(tl.scan_range(start, end))
+        assert any(ptr == DELETED_PTR for _, ptr in expected)
+        blocks = list(tl.scan_range_blocks(start, end, block))
+        sizes = [len(tids) for tids, _ in blocks]
+        assert sizes == [len(ptrs) for _, ptrs in blocks]
+        assert all(size == block for size in sizes[:-1])
+        assert 0 < sizes[-1] <= block
+        got = [pair for tids, ptrs in blocks for pair in zip(tids, ptrs)]
+        assert got == expected
+        assert all(
+            type(tid) is int and type(ptr) is int for tid, ptr in got
+        )
+        assert all(
+            isinstance(tids, tuple) and isinstance(ptrs, tuple)
+            for tids, ptrs in blocks
+        )
