@@ -2,9 +2,9 @@
 """Smoke-check the filter kernels: v3 answers match the scalar oracle.
 
 Builds a small synthetic table, indexes it once per registered codec
-family at the default α and once at α = 1.0 (8-byte numeric codes, too
-wide for the columnar decoders: v3 decodes them through the scanners'
-``move_to`` walk), and cross-checks that the v3 kernel's top-k answers
+family at each α of ``ALPHAS`` (2-, 3-, 5- and 8-byte numeric codes,
+which every scanner decodes to uint64 segments; 8-byte codes reach past
+2^63), and cross-checks that the v3 kernel's top-k answers
 are bit-identical to the scalar oracle's (``IVAEngine(kernel="scalar")``)
 on every path v3 runs:
 
@@ -41,8 +41,8 @@ from unittest import mock
 
 QUERIES = 12
 K = 10
-#: Relative numeric vector length of the second index per codec: 8-byte codes.
-WIDE_ALPHA = 1.0
+#: Relative vector lengths indexed per codec: 2-, 3-, 5- and 8-byte codes.
+ALPHAS = (0.2, 0.3, 0.6, 1.0)
 #: v3 block size of the second run of each path: the table spans ten blocks.
 SMALL_BLOCK = 64
 
@@ -114,8 +114,7 @@ def main() -> int:
                         f"{label}: tid {tid} distance {distance!r} != DP "
                         f"full-row distance {expected!r}"
                     )
-    alphas = (IVAConfig.alpha, WIDE_ALPHA)
-    for codec, alpha in [(c, a) for c in CODEC_NAMES for a in alphas]:
+    for codec, alpha in [(c, a) for c in CODEC_NAMES for a in ALPHAS]:
         label_index = f"{codec} α={alpha}"
         config = IVAConfig(
             name=f"kernel_smoke_{codec}_{alpha}", codec=codec, alpha=alpha
@@ -161,7 +160,7 @@ def main() -> int:
             print(f"FAIL: {problem}", file=sys.stderr)
         return 1
     print(
-        f"kernel smoke OK: {len(CODEC_NAMES)} codecs x {len(alphas)} alphas x "
+        f"kernel smoke OK: {len(CODEC_NAMES)} codecs x {len(ALPHAS)} alphas x "
         f"{len(queries)} queries, "
         f"v3 == scalar oracle on {checked} engine paths (single-query, batch), "
         f"unchanged at {SMALL_BLOCK}-tuple blocks; "

@@ -92,7 +92,7 @@ from repro.resilience import (
 )
 from repro.core.range_search import RangeMatch, RangeReport, RangeSearcher
 from repro.core.explain import QueryPlan, explain
-from repro.distributed import PartitionedSystem, VerticallyPartitionedIVA
+from repro.distributed import PartitionedSystem
 from repro.storage.snapshot import load_disk, save_disk
 from repro.baselines import (
     DirectScanEngine,
@@ -192,7 +192,6 @@ __all__ = [
     "QueryPlan",
     "explain",
     "PartitionedSystem",
-    "VerticallyPartitionedIVA",
     "save_disk",
     "load_disk",
     "MetricsRegistry",

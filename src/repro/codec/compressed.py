@@ -39,7 +39,7 @@ from repro.codec.base import (
     read_uvarint,
     uvarint_len,
 )
-from repro.core.numeric import VECTORISED_MAX_BYTES, NumericQuantizer
+from repro.core.numeric import NumericQuantizer
 from repro.core.scan import (
     NumericTypeIVScanner,
     SkipTable,
@@ -199,12 +199,10 @@ class CompressedNumericTypeIScanner(_DeltaTidScanner):
     def decode_segment(self, tids: List[int]):
         """Columnar decode: same varint walk, codes scattered into arrays."""
         width = self._quantizer.vector_bytes
-        if width > VECTORISED_MAX_BYTES:
-            return super().decode_segment(tids)
         decode = self._quantizer.decode_bytes
         reader = self._reader
         count = len(tids)
-        codes = np.zeros(count, dtype=np.int64)
+        codes = np.zeros(count, dtype=np.uint64)
         defined = np.zeros(count, dtype=bool)
         for i, tid in enumerate(tids):
             while self._pending is not None and self._pending <= tid:

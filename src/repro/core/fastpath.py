@@ -89,19 +89,6 @@ def encode_numeric_column(
     return pack_codes(encode_numeric_batch(quantizer, values), quantizer.vector_bytes)
 
 
-def segment_dtype(vector_bytes: int) -> Optional[str]:
-    """The dtype code segment decoders crack *vector_bytes* codes with, or None.
-
-    None means "decode through the scalar walk": the width has no numpy
-    scalar type (3, 5, 6, 7 bytes — legal quantizer geometries), or the
-    codes are wider than :data:`VECTORISED_MAX_BYTES` and may not fit the
-    kernel's int64 code arrays.
-    """
-    if vector_bytes > VECTORISED_MAX_BYTES:
-        return None
-    return _DTYPES.get(vector_bytes)
-
-
 def text_min_scatter(count: int, slots, values, ndf_penalty: float, repeats: bool):
     """``(bounds, defined)`` columns from a flat run of text bounds.
 
@@ -111,7 +98,7 @@ def text_min_scatter(count: int, slots, values, ndf_penalty: float, repeats: boo
     signature landed.  Only when *repeats* (some slot holds several
     signatures) does ``np.minimum.reduceat`` fold each slot's run of
     values; a minimum over the same doubles is exact, so the column is
-    bit-identical to the scalar ``bound_column``.
+    bit-identical to the scalar walk's per-tuple ``min``.
     """
     out = np.full(count, ndf_penalty, dtype=np.float64)
     defined = np.zeros(count, dtype=bool)

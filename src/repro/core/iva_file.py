@@ -33,10 +33,13 @@ import struct
 from dataclasses import dataclass, field
 from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
 
+import numpy as np
+
 from repro.codec import VectorListCodec, codec_for_code, get_codec
 from repro.codec.base import list_last_key as _list_last_key
 from repro.core.numeric import NumericQuantizer, vector_bytes_for_alpha
 from repro.core.scan import SkipTable, VectorListScanner
+from repro.core.segment import NumericSegment
 from repro.core.signature import SignatureScheme
 from repro.core.tuple_list import DELETED_PTR, TupleList
 from repro.core.vector_lists import ListType
@@ -176,6 +179,13 @@ class _NullScanner(VectorListScanner):
     def move_to(self, tid: int) -> None:
         """Advance the pointer to *tid*; see the class docstring."""
         return None
+
+    def decode_segment(self, tids: List[int]) -> NumericSegment:
+        """A segment with nothing defined (the kernel reads none of it)."""
+        count = len(tids)
+        return NumericSegment(
+            np.zeros(count, dtype=np.uint64), np.zeros(count, dtype=bool)
+        )
 
 
 class IVAFile:

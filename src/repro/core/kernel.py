@@ -6,23 +6,26 @@ scratch makes interpreter overhead — not I/O — the dominant cost.  The
 kernel compiles each query **once** and then evaluates whole decoded
 segments (one block of the tuple list) per call:
 
-* **numeric terms** bound a whole code column with one
-  :meth:`~repro.core.numeric.NumericQuantizer.lower_bound_array` call —
-  the numpy mirror of :meth:`~repro.core.numeric.NumericQuantizer.lower_bound`,
-  the same float operations in the same order — and keep no per-code
-  state; codes the columnar decoders cannot hold (three bytes, or wider
-  than four) are bounded per element by ``lower_bound`` itself, memoised
-  per code;
+* **numeric terms** bound a whole uint64 code column, at any code width,
+  with one :meth:`~repro.core.numeric.NumericQuantizer.lower_bound_array`
+  call — the numpy mirror of
+  :meth:`~repro.core.numeric.NumericQuantizer.lower_bound`, the same float
+  operations in the same order — and keep no per-code state;
 * **text terms** become per-stored-length tables: the query's gram masks
   for that signature geometry plus a ``hit_count → bound`` array —
   :func:`~repro.core.ngram.estimate_from_hits` depends only on
   ``(stored_length, hit_count)``, so a whole run of ``uint64`` signature
   words is bounded by one mask-test expression and a table gather (the
-  scalar loop, for signatures wider than one word and for payload
-  columns adapted from ``move_to``, tests the masks most-selective first).
+  scalar loop, for signatures wider than one word, tests the masks
+  most-selective first).
   Each table entry is the larger of Eq. 3 and the length filter
   ``||sq| - |sd||``, so v3's text bound is never looser than the paper's;
-* **ndf** stays the distance function's constant penalty.
+* **ndf** stays the distance function's constant penalty; a term on an
+  attribute the index holds no list for (the null scanner's segments) is
+  all penalty.
+
+Every scanner decodes natively into one of the two
+:mod:`repro.core.segment` shapes, so this is the only bound path v3 has.
 
 Numeric bounds are bit-identical to the ones the
 :class:`~repro.core.engine.BoundEvaluator` path (the scalar oracle)
@@ -51,7 +54,7 @@ import numpy as np
 
 from repro.core import fastpath
 from repro.core.ngram import estimate_from_hits
-from repro.core.numeric import VECTORISED_MAX_BYTES, NumericQuantizer
+from repro.core.numeric import NumericQuantizer
 from repro.core.segment import WORD_BYTES
 from repro.core.signature import QueryStringEncoder, gram_mask
 from repro.errors import QueryError
@@ -187,37 +190,6 @@ class CompiledTextTerm:
                 hits += count
         return bounds[hits]
 
-    def bound_column(
-        self,
-        column: Sequence[object],
-        scheme,
-        out: List[float],
-        ndf_penalty: float,
-        exact: List[bool],
-    ) -> None:
-        """Fill ``out`` with this term's lower bound per block element.
-
-        *column* holds one block's decoded payloads: ``None`` for ndf,
-        else a list of ``(stored_length, bits)`` pairs.  Clears
-        ``exact[i]`` for every defined element.  The per-signature min
-        short-circuits at 0.0 — bounds are non-negative, so the min is
-        already decided (the scalar ``min(...)`` returns the same value).
-        """
-        bound = self._bound
-        for i, payload in enumerate(column):
-            if payload is None:
-                out[i] = ndf_penalty
-                continue
-            exact[i] = False
-            best: Optional[float] = None
-            for stored_length, bits in payload:
-                value = bound(stored_length, bits, scheme)
-                if best is None or value < best:
-                    best = value
-                    if best <= 0.0:
-                        break
-            out[i] = best
-
     def _rows(self, lengths, scheme):
         """Each signature's table row; compiles rows for unseen lengths.
 
@@ -322,75 +294,35 @@ class CompiledTextTerm:
 
 
 class CompiledNumericTerm:
-    """One numeric term compiled for array-wide and scalar bounding.
+    """One numeric term compiled for array-wide bounding.
 
     :meth:`bound_segment` bounds a whole decoded segment through
     :meth:`NumericQuantizer.lower_bound_array` and keeps no per-code
-    state.  The scalar :meth:`bound_column` serves the
-    :class:`~repro.core.segment.ColumnSegment` blocks ``decode_segment``
-    adapts from ``move_to`` (3-byte codes, codes wider than
-    :data:`~repro.core.numeric.VECTORISED_MAX_BYTES`, a truncated list,
-    third-party codecs) and memoises each observed code's bound.  Every
-    path produces the exact double :meth:`NumericQuantizer.lower_bound`
-    returns.
+    state, so every bound is the exact double
+    :meth:`NumericQuantizer.lower_bound` returns.  An attribute absent
+    from the index has no quantizer, and the kernel bounds it as all ndf
+    without the term.
     """
 
-    __slots__ = ("quantizer", "query_value", "_memo")
+    __slots__ = ("quantizer", "query_value")
 
     def __init__(
         self, quantizer: Optional[NumericQuantizer], query_value: float
     ) -> None:
         self.quantizer = quantizer
         self.query_value = query_value
-        # An attribute absent from the index has no quantizer: every
-        # payload is None (the null scanner), so the memo stays empty.
-        self._memo: Dict[int, float] = {}
-
-    @property
-    def vectorised(self) -> bool:
-        """True when :meth:`bound_segment` can bound this term's codes."""
-        quantizer = self.quantizer
-        return quantizer is not None and quantizer.vector_bytes <= VECTORISED_MAX_BYTES
-
-    def bound_column(
-        self,
-        column: Sequence[object],
-        out: List[float],
-        ndf_penalty: float,
-        exact: List[bool],
-    ) -> None:
-        """Fill ``out`` with this term's lower bound per block element."""
-        memo = self._memo
-        quantizer = self.quantizer
-        value = self.query_value
-        for i, code in enumerate(column):
-            if code is None:
-                out[i] = ndf_penalty
-                continue
-            exact[i] = False
-            bound = memo.get(code)
-            if bound is None:
-                bound = quantizer.lower_bound(value, code)
-                memo[code] = bound
-            out[i] = bound
 
     def bound_segment(self, segment, ndf_penalty: float):
         """``(bounds, defined)`` arrays for one decoded numeric segment.
 
         One :meth:`NumericQuantizer.lower_bound_array` call over the whole
         code column (undefined slots hold arbitrary codes and are then
-        overwritten with ``ndf_penalty``); only for :attr:`vectorised`
-        terms.
+        overwritten with ``ndf_penalty``).
         """
         defined = segment.defined
         out = self.quantizer.lower_bound_array(self.query_value, segment.codes)
         out[~defined] = ndf_penalty
         return out, defined
-
-    @property
-    def table_codes(self) -> int:
-        """Codes memoised by :meth:`bound_column` so far (observability)."""
-        return len(self._memo)
 
 
 class KernelCache:
@@ -538,34 +470,18 @@ class QueryKernel:
         )
 
     def _bound_segment(self, term, scheme, segment, count: int):
-        """``(bounds, defined)`` arrays for one term over one segment.
-
-        Columnar segments route to the term's vectorised ``bound_segment``;
-        a :class:`~repro.core.segment.ColumnSegment` (the base
-        ``decode_segment``'s ``move_to`` adapter: the engine's null scanner,
-        third-party codecs, codes wider than four bytes) runs the scalar
-        ``bound_column`` and wraps its output — so mixed-shape blocks stay
-        bit-identical to the scalar walk term by term.
-        """
-        ndf_penalty = self.ndf_penalty
-        kind = segment.kind
-        if kind == "text" and isinstance(term, CompiledTextTerm):
-            return term.bound_segment(segment, scheme, count, ndf_penalty)
-        if (
-            kind == "numeric"
-            and isinstance(term, CompiledNumericTerm)
-            and term.vectorised
-        ):
-            return term.bound_segment(segment, ndf_penalty)
-        column = segment.column()
-        out = [0.0] * count
-        exact = [True] * count
+        """``(bounds, defined)`` arrays for one term over one segment."""
         if isinstance(term, CompiledTextTerm):
-            term.bound_column(column, scheme, out, ndf_penalty, exact)
-        else:
-            term.bound_column(column, out, ndf_penalty, exact)
-        defined = ~np.asarray(exact, dtype=bool)
-        return np.asarray(out, dtype=np.float64), defined
+            if scheme is not None:
+                return term.bound_segment(segment, scheme, count, self.ndf_penalty)
+        elif term.quantizer is not None:
+            return term.bound_segment(segment, self.ndf_penalty)
+        # An attribute the index holds no list for: the null scanner's
+        # segment, every tuple ndf.
+        return (
+            np.full(count, self.ndf_penalty, dtype=np.float64),
+            np.zeros(count, dtype=bool),
+        )
 
     def evaluate_segments(
         self,
@@ -588,7 +504,7 @@ class QueryKernel:
         stays array-wide.
         """
         any_defined = np.zeros(count, dtype=bool)
-        bound_columns = []
+        term_bounds = []
         for term, scheme, slot in zip(self.terms, self.schemes, self.slots):
             pair = None
             if cache is not None:
@@ -599,17 +515,17 @@ class QueryKernel:
                     cache[(id(term), slot)] = pair
             out, defined = pair
             any_defined |= defined
-            bound_columns.append(out)
+            term_bounds.append(out)
         exact = ~any_defined
         estimates = fastpath.combine_columns(
-            _metric_kind(self.metric), self.weights, bound_columns, count
+            _metric_kind(self.metric), self.weights, term_bounds, count
         )
         if estimates is not None:
             return estimates, exact
         combine = self.metric.combine
         pairs = [
             (weight, column.tolist())
-            for weight, column in zip(self.weights, bound_columns)
+            for weight, column in zip(self.weights, term_bounds)
         ]
         scalar_estimates = [
             combine([weight * column[i] for weight, column in pairs])
@@ -623,16 +539,12 @@ class QueryKernel:
 
     @property
     def table_entries(self) -> int:
-        """Table entries materialised across this kernel's terms.
+        """Stored lengths compiled across this kernel's text terms.
 
-        Text terms count compiled stored lengths; numeric terms count the
-        codes their scalar ``bound_column`` memoised, which only blocks
-        adapted from ``move_to`` fill.
+        Numeric terms keep no tables: they bound array-wide.
         """
-        total = 0
-        for term in self.terms:
-            if isinstance(term, CompiledTextTerm):
-                total += term.table_lengths
-            else:
-                total += term.table_codes
-        return total
+        return sum(
+            term.table_lengths
+            for term in self.terms
+            if isinstance(term, CompiledTextTerm)
+        )

@@ -28,9 +28,9 @@ from repro.errors import EncodingError
 #: Byte width of a stored numeric value (float64 in the interpreted format).
 NUMERIC_VALUE_BYTES = 8
 
-#: Widest code the numpy paths handle (bulk encode, array-wide bounds):
-#: up to 4 bytes every code fits int64 and converts to float64 exactly.
-#: Wider codes stay on the scalar path with Python ints.
+#: Widest code the numpy bulk encode handles: up to 4 bytes every code
+#: fits int64 and converts to float64 exactly.  Wider codes are encoded
+#: on the scalar path with Python ints.
 VECTORISED_MAX_BYTES = 4
 
 
@@ -123,16 +123,19 @@ class NumericQuantizer:
         in the same order — ``lo + code * width`` and
         ``lo + (code + 1) * width``, the open-ended boundary slices, the
         ``hi == lo`` domain — so every element is bit-identical to
-        ``lower_bound(query_value, code)``.  Codes are taken as int64, whose
-        conversion to float64 rounds exactly like Python's ``int * float``;
-        callers keep to :data:`VECTORISED_MAX_BYTES`.
+        ``lower_bound(query_value, code)``.  Codes are taken as uint64,
+        which holds every code up to 8 bytes and converts to float64
+        correctly rounded, as Python's ``int * float`` does; ``code + 1``
+        is formed as an integer before the conversion, as Python forms it.
         """
-        codes = np.asarray(codes, dtype=np.int64)
+        codes = np.asarray(codes, dtype=np.uint64)
         if self.hi == self.lo:
             lo, hi = self.lo, self.hi
         else:
             width = self.slice_width
             lo = self.lo + codes * width
+            # ``code + 1`` wraps to 0 only at 2^64 - 1: the open-high top
+            # slice (whose ``hi`` no branch reads) or the ndf code.
             hi = self.lo + (codes + 1) * width
         open_low = codes == 0
         open_high = codes == self.num_slices - 1

@@ -18,6 +18,13 @@ tombstoned ones — in order.
 * text lists — a list of :class:`~repro.core.signature.Signature`
   (empty ⇒ ndf, returned as ``None``),
 * numeric lists — an ``int`` slice code, or ``None`` for ndf.
+
+``move_to`` serves the scalar oracle.  The v3 kernel drives every scanner
+through ``decode_segment`` instead, one tuple-list block per call, which
+each layout implements natively: text runs become a
+:class:`~repro.core.segment.TextSegment`, and numeric codes of any width
+from one to eight bytes a uint64 :class:`~repro.core.segment.NumericSegment`
+(:func:`_unpack_uints` cracks every width).
 """
 
 from __future__ import annotations
@@ -28,11 +35,9 @@ from typing import List, Optional, Sequence
 
 import numpy as np
 
-from repro.core import fastpath
 from repro.core.numeric import NumericQuantizer
 from repro.core.segment import (
     WORD_BYTES,
-    ColumnSegment,
     NumericSegment,
     SignatureRun,
     TextSegment,
@@ -51,6 +56,10 @@ SKIP_SEGMENT_ELEMENTS = 256
 
 _TYPE_III_SHORT = (
     "Type III vector list ran out of elements before the tuple list did — "
+    "the index is inconsistent with its table"
+)
+_TYPE_IV_SHORT = (
+    "Type IV vector list ran out of elements before the tuple list did — "
     "the index is inconsistent with its table"
 )
 
@@ -161,7 +170,7 @@ class SkipTable:
 
 
 class VectorListScanner:
-    """Base scanning pointer; concrete layouts override :meth:`move_to`."""
+    """Base scanning pointer; concrete layouts implement both entry points."""
 
     def __init__(self, reader: BufferedReader) -> None:
         self._reader = reader
@@ -170,32 +179,23 @@ class VectorListScanner:
         """Advance the pointer to *tid*; see the class docstring."""
         raise NotImplementedError
 
-    def decode_segment(self, tids: List[int]):
+    def decode_segment(self, tids: List[int]):  # pragma: no cover - abstract
         """Advance through one block of tids, returning a decoded segment.
 
         The v3 kernel's decode API: one call per tuple-list block instead
         of one :meth:`move_to` per tuple, returning a
-        :mod:`repro.core.segment` object the kernel evaluates array-wide.
-        This default adapts :meth:`move_to` into a
-        :class:`~repro.core.segment.ColumnSegment` — one payload per tid,
-        text signatures flattened to bare ``(stored_length, bits)`` pairs,
-        ndf as ``None`` — so any scanner (third-party codecs included)
-        participates in the v3 path with scalar-identical results.  The
-        built-in layouts override it with columnar decoders and call back
-        here only for what those cannot vectorise.
+        :class:`~repro.core.segment.NumericSegment` or
+        :class:`~repro.core.segment.TextSegment` whose :meth:`column` is
+        the payloads the :meth:`move_to` walk returns.  A list that ends
+        short must fail as that walk does: the same exception type, on
+        the same element.
 
         A scanner instance must be driven through *either* ``move_to``
         *or* ``decode_segment``, never a mix: columnar decoders may read
         ahead of the logical pointer and park the overshoot in
         segment-local state ``move_to`` does not consult.
         """
-        column: List[object] = []
-        for tid in tids:
-            payload = self.move_to(tid)
-            if type(payload) is list:
-                payload = [(sig.length, sig.bits) for sig in payload]
-            column.append(payload)
-        return ColumnSegment(column)
+        raise NotImplementedError
 
 
 class _TidBasedScanner(VectorListScanner):
@@ -219,10 +219,10 @@ class _TidBasedScanner(VectorListScanner):
         """Jump over whole segments that cannot intersect the scan cursor.
 
         Called with the block's first tid at the head of the numeric
-        ``decode_segment``, columnar or adapted from ``move_to``.  Every
-        skipped element's tid is strictly below *target_tid*, so the scalar
-        walk would have consumed it without producing a payload — the jump
-        is free of semantics, it only spares the decode.
+        ``decode_segment``.  Every skipped element's tid is strictly below
+        *target_tid*, so the scalar walk would have consumed it without
+        producing a payload — the jump is free of semantics, it only
+        spares the decode.
         """
         skip = self._skip
         if skip is None or self._pending is None or self._pending >= target_tid:
@@ -289,6 +289,23 @@ _PAD = bytes(WORD_BYTES)
 _WORD_MASKS = np.array(
     [(1 << (8 * width)) - 1 for width in range(WORD_BYTES + 1)], dtype=np.uint64
 )
+
+
+def _unpack_uints(buf, count: int, width: int, offset: int = 0, stride: int = 0):
+    """*count* little-endian unsigned ints of *width* (1 to 8) bytes, as uint64.
+
+    One routine for every width, so a numeric code needs no numpy scalar
+    type of its own: int *i* starts at byte ``offset + i * stride`` of
+    *buf* (*stride* defaults to *width*, a packed column; a record field
+    passes the record size).  Each is read as one unaligned eight-byte
+    word and masked to its low *width* bytes, so *buf* is copied with
+    :data:`_PAD` to keep the last word inside it.
+    """
+    data = b"".join((buf, _PAD))
+    words = np.ndarray(
+        (count,), dtype="<u8", buffer=data, offset=offset, strides=(stride or width,)
+    )
+    return words & _WORD_MASKS[width]
 
 
 def _view(data, dtype: str):
@@ -771,9 +788,6 @@ class NumericTypeIScanner(_TidBasedScanner):
         if not self._seg_tids:
             self._maybe_skip(tids[0])
         width = self._quantizer.vector_bytes
-        dtype_code = fastpath.segment_dtype(width)
-        if dtype_code is None:
-            return super().decode_segment(tids)
         reader = self._reader
         carry_tids = self._seg_tids
         carry_codes = self._seg_codes
@@ -785,34 +799,27 @@ class NumericTypeIScanner(_TidBasedScanner):
             carry_codes.append(self._quantizer.decode_bytes(reader.read(width)))
             self._pending = None
         entry_bytes = TID_BYTES + width
-        entry_dtype = getattr(self, "_entry_dtype", None)
-        if entry_dtype is None:
-            entry_dtype = np.dtype(
-                [("tid", "<u4"), ("code", dtype_code)], align=False
-            )
-            self._entry_dtype = entry_dtype
         while (not carry_tids or carry_tids[-1] <= last) and not reader.exhausted():
             chunk = min(_SEG_READ_ENTRIES, reader.remaining() // entry_bytes)
             if chunk == 0:
-                # Truncated final record: replicate the scalar walk's
-                # failure mode (tid read, then a short code read raises).
-                self._pending = int.from_bytes(reader.read(TID_BYTES), "little")
-                carry_tids.append(self._pending)
-                carry_codes.append(
-                    self._quantizer.decode_bytes(reader.read(width))
-                )
-                self._pending = None
-                continue
-            records = np.frombuffer(reader.read(chunk * entry_bytes), entry_dtype)
-            carry_tids.extend(records["tid"].tolist())
-            carry_codes.extend(records["code"].tolist())
+                # Truncated final record: fail as the scalar walk does (tid
+                # read, then a short code read raises).
+                reader.read(TID_BYTES)
+                reader.read(width)  # raises: fewer than `width` bytes left
+            records = reader.read(chunk * entry_bytes)
+            carry_tids.extend(
+                _unpack_uints(records, chunk, TID_BYTES, 0, entry_bytes).tolist()
+            )
+            carry_codes.extend(
+                _unpack_uints(records, chunk, width, TID_BYTES, entry_bytes).tolist()
+            )
         consumed = bisect_right(carry_tids, last)
         count = len(tids)
-        codes = np.zeros(count, dtype=np.int64)
+        codes = np.zeros(count, dtype=np.uint64)
         defined = np.zeros(count, dtype=bool)
         if consumed:
             entry_tids = np.asarray(carry_tids[:consumed], dtype=np.int64)
-            entry_codes = np.asarray(carry_codes[:consumed], dtype=np.int64)
+            entry_codes = np.asarray(carry_codes[:consumed], dtype=np.uint64)
             del carry_tids[:consumed]
             del carry_codes[:consumed]
             block_tids = np.asarray(tids, dtype=np.int64)
@@ -836,10 +843,7 @@ class NumericTypeIVScanner(VectorListScanner):
     def move_to(self, tid: int) -> Optional[int]:
         """Advance the pointer to *tid*; see the class docstring."""
         if self._reader.exhausted():
-            raise IndexError_(
-                "Type IV vector list ran out of elements before the tuple "
-                "list did — the index is inconsistent with its table"
-            )
+            raise IndexError_(_TYPE_IV_SHORT)
         code = self._quantizer.decode_bytes(
             self._reader.read(self._quantizer.vector_bytes)
         )
@@ -848,17 +852,17 @@ class NumericTypeIVScanner(VectorListScanner):
         return code
 
     def decode_segment(self, tids: List[int]):
-        """Columnar decode: the whole block in one read + one frombuffer."""
+        """Columnar decode: the whole block in one read + one unpack."""
         quantizer = self._quantizer
         width = quantizer.vector_bytes
-        dtype_code = fastpath.segment_dtype(width)
         count = len(tids)
         reader = self._reader
-        if dtype_code is None or reader.remaining() < count * width:
-            # The short-list case falls back so a truncated final segment
-            # fails element-by-element exactly like the scalar walk.
-            return super().decode_segment(tids)
-        raw = reader.read_view(count * width)
-        codes = np.frombuffer(raw, dtype=dtype_code).astype(np.int64)
-        defined = codes != quantizer.ndf_code
-        return NumericSegment(codes, defined)
+        if reader.remaining() < count * width:
+            # A short list fails on the element the scalar walk fails on:
+            # the first one past the end, or a truncated final code.
+            reader.skip(reader.remaining() // width * width)
+            if reader.exhausted():
+                raise IndexError_(_TYPE_IV_SHORT)
+            reader.read(width)  # raises: a truncated final code
+        codes = _unpack_uints(reader.read_view(count * width), count, width)
+        return NumericSegment(codes, codes != quantizer.ndf_code)

@@ -7,12 +7,15 @@ the block of one vector list into a **segment** — a columnar batch the
 kernel can evaluate with array-wide gathers instead of per-entry Python
 calls.
 
-Three segment shapes cover every layout:
+Two segment shapes cover every layout, at every code width:
 
 * :class:`NumericSegment` — parallel ``codes``/``defined`` numpy arrays,
   one slot per tuple in the block (``codes`` is only meaningful where
-  ``defined`` is True).  Bounded array-wide by
-  :meth:`repro.core.numeric.NumericQuantizer.lower_bound_array`.
+  ``defined`` is True).  Codes are uint64, which holds every width from
+  one to eight bytes.  Bounded array-wide by
+  :meth:`repro.core.numeric.NumericQuantizer.lower_bound_array`.  The
+  engine's null scanner (an attribute the index holds no list for)
+  returns one with nothing defined.
 * :class:`TextSegment` — a flat run of signatures: a ``slots`` column
   (non-decreasing, repeating when one tuple stores several strings) over
   a slice of a :class:`SignatureRun` (``lengths``/``words`` columns).
@@ -20,17 +23,11 @@ Three segment shapes cover every layout:
   signature wider than eight bytes keeps its full bits beside the
   columns.  The kernel bounds a run with one array expression per term
   and min-reduces per slot.
-* :class:`ColumnSegment` — a per-element payload column (``None`` for
-  ndf, a slice code, or a list of ``(stored_length, bits)`` pairs).  The
-  default ``decode_segment`` builds it from ``move_to``, so every scanner
-  (third-party codecs, the engine's null scanner, numeric codes of three
-  or more than four bytes) participates in the v3 path; the kernel
-  evaluates it with the exact scalar ``bound_column`` routines, which
-  keeps bit-identity trivially.
 
-Every segment can rebuild that per-element column via :meth:`column`,
-the payloads the ``move_to`` walk returns, so tests can compare a
-columnar decode against the scalar one.
+Every segment can rebuild, via :meth:`column`, the per-element payloads
+the ``move_to`` walk returns (``None`` for ndf, a slice code, or a list
+of ``(stored_length, bits)`` pairs), so tests can compare a columnar
+decode against the scalar one.
 """
 
 from __future__ import annotations
@@ -43,32 +40,13 @@ import numpy as np
 WORD_BYTES = 8
 
 
-class ColumnSegment:
-    """A per-element payload column adapted from ``move_to`` (fallback)."""
-
-    kind = "column"
-
-    __slots__ = ("_column",)
-
-    def __init__(self, column: list) -> None:
-        self._column = column
-
-    def column(self) -> list:
-        return self._column
-
-    def defined_count(self, count: int) -> int:
-        return sum(1 for payload in self._column if payload is not None)
-
-
 class NumericSegment:
     """One block of a numeric vector list as ``codes``/``defined`` arrays."""
-
-    kind = "numeric"
 
     __slots__ = ("codes", "defined")
 
     def __init__(self, codes, defined) -> None:
-        #: int64 array of quantizer codes (garbage where not defined).
+        #: uint64 array of quantizer codes (garbage where not defined).
         self.codes = codes
         #: bool array: True where the tuple stores a value for the attribute.
         self.defined = defined
@@ -122,8 +100,6 @@ class TextSegment:
     of them; slots are non-decreasing, and repeat (``repeats``) only where
     one tuple stores several strings.
     """
-
-    kind = "text"
 
     __slots__ = ("count", "slots", "signatures", "lo", "hi", "repeats", "unique_slots")
 

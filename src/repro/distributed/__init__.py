@@ -13,12 +13,9 @@ global top-k — exact, because each partition's answer is exact.
 """
 
 from repro.distributed.partitioned import GlobalResult, PartitionedSearchReport, PartitionedSystem
-from repro.distributed.vertical import VerticallyPartitionedIVA, VerticalSearchReport
 
 __all__ = [
     "GlobalResult",
     "PartitionedSearchReport",
     "PartitionedSystem",
-    "VerticallyPartitionedIVA",
-    "VerticalSearchReport",
 ]

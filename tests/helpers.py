@@ -1,4 +1,5 @@
-"""Shared test helpers: brute-force ground truth for top-k queries."""
+"""Shared test helpers: brute-force ground truth for top-k queries, and
+scalar reference bounds for the v3 kernel."""
 
 from __future__ import annotations
 
@@ -53,3 +54,26 @@ def assert_topk_matches_bruteforce(
     assert [d for _, d in got] == pytest.approx([d for _, d in expected])
     for tid, reported in got:
         assert reported == pytest.approx(dist.actual(query, table.read(tid)))
+
+
+def scalar_text_bounds(term, column, scheme, ndf_penalty: float):
+    """``(bounds, defined)`` lists for a payload column, one signature at a time.
+
+    The reference the array-wide text bounds must reproduce bit for bit:
+    each signature through ``CompiledTextTerm._bound`` (the scalar mask
+    loop), the minimum over a tuple's strings, and *ndf_penalty* where a
+    tuple stores none.  *column* holds ``None`` or a list of
+    ``(stored_length, bits)`` pairs per tuple, as ``segment.column()``.
+    """
+    bounds: List[float] = []
+    defined: List[bool] = []
+    for payload in column:
+        if payload is None:
+            bounds.append(ndf_penalty)
+            defined.append(False)
+        else:
+            bounds.append(
+                min(term._bound(length, bits, scheme) for length, bits in payload)
+            )
+            defined.append(True)
+    return bounds, defined

@@ -456,7 +456,26 @@ class TestBlockSizeInvariance:
         the tuple-by-tuple reference walk's over blocks of that size.
         """
         table, _, queries = churned
-        index = indexes[codec]
+        self._assert_block_size_invariant(
+            table, indexes[codec], queries, path, monkeypatch
+        )
+
+    @pytest.mark.parametrize("path", ["sequential", "batch"])
+    @pytest.mark.parametrize("codec", CODEC_NAMES)
+    @pytest.mark.parametrize("alpha", [0.3, 0.6])
+    def test_wide_codes_change_no_answer_or_count(
+        self, churned, codec, path, alpha, monkeypatch
+    ):
+        """The same invariance with 3-byte (α = 0.3) and 5-byte (α = 0.6)
+        numeric codes, which decode to uint64 segments."""
+        table, _, queries = churned
+        index = IVAFile.build(
+            table, IVAConfig(name=f"wide_{codec}_{alpha}", codec=codec, alpha=alpha)
+        )
+        self._assert_block_size_invariant(table, index, queries, path, monkeypatch)
+
+    @staticmethod
+    def _assert_block_size_invariant(table, index, queries, path, monkeypatch):
         k = 10
         oracle = _oracle(table, index, queries, k)
         funnels = {}

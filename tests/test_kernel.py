@@ -2,8 +2,8 @@
 
 Two layers of checks:
 
-* **property tests** (hypothesis) pin ``CompiledNumericTerm`` bound
-  columns to the scalar routine they were compiled from — on randomized
+* **property tests** (hypothesis) pin ``CompiledNumericTerm`` segment
+  bounds to the scalar routine they were compiled from — on randomized
   slice codes, ndf payloads, clamped out-of-domain values, and the
   open-ended boundary slices of Prop. 3.3 — and ``CompiledTextTerm``
   between the oracle's Eq. 3 and the exact edit distance: its tables add
@@ -12,9 +12,8 @@ Two layers of checks:
   with the formula, not tolerance;
 * **engine tests** assert full top-k answer identity between the
   scalar oracle (``IVAEngine(kernel="scalar")``) and every path v3 runs —
-  a single search and a batch (``search_batch``) — including numeric
-  codes the columnar decoders cannot hold (3-, 5- and 8-byte vectors),
-  where ``decode_segment`` adapts ``move_to``.
+  a single search and a batch (``search_batch``) — including 3-, 5- and
+  8-byte numeric codes, which every ``decode_segment`` widens to uint64.
 """
 
 from __future__ import annotations
@@ -30,6 +29,7 @@ from hypothesis import strategies as st
 
 from repro import IVAConfig, IVAEngine, IVAFile, SimulatedDisk, SparseWideTable
 from repro.codec import CODEC_NAMES
+from repro.core.iva_file import _NullScanner
 from repro.core.kernel import (
     BLOCK_TUPLES,
     KERNEL_MODES,
@@ -45,21 +45,32 @@ from repro.core.signature import Signature, QueryStringEncoder, SignatureScheme
 from repro.core.vector_lists import ListType
 from repro.data.workload import WorkloadGenerator
 from repro.errors import EncodingError, QueryError
-from repro.metrics.distance import DistanceFunction
+from repro.metrics.distance import DistanceFunction, L2Metric
 from repro.metrics.edit_distance import compile_pattern
+from repro.model.schema import AttributeType
 from repro.model.values import MAX_ENCODED_STRING_LENGTH
+from tests.helpers import scalar_text_bounds
 
 TEXT = st.text(alphabet=string.ascii_lowercase + " #$", min_size=1, max_size=24)
 NDF_PENALTY = 1.0
 
 
 def _text_bounds(query_string, n, scheme, payloads):
-    """Run one compiled text term over a column of signature payloads."""
+    """Run one compiled text term's scalar mask loop over a payload column."""
     term = CompiledTextTerm(query_string, n)
-    out = [0.0] * len(payloads)
-    exact = [True] * len(payloads)
-    term.bound_column(payloads, scheme, out, NDF_PENALTY, exact)
-    return term, out, exact
+    out, defined = scalar_text_bounds(term, payloads, scheme, NDF_PENALTY)
+    return term, out, [not flag for flag in defined]
+
+
+def _numeric_bounds(term, codes, defined=None):
+    """``(bounds, exact)`` lists from one numeric term over a code column."""
+    if defined is None:
+        defined = [True] * len(codes)
+    out, got_defined = term.bound_segment(
+        NumericSegment(np.asarray(codes, dtype=np.uint64), np.asarray(defined)),
+        NDF_PENALTY,
+    )
+    return out.tolist(), [not flag for flag in got_defined.tolist()]
 
 
 def _length_bound(query_length: int, stored_length: int) -> float:
@@ -177,49 +188,40 @@ class TestCompiledNumericTerm:
     def test_one_byte_memo_matches_scalar(
         self, lo, span, query_value, values, reserve_ndf
     ):
-        """One-byte code space: the per-code memo equals the scalar call on
-        every encoded value, clamped out-of-domain ones included, and
-        holds only the codes it met."""
+        """One-byte code space: the segment bounds equal the scalar call
+        on every encoded value, clamped out-of-domain ones included."""
         quantizer = NumericQuantizer(
             lo=lo, hi=lo + span, vector_bytes=1, reserve_ndf=reserve_ndf
         )
         term = CompiledNumericTerm(quantizer, query_value)
-        assert term.table_codes == 0
         # Boundary slices are the open-ended ones of Prop. 3.3 — always
         # include them alongside the sampled values.
         codes = [quantizer.encode(v) for v in values]
         codes += [0, quantizer.num_slices - 1]
-        out = [0.0] * len(codes)
-        exact = [True] * len(codes)
-        term.bound_column(codes, out, NDF_PENALTY, exact)
+        out, exact = _numeric_bounds(term, codes)
         for got, code in zip(out, codes):
             assert got == quantizer.lower_bound(query_value, code)
         assert exact == [False] * len(codes)
-        assert term.table_codes == len(set(codes))
 
     @given(
         query_value=FINITE,
         codes=st.lists(st.integers(0, 65534), min_size=1, max_size=8),
     )
     def test_lazy_memo_matches_scalar(self, query_value, codes):
-        """Two-byte code space: the memoised path must return the same
+        """Two-byte code space: the segment path must return the same
         bounds as the scalar call."""
         quantizer = NumericQuantizer(
             lo=-500.0, hi=500.0, vector_bytes=2, reserve_ndf=True
         )
         term = CompiledNumericTerm(quantizer, query_value)
-        out = [0.0] * len(codes)
-        exact = [True] * len(codes)
-        term.bound_column(codes, out, NDF_PENALTY, exact)
+        out, _ = _numeric_bounds(term, codes)
         for got, code in zip(out, codes):
             assert got == quantizer.lower_bound(query_value, code)
 
     def test_ndf_codes_get_penalty_and_stay_exact(self):
         quantizer = NumericQuantizer(lo=0.0, hi=100.0, vector_bytes=1)
         term = CompiledNumericTerm(quantizer, 42.0)
-        out = [0.0] * 3
-        exact = [True] * 3
-        term.bound_column([None, 7, None], out, NDF_PENALTY, exact)
+        out, exact = _numeric_bounds(term, [0, 7, 0], [False, True, False])
         assert out[0] == NDF_PENALTY
         assert out[2] == NDF_PENALTY
         assert out[1] == quantizer.lower_bound(42.0, 7)
@@ -231,9 +233,7 @@ class TestCompiledNumericTerm:
         quantizer = NumericQuantizer(lo=0.0, hi=255.0, vector_bytes=1)
         term = CompiledNumericTerm(quantizer, 311.5)  # beyond hi: clamped side
         codes = [i % quantizer.num_slices for i in range(BLOCK_TUPLES)]
-        out = [0.0] * len(codes)
-        exact = [True] * len(codes)
-        term.bound_column(codes, out, NDF_PENALTY, exact)
+        out, exact = _numeric_bounds(term, codes)
         assert out == [quantizer.lower_bound(311.5, c) for c in codes]
         assert exact == [False] * len(codes)
 
@@ -245,13 +245,12 @@ class TestCompiledNumericTerm:
             lo=-500.0, hi=500.0, vector_bytes=2, reserve_ndf=True
         )
         term = CompiledNumericTerm(quantizer, 12.5)
-        assert term.vectorised
-        codes = np.arange(0, quantizer.num_slices, 97, dtype=np.int64)
+        codes = np.arange(0, quantizer.num_slices, 97, dtype=np.uint64)
         defined = codes % 5 != 0
         out, got_defined = term.bound_segment(
             NumericSegment(codes, defined), NDF_PENALTY
         )
-        assert term.table_codes == 0
+        assert CompiledNumericTerm.__slots__ == ("quantizer", "query_value")
         assert got_defined is defined
         assert out.tolist() == [
             quantizer.lower_bound(12.5, code) if flag else NDF_PENALTY
@@ -259,12 +258,13 @@ class TestCompiledNumericTerm:
         ]
 
     def test_absent_attribute_compiles_without_a_table(self):
+        """No quantizer: the null scanner's all-ndf segment bounds to the
+        penalty without touching the term."""
         term = CompiledNumericTerm(None, 1.0)
-        out = [0.0]
-        exact = [True]
-        term.bound_column([None], out, NDF_PENALTY, exact)
-        assert out == [NDF_PENALTY]
-        assert exact == [True]
+        kernel = QueryKernel(None, [term], [None], [0], [1.0], L2Metric(), NDF_PENALTY)
+        out, exact = kernel.evaluate_segments([_NullScanner().decode_segment([0])], 1)
+        assert out.tolist() == [NDF_PENALTY]
+        assert exact.tolist() == [True]
 
 
 class TestKernelMode:
@@ -356,10 +356,7 @@ class TestKernelCacheSharing:
                     scheme,
                 )
                 bounds, _ = term.bound_segment(segment, scheme, len(chosen), 1.0)
-                expected = [0.0] * len(chosen)
-                term.bound_column(
-                    segment.column(), scheme, expected, 1.0, [True] * len(chosen)
-                )
+                expected, _ = scalar_text_bounds(term, segment.column(), scheme, 1.0)
                 if bounds.tolist() != expected:
                     errors.append((seed, i))
 
@@ -429,12 +426,12 @@ class TestAnswerIdentity:
 
 
 class TestWideNumericCodes:
-    """v3 on numeric codes too wide for the columnar int64 decoders.
+    """v3 on numeric codes with no numpy scalar type, or past int64.
 
     α = 0.3 / 0.6 / 1.0 give 3-, 5- and 8-byte vectors, which the numeric
-    ``decode_segment``s hand to the base ``move_to`` adapter.  8-byte
-    codes reach 2^63 and above (Type IV reserves 2^64 - 1 as ndf), which
-    int64 code arrays cannot hold.
+    ``decode_segment``s widen to uint64.  8-byte codes reach 2^63 and
+    above (Type IV reserves 2^64 - 1 as ndf).  Answers equal the scalar
+    oracle's, and v3 refines no more rows.
     """
 
     QUERIES = [
@@ -478,10 +475,68 @@ class TestWideNumericCodes:
         assert sparse.quantizer.vector_bytes == width
 
         def search(engine):
-            return self._rows(engine.search(q, k=8) for q in self.QUERIES)
+            return [engine.search(q, k=8) for q in self.QUERIES]
 
-        scalar = search(IVAEngine(wide_table, index, kernel="scalar"))
+        def accesses(reports):
+            return [report.table_accesses for report in reports]
+
+        oracle = search(IVAEngine(wide_table, index, kernel="scalar"))
+        scalar = self._rows(oracle)
         assert all(scalar)
-        assert search(IVAEngine(wide_table, index, kernel="v3")) == scalar
+        v3 = search(IVAEngine(wide_table, index, kernel="v3"))
+        assert self._rows(v3) == scalar
         batch = IVAEngine(wide_table, index).search_batch(self.QUERIES, k=8)
         assert self._rows(batch) == scalar
+        for reports in (v3, batch):
+            for got, bound in zip(accesses(reports), accesses(oracle)):
+                assert got <= bound
+
+
+class TestUnindexedAttributes:
+    """Terms on attributes registered after the build: the null scanner.
+
+    The index holds no list for ``W`` (text) or ``N`` (numeric), so every
+    tuple is ndf on them and v3 bounds the null scanner's all-ndf segments
+    as the penalty.  Answers equal the scalar oracle's, alone and mixed
+    with indexed terms, and v3 refines no more rows.
+    """
+
+    QUERIES = [
+        {"W": "item3"},
+        {"N": 7.0},
+        {"W": "item3", "N": 7.0},
+        {"T": "item7", "W": "item7"},
+        {"SN": 640.0, "N": 7.0},
+        {"SN": 999.0, "DN": 996.0, "T": "item7", "W": "x", "N": 1.0},
+    ]
+
+    @pytest.mark.parametrize("codec", CODEC_NAMES)
+    def test_v3_matches_scalar(self, codec):
+        table = SparseWideTable(SimulatedDisk())
+        for i in range(240):
+            cells = {"T": f"item{i % 13}"}
+            if i % 5 == 0:
+                cells["SN"] = float((i * 37) % 1000)
+            if i % 17:
+                cells["DN"] = float((i * 61) % 997) + 0.25
+            table.insert(cells)
+        index = IVAFile.build(table, IVAConfig(name=f"unindexed_{codec}", codec=codec))
+        table.catalog.register("W", AttributeType.TEXT)
+        table.catalog.register("N", AttributeType.NUMERIC)
+        for name in ("W", "N"):
+            assert index.entry(table.catalog.require(name).attr_id) is None
+
+        def rows(reports):
+            return [[(r.tid, r.distance) for r in report.results] for report in reports]
+
+        oracle = [
+            IVAEngine(table, index, kernel="scalar").search(q, k=8) for q in self.QUERIES
+        ]
+        assert all(rows(oracle))
+        v3 = [IVAEngine(table, index).search(q, k=8) for q in self.QUERIES]
+        batch = IVAEngine(table, index).search_batch(self.QUERIES, k=8)
+        for reports in (v3, batch):
+            assert rows(reports) == rows(oracle)
+            for got, bound in zip(reports, oracle):
+                assert got.table_accesses <= bound.table_accesses
+        assert [r.table_accesses for r in batch] == [r.table_accesses for r in v3]

@@ -185,6 +185,51 @@ class TestLowerBoundArray:
         assert got.dtype == np.float64
         assert got.view(np.uint64).tolist() == expected.view(np.uint64).tolist()
 
+    @settings(max_examples=300, deadline=None)
+    @given(
+        lo=FINITE,
+        span=SPANS,
+        vector_bytes=st.sampled_from([3, 5, 6, 7, 8]),
+        reserve_ndf=st.booleans(),
+        data=st.data(),
+    )
+    def test_wide_codes_match_scalar_bit_for_bit(
+        self, lo, span, vector_bytes, reserve_ndf, data
+    ):
+        """3- and 5- to 8-byte code spaces, as uint64: still ``lower_bound``.
+
+        Codes cover the open-ended boundary slices, the top code (2^64 - 1
+        at 8 bytes without ``reserve_ndf``, where ``code + 1`` wraps in
+        uint64), and codes at and just above 2^53 (where float64 stops
+        holding every integer) and 2^63 (past int64).  Query values
+        include those codes' slice edges, out-of-domain values, ±inf and
+        nan.
+        """
+        q = NumericQuantizer(
+            lo=lo, hi=lo + span, vector_bytes=vector_bytes, reserve_ndf=reserve_ndf
+        )
+        top = q.num_slices - 1
+        landmarks = [0, 1, top // 2, top - 1, top] + [
+            base + step for base in (2**53, 2**63) for step in (-1, 0, 1, 2, 3)
+        ]
+        landmarks = [code for code in landmarks if 0 <= code <= top]
+        codes = data.draw(st.lists(st.integers(0, top), min_size=1, max_size=40))
+        edged = codes[:3] + data.draw(
+            st.lists(st.sampled_from(landmarks), min_size=1, max_size=4)
+        )
+        codes += landmarks
+        edges = [edge for code in edged for edge in q.slice_bounds(code)]
+        outside = [q.lo - 1.0 - span, q.hi + 1.0 + span, math.inf, -math.inf, math.nan]
+        query_value = data.draw(
+            st.one_of(FINITE, st.sampled_from(edges), st.sampled_from(outside))
+        )
+        got = q.lower_bound_array(query_value, np.asarray(codes, dtype=np.uint64))
+        expected = np.asarray(
+            [q.lower_bound(query_value, code) for code in codes], dtype=np.float64
+        )
+        assert got.dtype == np.float64
+        assert got.view(np.uint64).tolist() == expected.view(np.uint64).tolist()
+
     def test_degenerate_domain(self):
         q = NumericQuantizer(lo=5.0, hi=5.0, vector_bytes=2)
         codes = [0, 1, 300, q.num_slices - 1]

@@ -24,6 +24,10 @@ from repro.data import WorkloadGenerator
 from repro.obs.trace import JsonlSpanSink
 
 
+#: Largest query-span time allowed outside its filter and refine spans.
+UNATTRIBUTED_MS = 10.0
+
+
 @pytest.fixture
 def query(small_dataset):
     """A 3-value query drawn from the dataset's own value distribution."""
@@ -252,4 +256,8 @@ class TestCliStats:
             c["duration_ms"] for c in span["children"]
             if c["name"] in ("filter", "refine")
         )
-        assert summed == pytest.approx(span["duration_ms"], rel=0.05)
+        assert summed <= span["duration_ms"]
+        # The remainder is the query's time outside both phases.  Over
+        # 2,500 runs of this query it had a median of 0.04 ms and a maximum
+        # of 2.7 ms (a GC or scheduler pause), so the bound is absolute.
+        assert span["duration_ms"] - summed <= UNATTRIBUTED_MS

@@ -14,6 +14,7 @@ import pytest
 
 from repro.core.engine import IVAEngine
 from repro.core.iva_file import IVAConfig, IVAFile
+from repro.core.segment import NumericSegment
 from repro.data.workload import WorkloadGenerator
 from repro.obs.profile import ProfileCollector, QueryProfile
 
@@ -158,13 +159,20 @@ class TestKernels:
     def test_v3_path_counts_match_scalar(self, indexed, queries):
         self._assert_v3_counts_match_scalar(indexed, queries)
 
-    def test_adapter_path_counts_match_scalar(self, small_dataset, queries):
-        """At α = 0.6 numeric codes are five bytes wide, so v3 bounds them
-        from blocks ``decode_segment`` adapts from ``move_to``; same counts."""
+    def test_wide_code_path_counts_match_scalar(self, small_dataset, queries):
+        """At α = 0.6 numeric codes are five bytes wide; v3 decodes them
+        natively into uint64 segments, with the scalar path's counts."""
         index = IVAFile.build(small_dataset, IVAConfig(name="prof_wide", alpha=0.6))
-        assert any(
-            not term.attr.is_text for query in queries[:5] for term in query.terms
-        )
+        numeric = [
+            term.attr.attr_id
+            for query in queries[:5]
+            for term in query.terms
+            if not term.attr.is_text
+        ]
+        assert numeric
+        for attr_id in numeric:
+            segment = index.make_scanner(attr_id).decode_segment([0, 1, 2])
+            assert isinstance(segment, NumericSegment)
         self._assert_v3_counts_match_scalar((small_dataset, index), queries)
 
 

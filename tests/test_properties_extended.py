@@ -13,7 +13,7 @@ from repro import (
     SimulatedDisk,
     SparseWideTable,
 )
-from repro.distributed import PartitionedSystem, VerticallyPartitionedIVA
+from repro.distributed import PartitionedSystem
 from repro.query import Query
 from repro.storage.snapshot import load_disk, save_disk
 from tests.helpers import brute_force_topk
@@ -107,19 +107,6 @@ class TestDistributedProperties:
             mirror.insert(row)
         expected = [d for _, d in brute_force_topk(mirror, query, 5, DistanceFunction())]
         report = system.search(query, k=5)
-        got = [round(r.distance, 9) for r in report.results]
-        assert got == [round(d, 9) for d in expected]
-
-    @given(rows=ROWS, nodes=st.integers(1, 3), query_word=WORD)
-    @settings(max_examples=15, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-    def test_vertical_partitioning_is_transparent(self, rows, nodes, query_word):
-        table = _build_table(rows)
-        if table.catalog.get("A") is None:
-            return
-        vertical = VerticallyPartitionedIVA(table, num_nodes=nodes)
-        query = Query.from_dict(table.catalog, {"A": query_word})
-        expected = [d for _, d in brute_force_topk(table, query, 5, DistanceFunction())]
-        report = vertical.search(query, k=5)
         got = [round(r.distance, 9) for r in report.results]
         assert got == [round(d, 9) for d in expected]
 

@@ -9,11 +9,12 @@ Two layers of checks:
   final block;
 * **skip-table tests** cover ``SkipTable.seek_offset`` arithmetic and
   verify a tail-block decode actually jumps over whole segments (and
-  still returns the right payloads), columnar and through the
-  ``move_to`` adapter alike.
+  still returns the right payloads), at 2- and 5-byte codes alike.
 
-The wide-code (``vector_bytes > 4``) fastpath fallback rides along: one
-explicit 8-byte bit-identity check plus the one-time debug log contract.
+Numeric lists cut at any byte must fail as the ``move_to`` walk does, at
+code widths 1, 2, 3, 5 and 8 on both codecs.  The wide-code
+(``vector_bytes > 4``) bulk-encode fallback rides along: one explicit
+8-byte bit-identity check plus the one-time debug log contract.
 """
 
 from __future__ import annotations
@@ -30,15 +31,12 @@ from repro.codec import CODEC_NAMES
 from repro.core import fastpath, scan
 from repro.core.kernel import CompiledTextTerm
 from repro.core.numeric import NumericQuantizer
-from repro.core.scan import (
-    SKIP_SEGMENT_ELEMENTS,
-    SkipTable,
-    VectorListScanner,
-)
-from repro.core.segment import ColumnSegment, TextSegment
+from repro.core.scan import SKIP_SEGMENT_ELEMENTS, SkipTable
+from repro.core.segment import NumericSegment, TextSegment
 from repro.core.signature import SignatureScheme
 from repro.errors import IndexError_, StorageError
 from repro.storage.pager import BufferedReader
+from tests.helpers import scalar_text_bounds
 
 TEXT = st.text(alphabet=string.ascii_lowercase, min_size=1, max_size=8)
 
@@ -124,10 +122,12 @@ def byte_run_chunk(request, monkeypatch):
 
 
 def _list_scanner(index, attr_id, end=None):
-    """A raw scanner over one text list, optionally cut to ``end`` bytes."""
+    """A scanner over one vector list, optionally cut to ``end`` bytes."""
     entry = index.entry(attr_id)
     reader = BufferedReader(index.disk, index.vector_file(attr_id), 0, end=end)
-    return entry.codec_impl.text_scanner(entry.list_type, reader, entry.scheme)
+    if entry.attr.is_text:
+        return entry.codec_impl.text_scanner(entry.list_type, reader, entry.scheme)
+    return entry.codec_impl.numeric_scanner(entry.list_type, reader, entry.quantizer)
 
 
 def _walk(index, attr_id, tids, block, end=None):
@@ -185,31 +185,6 @@ class TestDecodeSegmentIdentity:
                 for column, segment in zip(columns, segments):
                     assert segment.column() == column
 
-    def test_base_adapter_matches_layout_decoders(self):
-        """The base move_to adapter (what a codec without its own
-        decode_segment runs) yields the layout decoders' columns."""
-        table = _build(
-            [(("ab", "cd") if i % 3 else None, f"w{i % 4}", float(i), i / 2.0)
-             for i in range(30)]
-        )
-        for codec in CODEC_NAMES:
-            index = IVAFile.build(
-                table, IVAConfig(name=f"seg_base_{codec}", codec=codec)
-            )
-            attr_ids = _attr_ids(table)
-            adapted_scan = index.open_scan(attr_ids)
-            native_scan = index.open_scan(attr_ids)
-            for (tids, _), _ in zip(adapted_scan.blocks(7), native_scan.blocks(7)):
-                tids = list(tids)
-                adapted = [
-                    VectorListScanner.decode_segment(scanner, tids)
-                    for scanner in adapted_scan.scanners
-                ]
-                native = native_scan.segment_blocks(tids)
-                for a, b in zip(adapted, native):
-                    assert isinstance(a, ColumnSegment)
-                    assert a.column() == b.column()
-
     @pytest.mark.parametrize("alpha", [0.2, 1.0])
     @pytest.mark.parametrize("byte_run_chunk", CHUNKS, indirect=True)
     def test_run_parser_across_refills(self, layout_table, alpha, byte_run_chunk):
@@ -241,11 +216,11 @@ class TestDecodeSegmentIdentity:
                         1 for payload in column if payload is not None
                     )
                     bounds, defined = term.bound_segment(segment, scheme, len(chunk), 7.0)
-                    expected = [0.0] * len(chunk)
-                    exact = [True] * len(chunk)
-                    term.bound_column(column, scheme, expected, 7.0, exact)
+                    expected, expected_defined = scalar_text_bounds(
+                        term, column, scheme, 7.0
+                    )
                     assert bounds.tolist() == expected
-                    assert defined.tolist() == [not flag for flag in exact]
+                    assert defined.tolist() == expected_defined
 
     @pytest.mark.parametrize("byte_run_chunk", [5, None], indirect=True)
     def test_truncated_lists_fail_like_move_to(self, layout_table, byte_run_chunk):
@@ -267,6 +242,46 @@ class TestDecodeSegmentIdentity:
                 seen.add(oracle if isinstance(oracle, type) else list)
         assert seen == {StorageError, IndexError_, list}
 
+    @pytest.fixture(scope="class")
+    def numeric_table(self):
+        """Sparse ``SN`` (Type I) and dense ``DN`` (Type IV) numeric lists."""
+        table = SparseWideTable(SimulatedDisk())
+        for i in range(40):
+            cells = {"T": f"t{i % 3}"}
+            if i % 7 == 1:
+                cells["SN"] = float((i * 37) % 1000)
+            if i % 13:
+                cells["DN"] = float((i * 61) % 997) + 0.25
+            table.insert(cells)
+        return table
+
+    @pytest.mark.parametrize("codec", CODEC_NAMES)
+    @pytest.mark.parametrize("alpha, width", [(0.1, 1), (0.2, 2), (0.3, 3), (0.6, 5), (1.0, 8)])
+    def test_truncated_numeric_lists_fail_like_move_to(
+        self, numeric_table, codec, alpha, width
+    ):
+        """Numeric Types I and IV cut at any byte decode to the scalar
+        walk's column, or raise its exception type, at every code width."""
+        table = numeric_table
+        index = IVAFile.build(
+            table, IVAConfig(name=f"num_cut_{codec}_{width}", codec=codec, alpha=alpha)
+        )
+        tids = list(range(len(table)))
+        layouts = set()
+        seen = set()
+        for name in ("SN", "DN"):
+            attr_id = table.catalog.require(name).attr_id
+            entry = index.entry(attr_id)
+            assert entry.quantizer.vector_bytes == width
+            layouts.add(entry.list_type.name)
+            size = index.disk.size(index.vector_file(attr_id))
+            for end in range(size + 1):
+                oracle, decoded = _walk(index, attr_id, tids, 7, end=end)
+                assert decoded == oracle, (name, end)
+                seen.add(oracle if isinstance(oracle, type) else list)
+        assert layouts == {"TYPE_I", "TYPE_IV"}
+        assert seen == {StorageError, IndexError_, list}
+
     @settings(max_examples=60, deadline=None)
     @given(
         alpha=st.sampled_from([0.2, 0.5, 1.0]),
@@ -281,6 +296,8 @@ class TestDecodeSegmentIdentity:
     )
     def test_bound_segment_matches_bound_column(self, alpha, n, query, values, cut):
         """Array-wide text bounds ≡ the scalar mask loop, bit for bit.
+
+        (The reference is :func:`tests.helpers.scalar_text_bounds`.)
 
         Covers wide signatures (α = 1.0, strings past 40 characters),
         multi-string tuples, and a block that slices a longer run (the
@@ -310,12 +327,10 @@ class TestDecodeSegmentIdentity:
         for segment in (tail, whole):
             count = segment.count
             column = segment.column()
-            expected = [0.0] * count
-            exact = [True] * count
-            term.bound_column(column, scheme, expected, 3.5, exact)
+            expected, expected_defined = scalar_text_bounds(term, column, scheme, 3.5)
             bounds, defined = term.bound_segment(segment, scheme, count, 3.5)
             assert bounds.tolist() == expected
-            assert defined.tolist() == [not flag for flag in exact]
+            assert defined.tolist() == expected_defined
 
     @settings(max_examples=10, deadline=None, suppress_health_check=[HealthCheck.too_slow])
     @given(rows=ROWS)
@@ -405,9 +420,8 @@ class TestSkipTable:
         scalar = index.make_scanner(attr_id)
         assert segment.column() == [scalar.move_to(last_tid)]
 
-    def test_fallback_decode_jumps_too(self, long_table):
-        """The numeric decode adapted from move_to still skips: at α = 0.6
-        codes are five bytes wide, too wide for the columnar decoder."""
+    def test_wide_decode_jumps_too(self, long_table):
+        """Five-byte codes (α = 0.6) decode natively and still skip."""
         index = IVAFile.build(
             long_table, IVAConfig(name="skip_mb", codec="raw", alpha=0.6)
         )
@@ -423,8 +437,8 @@ class TestSkipTable:
         original_skip = reader.skip
         reader.skip = lambda n: (jumps.append(n), original_skip(n))[1]
         segment = scanner.decode_segment([last_tid])
-        assert isinstance(segment, ColumnSegment)
-        assert jumps, "the adapted decode never engaged the skip table"
+        assert isinstance(segment, NumericSegment)
+        assert jumps, "the wide decode never engaged the skip table"
 
         scalar = index.make_scanner(attr_id)
         assert segment.column() == [scalar.move_to(last_tid)]
