@@ -71,9 +71,10 @@ class DirectScanEngine:
         ) as span:
             io_before = disk.stats.io_time_ms
             wall_before = time.perf_counter()
+            plan = dist.compile(query)
             for record in self.table.scan():
                 report.tuples_scanned += 1
-                pool.insert(record.tid, dist.actual(query, record))
+                pool.insert(record.tid, dist.actual(query, record, plan))
             # All work is one sequential pass: report it as filter cost (there
             # is no separate refine phase and no random table access).
             report.filter_io_ms = disk.stats.io_time_ms - io_before

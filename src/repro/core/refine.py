@@ -21,9 +21,11 @@ from repro.query import Query
 class Refiner:
     """Refines one run's candidates, one row at a time.
 
-    *pools* (and *collectors*, when given) align with *queries*.  Rows are
-    projected onto the run's attributes and, when several queries share
-    the run, cached by tid; ``table_accesses`` counts per query.
+    *pools* (and *collectors*, when given) align with *queries*.  Each
+    query's distance is compiled once (:meth:`DistanceFunction.compile`)
+    and scores the rows handed to it.  Rows are projected onto the union
+    of the run's queried attributes and, when several queries share the
+    run, cached by tid; ``table_accesses`` counts per query.
     """
 
     def __init__(
@@ -40,7 +42,8 @@ class Refiner:
         self.dist = dist
         self.pools = pools
         self.collectors = collectors
-        self.attrs = frozenset(a for q in queries for a in q.attribute_ids())
+        self.plans = [dist.compile(q) for q in queries]
+        self.attrs = frozenset(a for plan in self.plans for a in plan.attr_ids)
         self._rows: Optional[Dict[int, object]] = {} if len(queries) > 1 else None
         #: Candidates refined per query (the paper's table accesses).
         self.table_accesses = [0] * len(queries)
@@ -61,7 +64,7 @@ class Refiner:
                 self.io_ms += meter.io_ms
                 if rows is not None:
                     rows[tid] = record
-            distance = self.dist.actual(self.queries[qi], record)
+            distance = self.dist.actual(self.queries[qi], record, self.plans[qi])
             self.pools[qi].insert(tid, distance)
             self.table_accesses[qi] += 1
             if self.collectors is not None:

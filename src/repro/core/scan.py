@@ -29,7 +29,7 @@ from one to eight bytes a uint64 :class:`~repro.core.segment.NumericSegment`
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
@@ -66,6 +66,10 @@ _TYPE_IV_SHORT = (
 #: Entries per bulk read when the raw Type I numeric segment decoder slurps
 #: fixed-width ``<tid, code>`` records ahead of the scan cursor.
 _SEG_READ_ENTRIES = 1024
+
+#: The empty carry of a Type I numeric decoder.
+_NO_TIDS = np.zeros(0, dtype=np.int64)
+_NO_CODES = np.zeros(0, dtype=np.uint64)
 
 
 class _ByteRun:
@@ -760,8 +764,8 @@ class NumericTypeIScanner(_TidBasedScanner):
         skip: Optional[SkipTable] = None,
     ) -> None:
         self._quantizer = quantizer
-        self._seg_tids: List[int] = []
-        self._seg_codes: List[int] = []
+        self._seg_tids = _NO_TIDS
+        self._seg_codes = _NO_CODES
         super().__init__(reader, skip)
 
     def move_to(self, tid: int) -> Optional[int]:
@@ -781,11 +785,12 @@ class NumericTypeIScanner(_TidBasedScanner):
         Fixed-width entries let the decoder slurp :data:`_SEG_READ_ENTRIES`
         records per read and crack them with one ``frombuffer`` instead of
         two ``reader.read`` calls per entry.  Records read past the block's
-        last tid are parked in a carry (``_seg_tids``/``_seg_codes``) for
-        the next block — which is why ``decode_segment`` must not be mixed
-        with the scalar entry points on one scanner instance.
+        last tid are parked in a carry (``_seg_tids``/``_seg_codes``, int64
+        and uint64 arrays) for the next block — which is why
+        ``decode_segment`` must not be mixed with the scalar entry points
+        on one scanner instance.
         """
-        if not self._seg_tids:
+        if not len(self._seg_tids):
             self._maybe_skip(tids[0])
         width = self._quantizer.vector_bytes
         reader = self._reader
@@ -795,11 +800,14 @@ class NumericTypeIScanner(_TidBasedScanner):
         # Fold the scalar pending element (tid consumed, code not) into the
         # carry so the bulk path owns the full lookahead state.
         if self._pending is not None:
-            carry_tids.append(self._pending)
-            carry_codes.append(self._quantizer.decode_bytes(reader.read(width)))
+            code = self._quantizer.decode_bytes(reader.read(width))
+            carry_tids = np.append(carry_tids, np.int64(self._pending))
+            carry_codes = np.append(carry_codes, np.uint64(code))
             self._pending = None
         entry_bytes = TID_BYTES + width
-        while (not carry_tids or carry_tids[-1] <= last) and not reader.exhausted():
+        while not reader.exhausted():
+            if len(carry_tids) and carry_tids[-1] > last:
+                break
             chunk = min(_SEG_READ_ENTRIES, reader.remaining() // entry_bytes)
             if chunk == 0:
                 # Truncated final record: fail as the scalar walk does (tid
@@ -807,25 +815,22 @@ class NumericTypeIScanner(_TidBasedScanner):
                 reader.read(TID_BYTES)
                 reader.read(width)  # raises: fewer than `width` bytes left
             records = reader.read(chunk * entry_bytes)
-            carry_tids.extend(
-                _unpack_uints(records, chunk, TID_BYTES, 0, entry_bytes).tolist()
-            )
-            carry_codes.extend(
-                _unpack_uints(records, chunk, width, TID_BYTES, entry_bytes).tolist()
-            )
-        consumed = bisect_right(carry_tids, last)
+            chunk_tids = _unpack_uints(records, chunk, TID_BYTES, 0, entry_bytes)
+            chunk_codes = _unpack_uints(records, chunk, width, TID_BYTES, entry_bytes)
+            carry_tids = np.concatenate((carry_tids, chunk_tids.astype(np.int64)))
+            carry_codes = np.concatenate((carry_codes, chunk_codes))
+        consumed = int(np.searchsorted(carry_tids, last, side="right"))
+        self._seg_tids = carry_tids[consumed:]
+        self._seg_codes = carry_codes[consumed:]
         count = len(tids)
         codes = np.zeros(count, dtype=np.uint64)
         defined = np.zeros(count, dtype=bool)
         if consumed:
-            entry_tids = np.asarray(carry_tids[:consumed], dtype=np.int64)
-            entry_codes = np.asarray(carry_codes[:consumed], dtype=np.uint64)
-            del carry_tids[:consumed]
-            del carry_codes[:consumed]
+            entry_tids = carry_tids[:consumed]
             block_tids = np.asarray(tids, dtype=np.int64)
             positions = np.searchsorted(block_tids, entry_tids)
             matched = block_tids[positions] == entry_tids
-            codes[positions[matched]] = entry_codes[matched]
+            codes[positions[matched]] = carry_codes[:consumed][matched]
             defined[positions[matched]] = True
         return NumericSegment(codes, defined)
 

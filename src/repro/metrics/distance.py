@@ -16,13 +16,13 @@ from __future__ import annotations
 
 import math
 from abc import ABC, abstractmethod
-from typing import Dict, Sequence, Union
+from typing import Dict, Mapping, Optional, Sequence, Union
 
 from repro.errors import QueryError
 from repro.metrics.edit_distance import compile_pattern
 from repro.metrics.weights import WeightScheme, equal_weights
 from repro.model.record import Record
-from repro.model.values import CellValue, is_ndf, is_numeric_value, is_text_value
+from repro.model.values import NDF, CellValue, is_ndf, is_numeric_value, is_text_value
 from repro.query import Query
 
 #: Default ndf penalty, matching the paper's worked example (Sec. IV-A:
@@ -158,19 +158,31 @@ class DistanceFunction:
         raise QueryError(f"attribute id {attr_id} is not part of the query")
 
     def term_difference(self, term_index: int, query: Query, value: CellValue) -> float:
-        """Exact ``d[A_i](T, Q)`` for the i-th query term."""
+        """Exact ``d[A_i](T, Q)`` for the i-th query term, uncompiled."""
         term = query.terms[term_index]
         if term.attr.is_text:
             return text_difference(str(term.value), value, self.ndf_penalty)
         return numeric_difference(float(term.value), value, self.ndf_penalty)
 
-    def actual(self, query: Query, record: Record) -> float:
-        """The exact similarity distance ``D(T, Q)``."""
-        weighted = []
-        for i, term in enumerate(query.terms):
-            diff = self.term_difference(i, query, record.value(term.attr.attr_id))
-            weighted.append(self.weight(term.attr.attr_id, query) * diff)
-        return self.metric.combine(weighted)
+    def compile(self, query: Query) -> "CompiledDistance":
+        """*query*'s ``D(T, Q)`` with everything fixed per query resolved."""
+        return CompiledDistance(self, query)
+
+    def actual(
+        self,
+        query: Query,
+        record: Record,
+        plan: Optional["CompiledDistance"] = None,
+    ) -> float:
+        """The exact similarity distance ``D(T, Q)``.
+
+        *plan* is ``self.compile(query)``; a caller scoring many records
+        against one query (the refine step) compiles it once and passes
+        it, others let each call compile its own.
+        """
+        if plan is None:
+            plan = self.compile(query)
+        return plan.score(record.cells)
 
     def combine_bounds(self, query: Query, diffs: Sequence[float]) -> float:
         """Whole-distance lower bound from per-attribute lower bounds.
@@ -183,3 +195,64 @@ class DistanceFunction:
             for term, diff in zip(query.terms, diffs)
         ]
         return self.metric.combine(weighted)
+
+
+class CompiledDistance:
+    """One query's ``D(T, Q)``, compiled once for a run of many records.
+
+    Everything :meth:`DistanceFunction.actual` would otherwise resolve per
+    record is fixed here, term by term in the query's attribute-id order:
+    the attribute id, its weight λ (``DistanceFunction.weight``), and
+    either the bound :meth:`EditPattern.distance
+    <repro.metrics.edit_distance.EditPattern.distance>` of a text term's
+    query string or a numeric term's float value.  :meth:`score` runs the
+    same float operations in the same order as :func:`text_difference`
+    and :func:`numeric_difference` followed by ``metric.combine``, so a
+    compiled score equals the uncompiled one bit for bit.
+    """
+
+    __slots__ = ("attr_ids", "terms", "ndf_penalty", "combine")
+
+    def __init__(self, dist: DistanceFunction, query: Query) -> None:
+        #: The queried attribute ids, ascending (a row projection).
+        self.attr_ids = query.attribute_ids()
+        self.terms = tuple(
+            (
+                term.attr.attr_id,
+                dist.weight(term.attr.attr_id, query),
+                term.attr.is_text,
+                compile_pattern(str(term.value)).distance
+                if term.attr.is_text
+                else float(term.value),
+            )
+            for term in query.terms
+        )
+        self.ndf_penalty = dist.ndf_penalty
+        self.combine = dist.metric.combine
+
+    def score(self, cells: Mapping[int, CellValue]) -> float:
+        """``D(T, Q)`` of a tuple whose defined cells are *cells*.
+
+        *cells* may hold more attributes than the query's; a queried one
+        it lacks is ndf.  A cell whose type does not match its term's
+        raises :class:`QueryError`.
+        """
+        get = cells.get
+        weighted = []
+        for attr_id, weight, text, query_value in self.terms:
+            value = get(attr_id, NDF)
+            if value is NDF:
+                diff = self.ndf_penalty
+            elif text:
+                if not isinstance(value, tuple) or not value:
+                    raise QueryError(f"expected a text value, got {value!r}")
+                for string in value:
+                    if not isinstance(string, str):
+                        raise QueryError(f"expected a text value, got {value!r}")
+                diff = float(min(map(query_value, value)))
+            elif isinstance(value, float):
+                diff = abs(query_value - value)
+            else:
+                raise QueryError(f"expected a numeric value, got {value!r}")
+            weighted.append(weight * diff)
+        return self.combine(weighted)

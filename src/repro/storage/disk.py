@@ -26,7 +26,7 @@ import logging
 import threading
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Dict, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.errors import StorageError
 from repro.storage.cache import LRUCache
@@ -144,6 +144,47 @@ class IoMeter:
         return self.total_ms - self.start_ms
 
 
+class _ThreadState(threading.local):
+    """One thread's I/O attribution state, with its defaults set up front.
+
+    Every thread starts on the ``"main"`` channel, charging the global
+    stats, with no meter open.  Setting the defaults per thread keeps each
+    lookup a plain attribute read: a ``getattr`` default on a
+    ``threading.local`` pays for a raised ``AttributeError`` each time.
+    """
+
+    def __init__(self) -> None:
+        self.channel = "main"
+        self.stats: Optional[DiskStats] = None
+        self.meters: List[IoMeter] = []
+
+
+class _Metered:
+    """The context manager :meth:`SimulatedDisk.metered` returns."""
+
+    __slots__ = ("_disk", "_meter")
+
+    def __init__(self, disk: "SimulatedDisk") -> None:
+        self._disk = disk
+
+    def __enter__(self) -> IoMeter:
+        disk = self._disk
+        start = disk._active_stats().io_time_ms
+        meter = self._meter = IoMeter(start_ms=start, total_ms=start)
+        disk._meters().append(meter)
+        return meter
+
+    def __exit__(self, *exc_info) -> None:
+        meters = self._disk._meters()
+        meter = self._meter
+        # By identity: a nested meter opened with no charge in between
+        # compares equal to the outer one.
+        for i in range(len(meters) - 1, -1, -1):
+            if meters[i] is meter:
+                del meters[i]
+                return
+
+
 class SimulatedDisk:
     """An in-memory file store charging accesses through a disk cost model.
 
@@ -166,7 +207,7 @@ class SimulatedDisk:
         #: submission queue) per concurrent sequential stream.
         self._heads: Dict[str, Optional[Tuple[str, int]]] = {"main": None}
         self._lock = threading.RLock()
-        self._tls = threading.local()
+        self._tls = _ThreadState()
         #: Optional :class:`repro.obs.trace.Tracer`; when set, every read
         #: call records a ``disk.read`` span (duration = modeled I/O ms).
         #: Off by default — per-read spans are strictly opt-in.
@@ -175,14 +216,10 @@ class SimulatedDisk:
     # ------------------------------------------------------- I/O attribution
 
     def _channel(self) -> str:
-        return getattr(self._tls, "channel", "main")
+        return self._tls.channel
 
-    def _meters(self):
-        meters = getattr(self._tls, "meters", None)
-        if meters is None:
-            meters = []
-            self._tls.meters = meters
-        return meters
+    def _meters(self) -> List[IoMeter]:
+        return self._tls.meters
 
     @contextmanager
     def io_channel(self, name: str):
@@ -192,7 +229,7 @@ class SimulatedDisk:
         head state is dropped when the context closes, so short-lived
         channels do not accumulate.
         """
-        previous = getattr(self._tls, "channel", "main")
+        previous = self._tls.channel
         self._tls.channel = name
         try:
             yield
@@ -202,26 +239,19 @@ class SimulatedDisk:
                 with self._lock:
                     self._heads.pop(name, None)
 
-    @contextmanager
-    def metered(self):
+    def metered(self) -> "_Metered":
         """Yield an :class:`IoMeter` accumulating this thread's charges.
 
         Meters nest: every open meter on the current thread's stack sees
         each charge, so an outer whole-phase meter and an inner per-call
-        meter can run simultaneously.
+        meter can run simultaneously.  The refine step opens one per row,
+        so this is a plain context-manager object, not a generator.
         """
-        start = self._active_stats().io_time_ms
-        meter = IoMeter(start_ms=start, total_ms=start)
-        meters = self._meters()
-        meters.append(meter)
-        try:
-            yield meter
-        finally:
-            meters.remove(meter)
+        return _Metered(self)
 
     def _active_stats(self) -> DiskStats:
         """The :class:`DiskStats` this thread's charges land in."""
-        override = getattr(self._tls, "stats", None)
+        override = self._tls.stats
         return self.stats if override is None else override
 
     @contextmanager
@@ -237,7 +267,7 @@ class SimulatedDisk:
         is redirected, the modeled device is still one device.
         """
         scoped = stats if stats is not None else DiskStats()
-        previous = getattr(self._tls, "stats", None)
+        previous = self._tls.stats
         self._tls.stats = scoped
         try:
             yield scoped

@@ -20,7 +20,7 @@ from __future__ import annotations
 import mmap
 import os
 import threading
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple, Union
 
@@ -278,7 +278,6 @@ class HostDisk:
 
     # --------------------------------------------------- I/O attribution
 
-    @contextmanager
     def metered(self):
         """Yield an :class:`IoMeter`; stays zero (no modeled charges here).
 
@@ -286,7 +285,7 @@ class HostDisk:
         — the engines' per-thread I/O accounting in particular — runs
         unchanged on a host directory.
         """
-        yield IoMeter()
+        return nullcontext(IoMeter())
 
     @contextmanager
     def io_channel(self, name: str):

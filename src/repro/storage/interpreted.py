@@ -34,6 +34,8 @@ _ENTRY_HEAD = struct.Struct("<IB")
 _F64 = struct.Struct("<d")
 _U8 = struct.Struct("<B")
 _U16 = struct.Struct("<H")
+_ENTRY_HEAD_SIZE = _ENTRY_HEAD.size
+_F64_SIZE = _F64.size
 
 TAG_NUMERIC = 0
 TAG_TEXT = 1
@@ -90,10 +92,12 @@ def decode_record(
     """Parse one row at *offset*; returns (record, offset_after_row).
 
     *attr_ids* projects the row: only entries for those attributes become
-    cells, the others are skipped by their tag and length fields (no UTF-8
-    decode, no value built).  Every bounds, tag and length check runs on
-    every entry either way, so a corrupt row fails the same with or
-    without a projection.
+    cells.  The others are skipped by their tag and length fields, a text
+    value string by string with no UTF-8 decode and no value built.  Every
+    bounds, tag and length check runs on every entry either way, and the
+    walk always reaches the row's end, so a corrupt row (a tail included)
+    fails with the same :class:`StorageError` with or without a
+    projection.
     """
     if offset + _HEADER.size > len(buffer):
         raise StorageError("truncated row header")
@@ -101,39 +105,47 @@ def decode_record(
     end = offset + total
     if total < _HEADER.size or end > len(buffer):
         raise StorageError(f"corrupt row length {total} at offset {offset}")
+    unpack_head = _ENTRY_HEAD.unpack_from
+    unpack_f64 = _F64.unpack_from
     pos = offset + _HEADER.size
-    record = Record(tid=tid)
-    cells = record.cells
+    cells = {}
     for _ in range(num_entries):
-        if pos + _ENTRY_HEAD.size > end:
+        if pos + _ENTRY_HEAD_SIZE > end:
             raise StorageError("truncated row entry")
-        attr_id, tag = _ENTRY_HEAD.unpack_from(buffer, pos)
-        pos += _ENTRY_HEAD.size
+        attr_id, tag = unpack_head(buffer, pos)
+        pos += _ENTRY_HEAD_SIZE
         keep = attr_ids is None or attr_id in attr_ids
-        if tag == TAG_NUMERIC:
-            if pos + _F64.size > end:
-                raise StorageError("truncated numeric payload")
-            if keep:
-                (cells[attr_id],) = _F64.unpack_from(buffer, pos)
-            pos += _F64.size
-        elif tag == TAG_TEXT:
+        if tag == TAG_TEXT:
             if pos + 1 > end:
                 raise StorageError("truncated text payload")
             count = buffer[pos]
             pos += 1
-            strings = []
-            for _ in range(count):
-                if pos + 2 > end:
-                    raise StorageError("truncated string length")
-                (byte_len,) = _U16.unpack_from(buffer, pos)
-                pos += 2
-                if pos + byte_len > end:
-                    raise StorageError("truncated string bytes")
-                if keep:
-                    strings.append(buffer[pos : pos + byte_len].decode("utf-8"))
-                pos += byte_len
             if keep:
+                strings = []
+                while count:
+                    if pos + 2 > end:
+                        raise StorageError("truncated string length")
+                    start = pos + 2
+                    pos = start + (buffer[pos] | buffer[pos + 1] << 8)
+                    if pos > end:
+                        raise StorageError("truncated string bytes")
+                    strings.append(buffer[start:pos].decode("utf-8"))
+                    count -= 1
                 cells[attr_id] = tuple(strings)
+            else:
+                while count:
+                    if pos + 2 > end:
+                        raise StorageError("truncated string length")
+                    pos += 2 + (buffer[pos] | buffer[pos + 1] << 8)
+                    if pos > end:
+                        raise StorageError("truncated string bytes")
+                    count -= 1
+        elif tag == TAG_NUMERIC:
+            if pos + _F64_SIZE > end:
+                raise StorageError("truncated numeric payload")
+            if keep:
+                (cells[attr_id],) = unpack_f64(buffer, pos)
+            pos += _F64_SIZE
         else:
             raise StorageError(f"unknown entry type tag {tag}")
     if pos != end:
@@ -141,7 +153,7 @@ def decode_record(
             f"row at offset {offset} declares {total} bytes but entries "
             f"consumed {pos - offset}"
         )
-    return record, end
+    return Record(tid=tid, cells=cells), end
 
 
 def row_length(buffer: bytes, offset: int = 0) -> int:

@@ -223,3 +223,43 @@ class TestStats:
         disk.write("f", 0, b"x")
         disk.reset_stats()
         assert disk.stats.bytes_written == 0
+
+
+class TestMeters:
+    def _cold_file(self, disk):
+        disk.create("f")
+        disk.write("f", 0, b"x" * 40000)
+        disk.drop_cache()
+
+    def test_nested_meters_see_the_same_charges(self, disk):
+        self._cold_file(disk)
+        before = disk.stats.io_time_ms
+        with disk.metered() as outer:
+            disk.read("f", 0, 10)
+            with disk.metered() as inner:
+                disk.read("f", 20000, 10)
+            disk.read("f", 30000, 10)
+        assert inner.pages == 1 and outer.pages == 3
+        assert 0 < inner.io_ms < outer.io_ms
+        assert outer.io_ms == disk.stats.io_time_ms - before
+
+    def test_inner_meter_opened_before_any_charge_leaves_outer_open(self, disk):
+        """An inner meter equal to the outer one on entry (nothing charged
+        yet) must not take the outer meter off the stack on exit."""
+        self._cold_file(disk)
+        with disk.metered() as outer:
+            with disk.metered():
+                pass
+            disk.read("f", 0, 10)
+        assert outer.pages == 1 and outer.io_ms > 0
+
+    def test_meters_are_per_thread(self, disk):
+        import threading
+
+        self._cold_file(disk)
+        with disk.metered() as meter:
+            worker = threading.Thread(target=disk.read, args=("f", 0, 10))
+            worker.start()
+            worker.join()
+        assert meter.pages == 0 and meter.io_ms == 0
+        assert disk.stats.pages_read == 1

@@ -1,7 +1,7 @@
 """Unit tests for the interpreted row codec."""
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import StorageError
@@ -14,6 +14,8 @@ from repro.storage.interpreted import (
     iter_rows,
     row_length,
 )
+
+from tests.helpers import reference_decode_record
 
 ATTR_IDS = st.integers(min_value=0, max_value=40)
 CELL = st.one_of(
@@ -188,3 +190,85 @@ class TestProjectedDecode:
             for projection in (None, attr_ids):
                 with pytest.raises(StorageError, match="unknown entry type tag"):
                     decode_record(bytes(corrupt), attr_ids=projection)
+
+
+def _field_offsets(record: Record):
+    """Byte offsets of the ``(tag, text count, string length)`` fields."""
+    tags, counts, lengths = [], [], []
+    pos = 10
+    for _, value in sorted(record.cells.items()):
+        tags.append(pos + 4)
+        pos += 5
+        if isinstance(value, float):
+            pos += 8
+            continue
+        counts.append(pos)
+        pos += 1
+        for s in value:
+            lengths.append(pos)
+            pos += 2 + len(s.encode("utf-8"))
+    return tags, counts, lengths
+
+
+def _outcome(decode, buffer, projection):
+    """What one parse of *buffer* gives: the row, or the error it raises."""
+    try:
+        record, end = decode(buffer, attr_ids=projection)
+    except Exception as exc:  # noqa: BLE001 - the error is the outcome
+        return type(exc).__name__, str(exc)
+    # repr keeps a NaN that corrupt bytes decode to comparable.
+    return record.tid, repr(sorted(record.cells.items())), end
+
+
+def _corruptions(record: Record, payload: bytes):
+    """*payload* cut at every byte, and with each length-bearing field and
+    tag rewritten to values around and far from the true one."""
+    size = len(payload)
+    for cut in range(size):
+        short = payload[:cut]
+        yield short
+        if cut >= 4:
+            yield cut.to_bytes(4, "little") + short[4:]
+    for total in {0, 1, 9, 10, 11, size - 1, size + 1, size + 7, 2**32 - 1}:
+        yield (total % 2**32).to_bytes(4, "little") + payload[4:]
+    for entries in {0, 1, len(record.cells) - 1, len(record.cells) + 1, 65535}:
+        yield payload[:8] + (entries % 65536).to_bytes(2, "little") + payload[10:]
+    tags, counts, lengths = _field_offsets(record)
+    for offset in tags:
+        for tag in (0, 1, 2, 255):
+            yield payload[:offset] + bytes([tag]) + payload[offset + 1 :]
+    for offset in counts:
+        for count in {0, payload[offset] - 1, payload[offset] + 1, 255}:
+            yield payload[:offset] + bytes([count % 256]) + payload[offset + 1 :]
+    for offset in lengths:
+        true = int.from_bytes(payload[offset : offset + 2], "little")
+        for length in {0, true - 1, true + 1, true + 3, 65535}:
+            yield (
+                payload[:offset]
+                + (length % 65536).to_bytes(2, "little")
+                + payload[offset + 2 :]
+            )
+
+
+class TestCorruptRowsFailAsBefore:
+    """The projected walker fails every corrupt row exactly as the earlier
+    one-loop parser did: same exception, same message (docs/storage.md)."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(record=RECORDS, attr_ids=PROJECTIONS)
+    def test_same_outcome_as_reference_parser(self, record, attr_ids):
+        payload = encode_record(record)
+        failures = 0
+        for buffer in _corruptions(record, payload):
+            for projection in (None, attr_ids):
+                got = _outcome(decode_record, buffer, projection)
+                assert got == _outcome(reference_decode_record, buffer, projection)
+                failures += got[0] == "StorageError"
+        assert failures >= len(payload)  # every plain cut fails, both ways
+
+    def test_corrupt_tail_fails_under_a_projection(self):
+        """A projection ending before a corrupt last entry still fails."""
+        payload = bytearray(encode_record(Record(tid=4, cells={1: 2.0, 9: ("ab",)})))
+        payload[-3] = 9  # attribute 9's string length: past the row's end
+        with pytest.raises(StorageError, match="truncated string bytes"):
+            decode_record(bytes(payload), attr_ids={1})
