@@ -21,6 +21,11 @@ run with the engine's block size patched to ``SMALL_BLOCK`` tuples: the
 answers and per-query ``table_accesses`` must equal the default block
 size's, so a bug at a block boundary cannot hide behind a one-block table.
 
+The size chooser picks few Type II/III text lists on this table, so a
+forced-layout pass indexes it once more per codec with every text list
+forced to Type I, II and then III (``TextListSizes.best`` patched at
+build), and runs every check above on each.
+
 The kernels' lookup tables are built from the exact scalar bound
 routines (text: the larger of Eq. 3 and the length filter, both lower
 bounds), so any divergence — including on ndf tuples and clamped
@@ -52,6 +57,7 @@ def main() -> int:
     from repro.core import engine as engine_module
     from repro.core.engine import IVAEngine
     from repro.core.iva_file import IVAConfig, IVAFile
+    from repro.core.vector_lists import ListType, TextListSizes
     from repro.data.generator import DatasetConfig, DatasetGenerator
     from repro.data.workload import WorkloadGenerator
     from repro.metrics.distance import DistanceFunction, numeric_difference
@@ -114,12 +120,34 @@ def main() -> int:
                         f"{label}: tid {tid} distance {distance!r} != DP "
                         f"full-row distance {expected!r}"
                     )
-    for codec, alpha in [(c, a) for c in CODEC_NAMES for a in ALPHAS]:
-        label_index = f"{codec} α={alpha}"
-        config = IVAConfig(
-            name=f"kernel_smoke_{codec}_{alpha}", codec=codec, alpha=alpha
+    forced_layouts = (ListType.TYPE_I, ListType.TYPE_II, ListType.TYPE_III)
+    cases = [
+        (
+            f"{codec} α={alpha}",
+            IVAConfig(name=f"kernel_smoke_{codec}_{alpha}", codec=codec, alpha=alpha),
+            None,
         )
-        index = IVAFile.build(table, config)
+        for codec in CODEC_NAMES
+        for alpha in ALPHAS
+    ] + [
+        (
+            f"{codec} forced {forced.name}",
+            IVAConfig(name=f"kernel_smoke_{codec}_{forced.name}", codec=codec),
+            forced,
+        )
+        for codec in CODEC_NAMES
+        for forced in forced_layouts
+    ]
+    for label_index, config, forced in cases:
+        if forced is None:
+            index = IVAFile.build(table, config)
+        else:
+            best = mock.patch.object(TextListSizes, "best", lambda self: forced)
+            with best:
+                index = IVAFile.build(table, config)
+            layouts = {e.list_type for e in index.entries() if e.attr.is_text}
+            if layouts != {forced}:
+                problems.append(f"{label_index}: text lists built as {layouts}")
         oracle = IVAEngine(table, index, kernel="scalar")
         baseline, baseline_accesses = searched(oracle)
 
@@ -160,8 +188,8 @@ def main() -> int:
             print(f"FAIL: {problem}", file=sys.stderr)
         return 1
     print(
-        f"kernel smoke OK: {len(CODEC_NAMES)} codecs x {len(ALPHAS)} alphas x "
-        f"{len(queries)} queries, "
+        f"kernel smoke OK: {len(CODEC_NAMES)} codecs x ({len(ALPHAS)} alphas + "
+        f"{len(forced_layouts)} forced text layouts) x {len(queries)} queries, "
         f"v3 == scalar oracle on {checked} engine paths (single-query, batch), "
         f"unchanged at {SMALL_BLOCK}-tuple blocks; "
         f"{distances_checked} "

@@ -28,6 +28,7 @@ __all__ = [
     "CODEC_NAMES",
     "get_codec",
     "codec_for_code",
+    "codec_for_wire",
     "encode_uvarint",
     "read_uvarint",
     "uvarint_len",
@@ -61,4 +62,23 @@ def codec_for_code(code: int) -> VectorListCodec:
     codec = _BY_CODE.get(code)
     if codec is None:
         raise IndexError_(f"unknown codec wire id {code}")
+    return codec
+
+
+def codec_for_wire(byte: int) -> VectorListCodec:
+    """The codec an attribute-list element's codec byte names.
+
+    The low four bits are the wire id and the high four the layout
+    version (:attr:`VectorListCodec.wire_byte`).  A list written in
+    another layout version than this build's is refused: decoding it
+    would read garbage.
+    """
+    codec = codec_for_code(byte & 0x0F)
+    version = byte >> 4
+    if version != codec.layout_version:
+        raise IndexError_(
+            f"{codec.name} vector lists in layout version {version} cannot be "
+            f"read (this build reads version {codec.layout_version}); rebuild "
+            f"the index from its table"
+        )
     return codec

@@ -107,6 +107,10 @@ class BytesReader:
         """True when every payload byte has been consumed."""
         return self.position >= len(self._payload)
 
+    def remaining(self) -> int:
+        """Payload bytes not yet consumed."""
+        return len(self._payload) - self.position
+
     @property
     def size(self) -> int:
         """Total payload length in bytes."""
@@ -142,6 +146,14 @@ class VectorListCodec:
     name: str = ""
     #: Wire id stored in the attribute-list element.
     code: int = -1
+    #: Version of this family's byte layouts; bumped when a layout changes
+    #: incompatibly, so lists written in an older layout are refused.
+    layout_version: int = 0
+
+    @property
+    def wire_byte(self) -> int:
+        """The attribute-list element's codec byte: id low, layout version high."""
+        return self.code | self.layout_version << 4
 
     # ----------------------------------------------------------- sizing
 

@@ -63,7 +63,7 @@ from repro.model.values import TextValue
 class _DeltaTidScanner(VectorListScanner):
     """Freeze-semantics machinery over a delta-coded tid column.
 
-    Mirrors :class:`~repro.core.scan._TidBasedScanner`, with the pending
+    Mirrors :class:`~repro.core.scan.NumericTypeIScanner`, with the pending
     element's tid reconstructed as ``base + gap``; ``base`` is the tid of
     the last fully consumed element (``-1`` at the list head).
     """
@@ -105,7 +105,7 @@ class CompressedTextTypeIScanner(_DeltaTidScanner):
             self._load_next()
         return out or None
 
-    def decode_segment(self, tids: List[int]):
+    def decode_segment(self, tids):
         """Columnar decode: one flat signature run for the whole block."""
         read_raw = self._scheme.read_raw
         reader = self._reader
@@ -113,7 +113,7 @@ class CompressedTextTypeIScanner(_DeltaTidScanner):
         lengths: List[int] = []
         bits: List[int] = []
         unique = 0
-        for i, tid in enumerate(tids):
+        for i, tid in enumerate(tids.tolist()):
             first = True
             while self._pending is not None and self._pending <= tid:
                 pair = read_raw(reader)
@@ -148,7 +148,7 @@ class CompressedTextTypeIIScanner(_DeltaTidScanner):
             self._load_next()
         return out or None
 
-    def decode_segment(self, tids: List[int]):
+    def decode_segment(self, tids):
         """Columnar decode: one flat signature run for the whole block."""
         read_raw = self._scheme.read_raw
         reader = self._reader
@@ -156,7 +156,7 @@ class CompressedTextTypeIIScanner(_DeltaTidScanner):
         lengths: List[int] = []
         bits: List[int] = []
         unique = 0
-        for i, tid in enumerate(tids):
+        for i, tid in enumerate(tids.tolist()):
             first = True
             while self._pending is not None and self._pending <= tid:
                 count = read_uvarint(reader)
@@ -196,7 +196,7 @@ class CompressedNumericTypeIScanner(_DeltaTidScanner):
             self._load_next()
         return out
 
-    def decode_segment(self, tids: List[int]):
+    def decode_segment(self, tids):
         """Columnar decode: same varint walk, codes scattered into arrays."""
         width = self._quantizer.vector_bytes
         decode = self._quantizer.decode_bytes
@@ -204,7 +204,7 @@ class CompressedNumericTypeIScanner(_DeltaTidScanner):
         count = len(tids)
         codes = np.zeros(count, dtype=np.uint64)
         defined = np.zeros(count, dtype=bool)
-        for i, tid in enumerate(tids):
+        for i, tid in enumerate(tids.tolist()):
             while self._pending is not None and self._pending <= tid:
                 code = decode(reader.read(width))
                 if self._pending == tid:
@@ -257,7 +257,7 @@ class CompressedTextTypeIIIScanner(VectorListScanner):
         self._load_next()
         return signatures or None
 
-    def decode_segment(self, tids: List[int]):
+    def decode_segment(self, tids):
         """Columnar decode: sparse positional walk into one flat run."""
         read_raw = self._scheme.read_raw
         reader = self._reader

@@ -1,11 +1,12 @@
 """The ``raw`` codec family: the fixed-width Sec. III-D encodings.
 
-Exactly the wire formats the reproduction always wrote — ``<tid u32>``
-heads, one-byte counts, fixed-width numeric codes — expressed through the
-:class:`~repro.codec.base.VectorListCodec` interface.  Building and
-scanning delegate to :mod:`repro.core.vector_lists` and
-:mod:`repro.core.scan`, so indexes built before the codec seam existed
-attach and scan unchanged (``raw`` is wire id 0, the attach default).
+``<tid u32>`` fields, one-byte counts and stored lengths, fixed-width
+numeric codes — expressed through the
+:class:`~repro.codec.base.VectorListCodec` interface.  Numeric lists are
+the paper's element sequences; text lists hold the same fields grouped by
+column in blocks (layout version 1; see
+:func:`repro.core.scan.parse_text_blocks`).  Building and scanning
+delegate to :mod:`repro.core.vector_lists` and :mod:`repro.core.scan`.
 
 The scanners this codec hands out support both the element-at-a-time
 ``move_to`` contract and the v3 kernel's ``decode_segment`` API (one call
@@ -22,6 +23,7 @@ from repro.core.numeric import NumericQuantizer
 from repro.core.scan import (
     NUM_BYTES,
     SKIP_SEGMENT_ELEMENTS,
+    TEXT_BLOCK_HEADER,
     TID_BYTES,
     NumericTypeIScanner,
     NumericTypeIVScanner,
@@ -30,6 +32,7 @@ from repro.core.scan import (
     TextTypeIIScanner,
     TextTypeIIIScanner,
     VectorListScanner,
+    parse_text_blocks,
 )
 from repro.core.signature import SignatureScheme
 from repro.core.vector_lists import (
@@ -39,14 +42,18 @@ from repro.core.vector_lists import (
     build_numeric_list,
     build_text_list,
     encode_numeric_element_type_i,
-    encode_text_element_type_i,
-    encode_text_element_type_ii,
-    encode_text_element_type_iii,
+    encode_text_block,
     numeric_list_sizes,
+    text_block_elements,
     text_list_sizes,
 )
 from repro.errors import EncodingError, IndexError_
 from repro.model.values import TextValue
+
+
+#: The Type III block an insert appends for an ndf tuple: one element
+#: whose string count is 0 (the most frequent append, so built once).
+_NDF_BLOCK = TEXT_BLOCK_HEADER.pack(1, NUM_BYTES) + bytes(NUM_BYTES)
 
 
 class RawCodec(VectorListCodec):
@@ -54,6 +61,8 @@ class RawCodec(VectorListCodec):
 
     name = "raw"
     code = 0
+    #: 1: text lists are columnar blocks (0 interleaved each element's fields).
+    layout_version = 1
 
     # ----------------------------------------------------------- sizing
 
@@ -114,22 +123,24 @@ class RawCodec(VectorListCodec):
         prev_key: int,
         position: int,
     ) -> Tuple[bytes, int]:
-        """Tail element(s) for one inserted tuple on a text attribute."""
-        if list_type is ListType.TYPE_I:
-            if strings is None:
-                return b"", prev_key
-            payload = b"".join(
-                encode_text_element_type_i(scheme, tid, s) for s in strings
-            )
-            return payload, tid
-        if list_type is ListType.TYPE_II:
-            if strings is None:
-                return b"", prev_key
-            return encode_text_element_type_ii(scheme, tid, strings), tid
+        """One block holding the inserted tuple's element(s) on a text attribute.
+
+        Nothing for an ndf tuple on a tid-based layout; Type III stores an
+        empty element for it.
+        """
         if list_type is ListType.TYPE_III:
-            payload = encode_text_element_type_iii(scheme, strings)
-            return payload, position if strings is not None else prev_key
-        raise EncodingError(f"{list_type} is not a text layout")
+            if strings is None:
+                return _NDF_BLOCK, prev_key
+            return encode_text_block(list_type, scheme, [(tid, strings)]), position
+        if list_type is ListType.TYPE_I:
+            units = [(tid, (s,)) for s in strings or ()]
+        elif list_type is ListType.TYPE_II:
+            units = [(tid, strings)] if strings is not None else []
+        else:
+            raise EncodingError(f"{list_type} is not a text layout")
+        if not units:
+            return b"", prev_key
+        return encode_text_block(list_type, scheme, units), tid
 
     def append_numeric(
         self,
@@ -192,48 +203,46 @@ class RawCodec(VectorListCodec):
     ) -> Optional[SkipTable]:
         """Per-segment tid fences for tid-based layouts (Types I and II).
 
-        Fixed-width elements make segment byte offsets computable from the
-        entries alone.  Positional layouts identify by position, not tid,
-        so a tid fence buys nothing there and ``None`` is returned.
+        A segment is one text block, or :data:`SKIP_SEGMENT_ELEMENTS`
+        fixed-width numeric elements, so segment byte offsets are
+        computable from the entries alone.  Positional layouts identify by
+        position, not tid, so a tid fence buys nothing there and ``None``
+        is returned.
         """
+        header = 0
+        per_segment = SKIP_SEGMENT_ELEMENTS
         if is_text:
+            size = scheme_or_quantizer.vector_byte_size
             if list_type is ListType.TYPE_I:
                 element_widths = [
-                    (tid, TID_BYTES + scheme_or_quantizer.vector_byte_size(s))
-                    for tid, strings in entries
-                    for s in strings
+                    (tid, TID_BYTES + size(s)) for tid, strings in entries for s in strings
                 ]
             elif list_type is ListType.TYPE_II:
                 element_widths = [
-                    (
-                        tid,
-                        TID_BYTES
-                        + NUM_BYTES
-                        + sum(
-                            scheme_or_quantizer.vector_byte_size(s)
-                            for s in strings
-                        ),
-                    )
+                    (tid, TID_BYTES + NUM_BYTES + sum(map(size, strings)))
                     for tid, strings in entries
                 ]
             else:
                 return None
+            header = TEXT_BLOCK_HEADER.size
+            per_segment = text_block_elements(list_type)
         else:
             if list_type is not ListType.TYPE_I:
                 return None
             width = TID_BYTES + scheme_or_quantizer.vector_bytes
             element_widths = [(tid, width) for tid, _ in entries]
-        if len(element_widths) <= SKIP_SEGMENT_ELEMENTS:
+        if len(element_widths) <= per_segment:
             return None
         first_tids: List[int] = []
         last_tids: List[int] = []
         offsets: List[int] = []
         offset = 0
         for index, (tid, width) in enumerate(element_widths):
-            if index % SKIP_SEGMENT_ELEMENTS == 0:
+            if index % per_segment == 0:
                 first_tids.append(tid)
                 offsets.append(offset)
                 last_tids.append(tid)
+                offset += header
             else:
                 last_tids[-1] = tid
             offset += width
@@ -256,55 +265,60 @@ class RawCodec(VectorListCodec):
     ) -> List[str]:
         """Structural problems in one list payload (empty = clean)."""
         problems: List[str] = []
-        reader = BytesReader(payload)
         try:
             if is_text:
                 self._check_text(
-                    list_type, scheme_or_quantizer, reader, element_count, problems
+                    list_type, scheme_or_quantizer, payload, element_count, problems
                 )
             else:
                 self._check_numeric(
-                    list_type, scheme_or_quantizer, reader, element_count, problems
+                    list_type,
+                    scheme_or_quantizer,
+                    BytesReader(payload),
+                    element_count,
+                    problems,
                 )
         except IndexError_ as exc:
-            problems.append(f"truncated list: {exc}")
+            # A corrupt text block names itself; a numeric list runs short.
+            problems.append(str(exc) if is_text else f"truncated list: {exc}")
         return problems
 
     @staticmethod
     def _check_text(
         list_type: ListType,
         scheme: SignatureScheme,
-        reader: BytesReader,
+        payload: bytes,
         element_count: int,
         problems: List[str],
     ) -> None:
+        blocks = parse_text_blocks(
+            payload,
+            0,
+            scheme,
+            list_type is not ListType.TYPE_III,
+            list_type is not ListType.TYPE_I,
+        )
+        if blocks.end != len(payload):
+            problems.append(
+                f"truncated list: the block at offset {blocks.end} runs past "
+                f"the list's {len(payload)} bytes"
+            )
         if list_type is ListType.TYPE_III:
-            elements = 0
-            while not reader.exhausted():
-                count = reader.read(NUM_BYTES)[0]
-                for _ in range(count):
-                    scheme.read(reader)
-                elements += 1
-            if elements != element_count:
+            if blocks.units != element_count:
                 problems.append(
-                    f"positional list holds {elements} elements for "
+                    f"positional list holds {blocks.units} elements for "
                     f"{element_count} tuple-list elements"
                 )
             return
-        previous = -1
-        while not reader.exhausted():
-            tid = int.from_bytes(reader.read(TID_BYTES), "little")
-            if list_type is ListType.TYPE_I:
-                if tid < previous:
-                    problems.append(f"tids decrease at {tid}")
-                scheme.read(reader)
-            else:
-                if tid <= previous:
-                    problems.append(f"tids not strictly increasing at {tid}")
-                count = reader.read(NUM_BYTES)[0]
-                for _ in range(count):
-                    scheme.read(reader)
-            previous = tid
+        tids = blocks.unit_tids
+        if list_type is ListType.TYPE_I:
+            bad = tids[1:] < tids[:-1]
+            message = "tids decrease at {}"
+        else:
+            bad = tids[1:] <= tids[:-1]
+            message = "tids not strictly increasing at {}"
+        for tid in tids[1:][bad].tolist():
+            problems.append(message.format(tid))
 
     @staticmethod
     def _check_numeric(

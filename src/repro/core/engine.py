@@ -42,6 +42,8 @@ from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
 from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Tuple, Union
 
+import numpy as np
+
 from repro.core.iva_file import DELETED_PTR, IVAFile
 from repro.core.kernel import (
     BLOCK_TUPLES,
@@ -721,14 +723,14 @@ class IVAEngine(FilterAndRefineEngine):
             block_wall += time.perf_counter() - block_start
             blocks += 1
             segments_total += len(segments)
-            deleted = ptrs.count(DELETED_PTR)
+            deleted = int(np.count_nonzero(ptrs == DELETED_PTR))
             tuples += count - deleted
             for collector in collectors:
                 collector.on_segments(segments, count)
             tombstones = ptrs if deleted else None
             for candidacy, (estimates, exact) in zip(candidacies, evaluated):
                 candidacy.add_block(tids, tombstones, estimates, exact)
-            progress[0] = tids[-1]
+            progress[0] = int(tids[-1])
         tracer.record("kernel.block", block_wall * 1000.0, blocks=blocks, tuples=tuples)
         registry.counter(
             "repro_kernel_blocks_total",

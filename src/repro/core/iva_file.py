@@ -35,7 +35,7 @@ from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.codec import VectorListCodec, codec_for_code, get_codec
+from repro.codec import VectorListCodec, codec_for_wire, get_codec
 from repro.codec.base import list_last_key as _list_last_key
 from repro.core.numeric import NumericQuantizer, vector_bytes_for_alpha
 from repro.core.scan import SkipTable, VectorListScanner
@@ -157,7 +157,7 @@ class AttributeEntry:
         return _ATTR_ELEMENT.pack(
             self.list_type.value,
             _KIND_TEXT if self.attr.is_text else _KIND_NUMERIC,
-            self.codec_impl.code,
+            self.codec_impl.wire_byte,
             self.alpha,
             self.n,
             self.df,
@@ -326,7 +326,7 @@ class IVAFile:
                     hi=hi if has_domain else None,
                     vector_bytes=vector_bytes,
                     list_size=list_size,
-                    codec=codec_for_code(codec_code).name,
+                    codec=codec_for_wire(codec_code).name,
                     last_key=last_key,
                 )
             )

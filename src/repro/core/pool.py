@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from typing import Iterator, List, Optional, Sequence, Tuple
+from typing import Iterator, List, Optional, Tuple
 
 import numpy as np
 
@@ -163,13 +163,12 @@ class BlockCandidacy:
             collector.on_candidate()
         return True
 
-    def add_block(
-        self, tids: Sequence[int], ptrs: Optional[Sequence[int]], estimates, exact
-    ) -> None:
+    def add_block(self, tids, ptrs, estimates, exact) -> None:
         """Phase 1 over one evaluated block.
 
-        *ptrs* holds the block's tuple-list pointers, or None when it has
-        no tombstones (``DELETED_PTR = 2**64 - 1``, compared as uint64).
+        *tids* is the block's int64 tid column and *ptrs* its uint64
+        tuple-list pointers, or None when it has no tombstones
+        (``DELETED_PTR = 2**64 - 1``) — the tuple-list feed's own arrays.
         *estimates* and *exact* are the kernel's float64 and bool arrays.
 
         When the pool is already full, every live tuple is prefiltered
@@ -177,14 +176,8 @@ class BlockCandidacy:
         block's exact tuples enter first and the rest is prefiltered
         against the pool as they leave it.
         """
-        first = tids[0]
-        if tids[-1] - first == len(tids) - 1:
-            # The tuple list ascends by tid, so this block is a tid run.
-            tid_array = np.arange(first, first + len(tids), dtype=np.int64)
-        else:
-            tid_array = np.asarray(tids, dtype=np.int64)
         if ptrs is not None:
-            live = np.asarray(ptrs, dtype=np.uint64) != DELETED_PTR
+            live = ptrs != DELETED_PTR
             exact = exact & live
             rest = live ^ exact
             n_live = int(np.count_nonzero(live))
@@ -197,24 +190,24 @@ class BlockCandidacy:
         pool = self.pool
         full = pool.is_full()
         if full:
-            beats = _beats(estimates, tid_array, pool.worst())
+            beats = _beats(estimates, tids, pool.worst())
             rest &= beats
             if n_exact:
                 exact = exact & beats
         if n_exact:
             slots = np.flatnonzero(exact)
             if len(slots) > pool.k:
-                order = np.lexsort((tid_array[slots], estimates[slots]))
+                order = np.lexsort((tids[slots], estimates[slots]))
                 slots = slots[order[: pool.k]]
             for tid, estimated in zip(
-                tid_array[slots].tolist(), estimates[slots].tolist()
+                tids[slots].tolist(), estimates[slots].tolist()
             ):
                 pool.insert(tid, estimated)
             if not full and pool.is_full():
-                rest &= _beats(estimates, tid_array, pool.worst())
+                rest &= _beats(estimates, tids, pool.worst())
         kept = int(np.count_nonzero(rest))
         if kept:
-            self._survivors.append((estimates[rest], tid_array[rest]))
+            self._survivors.append((estimates[rest], tids[rest]))
         self._count(n_exact, n_live - n_exact - kept, kept)
 
     def _count(self, exact: int, pruned: int, candidates: int) -> None:

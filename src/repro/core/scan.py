@@ -25,11 +25,19 @@ each layout implements natively: text runs become a
 :class:`~repro.core.segment.TextSegment`, and numeric codes of any width
 from one to eight bytes a uint64 :class:`~repro.core.segment.NumericSegment`
 (:func:`_unpack_uints` cracks every width).
+
+Raw text lists are runs of **columnar blocks** (:data:`TEXT_BLOCK_HEADER`
+then the tid, count and stored-length columns and the packed signature
+bits; see :func:`parse_text_blocks`).  Both entry points of a raw text
+scanner read through one block reader, so they issue the same reads; the
+columns of every complete block a read buffered are cracked with one set
+of numpy calls.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
+import struct
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
@@ -51,8 +59,13 @@ NUM_BYTES = 1
 
 #: Elements per skip-table segment for tid-based raw lists (Sec. IV-A prep
 #: for skip-based MoveTo: coarse enough to keep the table tiny, fine enough
-#: that a jump skips real decode work).
+#: that a jump skips real decode work).  A raw Type I/II text block holds
+#: exactly one segment, so skip offsets land on block heads.
 SKIP_SEGMENT_ELEMENTS = 256
+
+#: Head of every raw text block: ``<element count u16, body bytes u32>``.
+#: The body length lets a reader step from block to block on headers alone.
+TEXT_BLOCK_HEADER = struct.Struct("<HI")
 
 _TYPE_III_SHORT = (
     "Type III vector list ran out of elements before the tuple list did — "
@@ -75,13 +88,11 @@ _NO_CODES = np.zeros(0, dtype=np.uint64)
 class _ByteRun:
     """Scanner-local parse cursor over bulk reader chunks.
 
-    What the raw text ``decode_segment``s parse through: instead of two
-    :class:`BufferedReader` calls per signature (length byte, then bits),
-    slurp large chunks into a local ``bytes`` object, parse every complete
-    element in it at once and crack the fields with numpy gathers.  Chunks
-    may overshoot the current block — the overshoot parks here between
-    ``decode_segment`` calls, which is one of the reasons ``move_to`` and
-    ``decode_segment`` must not be mixed on a single scanner instance.
+    What the raw text scanners read blocks through: instead of one
+    :class:`BufferedReader` call per field, slurp large chunks into a
+    local ``bytes`` object and parse every complete block in it at once.
+    A chunk may end inside a block; the partial block parks here until
+    the next refill completes it.
     """
 
     __slots__ = ("_reader", "buf", "pos")
@@ -100,15 +111,11 @@ class _ByteRun:
     def exhausted(self) -> bool:
         return self.pos >= len(self.buf) and self._reader.exhausted()
 
-    def drained(self) -> bool:
-        """True when the reader holds nothing beyond :attr:`buf`."""
-        return self._reader.exhausted()
-
     def ensure(self, length: int) -> None:
         """Buffer at least *length* unparsed bytes ahead of :attr:`pos`.
 
         A range too short to supply them raises the reader's own
-        ``StorageError`` (the exact failure the scalar walk would hit).
+        ``StorageError``.
         """
         have = len(self.buf) - self.pos
         if have >= length:
@@ -183,11 +190,12 @@ class VectorListScanner:
         """Advance the pointer to *tid*; see the class docstring."""
         raise NotImplementedError
 
-    def decode_segment(self, tids: List[int]):  # pragma: no cover - abstract
+    def decode_segment(self, tids):  # pragma: no cover - abstract
         """Advance through one block of tids, returning a decoded segment.
 
         The v3 kernel's decode API: one call per tuple-list block instead
-        of one :meth:`move_to` per tuple, returning a
+        of one :meth:`move_to` per tuple.  *tids* is the block's int64 tid
+        column, as the tuple-list feed yields it.  Returns a
         :class:`~repro.core.segment.NumericSegment` or
         :class:`~repro.core.segment.TextSegment` whose :meth:`column` is
         the payloads the :meth:`move_to` walk returns.  A list that ends
@@ -202,88 +210,7 @@ class VectorListScanner:
         raise NotImplementedError
 
 
-class _TidBasedScanner(VectorListScanner):
-    """Shared freeze-semantics machinery for Types I and II."""
-
-    def __init__(
-        self, reader: BufferedReader, skip: Optional[SkipTable] = None
-    ) -> None:
-        super().__init__(reader)
-        self._skip = skip
-        self._pending: Optional[int] = None
-        self._load_next()
-
-    def _load_next(self) -> None:
-        if self._reader.exhausted():
-            self._pending = None
-        else:
-            self._pending = int.from_bytes(self._reader.read(TID_BYTES), "little")
-
-    def _maybe_skip(self, target_tid: int) -> None:
-        """Jump over whole segments that cannot intersect the scan cursor.
-
-        Called with the block's first tid at the head of the numeric
-        ``decode_segment``.  Every skipped element's tid is strictly below
-        *target_tid*, so the scalar walk would have consumed it without
-        producing a payload — the jump is free of semantics, it only
-        spares the decode.
-        """
-        skip = self._skip
-        if skip is None or self._pending is None or self._pending >= target_tid:
-            return
-        offset = skip.seek_offset(target_tid, self._reader.position - TID_BYTES)
-        if offset is None or offset <= self._reader.position - TID_BYTES:
-            return
-        self._reader.skip(offset - self._reader.position)
-        self._pending = None
-        self._load_next()
-
-    @property
-    def pending_tid(self) -> Optional[int]:
-        """The tid the pointer is frozen at (None at the list tail)."""
-        return self._pending
-
-
-
-class _Parsed:
-    """The complete elements one :class:`_ByteRun` buffer held, as columns.
-
-    A raw text scanner parses everything its run has buffered in one pass
-    and hands each tuple-list block a slice.  ``units`` elements were
-    parsed, starting at buffer offsets ``starts`` and ending at ``end``
-    (columns are numpy arrays: a run holds thousands of elements);
-    ``signatures`` holds their signatures in list order.  Tid-based layouts
-    carry ``unit_tids`` (each element's tid) and ``tail`` (the look-ahead
-    tid read after the last element, ``None`` at the list end); layouts
-    that store a count per element carry ``first_sig`` (element *j* owns
-    signatures ``first_sig[j]:first_sig[j + 1]``) and ``sig_unit`` (the
-    element of each signature).  ``repeats`` is True when an element of a
-    Type I run repeats its predecessor's tid or an element stores several
-    strings — only then can a block's slots repeat.
-    """
-
-    __slots__ = (
-        "units",
-        "starts",
-        "end",
-        "signatures",
-        "repeats",
-        "unit_tids",
-        "tail",
-        "first_sig",
-        "sig_unit",
-    )
-
-    def __init__(self, starts, end: int, signatures) -> None:
-        self.units = len(starts)
-        self.starts = starts
-        self.end = end
-        self.signatures = signatures
-        self.repeats = False
-        self.unit_tids = None
-        self.tail: Optional[int] = None
-        self.first_sig = None
-        self.sig_unit = None
+# ------------------------------------------------------------ raw text
 
 
 #: Zero bytes appended to a parsed buffer so word gathers never run off it.
@@ -320,52 +247,217 @@ def _view(data, dtype: str):
     )
 
 
-def _signatures(buf: bytes, data, at, scheme) -> SignatureRun:
-    """Signature columns for the length bytes at offsets *at* of *buf*.
+def _signatures(buf, data, lengths, widths, bit_at) -> SignatureRun:
+    """Signature columns from stored lengths and the offsets of their bits.
 
     *data* is ``buf`` plus :data:`_PAD` as a uint8 array.  One gather
-    reads the lengths, one reads eight bytes after each as a word, and a
-    per-width mask clears the bytes that belong to the next field.
+    reads eight bytes at each bit offset as a word, and a per-width mask
+    clears the bytes that belong to the next signature.
     """
-    lengths = data[at]
-    widths = scheme.higher_array[lengths]
-    words = _view(data, "<u8")[at + 1]
+    words = _view(data, "<u8")[bit_at]
     words &= _WORD_MASKS[np.minimum(widths, WORD_BYTES)]
     wide = np.flatnonzero(widths > WORD_BYTES)
     wide_bits = [
-        int.from_bytes(buf[start + 1 : start + 1 + width], "little")
-        for start, width in zip(at[wide].tolist(), widths[wide].tolist())
+        int.from_bytes(buf[start : start + width], "little")
+        for start, width in zip(bit_at[wide].tolist(), widths[wide].tolist())
     ]
     return SignatureRun(lengths, words, wide, wide_bits)
 
 
-def _counted(parsed: _Parsed, data, unit_at, sig_at) -> None:
-    """Fill ``first_sig``/``sig_unit`` from each element's count byte."""
-    counts = data[unit_at]
-    first = np.zeros(parsed.units + 1, dtype=np.intp)
-    np.cumsum(counts, out=first[1:])
-    parsed.first_sig = first
-    parsed.sig_unit = np.repeat(np.arange(parsed.units, dtype=np.intp), counts)
-    parsed.repeats = bool((counts > 1).any())
+def _spans(firsts, count: int):
+    """``(owner, local)`` of *count* items cut into runs starting at *firsts*.
+
+    *firsts* holds each run's first item index plus the total (length
+    runs + 1); item *i* lies in run ``owner[i]`` at index ``local[i]``.
+    """
+    owner = np.repeat(np.arange(len(firsts) - 1), np.diff(firsts))
+    return owner, np.arange(count) - firsts[owner]
 
 
-def _tidded(parsed: _Parsed, buf: bytes, data, unit_at, pending, final) -> None:
-    """Fill ``unit_tids``/``tail``: each element's tid precedes its payload."""
-    unit_tids = np.empty(parsed.units, dtype=np.int64)
-    if parsed.units:
-        unit_tids[0] = pending
-        unit_tids[1:] = _view(data, "<u4")[unit_at[1:] - TID_BYTES]
-        end = parsed.end
-        if not final:
-            pending = int.from_bytes(buf[end - TID_BYTES : end], "little")
-        else:
-            pending = None
-    parsed.unit_tids = unit_tids
-    parsed.tail = pending
+class TextBlocks:
+    """Every complete raw text block parsed from one buffer, as columns.
+
+    ``units`` elements came from the blocks whose headers sit at absolute
+    list offsets ``heads``; block *b* starts at element ``firsts[b]``, and
+    parsing stopped at buffer offset ``end``.  ``signatures`` holds every
+    signature in list order.  Tid-based layouts carry ``unit_tids`` (each
+    element's tid, int64); layouts with a count column carry ``first_sig``
+    (element *j* owns signatures ``first_sig[j]:first_sig[j + 1]``) and
+    ``sig_unit`` (the element of each signature) — in Type I element *j*
+    is signature *j*, and both are ``None``.  ``repeats`` is True when a
+    Type I tid repeats or an element stores several strings: only then
+    can a segment's slots repeat.
+    """
+
+    __slots__ = (
+        "units",
+        "heads",
+        "firsts",
+        "end",
+        "unit_tids",
+        "first_sig",
+        "sig_unit",
+        "signatures",
+        "repeats",
+        "_scalar",
+    )
+
+    def sig_range(self, a: int, b: int):
+        """The signatures ``lo:hi`` of elements ``a:b``."""
+        first_sig = self.first_sig
+        if first_sig is None:
+            return a, b
+        return int(first_sig[a]), int(first_sig[b])
+
+    def sig_units(self, lo: int, hi: int):
+        """The element of each signature ``lo:hi``."""
+        if self.sig_unit is None:
+            return np.arange(lo, hi)
+        return self.sig_unit[lo:hi]
+
+    def scalar(self, scheme: SignatureScheme):
+        """``(tids, first_sig, signatures)`` as Python lists, built once.
+
+        What ``move_to`` walks: element *j* has tid ``tids[j]`` (``None``
+        for Type III) and the :class:`Signature` objects
+        ``signatures[first_sig[j]:first_sig[j + 1]]``.
+        """
+        scalar = self._scalar
+        if scalar is None:
+            run = self.signatures
+            count = len(run.lengths)
+            make = scheme.signature
+            signatures = list(map(make, run.lengths.tolist(), run.bits(0, count)))
+            first_sig = (
+                list(range(self.units + 1))
+                if self.first_sig is None
+                else self.first_sig.tolist()
+            )
+            tids = None if self.unit_tids is None else self.unit_tids.tolist()
+            scalar = self._scalar = (tids, first_sig, signatures)
+        return scalar
+
+
+def _corrupt(base: int, heads, bad, what: str) -> IndexError_:
+    head = base + heads[int(np.flatnonzero(bad)[0])]
+    return IndexError_(f"raw text block at offset {head} is corrupt: {what}")
+
+
+def parse_text_blocks(
+    buf: bytes,
+    pos: int,
+    scheme: SignatureScheme,
+    tidded: bool,
+    counted: bool,
+    base: int = 0,
+) -> TextBlocks:
+    """Parse every complete block of *buf* from offset *pos*.
+
+    A block is :data:`TEXT_BLOCK_HEADER` ``(n, body bytes)`` and a body of
+    the paper's element fields grouped by column: *n* u32 tids (Types I
+    and II, *tidded*), *n* u8 string counts (Types II and III, *counted*;
+    a Type I element holds one string), one stored-length byte per
+    signature, then every signature's higher bits, packed at the widths
+    the lengths imply.  Headers are walked in Python; the columns of all
+    the complete blocks are then gathered with one set of numpy calls.
+    *base* is the absolute list offset of ``buf[0]``.
+
+    A body whose columns do not fill it exactly raises ``IndexError_``.
+    """
+    header = TEXT_BLOCK_HEADER.size
+    unpack = TEXT_BLOCK_HEADER.unpack_from
+    stop = len(buf)
+    heads: List[int] = []
+    elements: List[int] = []
+    sizes: List[int] = []
+    while pos + header <= stop:
+        n, size = unpack(buf, pos)
+        end = pos + header + size
+        if end > stop:
+            break
+        heads.append(pos)
+        elements.append(n)
+        sizes.append(size)
+        pos = end
+    blocks = TextBlocks()
+    blocks.heads = [base + head for head in heads]
+    blocks.end = pos
+    blocks._scalar = None
+    data = np.frombuffer(b"".join((buf, _PAD)), dtype=np.uint8)
+    n = np.array(elements, dtype=np.intp)
+    col = np.array(heads, dtype=np.intp) + header
+    body_end = col + np.array(sizes, dtype=np.intp)
+    firsts = np.zeros(len(heads) + 1, dtype=np.intp)
+    np.cumsum(n, out=firsts[1:])
+    units = int(firsts[-1])
+    blocks.units = units
+    blocks.firsts = firsts[:-1].tolist()
+    # Bytes per element before the bits: its tid and its count, or (Type I,
+    # one string per element) its tid and its signature's length byte.
+    fixed = (TID_BYTES if tidded else 0) + (NUM_BYTES if counted else 1)
+    bad = col + fixed * n > body_end
+    if bad.any():
+        raise _corrupt(base, heads, bad, "its element columns overrun its body")
+    owner, local = _spans(firsts, units)
+    blocks.unit_tids = None
+    if tidded:
+        tids = _view(data, "<u4")[col[owner] + TID_BYTES * local]
+        blocks.unit_tids = tids.astype(np.int64)
+        col = col + TID_BYTES * n
+    if counted:
+        counts = data[col[owner] + local]
+        col = col + n
+        first_sig = np.zeros(units + 1, dtype=np.intp)
+        np.cumsum(counts, out=first_sig[1:])
+        sig_firsts = first_sig[firsts]
+        bad = col + np.diff(sig_firsts) > body_end
+        if bad.any():
+            raise _corrupt(base, heads, bad, "its length column overruns its body")
+        blocks.first_sig = first_sig
+        blocks.sig_unit = np.repeat(np.arange(units), counts)
+        blocks.repeats = bool((counts > 1).any())
+    else:
+        sig_firsts = firsts
+        blocks.first_sig = blocks.sig_unit = None
+        tids = blocks.unit_tids
+        blocks.repeats = bool((tids[1:] == tids[:-1]).any())
+    sig_owner, sig_local = _spans(sig_firsts, int(sig_firsts[-1]))
+    lengths = data[col[sig_owner] + sig_local]
+    widths = scheme.higher_array[lengths]
+    bit_ends = np.zeros(len(widths) + 1, dtype=np.intp)
+    np.cumsum(widths, out=bit_ends[1:])
+    bits_col = col + np.diff(sig_firsts) - bit_ends[sig_firsts[:-1]]
+    bad = bits_col + bit_ends[sig_firsts[1:]] != body_end
+    if bad.any():
+        raise _corrupt(base, heads, bad, "its signature bits do not fill its body")
+    bit_at = bits_col[sig_owner] + bit_ends[:-1]
+    blocks.signatures = _signatures(buf, data, lengths, widths, bit_at)
+    return blocks
+
+
+def _read_blocks(
+    run: _ByteRun, scheme: SignatureScheme, tidded: bool, counted: bool
+) -> Optional[TextBlocks]:
+    """The next complete blocks of *run*, parsed; ``None`` at the list end.
+
+    Reads the next block's header, then its body, then parses every
+    complete block the buffer holds from there.
+    """
+    header = TEXT_BLOCK_HEADER.size
+    while not run.exhausted():
+        run.ensure(header)
+        _, size = TEXT_BLOCK_HEADER.unpack_from(run.buf, run.pos)
+        run.ensure(header + size)
+        base = run.logical_position() - run.pos
+        blocks = parse_text_blocks(run.buf, run.pos, scheme, tidded, counted, base)
+        run.pos = blocks.end
+        if blocks.units:
+            return blocks
+    return None
 
 
 def _text_segment(count: int, pieces: list) -> TextSegment:
-    """One block's :class:`TextSegment` from ``(parsed, lo, hi, slots, keep)``.
+    """One block's :class:`TextSegment` from ``(blocks, lo, hi, slots, keep)``.
 
     A single piece whose signatures all land in the block slices its run;
     otherwise (the block crossed a refill, or skipped elements whose tid
@@ -373,16 +465,16 @@ def _text_segment(count: int, pieces: list) -> TextSegment:
     block's own.
     """
     if len(pieces) == 1 and pieces[0][4] is None:
-        parsed, lo, hi, slots, _ = pieces[0]
-        return TextSegment(count, slots, parsed.signatures, lo, hi, parsed.repeats)
+        blocks, lo, hi, slots, _ = pieces[0]
+        return TextSegment(count, slots, blocks.signatures, lo, hi, blocks.repeats)
     lengths = [np.empty(0, dtype=np.uint8)]
     words = [np.empty(0, dtype=np.uint64)]
     slot_parts = [np.empty(0, dtype=np.intp)]
     wide_index = [np.empty(0, dtype=np.intp)]
     wide_bits: List[int] = []
     offset = 0
-    for parsed, lo, hi, slots, keep in pieces:
-        run = parsed.signatures
+    for blocks, lo, hi, slots, keep in pieces:
+        run = blocks.signatures
         index = np.arange(lo, hi)
         if keep is not None:
             index = index[keep]
@@ -405,69 +497,17 @@ def _text_segment(count: int, pieces: list) -> TextSegment:
     return TextSegment(count, np.concatenate(slot_parts), run, 0, offset, True)
 
 
-def _top_up_signatures(run: _ByteRun, table, size: int, count: int) -> int:
-    """Issue the scalar walk's reads for *count* signatures at ``pos + size``.
+class _TidTextScanner(VectorListScanner):
+    """Freeze semantics over raw tid-based text blocks (Types I and II).
 
-    Returns the element size so far.  Each ``ensure`` asks for exactly the
-    bytes the field-by-field walk asks for at that field, so a refill
-    happens at the same field and fetches the same size.
+    The pointer is a cursor into the parsed blocks: the element at the
+    cursor is the one the pointer is frozen at.  Once the first block is
+    read, the cursor stays inside the parsed blocks, or the list is done
+    (``_blocks`` is ``None``).  ``decode_segment`` first jumps the skip
+    table's whole segments below the block; ``move_to`` walks.
     """
-    for _ in range(count):
-        run.ensure(size + 1)
-        size += 1 + table[run.buf[run.pos + size]]
-        run.ensure(size)
-    return size
 
-
-def _walk_counted(run: _ByteRun, table, tail: int):
-    """Offsets of every complete ``<num, vectors…>`` element the run holds.
-
-    Each element is followed by *tail* look-ahead bytes (the next tid of
-    Type II; none for Type III) that must be buffered too, except after
-    the list's last element.  Returns ``(starts, sig_starts, end, final)``:
-    element and signature offsets, where parsing stopped, and whether the
-    last element ends the list.
-    """
-    buf = run.buf
-    end = len(buf)
-    s = run.pos
-    starts: List[int] = []
-    sig_starts: List[int] = []
-    append = starts.append
-    append_sig = sig_starts.append
-    final = False
-    while s < end:
-        left = buf[s]
-        q = s + NUM_BYTES
-        while left and q < end:
-            append_sig(q)
-            q += 1 + table[buf[q]]
-            left -= 1
-        if left or q + tail > end:
-            if tail and not left and q == end and run.drained():
-                append(s)
-                s = q
-                final = True
-            else:
-                taken = buf[s] - left
-                if taken:
-                    del sig_starts[-taken:]
-            break
-        append(s)
-        s = q + tail
-    return starts, sig_starts, s, final
-
-
-class _TidTextScanner(_TidBasedScanner):
-    """Run parsing shared by the tid-based raw text layouts (Types I, II).
-
-    ``decode_segment`` parses every complete element its
-    :class:`_ByteRun` holds in one pass (:meth:`_parse`) and each block
-    takes the elements whose tid it covers.  When a block needs the
-    element that straddles the buffered bytes, :meth:`_top_up` issues the
-    same reads the scalar walk would at that element — the refill happens
-    in the same block, for the same size — and the new buffer is parsed.
-    """
+    _COUNTED = False
 
     def __init__(
         self,
@@ -475,287 +515,186 @@ class _TidTextScanner(_TidBasedScanner):
         scheme: SignatureScheme,
         skip: Optional[SkipTable] = None,
     ) -> None:
+        super().__init__(reader)
         self._scheme = scheme
-        self._run: Optional[_ByteRun] = None
-        self._parsed: Optional[_Parsed] = None
+        self._skip = skip
+        self._run = _ByteRun(reader)
+        self._blocks: Optional[TextBlocks] = None
         self._cursor = 0
-        super().__init__(reader, skip)
+        self._started = False
 
-    def _parse(self, pending: Optional[int]) -> _Parsed:  # pragma: no cover
-        """Parse the run from its position; *pending* is the tid just read.
-
-        ``None`` means the list is done; the run then holds no byte past
-        its position, so the parse finds no element.
-        """
-        raise NotImplementedError
-
-    def _top_up(self) -> None:  # pragma: no cover
-        """Buffer the element at the run's position, as the scalar walk reads it."""
-        raise NotImplementedError
-
-    def _signature_tids(self, parsed: _Parsed, a: int, b: int):
-        """``(lo, hi, tids)``: the signatures of elements ``a:b`` and their tids."""
-        raise NotImplementedError  # pragma: no cover
-
-    def _reparse(self, pending: Optional[int]) -> _Parsed:
-        parsed = self._parsed = self._parse(pending)
+    def _next_blocks(self) -> Optional[TextBlocks]:
+        blocks = self._blocks = _read_blocks(
+            self._run, self._scheme, True, self._COUNTED
+        )
         self._cursor = 0
-        return parsed
+        return blocks
 
-    def _parsed_for(self, target_tid: int) -> _Parsed:
-        """The parsed run at the block head, after any skip-table jump.
+    def _current(self) -> Optional[TextBlocks]:
+        """The parsed blocks holding the pointer's element (None at the end)."""
+        if not self._started:
+            self._started = True
+            return self._next_blocks()
+        return self._blocks
 
-        The first call folds the scalar ``_pending`` (tid read, payload
-        not) into the run.  A skip table jumps the cursor over whole
-        segments below *target_tid* exactly where the scalar walk would,
-        before any payload byte is fetched.
-        """
-        parsed = self._parsed
-        if parsed is None:
-            self._run = _ByteRun(self._reader)
-            pending = self._pending
-            self._pending = None
-            parsed = self._reparse(pending)
-        skip = self._skip
-        if skip is None:
-            return parsed
-        k = self._cursor
-        pending = int(parsed.unit_tids[k]) if k < parsed.units else parsed.tail
-        if pending is None or pending >= target_tid:
-            return parsed
-        run = self._run
-        # Stand where the scalar walk stands: just past the pending tid.
-        run.pos = int(parsed.starts[k]) if k < parsed.units else parsed.end
-        offset = skip.seek_offset(target_tid, run.logical_position() - TID_BYTES)
-        if offset is None:
-            run.pos = parsed.end
-            return parsed
-        run.jump_to(offset)
-        if run.exhausted():
-            pending = None
-        else:
-            run.ensure(TID_BYTES)
-            at = run.pos
-            pending = int.from_bytes(run.buf[at : at + TID_BYTES], "little")
-            run.pos = at + TID_BYTES
-        return self._reparse(pending)
+    @property
+    def pending_tid(self) -> Optional[int]:
+        """The tid the pointer is frozen at (None at the list tail)."""
+        blocks = self._current()
+        return None if blocks is None else int(blocks.unit_tids[self._cursor])
 
-    def decode_segment(self, tids: List[int]):
-        """Columnar decode: the block's slice of the parsed run."""
-        parsed = self._parsed_for(tids[0])
-        last = tids[-1]
-        parts = []
-        while True:
+    def move_to(self, tid: int) -> Optional[List[Signature]]:
+        """Advance the pointer to *tid*; see the module docstring."""
+        out: List[Signature] = []
+        blocks = self._current()
+        while blocks is not None:
+            tids, first_sig, signatures = blocks.scalar(self._scheme)
             k = self._cursor
-            if k < parsed.units:
-                stop = int(parsed.unit_tids.searchsorted(last, "right"))
-                if stop > k:
-                    parts.append((parsed, k, stop))
-                    self._cursor = stop
-                if stop < parsed.units:
-                    break
-            if parsed.tail is None or parsed.tail > last:
+            units = blocks.units
+            while k < units and tids[k] <= tid:
+                if tids[k] == tid:
+                    out.extend(signatures[first_sig[k] : first_sig[k + 1]])
+                k += 1
+            self._cursor = k
+            if k < units:
                 break
-            self._top_up()
-            parsed = self._reparse(parsed.tail)
+            blocks = self._next_blocks()
+        return out or None
+
+    def _seek(self, target_tid: int) -> Optional[TextBlocks]:
+        """Jump over whole skip-table segments below *target_tid*.
+
+        Every skipped element's tid is below the block's first tid, so the
+        walk would have consumed it without producing a payload.  A jump
+        target inside the parsed blocks moves the cursor; one past them
+        moves the reader.  Returns the parsed blocks at the pointer.
+        """
+        skip = self._skip
+        blocks = self._current()
+        if skip is None or blocks is None:
+            return blocks
+        k = self._cursor
+        if blocks.unit_tids[k] >= target_tid:
+            return blocks
+        heads = blocks.heads
+        offset = skip.seek_offset(
+            target_tid, heads[bisect_right(blocks.firsts, k) - 1]
+        )
+        if offset is None:
+            return blocks
+        if offset < self._run.logical_position():
+            at = bisect_left(heads, offset)
+            if at < len(heads) and heads[at] == offset:
+                self._cursor = blocks.firsts[at]
+            return blocks
+        self._run.jump_to(offset)
+        return self._next_blocks()
+
+    def decode_segment(self, tids):
+        """Columnar decode: the block's slice of the parsed blocks."""
+        first = int(tids[0])
+        last = int(tids[-1])
+        blocks = self._seek(first)
+        parts = []
+        while blocks is not None:
+            k = self._cursor
+            stop = int(blocks.unit_tids.searchsorted(last, "right"))
+            if stop > k:
+                parts.append((blocks, k, stop))
+                self._cursor = stop
+            if stop < blocks.units:
+                break
+            blocks = self._next_blocks()
         count = len(tids)
-        first = tids[0]
-        block = None
-        if tids[-1] - first != count - 1:
-            block = np.array(tids, dtype=np.int64)
+        contiguous = last - first == count - 1
         pieces = []
-        for parsed, a, b in parts:
-            lo, hi, sig_tids = self._signature_tids(parsed, a, b)
+        for blocks, a, b in parts:
+            lo, hi = blocks.sig_range(a, b)
+            sig_tids = blocks.unit_tids[blocks.sig_units(lo, hi)]
             keep = None
-            if block is None:
+            if contiguous:
                 slots = sig_tids - first
                 if lo < hi and sig_tids[0] < first:
                     keep = slots >= 0
             else:
-                slots = block.searchsorted(sig_tids)
-                found = block[np.minimum(slots, count - 1)] == sig_tids
+                slots = tids.searchsorted(sig_tids)
+                found = tids[np.minimum(slots, count - 1)] == sig_tids
                 if not found.all():
                     keep = found
-            pieces.append((parsed, lo, hi, slots, keep))
+            pieces.append((blocks, lo, hi, slots, keep))
         return _text_segment(count, pieces)
 
 
 class TextTypeIScanner(_TidTextScanner):
-    """Type I text layout: ``<tid, vector>`` per string, sorted by tid;
-    consecutive elements may repeat a tid for multi-string values."""
-
-    def move_to(self, tid: int) -> Optional[List[Signature]]:
-        """Advance the pointer to *tid*; see the class docstring."""
-        out: List[Signature] = []
-        while self._pending is not None and self._pending <= tid:
-            signature = self._scheme.read(self._reader)
-            if self._pending == tid:
-                out.append(signature)
-            self._load_next()
-        return out or None
-
-    def _parse(self, pending: Optional[int]) -> _Parsed:
-        """Parse every complete ``<vector, next tid>`` the run holds."""
-        run = self._run
-        buf = run.buf
-        end = len(buf)
-        s = run.pos
-        table = self._scheme.higher_table
-        starts: List[int] = []
-        append = starts.append
-        final = False
-        while s < end:
-            p = s + 1 + table[buf[s]]
-            if p + TID_BYTES > end:
-                if p == end and run.drained():
-                    append(s)
-                    s = p
-                    final = True
-                break
-            append(s)
-            s = p + TID_BYTES
-        run.pos = s
-        data = np.frombuffer(buf + _PAD, dtype=np.uint8)
-        at = np.array(starts, dtype=np.intp)
-        parsed = _Parsed(at, s, _signatures(buf, data, at, self._scheme))
-        _tidded(parsed, buf, data, at, pending, final)
-        tids = parsed.unit_tids
-        parsed.repeats = bool((tids[1:] == tids[:-1]).any())
-        return parsed
-
-    def _top_up(self) -> None:
-        run = self._run
-        size = _top_up_signatures(run, self._scheme.higher_table, 0, 1)
-        if run.pos + size < len(run.buf) or not run.drained():
-            run.ensure(size + TID_BYTES)
-
-    def _signature_tids(self, parsed: _Parsed, a: int, b: int):
-        return a, b, parsed.unit_tids[a:b]
+    """Type I text layout: one ``<tid, vector>`` element per string, sorted
+    by tid; consecutive elements repeat a tid for multi-string values."""
 
 
 class TextTypeIIScanner(_TidTextScanner):
-    """Type II text layout: ``<tid, num, vector1, vector2, …>``."""
+    """Type II text layout: one ``<tid, num, vector1, vector2, …>`` element
+    per defined tuple."""
 
-    def move_to(self, tid: int) -> Optional[List[Signature]]:
-        """Advance the pointer to *tid*; see the class docstring."""
-        out: List[Signature] = []
-        while self._pending is not None and self._pending <= tid:
-            count = self._reader.read(NUM_BYTES)[0]
-            signatures = [self._scheme.read(self._reader) for _ in range(count)]
-            if self._pending == tid:
-                out.extend(signatures)
-            self._load_next()
-        return out or None
-
-    def _parse(self, pending: Optional[int]) -> _Parsed:
-        """Parse every complete ``<num, vectors…, next tid>`` the run holds.
-
-        ``<tid, 0>`` elements are never written, but one would parse as an
-        element without signatures, so it never counts as defined.
-        """
-        run = self._run
-        buf = run.buf
-        starts, sig_starts, s, final = _walk_counted(
-            run, self._scheme.higher_table, TID_BYTES
-        )
-        run.pos = s
-        data = np.frombuffer(buf + _PAD, dtype=np.uint8)
-        at = np.array(starts, dtype=np.intp)
-        sig_at = np.array(sig_starts, dtype=np.intp)
-        parsed = _Parsed(at, s, _signatures(buf, data, sig_at, self._scheme))
-        _counted(parsed, data, at, sig_at)
-        _tidded(parsed, buf, data, at, pending, final)
-        return parsed
-
-    def _top_up(self) -> None:
-        run = self._run
-        run.ensure(NUM_BYTES)
-        size = _top_up_signatures(
-            run, self._scheme.higher_table, NUM_BYTES, run.buf[run.pos]
-        )
-        if run.pos + size < len(run.buf) or not run.drained():
-            run.ensure(size + TID_BYTES)
-
-    def _signature_tids(self, parsed: _Parsed, a: int, b: int):
-        lo = parsed.first_sig[a]
-        hi = parsed.first_sig[b]
-        return lo, hi, parsed.unit_tids[parsed.sig_unit[lo:hi]]
+    _COUNTED = True
 
 
 class TextTypeIIIScanner(VectorListScanner):
     """Type III text layout: positional ``<num, vectors…>`` for every tuple.
 
-    ``decode_segment`` parses a run at a time like the
-    tid-based layouts (see :class:`_TidTextScanner`); each block takes
-    the next ``len(tids)`` elements.
+    Each call takes the next element(s) of the parsed blocks, reading the
+    next blocks when the cursor reaches their end.
     """
 
     def __init__(self, reader: BufferedReader, scheme: SignatureScheme) -> None:
         super().__init__(reader)
         self._scheme = scheme
-        self._run: Optional[_ByteRun] = None
-        self._parsed: Optional[_Parsed] = None
+        self._run = _ByteRun(reader)
+        self._blocks: Optional[TextBlocks] = None
         self._cursor = 0
+
+    def _current(self) -> TextBlocks:
+        """The parsed blocks with an element at the cursor."""
+        blocks = self._blocks
+        if blocks is None or self._cursor == blocks.units:
+            blocks = self._blocks = _read_blocks(self._run, self._scheme, False, True)
+            self._cursor = 0
+            if blocks is None:
+                raise IndexError_(_TYPE_III_SHORT)
+        return blocks
 
     def move_to(self, tid: int) -> Optional[List[Signature]]:
-        """Advance the pointer to *tid*; see the class docstring."""
-        if self._reader.exhausted():
-            raise IndexError_(_TYPE_III_SHORT)
-        count = self._reader.read(NUM_BYTES)[0]
-        if count == 0:
-            return None
-        return [self._scheme.read(self._reader) for _ in range(count)]
+        """Advance the pointer to *tid*; see the module docstring."""
+        blocks = self._current()
+        k = self._cursor
+        self._cursor = k + 1
+        _, first_sig, signatures = blocks.scalar(self._scheme)
+        return signatures[first_sig[k] : first_sig[k + 1]] or None
 
-    def _parse(self) -> _Parsed:
-        """Parse every complete ``<num, vectors…>`` the run holds."""
-        run = self._run
-        buf = run.buf
-        starts, sig_starts, s, _ = _walk_counted(run, self._scheme.higher_table, 0)
-        run.pos = s
-        data = np.frombuffer(buf + _PAD, dtype=np.uint8)
-        at = np.array(starts, dtype=np.intp)
-        sig_at = np.array(sig_starts, dtype=np.intp)
-        parsed = _Parsed(at, s, _signatures(buf, data, sig_at, self._scheme))
-        _counted(parsed, data, at, sig_at)
-        self._parsed = parsed
-        self._cursor = 0
-        return parsed
-
-    def _top_up(self) -> None:
-        run = self._run
-        if run.exhausted():
-            raise IndexError_(_TYPE_III_SHORT)
-        run.ensure(NUM_BYTES)
-        _top_up_signatures(run, self._scheme.higher_table, NUM_BYTES, run.buf[run.pos])
-
-    def decode_segment(self, tids: List[int]):
-        """Columnar decode: the next ``len(tids)`` elements of the parsed run."""
-        parsed = self._parsed
-        if parsed is None:
-            self._run = _ByteRun(self._reader)
-            parsed = self._parse()
+    def decode_segment(self, tids):
+        """Columnar decode: the next ``len(tids)`` elements of the parsed blocks."""
         count = len(tids)
         pieces = []
         done = 0
-        while True:
+        while done < count:
+            blocks = self._current()
             k = self._cursor
-            take = min(count - done, parsed.units - k)
-            if take:
-                lo = parsed.first_sig[k]
-                hi = parsed.first_sig[k + take]
-                slots = parsed.sig_unit[lo:hi] - (k - done)
-                pieces.append((parsed, lo, hi, slots, None))
-                self._cursor = k + take
-                done += take
-            if done == count:
-                break
-            self._top_up()
-            parsed = self._parse()
+            take = min(count - done, blocks.units - k)
+            lo, hi = blocks.sig_range(k, k + take)
+            slots = blocks.sig_units(lo, hi) - (k - done)
+            pieces.append((blocks, lo, hi, slots, None))
+            self._cursor = k + take
+            done += take
         return _text_segment(count, pieces)
 
 
-class NumericTypeIScanner(_TidBasedScanner):
-    """Type I numeric layout: ``<tid, vector>`` per defined tuple."""
+# -------------------------------------------------------------- numeric
+
+
+class NumericTypeIScanner(VectorListScanner):
+    """Type I numeric layout: ``<tid, vector>`` per defined tuple.
+
+    The pointer holds the *pending* element: its tid is read, its code not
+    yet; the paper's freeze is the pointer waiting at that tid.
+    """
 
     def __init__(
         self,
@@ -763,10 +702,43 @@ class NumericTypeIScanner(_TidBasedScanner):
         quantizer: NumericQuantizer,
         skip: Optional[SkipTable] = None,
     ) -> None:
+        super().__init__(reader)
         self._quantizer = quantizer
+        self._skip = skip
         self._seg_tids = _NO_TIDS
         self._seg_codes = _NO_CODES
-        super().__init__(reader, skip)
+        self._pending: Optional[int] = None
+        self._load_next()
+
+    def _load_next(self) -> None:
+        if self._reader.exhausted():
+            self._pending = None
+        else:
+            self._pending = int.from_bytes(self._reader.read(TID_BYTES), "little")
+
+    def _maybe_skip(self, target_tid: int) -> None:
+        """Jump over whole segments that cannot intersect the scan cursor.
+
+        Called with the block's first tid at the head of
+        ``decode_segment``.  Every skipped element's tid is strictly below
+        *target_tid*, so the scalar walk would have consumed it without
+        producing a payload — the jump is free of semantics, it only
+        spares the decode.
+        """
+        skip = self._skip
+        if skip is None or self._pending is None or self._pending >= target_tid:
+            return
+        offset = skip.seek_offset(target_tid, self._reader.position - TID_BYTES)
+        if offset is None:
+            return
+        self._reader.skip(offset - self._reader.position)
+        self._pending = None
+        self._load_next()
+
+    @property
+    def pending_tid(self) -> Optional[int]:
+        """The tid the pointer is frozen at (None at the list tail)."""
+        return self._pending
 
     def move_to(self, tid: int) -> Optional[int]:
         """Advance the pointer to *tid*; see the class docstring."""
@@ -779,7 +751,7 @@ class NumericTypeIScanner(_TidBasedScanner):
             self._load_next()
         return out
 
-    def decode_segment(self, tids: List[int]):
+    def decode_segment(self, tids):
         """Columnar decode: bulk ``<tid, code>`` record reads + searchsorted.
 
         Fixed-width entries let the decoder slurp :data:`_SEG_READ_ENTRIES`
@@ -791,12 +763,12 @@ class NumericTypeIScanner(_TidBasedScanner):
         on one scanner instance.
         """
         if not len(self._seg_tids):
-            self._maybe_skip(tids[0])
+            self._maybe_skip(int(tids[0]))
         width = self._quantizer.vector_bytes
         reader = self._reader
         carry_tids = self._seg_tids
         carry_codes = self._seg_codes
-        last = tids[-1]
+        last = int(tids[-1])
         # Fold the scalar pending element (tid consumed, code not) into the
         # carry so the bulk path owns the full lookahead state.
         if self._pending is not None:
@@ -827,9 +799,8 @@ class NumericTypeIScanner(_TidBasedScanner):
         defined = np.zeros(count, dtype=bool)
         if consumed:
             entry_tids = carry_tids[:consumed]
-            block_tids = np.asarray(tids, dtype=np.int64)
-            positions = np.searchsorted(block_tids, entry_tids)
-            matched = block_tids[positions] == entry_tids
+            positions = np.searchsorted(tids, entry_tids)
+            matched = tids[positions] == entry_tids
             codes[positions[matched]] = carry_codes[:consumed][matched]
             defined[positions[matched]] = True
         return NumericSegment(codes, defined)
@@ -856,7 +827,7 @@ class NumericTypeIVScanner(VectorListScanner):
             return None
         return code
 
-    def decode_segment(self, tids: List[int]):
+    def decode_segment(self, tids):
         """Columnar decode: the whole block in one read + one unpack."""
         quantizer = self._quantizer
         width = quantizer.vector_bytes

@@ -141,6 +141,7 @@ class SignatureScheme:
         self.n = n
         self._higher_table: Optional[List[int]] = None
         self._higher_array = None
+        self._parameters: Dict[int, Tuple[int, int]] = {}
 
     @property
     def higher_table(self) -> List[int]:
@@ -193,6 +194,17 @@ class SignatureScheme:
     def vector_byte_size(self, s: str) -> int:
         """Serialized size of the signature of *s* without encoding it."""
         return 1 + self.higher_bytes(self.stored_length(s))
+
+    def signature(self, stored: int, bits: int) -> Signature:
+        """The :class:`Signature` with stored length *stored* and higher *bits*.
+
+        What the columnar readers build ``move_to`` payloads with; the
+        ``(l_bits, t)`` of each stored length is derived once per scheme.
+        """
+        parameters = self._parameters.get(stored)
+        if parameters is None:
+            parameters = self._parameters[stored] = self.parameters_for(stored)
+        return Signature(stored, parameters[0], parameters[1], bits)
 
     def read(self, reader: BufferedReader) -> Signature:
         """Deserialise one signature from a buffered scan."""

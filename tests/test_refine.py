@@ -54,7 +54,7 @@ class TestRefiner:
         pool = ResultPool(400)
         candidacy = BlockCandidacy(pool)
         refiner = Refiner(table, queries[:1], DistanceFunction(), [pool])
-        tids = (5, 6, 7, 8, 9, 10, 11, 12)
+        tids = np.arange(5, 13)
         estimates = [3.0, 1.0, 2.0, 1.0, 0.5, 4.0, 2.0, 0.0]
         candidacy.add_block(
             tids, None, np.asarray(estimates), np.zeros(len(tids), dtype=bool)
@@ -86,7 +86,7 @@ class TestRefiner:
             table, queries[:1], DistanceFunction(), [pool], collectors=[collector]
         )
         candidacy.add_block(
-            (10, 11, 12), None, np.array([0.0, 5.0, 6.0]), np.zeros(3, dtype=bool)
+            np.arange(10, 13), None, np.array([0.0, 5.0, 6.0]), np.zeros(3, dtype=bool)
         )
         pool.insert(0, 1.0)  # tightens below the last two estimates
         for tid, estimated in candidacy.best_first():

@@ -4,8 +4,9 @@ Refine computes each candidate's exact distance with the compiled
 bit-parallel edit distance over a projected row decode.  Every engine path
 that refines must return the same ``(tid, distance)`` lists — compared as
 floats, not rounded — and the same ``table_accesses`` as a reference run in
-which :class:`DistanceFunction` falls back to the DP ``edit_distance`` and
-every table read decodes the full row.
+which every text distance comes from the DP ``edit_distance`` and every
+table read decodes the full row.  The reference run counts its DP calls,
+so it cannot stop reaching refine unnoticed.
 """
 
 import random
@@ -13,11 +14,11 @@ import random
 import pytest
 
 from repro.core.engine import IVAEngine
+from repro.metrics import distance as distance_module
 from repro.core.iva_file import IVAFile
 from repro.maintenance import MaintainedSystem
-from repro.metrics.distance import DistanceFunction, numeric_difference
+from repro.metrics.distance import DistanceFunction
 from repro.metrics.edit_distance import edit_distance
-from repro.model.values import is_ndf
 from repro.query import Query
 from repro.storage import SparseWideTable, simulated_backend
 
@@ -77,13 +78,17 @@ def world():
     return table, index, queries
 
 
-def _dp_term_difference(self, term_index, query, value):
-    term = query.terms[term_index]
-    if term.attr.is_text:
-        if is_ndf(value):
-            return self.ndf_penalty
-        return float(min(edit_distance(str(term.value), s) for s in value))
-    return numeric_difference(float(term.value), value, self.ndf_penalty)
+class _DpPattern:
+    """A stand-in for :class:`EditPattern` that scores with the DP and counts."""
+
+    calls = 0
+
+    def __init__(self, pattern: str) -> None:
+        self.pattern = pattern
+
+    def distance(self, text: str) -> int:
+        _DpPattern.calls += 1
+        return edit_distance(self.pattern, text)
 
 
 def _runs(table, index, queries, metric):
@@ -111,11 +116,13 @@ def test_refine_matches_dp_and_full_rows(world, metric, monkeypatch):
     fast = _runs(table, index, queries, metric)
 
     full_read = SparseWideTable.read
-    monkeypatch.setattr(DistanceFunction, "term_difference", _dp_term_difference)
+    monkeypatch.setattr(distance_module, "compile_pattern", _DpPattern)
+    _DpPattern.calls = 0
     monkeypatch.setattr(
         SparseWideTable, "read", lambda self, tid, attr_ids=None: full_read(self, tid)
     )
     reference = _runs(table, index, queries, metric)
+    assert _DpPattern.calls > 0, "the DP reference never reached refine"
 
     for path, (answers, accesses) in fast.items():
         ref_answers, ref_accesses = reference[path]

@@ -22,6 +22,7 @@ from __future__ import annotations
 import logging
 import string
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -176,7 +177,7 @@ class TestDecodeSegmentIdentity:
             ]
             seg_scan = index.open_scan(attr_ids)
             decoded = [
-                seg_scan.segment_blocks(list(tids))
+                seg_scan.segment_blocks(tids)
                 for tids, _ in seg_scan.blocks(block)
             ]
             assert len(oracle) == len(decoded)
@@ -200,7 +201,7 @@ class TestDecodeSegmentIdentity:
         attrs = {a.name: a.attr_id for a in table.catalog}
         types = {index.entry(a).list_type.name for a in attrs.values()}
         assert types == {"TYPE_I", "TYPE_II", "TYPE_III"}
-        tids = list(range(len(table)))
+        tids = np.arange(len(table))
         term = CompiledTextTerm("amber dune", index.config.n)
         for attr_id in attrs.values():
             scheme = index.entry(attr_id).scheme
@@ -232,7 +233,7 @@ class TestDecodeSegmentIdentity:
         """
         table = layout_table
         index = IVAFile.build(table, IVAConfig(name="run_cut"))
-        tids = list(range(len(table)))
+        tids = np.arange(len(table))
         seen = set()
         for attr in table.catalog:
             size = index.disk.size(index.vector_file(attr.attr_id))
@@ -266,7 +267,7 @@ class TestDecodeSegmentIdentity:
         index = IVAFile.build(
             table, IVAConfig(name=f"num_cut_{codec}_{width}", codec=codec, alpha=alpha)
         )
-        tids = list(range(len(table)))
+        tids = np.arange(len(table))
         layouts = set()
         seen = set()
         for name in ("SN", "DN"):
@@ -341,7 +342,6 @@ class TestDecodeSegmentIdentity:
         attr_ids = _attr_ids(table)
         scan = index.open_scan(attr_ids)
         for tids, _ in scan.blocks(7):
-            tids = list(tids)
             for segment in scan.segment_blocks(tids):
                 column = segment.column()
                 defined = sum(1 for payload in column if payload is not None)
@@ -412,7 +412,7 @@ class TestSkipTable:
             return original_skip(n)
 
         reader.skip = spying_skip
-        segment = scanner.decode_segment([last_tid])
+        segment = scanner.decode_segment(np.array([last_tid]))
         assert jumps, "tail-block decode never engaged the skip table"
         assert sum(jumps) >= SKIP_SEGMENT_ELEMENTS  # skipped real bytes
 
@@ -436,7 +436,7 @@ class TestSkipTable:
         jumps = []
         original_skip = reader.skip
         reader.skip = lambda n: (jumps.append(n), original_skip(n))[1]
-        segment = scanner.decode_segment([last_tid])
+        segment = scanner.decode_segment(np.array([last_tid]))
         assert isinstance(segment, NumericSegment)
         assert jumps, "the wide decode never engaged the skip table"
 
@@ -455,7 +455,7 @@ class TestSkipTable:
         assert index._skip_tables.get(attr_id) is not None
 
         scanner = index.make_scanner(attr_id)
-        segment = scanner.decode_segment([tid])
+        segment = scanner.decode_segment(np.array([tid]))
         scalar = index.make_scanner(attr_id)
         assert segment.column() == [scalar.move_to(tid)]
 
@@ -464,22 +464,24 @@ class TestSkipTable:
     def test_text_decode_jumps_between_blocks(self, byte_run_chunk):
         """Raw text blocks that skip tids jump the run, and still decode right.
 
-        Blocks leave gaps, so each block head finds its pending tid below
-        the block: the scanner rewinds to where the scalar walk stands and
-        jumps whole segments — inside the buffered run, or past it through
-        the reader (a 13-byte chunk keeps the run short).
+        Blocks leave gaps wider than two skip segments, so each block head
+        finds its pending tid a whole segment below the block and jumps —
+        inside the buffered run, or past it through the reader (a 13-byte
+        chunk buffers one list block at a time).  ``One`` is defined on
+        every fifth row: on every fourth, Types I and III would tie but for
+        the block headers, and the exact sizes pick Type III.
         """
         table = SparseWideTable(SimulatedDisk())
-        rows = (SKIP_SEGMENT_ELEMENTS * 3) * 4
+        rows = (SKIP_SEGMENT_ELEMENTS * 6) * 5
         for i in range(rows):
             cells = {"PAD": "x"}
-            if i % 4 == 0:
+            if i % 5 == 0:
                 cells["One"] = f"v{i % 13} w{i % 7}"
             if i % 8 == 2:
                 cells["Two"] = (f"a{i % 5}", f"b{i % 11} c")
             table.insert(cells)
         index = IVAFile.build(table, IVAConfig(name="skip_text", codec="raw"))
-        blocks = [list(range(start, start + 9)) for start in range(0, rows - 9, 701)]
+        blocks = [np.arange(start, start + 9) for start in range(0, rows - 9, 2701)]
         layouts = set()
         jumped = False
         for name in ("One", "Two"):

@@ -1,5 +1,6 @@
 """Unit tests for the shared tuple list."""
 
+import numpy as np
 import pytest
 
 from repro.core.tuple_list import DELETED_PTR, TupleList
@@ -75,9 +76,12 @@ class TestTupleList:
             list(tuples.scan_range_blocks(start, end, 2))
 
     def test_scan_range_blocks_columns(self, tuples):
-        assert list(tuples.scan_range_blocks(0, 3, 2)) == [
-            ((0, 1), (100, 200)),
-            ((3,), (300,)),
+        assert [
+            (tids.tolist(), ptrs.tolist())
+            for tids, ptrs in tuples.scan_range_blocks(0, 3, 2)
+        ] == [
+            ([0, 1], [100, 200]),
+            ([3], [300]),
         ]
         with pytest.raises(IndexError_):
             list(tuples.scan_range_blocks(0, 3, 0))
@@ -87,7 +91,8 @@ class TestTupleList:
     def test_scan_range_blocks_matches_scan_range(self, start, block):
         """Blocks concatenate to :meth:`scan_range` element by element:
         any start, a block size that does not divide the range, tombstones
-        and ptrs that need all 64 bits, every value a Python ``int``."""
+        and ptrs that need all 64 bits; tids come as int64 and ptrs as
+        uint64 arrays."""
         disk = SimulatedDisk()
         tl = TupleList(disk, "w.tuples")
         tl.rebuild((3 * i + 1, (i << 33) + i) for i in range(300))
@@ -102,12 +107,13 @@ class TestTupleList:
         assert sizes == [len(ptrs) for _, ptrs in blocks]
         assert all(size == block for size in sizes[:-1])
         assert 0 < sizes[-1] <= block
-        got = [pair for tids, ptrs in blocks for pair in zip(tids, ptrs)]
+        got = [
+            pair
+            for tids, ptrs in blocks
+            for pair in zip(tids.tolist(), ptrs.tolist())
+        ]
         assert got == expected
         assert all(
-            type(tid) is int and type(ptr) is int for tid, ptr in got
-        )
-        assert all(
-            isinstance(tids, tuple) and isinstance(ptrs, tuple)
+            tids.dtype == np.int64 and ptrs.dtype == np.uint64
             for tids, ptrs in blocks
         )

@@ -3,8 +3,11 @@
 import pytest
 
 from repro.core.numeric import NumericQuantizer
+from repro.core.kernel import BLOCK_TUPLES
 from repro.core.scan import (
     NUM_BYTES,
+    SKIP_SEGMENT_ELEMENTS,
+    TEXT_BLOCK_HEADER,
     TID_BYTES,
     NumericTypeIScanner,
     NumericTypeIVScanner,
@@ -48,10 +51,24 @@ def _reader_for(payload: bytes) -> BufferedReader:
 
 class TestSizeFormulas:
     def test_text_sizes_match_paper(self):
+        """The paper's closed forms plus one block header per block."""
+        header = TEXT_BLOCK_HEADER.size
         sizes = text_list_sizes(vector_total_bytes=100, df=3, str_count=4, table_tuples=5)
-        assert sizes.type_i == TID_BYTES * 4 + 100
-        assert sizes.type_ii == (TID_BYTES + NUM_BYTES) * 3 + 100
-        assert sizes.type_iii == NUM_BYTES * 5 + 100
+        assert sizes.type_i == TID_BYTES * 4 + 100 + header
+        assert sizes.type_ii == (TID_BYTES + NUM_BYTES) * 3 + 100 + header
+        assert sizes.type_iii == NUM_BYTES * 5 + 100 + header
+        blocks = 3
+        many = text_list_sizes(
+            vector_total_bytes=100,
+            df=2 * SKIP_SEGMENT_ELEMENTS + 1,
+            str_count=SKIP_SEGMENT_ELEMENTS,
+            table_tuples=2 * BLOCK_TUPLES + 1,
+        )
+        assert many.type_i == TID_BYTES * SKIP_SEGMENT_ELEMENTS + 100 + header
+        assert many.type_ii == (TID_BYTES + NUM_BYTES) * (
+            2 * SKIP_SEGMENT_ELEMENTS + 1
+        ) + 100 + blocks * header
+        assert many.type_iii == NUM_BYTES * (2 * BLOCK_TUPLES + 1) + 100 + blocks * header
 
     def test_numeric_sizes_match_paper(self):
         sizes = numeric_list_sizes(vector_bytes=2, df=3, table_tuples=5)
@@ -215,11 +232,9 @@ class TestBuildValidation:
 
     def test_multi_string_in_type_i_repeats_tid(self):
         payload = build_text_list(ListType.TYPE_I, SCHEME, [(6, ("a", "b"))], [6])
-        # Two elements, each starting with tid 6.
-        first_tid = int.from_bytes(payload[:TID_BYTES], "little")
-        assert first_tid == 6
-        sig_size = SCHEME.vector_byte_size("a")
-        second_tid = int.from_bytes(
-            payload[TID_BYTES + sig_size : 2 * TID_BYTES + sig_size], "little"
-        )
-        assert second_tid == 6
+        # One block of two elements: the tid column holds 6 twice.
+        header = TEXT_BLOCK_HEADER.size
+        count, body = TEXT_BLOCK_HEADER.unpack_from(payload)
+        assert (count, header + body) == (2, len(payload))
+        tids = payload[header : header + 2 * TID_BYTES]
+        assert tids == (6).to_bytes(TID_BYTES, "little") * 2
