@@ -197,17 +197,38 @@ class DistanceFunction:
         return self.metric.combine(weighted)
 
 
+class _DistanceMemo(dict):
+    """``string → edit distance`` to one query string, filled on first use.
+
+    Refined rows repeat strings (a run meets the same value in many
+    tuples), and the distance of a string to a fixed query string never
+    changes, so each distinct string costs one Myers pass per run.
+    """
+
+    __slots__ = ("_distance",)
+
+    def __init__(self, distance) -> None:
+        super().__init__()
+        self._distance = distance
+
+    def __missing__(self, string: str) -> int:
+        distance = self[string] = self._distance(string)
+        return distance
+
+
 class CompiledDistance:
     """One query's ``D(T, Q)``, compiled once for a run of many records.
 
     Everything :meth:`DistanceFunction.actual` would otherwise resolve per
     record is fixed here, term by term in the query's attribute-id order:
     the attribute id, its weight λ (``DistanceFunction.weight``), and
-    either the bound :meth:`EditPattern.distance
-    <repro.metrics.edit_distance.EditPattern.distance>` of a text term's
-    query string or a numeric term's float value.  :meth:`score` runs the
-    same float operations in the same order as :func:`text_difference`
-    and :func:`numeric_difference` followed by ``metric.combine``, so a
+    either a text term's ``string → distance`` lookup or a numeric term's
+    float value.  The lookup wraps the bound :meth:`EditPattern.distance
+    <repro.metrics.edit_distance.EditPattern.distance>` of the query
+    string with a memo that lives as long as this object (one run), so a
+    string met again costs a dict hit.  :meth:`score` runs the same float
+    operations in the same order as :func:`text_difference` and
+    :func:`numeric_difference` followed by ``metric.combine``, so a
     compiled score equals the uncompiled one bit for bit.
     """
 
@@ -221,7 +242,7 @@ class CompiledDistance:
                 term.attr.attr_id,
                 dist.weight(term.attr.attr_id, query),
                 term.attr.is_text,
-                compile_pattern(str(term.value)).distance
+                _DistanceMemo(compile_pattern(str(term.value)).distance).__getitem__
                 if term.attr.is_text
                 else float(term.value),
             )
@@ -235,7 +256,8 @@ class CompiledDistance:
 
         *cells* may hold more attributes than the query's; a queried one
         it lacks is ndf.  A cell whose type does not match its term's
-        raises :class:`QueryError`.
+        raises :class:`QueryError`: every string is type-checked before
+        any is looked up, so a memo hit never skips a check.
         """
         get = cells.get
         weighted = []

@@ -35,6 +35,9 @@ logger = logging.getLogger(__name__)
 
 DEFAULT_PAGE_SIZE = 4096
 DEFAULT_CACHE_BYTES = 10 * 1024 * 1024
+#: Reads at least this long copy out through a memoryview (one copy);
+#: shorter ones slice and convert, which costs less for a table row.
+_VIEW_COPY_BYTES = 2048
 
 
 @dataclass(frozen=True)
@@ -116,7 +119,7 @@ class DiskStats:
         )
 
 
-@dataclass
+@dataclass(eq=False)
 class IoMeter:
     """Thread-local interval accounting opened with :meth:`SimulatedDisk.metered`.
 
@@ -126,22 +129,16 @@ class IoMeter:
     requests on concurrent threads (the global :class:`DiskStats` cannot
     split concurrent charges by thread).
 
-    Modeled time is kept as a running total that starts at the thread's
-    active stats value and takes the same additions in the same order, so
-    ``io_ms`` equals that stats' delta bit for bit when no other thread
-    charged meanwhile, and leaves other threads' charges out when one did.
+    Every field sums the meter's own charges from zero, so ``io_ms`` is
+    exact whatever was charged before the meter opened: it is not a
+    difference of two large running totals.
     """
 
     pages: int = 0
     seeks: int = 0
     cache_hits: int = 0
-    start_ms: float = 0.0
-    total_ms: float = 0.0
-
-    @property
-    def io_ms(self) -> float:
-        """Modeled I/O milliseconds this thread charged while the meter was open."""
-        return self.total_ms - self.start_ms
+    #: Modeled I/O milliseconds this thread charged while the meter was open.
+    io_ms: float = 0.0
 
 
 class _ThreadState(threading.local):
@@ -160,29 +157,28 @@ class _ThreadState(threading.local):
 
 
 class _Metered:
-    """The context manager :meth:`SimulatedDisk.metered` returns."""
+    """The context manager :meth:`SimulatedDisk.metered` returns.
+
+    It holds one :class:`IoMeter` for its whole life: every ``with`` puts
+    that meter on the thread's stack and takes it off again, so a caller
+    that meters many short windows (the refine step, one per table read)
+    enters one object again and again, and the meter sums every window.
+    """
 
     __slots__ = ("_disk", "_meter")
 
     def __init__(self, disk: "SimulatedDisk") -> None:
         self._disk = disk
+        self._meter = IoMeter()
 
     def __enter__(self) -> IoMeter:
-        disk = self._disk
-        start = disk._active_stats().io_time_ms
-        meter = self._meter = IoMeter(start_ms=start, total_ms=start)
-        disk._meters().append(meter)
+        meter = self._meter
+        self._disk._tls.meters.append(meter)
         return meter
 
     def __exit__(self, *exc_info) -> None:
-        meters = self._disk._meters()
-        meter = self._meter
-        # By identity: a nested meter opened with no charge in between
-        # compares equal to the outer one.
-        for i in range(len(meters) - 1, -1, -1):
-            if meters[i] is meter:
-                del meters[i]
-                return
+        # Meters compare by identity, so this takes off this meter alone.
+        self._disk._tls.meters.remove(self._meter)
 
 
 class SimulatedDisk:
@@ -200,6 +196,8 @@ class SimulatedDisk:
 
     def __init__(self, params: Optional[DiskParameters] = None) -> None:
         self.params = params or DiskParameters()
+        #: ``params.transfer_ms_per_page``, a property, derived once.
+        self._transfer_ms = self.params.transfer_ms_per_page
         self._files: Dict[str, bytearray] = {}
         self.cache = LRUCache(self.params.cache_pages)
         self.stats = DiskStats()
@@ -214,12 +212,6 @@ class SimulatedDisk:
         self.tracer = None
 
     # ------------------------------------------------------- I/O attribution
-
-    def _channel(self) -> str:
-        return self._tls.channel
-
-    def _meters(self) -> List[IoMeter]:
-        return self._tls.meters
 
     @contextmanager
     def io_channel(self, name: str):
@@ -244,8 +236,9 @@ class SimulatedDisk:
 
         Meters nest: every open meter on the current thread's stack sees
         each charge, so an outer whole-phase meter and an inner per-call
-        meter can run simultaneously.  The refine step opens one per row,
-        so this is a plain context-manager object, not a generator.
+        meter can run simultaneously.  The returned object may be entered
+        again after it exits; its meter then keeps summing, so the refine
+        step meters all of its table reads with one object.
         """
         return _Metered(self)
 
@@ -282,8 +275,8 @@ class SimulatedDisk:
         """
         with self._lock:
             self._active_stats().io_time_ms += ms
-            for meter in self._meters():
-                meter.total_ms += ms
+            for meter in self._tls.meters:
+                meter.io_ms += ms
 
     # ------------------------------------------------------------------ files
 
@@ -326,28 +319,35 @@ class SimulatedDisk:
             data = self._file(name)
             if offset < 0 or length < 0:
                 raise StorageError("negative offset or length")
-            if offset + length > len(data):
+            end = offset + length
+            if end > len(data):
                 raise StorageError(
                     f"read past EOF on {name!r}: offset={offset} length={length} "
                     f"size={len(data)}"
                 )
             stats = self._active_stats()
-            io_before = stats.io_time_ms
-            hits_before = stats.cache_hits
+            tracer = self.tracer
+            if tracer is not None:
+                io_before = stats.io_time_ms
+                hits_before = stats.cache_hits
             if length:
-                self._charge(name, offset, length, write=False)
+                self._charge(name, offset, length, False, stats)
             stats.read_calls += 1
             stats.bytes_read += length
             stats.per_file_reads[name] = stats.per_file_reads.get(name, 0) + 1
-            if self.tracer is not None:
-                self.tracer.record(
+            if tracer is not None:
+                tracer.record(
                     "disk.read",
                     stats.io_time_ms - io_before,
                     file=name,
                     bytes=length,
                     cache_hits=stats.cache_hits - hits_before,
                 )
-            return bytes(data[offset : offset + length])
+            if length < _VIEW_COPY_BYTES:
+                return bytes(data[offset:end])
+            # One copy instead of two: a slice of a bytearray is a copy,
+            # and ``bytes()`` of it another.
+            return memoryview(data)[offset:end].tobytes()
 
     def write(self, name: str, offset: int, payload: bytes) -> None:
         """Write *payload* at *offset* (may extend the file)."""
@@ -366,7 +366,7 @@ class SimulatedDisk:
             data[offset:end] = payload
             stats = self._active_stats()
             if payload:
-                self._charge(name, offset, len(payload), write=True)
+                self._charge(name, offset, len(payload), True, stats)
             stats.write_calls += 1
             stats.bytes_written += len(payload)
 
@@ -490,16 +490,20 @@ class SimulatedDisk:
         except KeyError:
             raise StorageError(f"no such file: {name!r}") from None
 
-    def _charge(self, name: str, offset: int, length: int, *, write: bool) -> None:
+    def _charge(
+        self, name: str, offset: int, length: int, write: bool, stats: DiskStats
+    ) -> None:
+        """Charge the pages of one access to *stats* and the open meters."""
         page_size = self.params.page_size
         first = offset // page_size
         last = (offset + length - 1) // page_size
-        meters = self._meters()
-        channel = self._channel()
-        stats = self._active_stats()
+        tls = self._tls
+        meters = tls.meters
+        channel = tls.channel
+        touch = self.cache.touch
         for page in range(first, last + 1):
             key = (name, page)
-            if not write and self.cache.touch(key):
+            if not write and touch(key):
                 stats.cache_hits += 1
                 for meter in meters:
                     meter.cache_hits += 1
@@ -509,17 +513,17 @@ class SimulatedDisk:
                 self.cache.insert(key)
             seeks_before = stats.seeks
             cost = self._positioning_ms(name, page, channel, stats=stats)
-            cost += self.params.transfer_ms_per_page
+            cost += self._transfer_ms
             stats.io_time_ms += cost
             if write:
                 stats.pages_written += 1
             else:
                 stats.pages_read += 1
             for meter in meters:
-                meter.total_ms += cost
+                meter.io_ms += cost
                 meter.pages += 1
                 meter.seeks += stats.seeks - seeks_before
-            self._heads[channel] = (name, page)
+            self._heads[channel] = key
 
     def _positioning_ms(
         self,
@@ -545,7 +549,7 @@ class SimulatedDisk:
             if 0 <= gap <= 1:
                 return 0.0
             if gap > 1:
-                skip_ms = (gap - 1) * self.params.transfer_ms_per_page
+                skip_ms = (gap - 1) * self._transfer_ms
                 if skip_ms < self.params.seek_ms:
                     return skip_ms
         (stats if stats is not None else self._active_stats()).seeks += 1

@@ -157,3 +157,78 @@ class TestTypeMismatch:
         record = Record(tid=1, cells={NUMERIC[0].attr_id: ("abc",)})
         with pytest.raises(QueryError, match="expected a numeric value"):
             dist.actual(query, record, dist.compile(query))
+
+
+#: A small pool, so rows drawn from it repeat strings within one run.
+POOL_STRINGS = st.sampled_from(["abc", "abd", "x", "日本", "abcabc", "é ü"])
+POOL_CELLS = st.lists(POOL_STRINGS, min_size=1, max_size=3).map(tuple)
+
+
+@st.composite
+def pooled_records(draw):
+    """A row whose text cells come from :data:`POOL_STRINGS`."""
+    cells = {}
+    for attr in ATTRS:
+        if draw(st.booleans()):
+            cells[attr.attr_id] = draw(POOL_CELLS if attr.is_text else NUMBERS)
+    return Record(tid=draw(st.integers(0, 2**32 - 1)), cells=cells)
+
+
+def memo_of(plan, term_index):
+    """The ``string → distance`` memo behind one compiled text term."""
+    return plan.terms[term_index][3].__self__
+
+
+class TestDistanceMemo:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        dist=DISTANCES,
+        query=queries(),
+        rows=st.lists(pooled_records(), min_size=2, max_size=12),
+    )
+    def test_memoised_scores_equal_reference_and_dp(self, dist, query, rows):
+        """One plan scores a run of rows that repeat strings, single- and
+        multi-string cells alike: every score equals the reference and
+        the DP, whether its strings were met before or not."""
+        plan = dist.compile(query)
+        for record in rows + rows:
+            want = bits(reference_actual(dist, query, record))
+            assert bits(plan.score(record.cells)) == want
+            assert bits(dp_actual(dist, query, record)) == want
+
+    def test_one_entry_per_distinct_string(self):
+        dist = DistanceFunction()
+        query = Query.from_dict(CATALOG, {"Text0": "abc"})
+        plan = dist.compile(query)
+        cells = [("abd",), ("abd", "x"), ("x", "abc"), ("abd",)]
+        for cell in cells:
+            plan.score({TEXT[0].attr_id: cell})
+        assert memo_of(plan, 0) == {"abd": 1, "x": 3, "abc": 0}
+
+    @pytest.mark.parametrize(
+        "cell", [3.0, (), ("abc", 7), (7, "abc")], ids=["numeric", "empty", "after", "before"]
+    )
+    def test_bad_cell_after_memo_hits_still_raises(self, cell):
+        """A hit never skips a type check: a cell mixing memoised strings
+        with a non-string, or of the wrong type, raises after a run of
+        good rows put its strings in the memo."""
+        dist = DistanceFunction()
+        query = Query.from_dict(CATALOG, {"Text0": "abd"})
+        plan = dist.compile(query)
+        for _ in range(3):
+            plan.score({TEXT[0].attr_id: ("abc",)})
+        assert "abc" in memo_of(plan, 0)
+        with pytest.raises(QueryError, match="expected a text value"):
+            plan.score({TEXT[0].attr_id: cell})
+
+    def test_no_memo_is_shared_across_runs(self):
+        """Each compile (one per run) starts an empty memo of its own."""
+        dist = DistanceFunction()
+        query = Query.from_dict(CATALOG, {"Text0": "abc", "Text1": "abc"})
+        first = dist.compile(query)
+        first.score({TEXT[0].attr_id: ("abd",), TEXT[1].attr_id: ("x",)})
+        second = dist.compile(query)
+        assert memo_of(first, 0) == {"abd": 1}
+        assert memo_of(first, 1) == {"x": 3}
+        assert memo_of(second, 0) == {} and memo_of(second, 1) == {}
+        assert memo_of(second, 0) is not memo_of(first, 0)

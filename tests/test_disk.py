@@ -233,7 +233,8 @@ class TestMeters:
 
     def test_nested_meters_see_the_same_charges(self, disk):
         self._cold_file(disk)
-        before = disk.stats.io_time_ms
+        # Fresh stats sum the same charges from zero as the meter does.
+        disk.reset_stats()
         with disk.metered() as outer:
             disk.read("f", 0, 10)
             with disk.metered() as inner:
@@ -241,7 +242,32 @@ class TestMeters:
             disk.read("f", 30000, 10)
         assert inner.pages == 1 and outer.pages == 3
         assert 0 < inner.io_ms < outer.io_ms
-        assert outer.io_ms == disk.stats.io_time_ms - before
+        assert outer.io_ms == disk.stats.io_time_ms
+
+    def test_meter_sums_its_own_charges_after_a_large_earlier_charge(self, disk):
+        """An interval meter: what was charged before it opened leaves no
+        rounding in it, so it reports its own charges exactly."""
+        self._cold_file(disk)
+        disk.charge_latency(1e9 + 0.1)
+        with disk.metered() as meter:
+            disk.charge_latency(0.1)
+            disk.read("f", 0, 10)
+        page_ms = disk.params.seek_ms + disk.params.transfer_ms_per_page
+        assert meter.pages == 1
+        assert meter.io_ms == 0.1 + page_ms
+
+    def test_a_metered_context_reenters_one_summing_meter(self, disk):
+        """Entering one ``metered()`` object again resumes its meter; what
+        is charged between the windows stays out of it."""
+        self._cold_file(disk)
+        metered = disk.metered()
+        with metered as first:
+            disk.charge_latency(1.5)
+        disk.charge_latency(100.0)
+        with metered as second:
+            disk.charge_latency(2.25)
+        assert first is second
+        assert second.io_ms == 1.5 + 2.25
 
     def test_inner_meter_opened_before_any_charge_leaves_outer_open(self, disk):
         """An inner meter equal to the outer one on entry (nothing charged

@@ -6,8 +6,9 @@ Two layers of checks:
   bounds to the scalar routine they were compiled from — on randomized
   slice codes, ndf payloads, clamped out-of-domain values, and the
   open-ended boundary slices of Prop. 3.3 — and ``CompiledTextTerm``
-  between the oracle's Eq. 3 and the exact edit distance: its tables add
-  the length filter, including the saturated stored length 255.
+  between the oracle's Eq. 3 and the exact edit distance: its tables
+  round Eq. 3 up to a whole number and add the length filter, including
+  the saturated stored length 255.
   Equality is ``==``, not approx: the kernel's contract is bit identity
   with the formula, not tolerance;
 * **engine tests** assert full top-k answer identity between the
@@ -18,9 +19,11 @@ Two layers of checks:
 
 from __future__ import annotations
 
+import math
 import string
 import sys
 import threading
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -118,22 +121,23 @@ class TestCompiledTextTerm:
         self, sq, stored_length, raw_bits, n
     ):
         """Arbitrary bit patterns, not just encodable ones: each signature's
-        bound is the larger of Eq. 3 and the length filter, on the scalar
-        mask loop and on the array path alike."""
+        bound is the larger of ⌈Eq. 3⌉ and the length filter, on the scalar
+        mask loop and on the array path alike.  Edit distance is a whole
+        number, so rounding Eq. 3 up keeps it a lower bound."""
         scheme = SignatureScheme(alpha=0.2, n=n)
         l_bits, t = scheme.parameters_for(stored_length)
         bits = [b % (1 << l_bits) for b in raw_bits]
         encoder = QueryStringEncoder(sq, n)
         length = _length_bound(len(sq), stored_length)
-        expected = min(
-            max(
-                encoder.lower_bound(
-                    Signature(length=stored_length, l_bits=l_bits, t=t, bits=b)
-                ),
-                length,
+
+        def eq3_ceiling(b: int) -> int:
+            hits = encoder.hit_count(
+                Signature(length=stored_length, l_bits=l_bits, t=t, bits=b)
             )
-            for b in bits
-        )
+            eq3 = Fraction(max(len(sq), stored_length) - hits - 1, n) + 1
+            return math.ceil(eq3)
+
+        expected = min(float(max(eq3_ceiling(b), length)) for b in bits)
         payload = [(stored_length, b) for b in bits]
         term, out, _ = _text_bounds(sq, n, scheme, [payload])
         assert out[0] == expected
