@@ -122,7 +122,14 @@ class StorageBackend(Protocol):
 
     # -------------------------------------------------- I/O attribution
     def metered(self) -> ContextManager[IoMeter]:
-        """Yield an :class:`IoMeter` accumulating this thread's charges."""
+        """Yield an :class:`IoMeter` accumulating this thread's charges.
+
+        The returned object may be entered again after it exits: every
+        ``with`` yields the same meter, which sums the charges of all its
+        windows and none from between them.  The refine step relies on
+        this to meter each table read with one object per run, so a
+        backend must not return a generator-based context manager here.
+        """
         ...
 
     def io_channel(self, name: str) -> ContextManager[None]:

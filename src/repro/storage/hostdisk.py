@@ -294,7 +294,8 @@ class HostDisk:
 
         Exists so code written against :class:`~repro.storage.backend.StorageBackend`
         — the engines' per-thread I/O accounting in particular — runs
-        unchanged on a host directory.
+        unchanged on a host directory.  A ``nullcontext`` may be entered
+        again and yields the same meter each time, as the protocol asks.
         """
         return nullcontext(IoMeter())
 

@@ -71,6 +71,20 @@ class TestHostDiskFiles:
         disk.create("f", overwrite=True)
         assert disk.size("f") == 0
 
+    def test_a_metered_context_reenters_one_meter(self, disk):
+        """The backend protocol's re-entry contract: every ``with`` on one
+        ``metered()`` object yields the same meter (zero here: a host
+        directory models no I/O time)."""
+        disk.create("f")
+        disk.write("f", 0, b"abcd")
+        metered = disk.metered()
+        with metered as first:
+            disk.read("f", 0, 4)
+        with metered as second:
+            disk.read("f", 0, 4)
+        assert first is second
+        assert second.io_ms == 0.0
+
     def test_nested_accounting_scopes_restore_outer(self, disk):
         """Each scope charges its own stats; closing it restores the outer one."""
         disk.create("f")

@@ -198,6 +198,23 @@ class TestFaultPlan:
         assert 0 <= torn < 100
         assert inner.read("f.v1", 0, torn) == b"A" * torn
 
+    def test_a_metered_context_reenters_through_the_delegate(self):
+        """The re-entry contract of ``metered()`` holds through a wrapper:
+        one meter sums its windows and leaves out what came between."""
+        inner = simulated_backend()
+        backend = ChecksummedBackend(
+            FaultInjectingBackend(inner, FaultPlan(seed=1, rules=())),
+            registry=MetricsRegistry(),
+        )
+        metered = backend.metered()
+        with metered as first:
+            backend.charge_latency(1.5)
+        backend.charge_latency(100.0)
+        with metered as second:
+            backend.charge_latency(2.25)
+        assert first is second
+        assert second.io_ms == 1.5 + 2.25
+
     def test_metrics_counter_increments(self):
         registry = MetricsRegistry()
         inner = simulated_backend()
